@@ -8,7 +8,9 @@ Generators on N positions:
 
 Operator expressions are scalar-weighted words in these generators.  Words
 apply right to left, matching the usual composition convention for displayed
-products.  Identities between operators are decided at the matrix level: the
+products.  Each word is compiled once into bit masks over the input state
+(:class:`_CompiledWord`); ``apply`` and ``to_matrix`` both evaluate that
+form.  Identities between operators are decided at the matrix level: the
 module is not a faithful representation of the abstract algebra, so only
 matrix equalities are decidable here.
 """
@@ -67,6 +69,104 @@ def _check_gen(gen, length, classical):
         raise ValueError("classical operators may not contain w generators")
 
 
+class _CompiledWord(NamedTuple):
+    """A generator word reduced to masks over the input state's bits.
+
+    A state survives the word when it has every bit of ``require_set`` and
+    none of ``require_clear``; those are the positions some psi or psid
+    touches, and ``final_set`` holds their bits afterwards.  Its image is
+    ``(-1)^(sign_odd + |state & sign_mask|) q^e`` times the output state,
+    with ``e = exp0 + sum(c * |state & mask| for c, mask in exp_masks)``.
+    ``sign_mask`` and the exponent masks cover untouched positions only.
+    """
+
+    require_set: int
+    require_clear: int
+    final_set: int
+    sign_mask: int
+    sign_odd: int
+    exp0: int
+    exp_masks: tuple
+
+    @classmethod
+    def compile(cls, word):
+        """Walk the word right to left once; None when it kills every state."""
+        require_set = require_clear = final_set = 0
+        sign_mask = sign_odd = exp0 = 0
+        weights = {}  # position bit -> q-exponent per unit of its input bit
+        for kind, k in reversed(word):
+            bit = 1 << (k - 1)
+            touched = require_set | require_clear
+            if kind in (OMEGA, OMEGA_INV):
+                step = -1 if kind == OMEGA else 1
+                if not touched & bit:
+                    weights[bit] = weights.get(bit, 0) + step
+                elif final_set & bit:
+                    exp0 += step
+                continue
+            # the sign counts the occupied positions before k as they stand now
+            below = bit - 1
+            sign_mask ^= below & ~touched
+            sign_odd ^= (final_set & below).bit_count() & 1
+            occupied = kind == PSI
+            if touched & bit:
+                if bool(final_set & bit) != occupied:
+                    return None
+            elif occupied:
+                require_set |= bit
+            else:
+                require_clear |= bit
+            final_set = final_set & ~bit if occupied else final_set | bit
+        # a touched position's input bit is fixed by its requirement
+        touched = require_set | require_clear
+        sign_odd ^= (sign_mask & require_set).bit_count() & 1
+        sign_mask &= ~touched
+        masks = {}
+        for bit, c in weights.items():
+            if touched & bit:
+                exp0 += c if require_set & bit else 0
+            elif c:
+                masks[c] = masks.get(c, 0) | bit
+        return cls(require_set, require_clear, final_set, sign_mask, sign_odd, exp0,
+                   tuple(sorted(masks.items())))
+
+    def image(self, state):
+        """(output state, negative, q-exponent), or None if the word kills state."""
+        require_set, require_clear, final_set, sign_mask, sign_odd, exp0, exp_masks = self
+        if state & require_set != require_set or state & require_clear:
+            return None
+        row = (state & ~(require_set | require_clear)) | final_set
+        negative = (sign_odd + (state & sign_mask).bit_count()) & 1
+        qexp = exp0
+        for c, mask in exp_masks:
+            qexp += c * (state & mask).bit_count()
+        return row, negative, qexp
+
+    def exponent_range(self):
+        """(min, max) of the q-exponent over the surviving states."""
+        low = high = self.exp0
+        for c, mask in self.exp_masks:
+            if c < 0:
+                low += c * mask.bit_count()
+            else:
+                high += c * mask.bit_count()
+        return low, high
+
+    def images(self, length):
+        """(state, output state, negative, q-exponent) for every surviving
+        state of the given length, in increasing state order."""
+        free = ((1 << length) - 1) & ~(self.require_set | self.require_clear)
+        image = self.image
+        sub = 0
+        while True:
+            state = self.require_set | sub
+            yield (state, *image(state))
+            # next subset of free in increasing order
+            sub = (sub - free) & free
+            if not sub:
+                return
+
+
 class OperatorExpr:
     """A formal sum of scalar-weighted generator words on N positions.
 
@@ -75,11 +175,12 @@ class OperatorExpr:
     q = 1 picture).
     """
 
-    __slots__ = ("length", "terms", "classical")
+    __slots__ = ("length", "terms", "classical", "_words")
 
     def __init__(self, length, terms, classical=False):
         self.length = length
         self.classical = classical
+        self._words = None
         cleaned = []
         for coeff, word in terms:
             if not isinstance(coeff, QLaurent):
@@ -102,6 +203,7 @@ class OperatorExpr:
         obj.length = length
         obj.terms = terms
         obj.classical = classical
+        obj._words = None
         return obj
 
     # -- convenient constructors --------------------------------------------
@@ -180,69 +282,51 @@ class OperatorExpr:
 
     # -- action ----------------------------------------------------------------
 
+    def _compiled(self):
+        """[(coeff, _CompiledWord)] for the terms whose word is not dead."""
+        if self._words is None:
+            self._words = [
+                (coeff, cw) for coeff, word in self.terms
+                if (cw := _CompiledWord.compile(word)) is not None
+            ]
+        return self._words
+
     def apply(self, vec):
         """Apply to a QVector; linear, words right-to-left."""
         if vec.length != self.length:
             raise ValueError(f"length mismatch: {self.length} vs {vec.length}")
         out = {}
-        for coeff, word in self.terms:
+        for coeff, cw in self._compiled():
             for state, value in vec.entries.items():
-                bits = state
-                sign = 1
-                qexp = 0
-                dead = False
-                for gen in reversed(word):
-                    kind, k = gen
-                    bit = 1 << (k - 1)
-                    if kind == PSI:
-                        if not bits & bit:
-                            dead = True
-                            break
-                        if (bits & (bit - 1)).bit_count() & 1:
-                            sign = -sign
-                        bits ^= bit
-                    elif kind == PSI_DAG:
-                        if bits & bit:
-                            dead = True
-                            break
-                        if (bits & (bit - 1)).bit_count() & 1:
-                            sign = -sign
-                        bits |= bit
-                    elif kind == OMEGA:
-                        if bits & bit:
-                            qexp -= 1
-                    else:  # OMEGA_INV
-                        if bits & bit:
-                            qexp += 1
-                if dead:
+                image = cw.image(state)
+                if image is None:
                     continue
+                row, negative, qexp = image
                 scalar = coeff * value
                 if qexp:
                     scalar = scalar.shift(qexp)
-                if sign < 0:
+                if negative:
                     scalar = -scalar
-                prev = out.get(bits)
+                prev = out.get(row)
                 scalar = scalar if prev is None else prev + scalar
                 if scalar:
-                    out[bits] = scalar
+                    out[row] = scalar
                 else:
-                    out.pop(bits, None)
+                    out.pop(row, None)
         return QVector._raw(self.length, out)
 
     def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
-        """Realize as a 2^N x 2^N sparse matrix (column per basis state)."""
+        """Realize as a 2^N x 2^N sparse matrix (column per basis state).
+
+        Only the basis states a word does not kill are visited."""
         if self.length > cap:
             raise ValueError(
                 f"matrix for {self.length} positions exceeds the 2^{cap} cap; "
                 "raise the cap explicitly if you mean it"
             )
-        dim = 1 << self.length
-        cols = {}
-        for state in range(dim):
-            col = self.apply(QVector.basis(state, self.length)).entries
-            if col:
-                cols[state] = col
-        return SparseMatrix._raw(dim, cols)
+        terms = [(coeff, *cw.exponent_range(), cw.images(self.length))
+                 for coeff, cw in self._compiled()]
+        return SparseMatrix.from_monomial_images(1 << self.length, terms)
 
     # -- rendering ----------------------------------------------------------
 

@@ -203,9 +203,9 @@ def _conjugation_match(rep, checks, relation, indices, dexps, dmat, dinv, mat, a
     the nonzero entries of M; otherwise fall back to the matrix identity.
     """
     if dexps is not None:
-        for c, col in mat.cols.items():
+        for c, rows in mat.support():
             dc = dexps[c]
-            for r in col:
+            for r in rows:
                 if dexps[r] - dc != a:
                     _record(checks, relation, indices, False, rep.label(c))
                     return

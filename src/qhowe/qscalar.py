@@ -30,13 +30,27 @@ class NonExactDivision(ArithmeticError):
     """A Laurent division left a nonzero remainder."""
 
 
+def _is_rational(x):
+    """int or Fraction; bool is an int subclass but not a number here."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _coeff(c):
     """Normalize a coefficient: exact rationals only, ints preferred."""
+    if not _is_rational(c):
+        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+    return c
+
+
+def _exponent(e):
+    """Validate a q-exponent: an int (not bool) with |e| <= MAX_EXPONENT."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise TypeError(f"exponents must be integers, got {type(e).__name__}")
+    if abs(e) > MAX_EXPONENT:
+        raise OverflowError(f"q-exponent {e} out of range")
+    return e
 
 
 class QLaurent:
@@ -53,13 +67,9 @@ class QLaurent:
         cleaned = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int):
-                    raise TypeError("exponents must be integers")
-                if abs(e) > MAX_EXPONENT:
-                    raise OverflowError(f"q-exponent {e} out of range")
                 c = _coeff(c)
                 if c:
-                    cleaned[e] = c
+                    cleaned[_exponent(e)] = c
         self.terms = cleaned
 
     @classmethod
@@ -87,10 +97,8 @@ class QLaurent:
     @classmethod
     def q_power(cls, e, coeff=1):
         """The monomial ``coeff * q^e``."""
-        if abs(e) > MAX_EXPONENT:
-            raise OverflowError(f"q-exponent {e} out of range")
         c = _coeff(coeff)
-        return cls._raw({e: c} if c else {})
+        return cls._raw({_exponent(e): c} if c else {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -127,19 +135,20 @@ class QLaurent:
             return _ZERO
         if len(a) == 1:
             (ea, ca), = a.items()
-            return QLaurent._raw({ea + eb: ca * cb for eb, cb in b.items()})
-        if len(b) == 1:
+            out = {ea + eb: ca * cb for eb, cb in b.items()}
+        elif len(b) == 1:
             (eb, cb), = b.items()
-            return QLaurent._raw({ea + eb: ca * cb for ea, ca in a.items()})
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            out = {ea + eb: ca * cb for ea, ca in a.items()}
+        else:
+            out = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = ea + eb
+                    s = out.get(e, 0) + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        out.pop(e, None)
         if out and abs(max(out, key=abs)) > MAX_EXPONENT:
             raise OverflowError("q-exponent out of range")
         return QLaurent._raw(out)
@@ -160,9 +169,11 @@ class QLaurent:
         """Multiply by ``q^e`` (exponent translation)."""
         if not self.terms:
             return self
-        if abs(e) > MAX_EXPONENT:
+        _exponent(e)
+        out = {k + e: c for k, c in self.terms.items()}
+        if abs(max(out, key=abs)) > MAX_EXPONENT:
             raise OverflowError("q-exponent out of range")
-        return QLaurent._raw({k + e: c for k, c in self.terms.items()})
+        return QLaurent._raw(out)
 
     def scale(self, c):
         c = _coeff(c)
@@ -183,11 +194,16 @@ class QLaurent:
     def __eq__(self, other):
         if isinstance(other, QLaurent):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.terms == ({0: _coeff(other)} if other else {})
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     def degree(self):
@@ -214,7 +230,9 @@ class QLaurent:
     # -- evaluation / serialization ----------------------------------------
 
     def specialize(self, value):
-        """Evaluate at ``q = value`` exactly (value a nonzero rational)."""
+        """Evaluate at ``q = value`` exactly (value a nonzero int or Fraction)."""
+        if not _is_rational(value):
+            raise TypeError(f"specialize needs an int or Fraction, got {type(value).__name__}")
         value = Fraction(value)
         if value == 0:
             raise ZeroDivisionError("cannot specialize at q = 0 (negative exponents)")

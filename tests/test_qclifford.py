@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qhowe.fockspace import QVector, string_to_state
-from qhowe.qclifford import OperatorExpr, check_clifford, q_commutator
+from qhowe.qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator
 from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
 
 
 def V(text):
@@ -82,3 +84,117 @@ def test_pretty_printer():
     assert str(OperatorExpr.zero(2)) == "0"
     two = OperatorExpr.word(2, [("psi", 1)], coeff=QLaurent.from_rational(2))
     assert str(two) == "2 psi1"
+
+
+# -- compiled words against the per-generator interpreter -------------------------
+
+
+def reference_apply(op, vec):
+    """Apply op generator by generator, right to left, one state at a time."""
+    out = {}
+    for coeff, word in op.terms:
+        for state, value in vec.entries.items():
+            bits = state
+            sign = 1
+            qexp = 0
+            dead = False
+            for kind, k in reversed(word):
+                bit = 1 << (k - 1)
+                if kind == PSI:
+                    if not bits & bit:
+                        dead = True
+                        break
+                    if (bits & (bit - 1)).bit_count() & 1:
+                        sign = -sign
+                    bits ^= bit
+                elif kind == PSI_DAG:
+                    if bits & bit:
+                        dead = True
+                        break
+                    if (bits & (bit - 1)).bit_count() & 1:
+                        sign = -sign
+                    bits |= bit
+                elif kind == OMEGA:
+                    if bits & bit:
+                        qexp -= 1
+                else:  # OMEGA_INV
+                    if bits & bit:
+                        qexp += 1
+            if dead:
+                continue
+            scalar = coeff * value
+            if qexp:
+                scalar = scalar.shift(qexp)
+            if sign < 0:
+                scalar = -scalar
+            prev = out.get(bits)
+            scalar = scalar if prev is None else prev + scalar
+            if scalar:
+                out[bits] = scalar
+            else:
+                out.pop(bits, None)
+    return QVector._raw(op.length, out)
+
+
+def reference_matrix(op):
+    dim = 1 << op.length
+    cols = {s: reference_apply(op, QVector.basis(s, op.length)).entries for s in range(dim)}
+    return {c: col for c, col in cols.items() if col}
+
+
+def assert_compiled_matches(op):
+    mat = op.to_matrix()
+    ref = reference_matrix(op)
+    assert mat.cols == ref
+    assert mat == SparseMatrix(1 << op.length, ref)
+    # every column is present in increasing order, as the interpreter built them
+    assert list(mat.cols) == sorted(ref)
+    for state in range(1 << op.length):
+        v = QVector.basis(state, op.length)
+        assert op.apply(v) == reference_apply(op, v)
+
+
+@st.composite
+def operators(draw):
+    n = draw(st.integers(1, 4))
+    gens = st.tuples(st.sampled_from([PSI, PSI_DAG, OMEGA, OMEGA_INV]), st.integers(1, n))
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=2).map(QLaurent)
+    terms = draw(st.lists(st.tuples(coeffs, st.lists(gens, max_size=6)), max_size=3))
+    return OperatorExpr(n, terms)
+
+
+@given(operators())
+def test_compiled_words_match_interpreter(op):
+    assert_compiled_matches(op)
+
+
+@given(operators(), st.dictionaries(st.integers(0, 15), st.integers(-2, 2), max_size=5))
+def test_apply_matches_interpreter_on_vectors(op, entries):
+    limit = 1 << op.length
+    vec = QVector(op.length, {s % limit: c for s, c in entries.items()})
+    assert op.apply(vec) == reference_apply(op, vec)
+
+
+@pytest.mark.parametrize("word", [
+    [("psi", 2), ("psi", 2)],                  # dead: psi_k psi_k
+    [("psid", 1), ("psid", 1)],                # dead: psid_k psid_k
+    [("psid", 2), ("psi", 2)],                 # number operator: repeated position
+    [("psi", 2), ("psid", 2), ("psi", 2)],
+    [("w", 2), ("psid", 2)],                   # w sees the created particle
+    [("winv", 2), ("psi", 2)],                 # w^-1 sees the vacated position
+    [("psid", 2), ("w", 2), ("psi", 2), ("winv", 3)],
+    [("w", 1), ("winv", 1), ("w", 3), ("w", 3)],
+    [("psid", 1), ("psi", 3), ("psid", 2), ("psi", 1)],
+    [],                                        # the empty word
+])
+def test_compiled_word_cases(word):
+    op = OperatorExpr.word(3, word, coeff=QLaurent({-1: 2, 1: -1}))
+    assert_compiled_matches(op)
+
+
+def test_dead_and_empty_words():
+    assert OperatorExpr.word(3, [("psi", 2), ("psi", 2)]).to_matrix().is_zero()
+    assert OperatorExpr.word(3, []).to_matrix() == SparseMatrix.identity(8)
+    # cancelling terms leave no zero entries or empty columns behind
+    op = OperatorExpr.psi(1, 2) - OperatorExpr.psi(1, 2)
+    assert op.to_matrix().is_zero() and op.to_matrix().cols == {}

@@ -106,3 +106,48 @@ def test_report_shape():
     assert set(report) == {"status", "checks"}
     for entry in report["checks"]:
         assert {"relation", "indices", "status"} <= set(entry)
+
+
+# -- negative controls for the monomial shortcuts -------------------------------
+
+
+def tensor_rep():
+    return coproduct_rep([natural_rep(3), natural_rep(3)], DELTA)
+
+
+def failures(report, relation):
+    return [c for c in report["checks"] if c["relation"] == relation and c["status"] == "fail"]
+
+
+def test_controls_pass_unperturbed():
+    rep = tensor_rep()
+    assert rep.K(1).monomial_diag_exponents() is not None
+    assert check_relations(rep)["status"] == "pass"
+
+
+def test_E_entry_off_its_weight_fails_conjugation():
+    rep = tensor_rep()
+    cols = rep.E(1).cols
+    c = min(cols)
+    r = min(cols[c])
+    # move E_1's entry (r, c) onto the diagonal, where K_1 conjugation gives q^0
+    col = dict(cols[c])
+    col[c] = col.pop(r)
+    cols[c] = col
+    rep.mats[("E", 1)] = SparseMatrix(rep.dim, cols)
+    assert rep.K(1).monomial_diag_exponents() is not None  # the shortcut still runs
+    bad = failures(check_relations(rep), "K E K^-1 = q^a E")
+    assert bad and all(isinstance(b.get("witness"), str) for b in bad)
+    assert any(b["indices"] == [1, 1] and b["witness"] == rep.label(c) for b in bad)
+
+
+@pytest.mark.parametrize("entry", [QLaurent.q_power(1), QLaurent({0: 2})])
+def test_perturbed_K_fails_EF_target(entry):
+    rep = tensor_rep()
+    cols = rep.L(1).cols
+    cols[0] = {0: entry}  # L_1 on v1 (x) v1 is q^2; replace it
+    rep.mats[("L", 1)] = SparseMatrix(rep.dim, cols)
+    monomial = entry.single_term() is not None and entry.single_term()[1] == 1
+    assert (rep.K(1).monomial_diag_exponents() is not None) is monomial
+    bad = failures(check_relations(rep), "[E,F] = (K-K^-1)/(q-q^-1)")
+    assert bad and all("witness" in b for b in bad)

@@ -142,3 +142,49 @@ class TestSerialization:
         assert str(L({2: 1, 0: 1, -2: 1})) == "q^2 + 1 + q^-2"
         assert str(QLaurent.zero()) == "0"
         assert str(L({-1: Fraction(-1)})) == "-q^-1"
+
+
+class TestScalarContract:
+    """Hash/eq, type and overflow contract of the scalar ring."""
+
+    @pytest.mark.parametrize("c", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+    def test_constants_hash_like_their_value(self, c):
+        p = QLaurent.from_rational(c)
+        assert p == c
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
+
+    @pytest.mark.parametrize("terms", [{True: 1}, {1: True}, {False: 2}, {0: False}])
+    def test_bool_rejected_in_terms(self, terms):
+        with pytest.raises(TypeError):
+            QLaurent(terms)
+
+    def test_bool_rejected_elsewhere(self):
+        with pytest.raises(TypeError):
+            QLaurent.q_power(True)
+        with pytest.raises(TypeError):
+            QLaurent.q_power(1, True)
+        with pytest.raises(TypeError):
+            QLaurent.from_rational(True)
+        with pytest.raises(TypeError):
+            QLaurent.one().shift(True)
+        assert QLaurent.one() != True  # noqa: E712 - compares, never raises
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "2"])
+    def test_specialize_needs_exact_value(self, value):
+        with pytest.raises(TypeError):
+            specialize(L({1: 1}), value)
+        with pytest.raises(TypeError):
+            L({1: 1}).specialize(value)
+
+    def test_monomial_product_keeps_overflow_guard(self):
+        big = QLaurent.q_power(1 << 30)
+        with pytest.raises(OverflowError):
+            big * QLaurent.q_power(1)
+        with pytest.raises(OverflowError):
+            QLaurent.q_power(1) * big
+        with pytest.raises(OverflowError):
+            L({1: 1, 2: 1}) * big
+        with pytest.raises(OverflowError):
+            big.shift(1)
+        assert (big * QLaurent.q_power(-1)).single_term() == ((1 << 30) - 1, 1)

@@ -1,0 +1,286 @@
+"""Differential tests of the packed SparseMatrix kernel.
+
+Each operation is compared against a plain dict-of-QLaurent reference
+written here, on random matrices with negative, Fraction and large
+coefficients and with exponent ranges far apart, so that offsets, digit
+widths and denominators differ between operands.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qhowe.qclifford import OperatorExpr
+from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
+
+# -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
+
+
+def ref_clean(cols):
+    out = {}
+    for c, col in cols.items():
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            out[c] = col
+    return out
+
+
+def ref_add(a, b, sign=1):
+    out = {c: dict(col) for c, col in a.items()}
+    for c, col in b.items():
+        dst = out.setdefault(c, {})
+        for r, v in col.items():
+            dst[r] = dst.get(r, QLaurent.zero()) + (v if sign > 0 else -v)
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for c, bcol in b.items():
+        dst = out.setdefault(c, {})
+        for k, bv in bcol.items():
+            for r, av in a.get(k, {}).items():
+                dst[r] = dst.get(r, QLaurent.zero()) + av * bv
+    return ref_clean(out)
+
+
+def ref_scale(a, coeff):
+    return ref_clean({c: {r: v * coeff for r, v in col.items()} for c, col in a.items()})
+
+
+def ref_kron(a, b, d2):
+    out = {}
+    for c1, col1 in a.items():
+        for c2, col2 in b.items():
+            out[c1 * d2 + c2] = {
+                r1 * d2 + r2: v1 * v2 for r1, v1 in col1.items() for r2, v2 in col2.items()
+            }
+    return ref_clean(out)
+
+
+def ref_specialize(a, value):
+    return ref_clean({c: {r: v.specialize(value) for r, v in col.items()} for c, col in a.items()})
+
+
+def ref_apply(a, vec):
+    out = {}
+    for c, x in vec.items():
+        for r, v in a.get(c, {}).items():
+            out[r] = out.get(r, QLaurent.zero()) + v * x
+    return {r: v for r, v in out.items() if v}
+
+
+# -- strategies ----------------------------------------------------------------
+
+DIM = 3
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(1 << 20), 1 << 20),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def laurent(draw, offset):
+    terms = draw(st.dictionaries(st.integers(offset - 3, offset + 3), coefficients, max_size=3))
+    return QLaurent(terms)
+
+
+@st.composite
+def matrices(draw, dim=DIM):
+    """A sparse reference matrix whose exponents sit around a random offset."""
+    offset = draw(st.integers(-40, 40))
+    cols = {}
+    for c in range(dim):
+        for r in range(dim):
+            if draw(st.booleans()):
+                cols.setdefault(c, {})[r] = draw(laurent(offset))
+    return ref_clean(cols)
+
+
+scalars = st.integers(-6, 6).flatmap(laurent)
+
+
+def packed(ref, dim=DIM):
+    return SparseMatrix(dim, ref)
+
+
+def assert_matches(mat, ref, dim=DIM):
+    assert mat.cols == ref
+    assert mat == packed(ref, dim)
+    assert mat.nnz() == sum(len(col) for col in ref.values())
+
+
+# -- differential tests ------------------------------------------------------------
+
+
+@given(matrices())
+def test_roundtrip(a):
+    m = packed(a)
+    assert_matches(m, a)
+    for c in range(DIM):
+        for r in range(DIM):
+            assert m.entry(r, c) == a.get(c, {}).get(r, QLaurent.zero())
+
+
+@given(matrices(), matrices())
+def test_product(a, b):
+    assert_matches(packed(a) * packed(b), ref_mul(a, b))
+
+
+@given(matrices(), matrices())
+def test_sum_and_difference(a, b):
+    assert_matches(packed(a) + packed(b), ref_add(a, b))
+    assert_matches(packed(a) - packed(b), ref_add(a, b, -1))
+    assert (packed(a) - packed(a)).is_zero()
+
+
+@given(matrices(), scalars)
+def test_scale(a, coeff):
+    assert_matches(packed(a).scale(coeff), ref_scale(a, coeff))
+
+
+@given(matrices(), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+def test_scale_by_rational(a, c):
+    assert_matches(packed(a).scale(c), ref_scale(a, QLaurent.from_rational(c)))
+
+
+@settings(max_examples=50)
+@given(matrices(2), matrices(2))
+def test_kron(a, b):
+    assert_matches(packed(a, 2).kron(packed(b, 2)), ref_kron(a, b, 2), 4)
+
+
+@given(matrices(), matrices())
+def test_equality_and_first_difference(a, b):
+    same = a == b
+    assert (packed(a) == packed(b)) is same
+    diff = packed(a).first_difference(packed(b))
+    if same:
+        assert diff is None
+    else:
+        want = min(c for c in set(a) | set(b) if a.get(c, {}) != b.get(c, {}))
+        assert diff == want
+
+
+@given(matrices(), matrices())
+def test_equality_across_encodings(a, b):
+    # (a + b) - b has a's entries, but another offset, width and denominator
+    roundabout = packed(a) + packed(b) - packed(b)
+    assert roundabout == packed(a)
+    assert roundabout.cols == a
+
+
+@given(matrices(), st.sampled_from([1, 2, 3, -1, Fraction(1, 2), Fraction(-2, 3)]))
+def test_specialize(a, value):
+    assert packed(a).specialize(value) == ref_specialize(a, value)
+
+
+@given(matrices(), st.dictionaries(st.integers(0, DIM - 1), st.integers(-4, 4).flatmap(laurent),
+                                   max_size=DIM))
+def test_apply_terms(a, vec):
+    vec = {k: v for k, v in vec.items() if v}
+    assert packed(a).apply_terms(vec) == ref_apply(a, vec)
+
+
+@given(matrices(), matrices(), matrices())
+def test_associative_with_mixed_operands(a, b, c):
+    x, y, z = packed(a), packed(b), packed(c)
+    assert (x * y) * z == x * (y * z)
+    assert_matches(x * y + z, ref_add(ref_mul(a, b), c))
+
+
+def test_product_cancellation_leaves_no_zeros():
+    one, q = QLaurent.one(), QLaurent.q_power(1)
+    a = SparseMatrix(2, {0: {0: one, 1: q}, 1: {0: q, 1: q * q}})
+    b = SparseMatrix(2, {0: {0: q, 1: -one}})
+    prod = a * b
+    assert prod.is_zero() and prod.nnz() == 0 and prod.cols == {}
+    assert prod == SparseMatrix(2)
+
+
+# -- digit widening and the guards -------------------------------------------------
+
+
+def test_product_widens_digits():
+    # every digit of the product is 3 * 30000^2, far beyond a 16-bit digit
+    big = QLaurent({-1: 30000, 0: -30000, 1: 30000})
+    a = SparseMatrix(2, {0: {0: big, 1: big}, 1: {0: big}})
+    prod = a * a
+    assert prod._width > a._width
+    assert prod.cols == ref_mul(a.cols, a.cols)
+    assert prod.entry(0, 0) == big * big + big * big
+
+
+def test_sum_widens_digits():
+    near = QLaurent({0: (1 << 15) - 1})
+    a = SparseMatrix(1, {0: {0: near}})
+    total = a + a + a + a
+    assert total.entry(0, 0) == QLaurent({0: 4 * ((1 << 15) - 1)})
+    assert total._width > a._width
+
+
+def test_equality_needs_every_digit():
+    # q^1 at width 16 packs to 2^16; a constant 65536 must not alias it
+    assert SparseMatrix(1, {0: {0: QLaurent({1: 1})}}) != SparseMatrix(
+        1, {0: {0: QLaurent({0: 1 << 16})}}
+    )
+
+
+def test_exponent_guard():
+    top = SparseMatrix(1, {0: {0: QLaurent.q_power(1 << 30)}})
+    with pytest.raises(OverflowError):
+        top * top
+    with pytest.raises(OverflowError):
+        top.kron(top)
+    with pytest.raises(OverflowError):
+        top.scale(QLaurent.q_power(1))
+    op = OperatorExpr.word(1, [("w", 1)], coeff=QLaurent.q_power(-(1 << 30)))
+    with pytest.raises(OverflowError):
+        op.to_matrix()
+
+
+def test_specialize_needs_exact_value():
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(2).specialize(0.5)
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(2).specialize(True)
+    with pytest.raises(ZeroDivisionError):
+        SparseMatrix.identity(2).specialize(0)
+
+
+# -- negative controls for the monomial-diagonal shortcut ---------------------------
+
+
+def torus_matrix():
+    return SparseMatrix.diagonal([QLaurent.q_power(e) for e in (-2, 0, 1, 3)])
+
+
+def test_monomial_diag_exponents():
+    assert torus_matrix().monomial_diag_exponents() == [-2, 0, 1, 3]
+    assert SparseMatrix.identity(3).monomial_diag_exponents() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [
+    QLaurent({1: 2}),          # 2 q^e
+    QLaurent({1: 1, 2: 1}),    # q^e + q^(e+1)
+    QLaurent({1: -1}),         # -q^e
+    QLaurent({1: Fraction(1, 2)}),
+    QLaurent({0: 1 << 16}),    # 2^16 = q^1 at width 16, as a constant
+])
+def test_monomial_diag_exponents_rejects_non_monomials(bad):
+    cols = torus_matrix().cols
+    cols[2] = {2: bad}
+    assert SparseMatrix(4, cols).monomial_diag_exponents() is None
+
+
+def test_monomial_diag_exponents_rejects_shape():
+    cols = torus_matrix().cols
+    del cols[1]
+    assert SparseMatrix(4, cols).monomial_diag_exponents() is None
+    cols = torus_matrix().cols
+    cols[1] = {1: QLaurent.one(), 0: QLaurent.one()}
+    assert SparseMatrix(4, cols).monomial_diag_exponents() is None

@@ -160,12 +160,8 @@ def wedge_span_vectors(n):
     ]
 
 
-def _apply_matrix(mat, vec):
-    return mat.apply_terms(vec)
-
-
 def _is_eigenvector(mat, vec, eig):
-    image = _apply_matrix(mat, vec)
+    image = mat.apply_terms(vec)
     scaled = {k: v * eig for k, v in vec.items() if v * eig}
     return image == scaled
 

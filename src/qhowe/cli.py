@@ -319,38 +319,18 @@ def run(args):
     return {"config": cfg, "command": args.command, "status": status, "sections": sections}
 
 
-def _count_leaves(node):
-    """Count deepest status-bearing dicts (individual checks) by outcome."""
-
-    def walk(x):
-        if isinstance(x, dict):
-            passed = failed = 0
-            child_has = False
-            for value in x.values():
-                p, f, has = walk(value)
-                passed += p
-                failed += f
-                child_has = child_has or has
-            has_status = x.get("status") in ("pass", "fail")
-            if has_status and not child_has:
-                if x["status"] == "pass":
-                    passed += 1
-                else:
-                    failed += 1
-            return passed, failed, has_status or child_has
-        if isinstance(x, list):
-            passed = failed = 0
-            child_has = False
-            for value in x:
-                p, f, has = walk(value)
-                passed += p
-                failed += f
-                child_has = child_has or has
-            return passed, failed, child_has
-        return 0, 0, False
-
-    passed, failed, _ = walk(node)
-    return passed, failed
+def _leaves(node, path=""):
+    """(path, check) for each deepest dict whose status is pass or fail."""
+    if isinstance(node, dict):
+        children = [(f"{path}.{key}" if path else key, value) for key, value in node.items()]
+    elif isinstance(node, list):
+        children = [(f"{path}[{i}]", value) for i, value in enumerate(node)]
+    else:
+        return []
+    out = [leaf for child_path, value in children for leaf in _leaves(value, child_path)]
+    if not out and isinstance(node, dict) and node.get("status") in ("pass", "fail"):
+        out.append((path, node))
+    return out
 
 
 def render_text(report):
@@ -362,8 +342,10 @@ def render_text(report):
     )
     for section in report["sections"]:
         mark = "PASS" if section["status"] == "pass" else section["status"].upper()
-        passed, failed = _count_leaves(section)
-        lines.append(f"[{mark}] {section['section']}  ({passed} checks pass, {failed} fail)")
+        leaves = _leaves(section)
+        failed = [(path, x) for path, x in leaves if x["status"] == "fail"]
+        lines.append(f"[{mark}] {section['section']}  "
+                     f"({len(leaves) - len(failed)} checks pass, {len(failed)} fail)")
         if section["section"] == "hwv":
             lines.append(f"  mu = {section['mu']}   conjugate = {section['mu_conj']}")
             lines.append(f"  state = v({section['state']})")
@@ -381,37 +363,13 @@ def render_text(report):
                 )
             lines.append(f"  total {section['total']} of {section['space_dim']}")
         if section["status"] == "fail":
-            for leaf in _failed_leaves(section):
-                lines.append(f"  FAIL {leaf}")
+            for path, x in failed:
+                desc = x.get("relation") or x.get("generator") or path
+                extra = [str(x[k]) for k in ("indices", "pair", "generator", "witness") if k in x]
+                text = f"{desc} {' '.join(extra)}".strip()
+                lines.append(f"  FAIL {text}")
     lines.append(f"overall: {report['status']}")
     return "\n".join(lines) + "\n"
-
-
-def _failed_leaves(node):
-    out = []
-
-    def walk(x, path):
-        if isinstance(x, dict):
-            child_has = False
-            for key, value in x.items():
-                child_has = walk(value, f"{path}.{key}" if path else key) or child_has
-            has_status = x.get("status") in ("pass", "fail")
-            if has_status and not child_has and x["status"] == "fail":
-                desc = x.get("relation") or x.get("generator") or path
-                extra = [
-                    str(x[k]) for k in ("indices", "pair", "generator", "witness") if k in x
-                ]
-                out.append(f"{desc} {' '.join(extra)}".strip())
-            return has_status or child_has
-        if isinstance(x, list):
-            child_has = False
-            for i, value in enumerate(x):
-                child_has = walk(value, f"{path}[{i}]") or child_has
-            return child_has
-        return False
-
-    walk(node, "")
-    return out
 
 
 def main(argv=None):

@@ -37,6 +37,9 @@ __all__ = [
 
 DEFAULT_SPEC_VALUES = (Fraction(2), Fraction(3))
 
+# The span closure and the weight enumeration visit all 2^(nm) basis states.
+MAX_ENUMERATED_POSITIONS = 16
+
 
 class SpecializationAnomaly(Exception):
     """Span ranks disagreed across specialization values."""
@@ -114,21 +117,15 @@ def hwv_state(mu, shape):
     return bits
 
 
-def hwv(mu, shape, flavor="quantum"):
+def hwv(mu, shape):
     """The joint highest-weight vector for mu: the diagram's basis state.
 
     The monic bitmask state represents the class; the ordered product of row
-    words differs from it by a unit scalar that normalize() recovers.  The
-    flavor does not change the vector, only which action verify_hwv drives.
+    words differs from it by a unit scalar that normalize() recovers.  It is
+    the same vector for both flavors of verify_hwv.
     """
-    if flavor not in ("quantum", "classical"):
-        raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
     return QVector.basis(hwv_state(mu, shape), shape.positions)
-
-
-def _scaled(vec, coeff):
-    return vec.scale(coeff)
 
 
 def verify_hwv(mu, shape, flavor="quantum"):
@@ -138,11 +135,13 @@ def verify_hwv(mu, shape, flavor="quantum"):
     q^(mu_i - mu_{i+1}) and q^(mu'_j - mu'_{j+1}).  Classical: same shape
     with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.
     """
+    if flavor not in ("quantum", "classical"):
+        raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
     n, m = shape
     mu = Partition(mu)
     conj = mu.conjugate()
-    vec = hwv(mu, shape, flavor)
+    vec = hwv(mu, shape)
     checks = []
 
     def record(relation, indices, ok):
@@ -156,16 +155,16 @@ def verify_hwv(mu, shape, flavor="quantum"):
         for j in range(1, m):
             record("rho_q(E) kills hwv", [j], rho_q(n, m, "E", j).apply(vec).is_zero())
         for i in range(1, n):
-            expect = _scaled(vec, QLaurent.q_power(mu.part(i) - mu.part(i + 1)))
+            expect = vec.scale(QLaurent.q_power(mu.part(i) - mu.part(i + 1)))
             record("lambda_q(K) weight", [i], lambda_q(n, m, "K", i).apply(vec) == expect)
         for j in range(1, m):
-            expect = _scaled(vec, QLaurent.q_power(conj.part(j) - conj.part(j + 1)))
+            expect = vec.scale(QLaurent.q_power(conj.part(j) - conj.part(j + 1)))
             record("rho_q(K) weight", [j], rho_q(n, m, "K", j).apply(vec) == expect)
         for i in range(1, n + 1):
-            expect = _scaled(vec, QLaurent.q_power(mu.part(i)))
+            expect = vec.scale(QLaurent.q_power(mu.part(i)))
             record("lambda_q(L) weight", [i], lambda_q(n, m, "L", i).apply(vec) == expect)
         for j in range(1, m + 1):
-            expect = _scaled(vec, QLaurent.q_power(conj.part(j)))
+            expect = vec.scale(QLaurent.q_power(conj.part(j)))
             record("rho_q(L) weight", [j], rho_q(n, m, "L", j).apply(vec) == expect)
     else:
         for i in range(1, n):
@@ -173,10 +172,10 @@ def verify_hwv(mu, shape, flavor="quantum"):
         for j in range(1, m):
             record("rho(E) kills hwv", [j], classical_rho(n, m, "E", j).apply(vec).is_zero())
         for i in range(1, n + 1):
-            expect = _scaled(vec, QLaurent.from_rational(mu.part(i)))
+            expect = vec.scale(QLaurent.from_rational(mu.part(i)))
             record("lambda(Lbar) eigenvalue", [i], classical_lambda(n, m, "L", i).apply(vec) == expect)
         for j in range(1, m + 1):
-            expect = _scaled(vec, QLaurent.from_rational(conj.part(j)))
+            expect = vec.scale(QLaurent.from_rational(conj.part(j)))
             record("rho(Lbar) eigenvalue", [j], classical_rho(n, m, "L", j).apply(vec) == expect)
 
     ok = all(c["status"] == "pass" for c in checks)
@@ -289,8 +288,8 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     specialization values raises :class:`SpecializationAnomaly`.
     """
     shape = GridShape(n, m).check()
-    if shape.positions > 16:
-        raise ValueError("span computation capped at 16 grid positions")
+    if shape.positions > MAX_ENUMERATED_POSITIONS:
+        raise ValueError(f"span computation capped at {MAX_ENUMERATED_POSITIONS} grid positions")
     spec_values = tuple(Fraction(v) for v in spec_values)
     if not spec_values:
         raise ValueError("need at least one specialization value")
@@ -505,8 +504,8 @@ def dual_cauchy_check(n, m):
     prod (1 + a_i b_j) equals both the conjugate-paired Schur sum over the
     box and the joint weight generating function of the basis states.
     """
-    if n > 4 or m > 4:
-        raise ValueError("character expansion capped at n, m <= 4")
+    if n * m > MAX_ENUMERATED_POSITIONS:
+        raise ValueError(f"character expansion capped at {MAX_ENUMERATED_POSITIONS} grid positions")
     nv = n + m
     product = MultiPoly.one(nv)
     for i in range(n):

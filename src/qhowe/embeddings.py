@@ -12,6 +12,19 @@ grid (N = nm positions, column-major):
 The diagonal correction factors (kappa for Clifford words, Lambda for formal
 rank-nm words) are products over grid segments; :class:`KappaFactor` holds
 one such segment and expands it on demand.
+
+The row and column actions are one construction along the two axes of the
+grid.  ``_grid_action`` walks the cells of one line and their root pairs
+a -> b (b = a + 1 for a row pair, b = a + n for a column pair) and reads
+each E/F image from a line-pair table keyed by (axis, kind): the q-exponent
+of the coefficient, the generators before the kappa segment, the segment's
+orientation and the generators after it.  The torus generators share one
+path for both axes, and the q = 1 images come from their own classical
+table.  ``phi_q`` and the classical table stay independent formulas: the
+composition check compares ``lambda_q`` with ``phi_q o theta`` and the
+dequantization check compares the quantum table with the classical one, so
+deriving either side from the other would make that check compare a
+formula with itself.
 """
 
 from __future__ import annotations
@@ -29,8 +42,9 @@ from .qclifford import (
     OperatorExpr,
     DEFAULT_MATRIX_CAP,
 )
-from .qgroup import QGroupGen, Representation
+from .qgroup import QGroupGen, Representation, generator_keys
 from .qscalar import QLaurent
+from .sparsemat import SparseMatrix
 from .fockspace import state_to_string
 
 __all__ = [
@@ -223,6 +237,76 @@ def compose_phi_theta(n, m, kind, index):
     return total
 
 
+ROW = "row"      # root pairs a -> a + 1 of one grid row pair (rank n)
+COL = "col"      # root pairs a -> a + n of one grid column pair (rank m)
+
+# Quantum E/F images, keyed by (axis, kind): the q-exponent of the
+# coefficient, the generators before the kappa segment, the segment's
+# orientation (read inverted for F), and the generators after it, in the
+# paper's display order.  "a" and "b" are the two ends of the root pair.
+_QUANTUM_IMAGES = {
+    (ROW, "E"): (-1, ((OMEGA_INV, "a"), (PSI_DAG, "a"), (PSI, "b")), ROW_RIGHT, ()),
+    (ROW, "F"): (0, ((OMEGA, "a"),), ROW_LEFT, ((PSI_DAG, "b"), (PSI, "a"))),
+    (COL, "E"): (0, (), COL_ABOVE, ((PSI_DAG, "a"), (PSI, "b"))),
+    (COL, "F"): (0, ((PSI_DAG, "b"), (PSI, "a")), COL_BELOW, ()),
+}
+
+# Torus images: one word per cell, multiplied along the line.
+_TORUS_IMAGES = {
+    "L": ((OMEGA_INV, "a"),),
+    "Linv": ((OMEGA, "a"),),
+    "K": ((OMEGA_INV, "a"), (OMEGA, "b")),
+    "Kinv": ((OMEGA, "a"), (OMEGA_INV, "b")),
+}
+
+# Classical (q = 1) images: one word per cell, summed along the line; Lbar
+# is the line's degree operator.  Kept apart from the quantum table so that
+# check_dequantization compares two independent formulas.
+_CLASSICAL_IMAGES = {
+    "E": ((PSI_DAG, "a"), (PSI, "b")),
+    "F": ((PSI_DAG, "b"), (PSI, "a")),
+    "L": ((PSI_DAG, "a"), (PSI, "a")),
+}
+
+
+def _grid_action(n, m, axis, kind, index, classical):
+    """One generator image of the row (ROW) or column (COL) action.
+
+    Walks the cells (i, j) of line ``index`` with their root pairs a -> b:
+    b = a + 1 on the row axis, b = a + n on the column axis.
+    """
+    shape = GridShape(n, m).check()
+    N = shape.positions
+    if axis == ROW:
+        rank, step, cells = n, 1, [(index, j) for j in range(1, m + 1)]
+    else:
+        rank, step, cells = m, n, [(i, index) for i in range(1, n + 1)]
+    known = _CLASSICAL_IMAGES if classical else ("E", "F", *_TORUS_IMAGES)
+    if kind not in known:
+        raise ValueError(f"unknown {'classical ' if classical else ''}generator kind {kind!r}")
+    (_check_torus_index if kind in ("L", "Linv") else _check_root_index)(index, rank)
+
+    def words(spec):
+        out = []
+        for i, j in cells:
+            a = grid_to_linear(shape, i, j)
+            ends = {"a": a, "b": a + step}
+            out.append(tuple(CliffordGen(g, ends[end]) for g, end in spec))
+        return out
+
+    if classical:
+        return OperatorExpr(N, [(1, w) for w in words(_CLASSICAL_IMAGES[kind])], classical=True)
+    if kind in _TORUS_IMAGES:
+        return OperatorExpr.word(N, [g for w in words(_TORUS_IMAGES[kind]) for g in w])
+    exp, before, orientation, after = _QUANTUM_IMAGES[(axis, kind)]
+    coeff = QLaurent.q_power(exp)
+    terms = []
+    for (i, j), head, tail in zip(cells, words(before), words(after)):
+        kappa = KappaFactor(shape, orientation, i, j).omega_gens(invert=kind == "F")
+        terms.append((coeff, head + kappa + tail))
+    return OperatorExpr(N, terms)
+
+
 def lambda_q(n, m, kind, index):
     """The row action on the n x m grid module.
 
@@ -230,51 +314,7 @@ def lambda_q(n, m, kind, index):
     F_i -> sum_j w_a kappa_{i,<j}^{-1} psid_{a+1} psi_a,
     L_i -> prod_j w_{i+(j-1)n}^{-1}.
     """
-    shape = GridShape(n, m).check()
-    N = shape.positions
-    i = index
-    if kind == "E":
-        _check_root_index(i, n)
-        qinv = QLaurent.q_power(-1)
-        terms = []
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            word = (
-                CliffordGen(OMEGA_INV, a),
-                CliffordGen(PSI_DAG, a),
-                CliffordGen(PSI, a + 1),
-            ) + KappaFactor(shape, ROW_RIGHT, i, j).omega_gens()
-            terms.append((qinv, word))
-        return OperatorExpr(N, terms)
-    if kind == "F":
-        _check_root_index(i, n)
-        one = QLaurent.one()
-        terms = []
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            word = (
-                (CliffordGen(OMEGA, a),)
-                + KappaFactor(shape, ROW_LEFT, i, j).omega_gens(invert=True)
-                + (CliffordGen(PSI_DAG, a + 1), CliffordGen(PSI, a))
-            )
-            terms.append((one, word))
-        return OperatorExpr(N, terms)
-    if kind in ("L", "Linv"):
-        _check_torus_index(i, n)
-        gk = OMEGA_INV if kind == "L" else OMEGA
-        word = tuple(CliffordGen(gk, grid_to_linear(shape, i, j)) for j in range(1, m + 1))
-        return OperatorExpr.word(N, word)
-    if kind in ("K", "Kinv"):
-        _check_root_index(i, n)
-        word = []
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            if kind == "K":
-                word += [CliffordGen(OMEGA_INV, a), CliffordGen(OMEGA, a + 1)]
-            else:
-                word += [CliffordGen(OMEGA, a), CliffordGen(OMEGA_INV, a + 1)]
-        return OperatorExpr.word(N, word)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return _grid_action(n, m, ROW, kind, index, classical=False)
 
 
 def rho_q(n, m, kind, index):
@@ -284,51 +324,7 @@ def rho_q(n, m, kind, index):
     F_j -> sum_i psid_{i+jn} psi_{i+(j-1)n} kappa_{>i,j}^{-1},
     L_j -> prod_i w_{i+(j-1)n}^{-1}.
     """
-    shape = GridShape(n, m).check()
-    N = shape.positions
-    j = index
-    one = QLaurent.one()
-    if kind == "E":
-        _check_root_index(j, m)
-        terms = []
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            b = grid_to_linear(shape, i, j + 1)
-            word = KappaFactor(shape, COL_ABOVE, i, j).omega_gens() + (
-                CliffordGen(PSI_DAG, a),
-                CliffordGen(PSI, b),
-            )
-            terms.append((one, word))
-        return OperatorExpr(N, terms)
-    if kind == "F":
-        _check_root_index(j, m)
-        terms = []
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            b = grid_to_linear(shape, i, j + 1)
-            word = (
-                CliffordGen(PSI_DAG, b),
-                CliffordGen(PSI, a),
-            ) + KappaFactor(shape, COL_BELOW, i, j).omega_gens(invert=True)
-            terms.append((one, word))
-        return OperatorExpr(N, terms)
-    if kind in ("L", "Linv"):
-        _check_torus_index(j, m)
-        gk = OMEGA_INV if kind == "L" else OMEGA
-        word = tuple(CliffordGen(gk, grid_to_linear(shape, i, j)) for i in range(1, n + 1))
-        return OperatorExpr.word(N, word)
-    if kind in ("K", "Kinv"):
-        _check_root_index(j, m)
-        word = []
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            b = grid_to_linear(shape, i, j + 1)
-            if kind == "K":
-                word += [CliffordGen(OMEGA_INV, a), CliffordGen(OMEGA, b)]
-            else:
-                word += [CliffordGen(OMEGA, a), CliffordGen(OMEGA_INV, b)]
-        return OperatorExpr.word(N, word)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return _grid_action(n, m, COL, kind, index, classical=False)
 
 
 def classical_lambda(n, m, kind, index):
@@ -336,120 +332,50 @@ def classical_lambda(n, m, kind, index):
 
     Lbar_i is the i-th row degree operator sum_j psid_a psi_a.
     """
-    shape = GridShape(n, m).check()
-    N = shape.positions
-    i = index
-    terms = []
-    if kind == "E":
-        _check_root_index(i, n)
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            terms.append((1, (CliffordGen(PSI_DAG, a), CliffordGen(PSI, a + 1))))
-    elif kind == "F":
-        _check_root_index(i, n)
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            terms.append((1, (CliffordGen(PSI_DAG, a + 1), CliffordGen(PSI, a))))
-    elif kind == "L":
-        _check_torus_index(i, n)
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            terms.append((1, (CliffordGen(PSI_DAG, a), CliffordGen(PSI, a))))
-    else:
-        raise ValueError(f"unknown classical generator kind {kind!r}")
-    return OperatorExpr(N, terms, classical=True)
+    return _grid_action(n, m, ROW, kind, index, classical=True)
 
 
 def classical_rho(n, m, kind, index):
     """The classical (q = 1) column action; Lbar_j is the j-th column degree."""
-    shape = GridShape(n, m).check()
-    N = shape.positions
-    j = index
-    terms = []
-    if kind == "E":
-        _check_root_index(j, m)
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            b = grid_to_linear(shape, i, j + 1)
-            terms.append((1, (CliffordGen(PSI_DAG, a), CliffordGen(PSI, b))))
-    elif kind == "F":
-        _check_root_index(j, m)
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            b = grid_to_linear(shape, i, j + 1)
-            terms.append((1, (CliffordGen(PSI_DAG, b), CliffordGen(PSI, a))))
-    elif kind == "L":
-        _check_torus_index(j, m)
-        for i in range(1, n + 1):
-            a = grid_to_linear(shape, i, j)
-            terms.append((1, (CliffordGen(PSI_DAG, a), CliffordGen(PSI, a))))
-    else:
-        raise ValueError(f"unknown classical generator kind {kind!r}")
-    return OperatorExpr(N, terms, classical=True)
+    return _grid_action(n, m, COL, kind, index, classical=True)
 
 
 # -- classical rank-nm root vectors ------------------------------------------
 
 
-def _mat_mul(a, b):
-    out = {}
-    rows_of_b = {}
-    for (r, c), v in b.items():
-        rows_of_b.setdefault(r, []).append((c, v))
-    for (r, k), va in a.items():
-        for c, vb in rows_of_b.get(k, ()):
-            key = (r, c)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _mat_commutator(a, b):
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    for key, v in ba.items():
-        s = ab.get(key, 0) - v
-        if s:
-            ab[key] = s
-        else:
-            ab.pop(key, None)
-    return ab
+def _matrix_unit(dim, row, col):
+    """M_{row,col} (one-based) as a dim x dim SparseMatrix."""
+    return SparseMatrix(dim, {col - 1: {row - 1: QLaurent.one()}})
 
 
 def classical_nested_root_vector(n, m, j):
     """The column root vector of the rank-m algebra inside rank nm.
 
     Evaluates sum_i [[[E_{i+(j-1)n}, E_{i+1+(j-1)n}], ...], E_{i-1+jn}] on
-    matrix units (E_a = M_{a,a+1}) and returns the nm x nm integer matrix as
-    a {(row, col): value} dict using 0-based indices.  Equals
+    matrix units (E_a = M_{a,a+1}) and returns the nm x nm matrix.  Equals
     sum_i M_{i+(j-1)n, i+jn}.
     """
     if not 1 <= j <= m - 1:
         raise ValueError(f"column index {j} outside 1..{m - 1}")
-    total = {}
+    N = n * m
+    total = SparseMatrix(N)
     for i in range(1, n + 1):
         start = i + (j - 1) * n
-        acc = {(start - 1, start): 1}  # M_{start, start+1}, 0-based
+        acc = _matrix_unit(N, start, start + 1)
         for a in range(start + 1, i + j * n):
-            acc = _mat_commutator(acc, {(a - 1, a): 1})
-        for key, v in acc.items():
-            s = total.get(key, 0) + v
-            if s:
-                total[key] = s
-            else:
-                total.pop(key, None)
+            acc = acc.commutator(_matrix_unit(N, a, a + 1))
+        total = total + acc
     return total
 
 
 def matrix_unit_sum(n, m, j):
-    """sum_i M_{i+(j-1)n, i+jn} as a {(row, col): 1} dict, 0-based."""
-    return {
-        (grid_to_linear(GridShape(n, m), i, j) - 1, grid_to_linear(GridShape(n, m), i, j + 1) - 1): 1
-        for i in range(1, n + 1)
-    }
+    """sum_i M_{i+(j-1)n, i+jn} as an nm x nm SparseMatrix."""
+    shape = GridShape(n, m)
+    total = SparseMatrix(shape.positions)
+    for i in range(1, n + 1):
+        total = total + _matrix_unit(
+            shape.positions, grid_to_linear(shape, i, j), grid_to_linear(shape, i, j + 1))
+    return total
 
 
 def dequantize(op, cap=DEFAULT_MATRIX_CAP):
@@ -462,14 +388,13 @@ def dequantize(op, cap=DEFAULT_MATRIX_CAP):
 
 def _grid_rep(rank, n, m, builder, cap):
     N = n * m
-    mats = {}
-    for i in range(1, rank):
-        mats[("E", i)] = builder(n, m, "E", i).to_matrix(cap)
-        mats[("F", i)] = builder(n, m, "F", i).to_matrix(cap)
-    for i in range(1, rank + 1):
-        mats[("L", i)] = builder(n, m, "L", i).to_matrix(cap)
-        mats[("Linv", i)] = builder(n, m, "Linv", i).to_matrix(cap)
+    mats = {key: builder(n, m, *key).to_matrix(cap) for key in generator_keys(rank)}
     return Representation(rank, 1 << N, mats, state_label=lambda s: state_to_string(s, N))
+
+
+def _phi_on_grid(n, m, kind, index):
+    """phi_q in the (n, m, kind, index) signature of the grid builders (m = 1)."""
+    return phi_q(n, kind, index)
 
 
 def lambda_rep(n, m, cap=DEFAULT_MATRIX_CAP):
@@ -484,30 +409,15 @@ def rho_rep(n, m, cap=DEFAULT_MATRIX_CAP):
 
 def phi_rep(p, cap=DEFAULT_MATRIX_CAP):
     """The rank-p exterior-module action as a Representation."""
-    mats = {}
-    for i in range(1, p):
-        mats[("E", i)] = phi_q(p, "E", i).to_matrix(cap)
-        mats[("F", i)] = phi_q(p, "F", i).to_matrix(cap)
-    for i in range(1, p + 1):
-        mats[("L", i)] = phi_q(p, "L", i).to_matrix(cap)
-        mats[("Linv", i)] = phi_q(p, "Linv", i).to_matrix(cap)
-    return Representation(p, 1 << p, mats, state_label=lambda s: state_to_string(s, p))
+    return _grid_rep(p, p, 1, _phi_on_grid, cap)
 
 
 # -- bundled verifications -----------------------------------------------------
 
 
-def _gen_list(rank, torus=True, classical=False):
-    gens = []
-    for i in range(1, rank):
-        gens.append(("E", i))
-        gens.append(("F", i))
-    if torus:
-        for i in range(1, rank + 1):
-            gens.append(("L", i))
-            if not classical:
-                gens.append(("Linv", i))
-    return gens
+def _gen_list(rank, classical=False):
+    """Generator keys checked per action; the classical torus has no Linv."""
+    return [key for key in generator_keys(rank) if not (classical and key[0] == "Linv")]
 
 
 def check_composition(n, m, cap=DEFAULT_MATRIX_CAP):
@@ -631,7 +541,7 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP):
 
 
 _MAPS = {
-    "phi_q": lambda n, m, kind, index: phi_q(n, kind, index),
+    "phi_q": _phi_on_grid,
     "lambda_q": lambda_q,
     "rho_q": rho_q,
     "classical_lambda": classical_lambda,

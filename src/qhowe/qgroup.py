@@ -17,6 +17,7 @@ from .sparsemat import SparseMatrix
 
 __all__ = [
     "QGroupGen",
+    "generator_keys",
     "cartan_matrix",
     "Representation",
     "natural_rep",
@@ -43,19 +44,22 @@ class QGroupGen(NamedTuple):
         return f"{suffix}{self.index}{inv}"
 
 
-def cartan_matrix(p):
-    """The (p-1) x (p-1) type-A Cartan matrix as a nested tuple."""
-    r = p - 1
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r))
-        for i in range(r)
-    )
+def generator_keys(rank):
+    """The (kind, index) keys a rank-p Representation assigns: E_i, F_i
+    pairs (i < p), then L_i, L_i^{-1} (i <= p)."""
+    roots = [(kind, i) for i in range(1, rank) for kind in ("E", "F")]
+    return roots + [(kind, i) for i in range(1, rank + 1) for kind in ("L", "Linv")]
 
 
 def _cartan_entry(i, j):
     if i == j:
         return 2
     return -1 if abs(i - j) == 1 else 0
+
+
+def cartan_matrix(p):
+    """The (p-1) x (p-1) type-A Cartan matrix as a nested tuple."""
+    return tuple(tuple(_cartan_entry(i, j) for j in range(1, p)) for i in range(1, p))
 
 
 class Representation:
@@ -67,14 +71,9 @@ class Representation:
         self.mats = mats
         self._kcache = {}
         self._state_label = state_label or (lambda s: f"v{s + 1}")
-        for i in range(1, rank):
-            for kind in ("E", "F"):
-                if (kind, i) not in mats:
-                    raise ValueError(f"missing generator {kind}_{i}")
-        for i in range(1, rank + 1):
-            for kind in ("L", "Linv"):
-                if (kind, i) not in mats:
-                    raise ValueError(f"missing generator {kind}_{i}")
+        for kind, i in generator_keys(rank):
+            if (kind, i) not in mats:
+                raise ValueError(f"missing generator {kind}_{i}")
 
     def gen(self, kind, index):
         if kind in ("K", "Kinv"):
@@ -108,14 +107,7 @@ class Representation:
 
     def generator_items(self):
         """All assigned generators as (QGroupGen, matrix) pairs."""
-        out = []
-        for i in range(1, self.rank):
-            out.append((QGroupGen("E", i), self.E(i)))
-            out.append((QGroupGen("F", i), self.F(i)))
-        for i in range(1, self.rank + 1):
-            out.append((QGroupGen("L", i), self.L(i)))
-            out.append((QGroupGen("Linv", i), self.Linv(i)))
-        return out
+        return [(QGroupGen(*key), self.mats[key]) for key in generator_keys(self.rank)]
 
 
 def natural_rep(p):

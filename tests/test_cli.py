@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from qhowe.cli import main
+from qhowe.cli import main, render_text
 
 
 def run_cli(*args):
@@ -100,3 +100,63 @@ def test_seed_changes_nothing_but_is_recorded(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["seed"] == 42
     assert report["status"] == "pass"
+
+
+def test_all_2x5_passes(capsys):
+    # the dual Cauchy identity accepts sides longer than 4 up to 16 positions
+    assert main(["--n", "2", "--m", "5", "all"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+# Injected failures covering every key a FAIL line reads: a relation with
+# indices and a witness, a pair, a generator as the only description, a
+# path as the only description (tensor_character), an empty description
+# (the section itself is the leaf), a leaf that passes with an empty checks
+# list (serre), and a status that is neither pass nor fail.
+_FAILING_REPORT = {
+    "config": {"n": 2, "m": 3, "spec_values": ["2", "3"], "cap": 16, "seed": 0},
+    "command": "all",
+    "status": "fail",
+    "sections": [
+        {"section": "qgroup", "status": "fail", "targets": [
+            {"target": "natural rank 2",
+             "relations": {"status": "fail", "checks": [
+                 {"relation": "L L^-1 = 1", "indices": [1], "status": "pass"},
+                 {"relation": "K E K^-1 = q^a E", "indices": [1, 1], "status": "fail",
+                  "witness": "v2"},
+             ]},
+             "serre": {"status": "pass", "checks": []}},
+        ]},
+        {"section": "commutant", "n": 2, "m": 3, "status": "fail", "checks": [
+            {"relation": "[lambda_q, rho_q] = 0", "pair": ["E1", "F2"], "status": "fail"},
+            {"relation": "[lambda_q, rho_q] = 0", "pair": ["E1", "L1"], "status": "pass"},
+        ]},
+        {"section": "embeddings", "status": "fail",
+         "composition": {"n": 2, "m": 3, "status": "fail", "checks": [
+             {"relation": "lambda_q = phi_q o theta", "generator": "F1", "status": "fail"},
+         ]},
+         "dequantization": {"status": "fail", "checks": [{"generator": "L2", "status": "fail"}]},
+         "tensor_character": {"status": "fail", "distinct_weights": 3}},
+        {"section": "cauchy", "status": "fail", "witness": "v(0101)"},
+        {"section": "decompose", "status": "specialization-anomaly",
+         "detail": "ranks differ between q = 2 and q = 3"},
+    ],
+}
+
+
+def test_render_text_fail_lines():
+    assert render_text(_FAILING_REPORT).splitlines() == [
+        "qhowe all  n=2 m=3 spec-q=2,3 cap=16 seed=0",
+        "[FAIL] qgroup  (2 checks pass, 1 fail)",
+        "  FAIL K E K^-1 = q^a E [1, 1] v2",
+        "[FAIL] commutant  (1 checks pass, 1 fail)",
+        "  FAIL [lambda_q, rho_q] = 0 ['E1', 'F2']",
+        "[FAIL] embeddings  (0 checks pass, 3 fail)",
+        "  FAIL lambda_q = phi_q o theta F1",
+        "  FAIL L2 L2",
+        "  FAIL tensor_character",
+        "[FAIL] cauchy  (0 checks pass, 1 fail)",
+        "  FAIL v(0101)",
+        "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)",
+        "overall: fail",
+    ]

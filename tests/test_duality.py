@@ -94,6 +94,10 @@ class TestHwv:
         assert verify_hwv((2, 1), (2, 2), "classical")["status"] == "pass"
         assert verify_hwv((), (2, 2), "quantum")["status"] == "pass"
 
+    def test_unknown_flavor_is_refused(self):
+        with pytest.raises(ValueError):
+            verify_hwv((2, 1), (2, 2), "bogus")
+
     def test_k_weights_on_staircase(self):
         report = verify_hwv((2, 1), (2, 2), "quantum")
         weights = [c for c in report["checks"] if c["relation"] == "lambda_q(K) weight"]
@@ -198,7 +202,7 @@ class TestSchur:
 
 
 class TestDualCauchy:
-    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3), (2, 5), (5, 2), (4, 4)])
     def test_three_way_identity(self, n, m):
         report = dual_cauchy_check(n, m)
         assert report["status"] == "pass"
@@ -207,7 +211,7 @@ class TestDualCauchy:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            dual_cauchy_check(5, 2)
+            dual_cauchy_check(4, 5)
 
 
 class TestWeightBounds:

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from qhowe import embeddings
 from qhowe.embeddings import (
+    COL,
     COL_ABOVE,
+    COL_BELOW,
+    ROW,
     ROW_LEFT,
     ROW_RIGHT,
     KappaFactor,
@@ -26,7 +30,7 @@ from qhowe.embeddings import (
     theta,
 )
 from qhowe.fockspace import GridShape, QVector, grid_to_linear, string_to_state
-from qhowe.qclifford import OperatorExpr
+from qhowe.qclifford import OMEGA, OperatorExpr
 from qhowe.qgroup import check_relations, check_serre
 from qhowe.qscalar import QLaurent
 
@@ -210,3 +214,102 @@ def test_explain_output():
     assert "psid1" in text and "psi2" in text
     text = explain("theta", 2, 2, "E", 1)
     assert "E1 K3" in text and "E3" in text
+
+
+# Every generator image at 2x3; pins the paper's display order term by term.
+EXPLAIN_2x3 = {
+    ("phi_q", "E1"): "q^-1 w1^-1 psid1 psi2",
+    ("phi_q", "F1"): "w1 psid2 psi1",
+    ("phi_q", "L1"): "w1^-1",
+    ("phi_q", "Linv1"): "w1",
+    ("phi_q", "L2"): "w2^-1",
+    ("phi_q", "Linv2"): "w2",
+    ("phi_q", "K1"): "w1^-1 w2",
+    ("phi_q", "Kinv1"): "w1 w2^-1",
+    ("theta", "E1"): "E1 K3 K5 + E3 K5 + E5",
+    ("theta", "F1"): "F1 + K1^-1 F3 + K1^-1 K3^-1 F5",
+    ("theta", "L1"): "L1 L3 L5",
+    ("theta", "Linv1"): "L1^-1 L3^-1 L5^-1",
+    ("theta", "L2"): "L2 L4 L6",
+    ("theta", "Linv2"): "L2^-1 L4^-1 L6^-1",
+    ("theta", "K1"): "K1 K3 K5",
+    ("theta", "Kinv1"): "K1^-1 K3^-1 K5^-1",
+    ("lambda_q", "E1"): (
+        "q^-1 w1^-1 psid1 psi2 w3^-1 w4 w5^-1 w6 + "
+        "q^-1 w3^-1 psid3 psi4 w5^-1 w6 + q^-1 w5^-1 psid5 psi6"),
+    ("lambda_q", "F1"): "w1 psid2 psi1 + w3 w1 w2^-1 psid4 psi3 + w5 w1 w2^-1 w3 w4^-1 psid6 psi5",
+    ("lambda_q", "L1"): "w1^-1 w3^-1 w5^-1",
+    ("lambda_q", "Linv1"): "w1 w3 w5",
+    ("lambda_q", "L2"): "w2^-1 w4^-1 w6^-1",
+    ("lambda_q", "Linv2"): "w2 w4 w6",
+    ("lambda_q", "K1"): "w1^-1 w2 w3^-1 w4 w5^-1 w6",
+    ("lambda_q", "Kinv1"): "w1 w2^-1 w3 w4^-1 w5 w6^-1",
+    ("rho_q", "E1"): "psid1 psi3 + w1^-1 w3 psid2 psi4",
+    ("rho_q", "F1"): "psid3 psi1 w2 w4^-1 + psid4 psi2",
+    ("rho_q", "E2"): "psid3 psi5 + w3^-1 w5 psid4 psi6",
+    ("rho_q", "F2"): "psid5 psi3 w4 w6^-1 + psid6 psi4",
+    ("rho_q", "L1"): "w1^-1 w2^-1",
+    ("rho_q", "Linv1"): "w1 w2",
+    ("rho_q", "L2"): "w3^-1 w4^-1",
+    ("rho_q", "Linv2"): "w3 w4",
+    ("rho_q", "L3"): "w5^-1 w6^-1",
+    ("rho_q", "Linv3"): "w5 w6",
+    ("rho_q", "K1"): "w1^-1 w3 w2^-1 w4",
+    ("rho_q", "Kinv1"): "w1 w3^-1 w2 w4^-1",
+    ("rho_q", "K2"): "w3^-1 w5 w4^-1 w6",
+    ("rho_q", "Kinv2"): "w3 w5^-1 w4 w6^-1",
+    ("classical_lambda", "E1"): "psid1 psi2 + psid3 psi4 + psid5 psi6",
+    ("classical_lambda", "F1"): "psid2 psi1 + psid4 psi3 + psid6 psi5",
+    ("classical_lambda", "L1"): "psid1 psi1 + psid3 psi3 + psid5 psi5",
+    ("classical_lambda", "L2"): "psid2 psi2 + psid4 psi4 + psid6 psi6",
+    ("classical_rho", "E1"): "psid1 psi3 + psid2 psi4",
+    ("classical_rho", "F1"): "psid3 psi1 + psid4 psi2",
+    ("classical_rho", "E2"): "psid3 psi5 + psid4 psi6",
+    ("classical_rho", "F2"): "psid5 psi3 + psid6 psi4",
+    ("classical_rho", "L1"): "psid1 psi1 + psid2 psi2",
+    ("classical_rho", "L2"): "psid3 psi3 + psid4 psi4",
+    ("classical_rho", "L3"): "psid5 psi5 + psid6 psi6",
+}
+
+
+@pytest.mark.parametrize("map_name,gen", sorted(EXPLAIN_2x3))
+def test_explain_pins_display_order(map_name, gen):
+    kind = gen.rstrip("0123456789")
+    index = int(gen[len(kind):])
+    expected = f"{map_name}({gen}) = {EXPLAIN_2x3[map_name, gen]}"
+    assert explain(map_name, 2, 3, kind, index) == expected
+
+
+# One corrupted line-pair table entry each: (key, field, new value, suites
+# that must report fail).  Fields: 0 q-exponent, 1 generators before the
+# kappa segment, 2 segment orientation, 3 generators after it.  Two measured
+# mutants are left out because no check can see them: dropping w_a from
+# lambda F changes no matrix (psi_a has already emptied position a), and
+# removing every kappa segment still passes check_commutant.
+TABLE_MUTANTS = {
+    "lambda E kappa right -> left": ((ROW, "E"), 2, ROW_LEFT,
+                                     ("composition", "commutant", "lambda_relations")),
+    "lambda F kappa left -> right": ((ROW, "F"), 2, ROW_RIGHT,
+                                     ("composition", "commutant", "lambda_relations")),
+    "rho E kappa above -> below": ((COL, "E"), 2, COL_BELOW, ("commutant", "rho_relations")),
+    "rho F kappa below -> above": ((COL, "F"), 2, COL_ABOVE, ("commutant", "rho_relations")),
+    "lambda E without q^-1": ((ROW, "E"), 0, 0, ("composition", "lambda_relations")),
+    "rho E with an extra w_a": ((COL, "E"), 1, ((OMEGA, "a"),), ("rho_relations",)),
+}
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_corrupted_table_entry_fails(monkeypatch, name, n, m):
+    key, field, value, failing = TABLE_MUTANTS[name]
+    entry = list(embeddings._QUANTUM_IMAGES[key])
+    entry[field] = value
+    monkeypatch.setitem(embeddings._QUANTUM_IMAGES, key, tuple(entry))
+    status = {
+        "composition": lambda: check_composition(n, m)["status"],
+        "commutant": lambda: check_commutant(n, m)["status"],
+        "lambda_relations": lambda: check_relations(lambda_rep(n, m))["status"],
+        "rho_relations": lambda: check_relations(rho_rep(n, m))["status"],
+    }
+    for suite in failing:
+        assert status[suite]() == "fail", suite

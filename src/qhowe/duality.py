@@ -224,17 +224,23 @@ def dimension_identity(n, m):
     }
 
 
-def _specialized_lowering_ops(n, m, value):
-    """Lowering operators of both actions, specialized at q = value."""
-    ops = []
-    for i in range(1, n):
-        ops.append(lambda_q(n, m, "F", i).to_matrix(cap=16).specialize(value))
-    for j in range(1, m):
-        ops.append(rho_q(n, m, "F", j).to_matrix(cap=16).specialize(value))
-    return ops
+def _integer_ops(n, m, kind, value):
+    """The kind ("E" or "F") generators of both actions at q = value, as
+    integer columns {col: {row: int}}.  Each is the specialized matrix
+    divided by its own nonzero constant, which changes no span or rank.
+    Each generator matrix is dropped as soon as it is converted."""
+    gens = [lambda_q(n, m, kind, i) for i in range(1, n)]
+    gens += [rho_q(n, m, kind, j) for j in range(1, m)]
+    return [g.to_matrix(cap=MAX_ENUMERATED_POSITIONS).specialize_ints(value)[0] for g in gens]
 
 
-def _apply_rational(op_cols, vec):
+def _lowering_ops(n, m, value):
+    """Lowering operators of both actions at q = value, as integer columns."""
+    return _integer_ops(n, m, "F", value)
+
+
+def _apply_int_columns(op_cols, vec):
+    """Apply integer columns {col: {row: int}} to a sparse integer vector."""
     out = {}
     for c, coeff in vec.items():
         col = op_cols.get(c)
@@ -267,7 +273,7 @@ def _span_closure(seed_state, ops, cap_dim):
         fresh = []
         for vec in frontier:
             for op in ops:
-                image = _apply_rational(op, vec)
+                image = _apply_int_columns(op, vec)
                 if not image:
                     continue
                 added = echelon.insert(image)
@@ -277,15 +283,36 @@ def _span_closure(seed_state, ops, cap_dim):
     return echelon
 
 
+def _value_ranks(shape, partitions, value):
+    """(span dimension per partition, joint rank) at q = value.
+
+    The operators and echelons live only for this call, so one value's are
+    freed before the next value's are built."""
+    n, m = shape
+    ops = _lowering_ops(n, m, value)
+    joint = RationalEchelon()
+    dims = []
+    for mu in partitions:
+        expected = weyl_dim(mu, n) * weyl_dim(mu.conjugate(), m)
+        closure = _span_closure(hwv_state(mu, shape), ops, expected)
+        dims.append(closure.rank)
+        for vec in closure.pivots.values():
+            joint.insert(vec)
+    return dims, joint.rank
+
+
 def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     """Certify the decomposition by exact rank computation at specialized q.
 
     For each partition in the box, closes its highest-weight state under all
     lowering operators of both actions (coefficients specialized at each
-    value), measures the span by exact rational Gaussian elimination, and
-    checks the dimensions against Weyl products, their sum against 2^(nm),
-    and the joint span against the full space.  Disagreement between
-    specialization values raises :class:`SpecializationAnomaly`.
+    value), measures the span by exact integer-preserving Gaussian
+    elimination, and checks the dimensions against Weyl products, their sum
+    against 2^(nm), and the joint span against the full space.  Ranks are
+    computed over the integers: each specialized operator is scaled by one
+    nonzero constant of its own to integer entries, which changes no span.
+    Disagreement between specialization values raises
+    :class:`SpecializationAnomaly`.
     """
     shape = GridShape(n, m).check()
     if shape.positions > MAX_ENUMERATED_POSITIONS:
@@ -300,16 +327,8 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     partitions = partitions_in_box(n, m)
     per_value = []
     for value in spec_values:
-        ops = _specialized_lowering_ops(n, m, value)
-        global_echelon = RationalEchelon()
-        dims = []
-        for mu in partitions:
-            expected = weyl_dim(mu, n) * weyl_dim(mu.conjugate(), m)
-            closure = _span_closure(hwv_state(mu, shape), ops, expected)
-            dims.append(closure.rank)
-            for vec in closure.pivots.values():
-                global_echelon.insert(vec)
-        per_value.append({"value": value, "dims": dims, "joint_rank": global_echelon.rank})
+        dims, joint_rank = _value_ranks(shape, partitions, value)
+        per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]
     for other in per_value[1:]:
@@ -545,15 +564,11 @@ def joint_kernel_count(n, m, value=Fraction(2)):
 
     Works weight space by weight space (states bucketed by joint row/column
     degrees) and adds up kernel dimensions; multiplicity-freeness predicts
-    binomial(n + m, n).
+    binomial(n + m, n).  Each stacked operator is scaled by its own nonzero
+    constant to integer entries, which keeps the joint kernel.
     """
     shape = GridShape(n, m).check()
-    value = Fraction(value)
-    ops = []
-    for i in range(1, n):
-        ops.append(lambda_q(n, m, "E", i).to_matrix(cap=16).specialize(value))
-    for j in range(1, m):
-        ops.append(rho_q(n, m, "E", j).to_matrix(cap=16).specialize(value))
+    ops = _integer_ops(n, m, "E", Fraction(value))
 
     buckets = {}
     for bits in range(1 << shape.positions):

@@ -395,30 +395,48 @@ class SparseMatrix:
     def specialize(self, value):
         """Entrywise evaluation at q = value (an int or Fraction); returns
         {col: {row: Fraction}}."""
+        cols, scale = self.specialize_ints(value)
+        return {c: {r: v * scale for r, v in col.items()} for c, col in cols.items()}
+
+    def specialize_ints(self, value):
+        """Evaluation at q = value over one common factor: (cols, scale), with
+        cols {col: {row: int}} and scale a nonzero Fraction such that scale *
+        cols[c][r] is the entry at q = value.  Same errors as specialize.
+
+        With value = a/b and digits d_i (entry = value^lo / den * sum_i d_i
+        value^i), each entry is value^lo / (den b^top) * sum_i d_i a^i
+        b^(top - i), where top is the largest digit index in the matrix
+        (needed only when b != 1)."""
         if not _is_rational(value):
             raise TypeError(f"specialize needs an int or Fraction, got {type(value).__name__}")
         if not self._cols:
-            return {}
+            return {}, Fraction(1)
         if value == 0:
             raise ZeroDivisionError("cannot specialize at q = 0 (negative exponents)")
         value = Fraction(value)
         a, b = value.numerator, value.denominator
-        # entry = value^lo / den * sum_i d_i value^i
-        scale = value**self._lo / self._den
-        sn, sd = scale.numerator, scale.denominator
         width = self._width
+        # entries repeat: evaluate each distinct packed int once
+        values = {v for col in self._cols.values() for v in col.values()}
+        digits = {v: _digits(v, width) for v in values}
+        top = max(max(d) for d in digits.values()) if b != 1 else 0
+        powers = {}  # digit index i -> a^i b^(top - i)
+        nums = {}
+        for v, ds in digits.items():
+            num = 0
+            for i, d in ds.items():
+                p = powers.get(i)
+                if p is None:
+                    # 1 ** negative is a float: leave b out when it is 1
+                    p = powers[i] = a**i if b == 1 else a**i * b ** (top - i)
+                num += d * p
+            nums[v] = num
         cols = {}
         for c, col in self._cols.items():
-            out = {}
-            for r, v in col.items():
-                digits = _digits(v, width)
-                top = max(digits)
-                num = sum(d * a**i * b ** (top - i) for i, d in digits.items())
-                if num:
-                    out[r] = Fraction(num * sn, sd * b**top)
+            out = {r: x for r, v in col.items() if (x := nums[v])}
             if out:
                 cols[c] = out
-        return cols
+        return cols, value**self._lo / (self._den * b**top)
 
     def apply_terms(self, entries):
         """Apply to a sparse vector {state: QLaurent}; returns the same shape."""
@@ -436,23 +454,20 @@ class SparseMatrix:
 
 
 def primitive_int_vector(vec):
-    """Rescale a sparse rational vector to a primitive integer vector.
+    """Rescale a sparse rational vector to a primitive integer vector,
+    dropping zero entries.
 
     Scaling does not change the span; primitive entries keep elimination in
     fast native-int arithmetic.
     """
-    if not vec:
-        return {}
     denom = 1
     for v in vec.values():
-        if isinstance(v, Fraction):
+        # an exact type test first: isinstance against Fraction's ABC is slow
+        if type(v) is not int:
             denom = lcm(denom, v.denominator)
-    ints = {}
-    g = 0
-    for k, v in vec.items():
-        n = int(v * denom) if isinstance(v, Fraction) else v * denom
-        ints[k] = n
-        g = gcd(g, n)
+    ints = {k: v * denom if type(v) is int else v.numerator * (denom // v.denominator)
+            for k, v in vec.items() if v}
+    g = gcd(*ints.values())
     if g > 1:
         ints = {k: n // g for k, n in ints.items()}
     return ints
@@ -484,9 +499,7 @@ class RationalEchelon:
                 return vec
             a = pivot[lead]
             b = vec[lead]
-            out = {}
-            for k, v in vec.items():
-                out[k] = v * a
+            out = {k: v * a for k, v in vec.items()}
             for k, v in pivot.items():
                 s = out.get(k, 0) - v * b
                 if s:
@@ -501,9 +514,7 @@ class RationalEchelon:
         rem = self.reduce(vec)
         if not rem:
             return None
-        g = 0
-        for v in rem.values():
-            g = gcd(g, v)
+        g = gcd(*rem.values())
         if g > 1:
             rem = {k: v // g for k, v in rem.items()}
         self.pivots[max(rem)] = rem

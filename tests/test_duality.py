@@ -4,9 +4,11 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from qhowe import duality
 from qhowe.duality import (
     MultiPoly,
     Partition,
+    SpecializationAnomaly,
     cyclic_span_dims,
     dimension_identity,
     dual_cauchy_check,
@@ -173,6 +175,39 @@ class TestCyclicSpans:
         assert [r["span_dim"] for r in a["partitions"]] == [
             r["span_dim"] for r in b["partitions"]
         ]
+
+
+class TestCyclicSpanControls:
+    """Negative controls: corrupted lowering operators must be caught."""
+
+    def patch_ops(self, monkeypatch, corrupt):
+        original = duality._lowering_ops
+        monkeypatch.setattr(
+            duality, "_lowering_ops", lambda n, m, value: corrupt(original(n, m, value), value)
+        )
+
+    def test_dropped_operator_fails(self, monkeypatch):
+        self.patch_ops(monkeypatch, lambda ops, value: ops[:-1])
+        report = cyclic_span_dims(2, 3)
+        assert report["status"] == "fail"
+        assert report["joint_rank"] == 29 < report["space_dim"] == 64
+        row = next(r for r in report["partitions"] if r["mu"] == "1")
+        assert (row["span_dim"], row["dim_n"] * row["dim_m"]) == (4, 6)
+        assert row["checks"]["span_matches_weyl_product"] is False
+
+    def test_operator_dropped_at_one_value_is_an_anomaly(self, monkeypatch):
+        self.patch_ops(monkeypatch, lambda ops, value: ops[:-1] if value == 3 else ops)
+        with pytest.raises(SpecializationAnomaly):
+            cyclic_span_dims(2, 3, (Fraction(2), Fraction(3)))
+
+    def test_scaled_operators_still_pass(self, monkeypatch):
+        def scale(ops, value):
+            return [{c: {r: 5 * v for r, v in col.items()} for c, col in op.items()} for op in ops]
+
+        self.patch_ops(monkeypatch, scale)
+        report = cyclic_span_dims(2, 3)
+        assert report["status"] == "pass"
+        assert report["joint_rank"] == 64
 
 
 class TestFundamentalDecomp:

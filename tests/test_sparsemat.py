@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
-from qhowe.sparsemat import SparseMatrix
+from qhowe.sparsemat import RationalEchelon, SparseMatrix
 
 # -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
 
@@ -179,6 +179,52 @@ def test_specialize(a, value):
     assert packed(a).specialize(value) == ref_specialize(a, value)
 
 
+spec_values = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+).filter(bool)
+
+
+def assert_specialize_ints(mat, ref, value):
+    ints, scale = mat.specialize_ints(value)
+    assert type(scale) is Fraction and scale != 0
+    assert all(type(v) is int for col in ints.values() for v in col.values())
+    assert {c: {r: scale * v for r, v in col.items()} for c, col in ints.items()} == (
+        ref_specialize(ref, value))
+
+
+@given(matrices(), spec_values)
+def test_specialize_ints(a, value):
+    assert_specialize_ints(packed(a), a, value)
+
+
+@given(matrices(), spec_values, st.fractions(min_value=-4, max_value=4, max_denominator=7))
+def test_specialize_ints_with_denominator(a, value, c):
+    # a rational scale gives the packed matrix a denominator other than 1
+    assert_specialize_ints(packed(a).scale(c), ref_scale(a, QLaurent.from_rational(c)), value)
+
+
+@pytest.mark.parametrize("value", [2, -3, Fraction(5, 3), Fraction(-2, 7)])
+def test_specialize_ints_multi_term_entries(value):
+    a = {0: {0: QLaurent({-2: 3, 0: -1, 4: Fraction(1, 2)}), 2: QLaurent({5: 7})},
+         2: {1: QLaurent({-1: -4, 1: 4})}}
+    assert_specialize_ints(packed(a), a, value)
+
+
+def test_specialize_ints_empty_matrix():
+    ints, scale = SparseMatrix(3).specialize_ints(Fraction(5, 3))
+    assert ints == {} and type(scale) is Fraction and scale != 0
+
+
+def test_specialize_ints_needs_exact_value():
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(2).specialize_ints(0.5)
+    with pytest.raises(TypeError):
+        SparseMatrix.identity(2).specialize_ints(True)
+    with pytest.raises(ZeroDivisionError):
+        SparseMatrix.identity(2).specialize_ints(0)
+
+
 @given(matrices(), st.dictionaries(st.integers(0, DIM - 1), st.integers(-4, 4).flatmap(laurent),
                                    max_size=DIM))
 def test_apply_terms(a, vec):
@@ -284,3 +330,52 @@ def test_monomial_diag_exponents_rejects_shape():
     cols = torus_matrix().cols
     cols[1] = {1: QLaurent.one(), 0: QLaurent.one()}
     assert SparseMatrix(4, cols).monomial_diag_exponents() is None
+
+
+# -- RationalEchelon against an independent Fraction elimination ----------------
+
+
+def ref_rank(vectors):
+    """Rank by plain Gaussian elimination over Fraction rows."""
+    keys = sorted({k for v in vectors for k in v})
+    rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
+    rank = 0
+    for j in range(len(keys)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+entry_kinds = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "bool": st.booleans(),
+}
+entry_kinds["mixed"] = st.one_of(*entry_kinds.values())
+
+
+@given(st.sampled_from(sorted(entry_kinds)).flatmap(lambda kind: st.lists(
+    st.dictionaries(st.integers(0, 5), entry_kinds[kind], max_size=5), max_size=8)))
+def test_echelon_rank_matches_fraction_elimination(vectors):
+    echelon = RationalEchelon()
+    for k, v in enumerate(vectors):
+        before = echelon.rank
+        added = echelon.insert(v)
+        assert echelon.rank == ref_rank(vectors[:k + 1])
+        assert (added is None) == (echelon.rank == before)
+    for pivot in echelon.pivots.values():
+        assert pivot and all(type(x) is int and x for x in pivot.values())
+
+
+def test_echelon_ignores_explicit_zeros():
+    echelon = RationalEchelon()
+    assert echelon.insert({0: 0, 1: Fraction(0)}) is None
+    assert echelon.insert({0: 1, 3: 0}) == {0: 1}
+    assert echelon.insert({0: 2}) is None
+    assert echelon.rank == 1

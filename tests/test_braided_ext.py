@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qhowe import embeddings
 from qhowe.braided_ext import (
     apply_eps_q,
     apply_iota_q,
@@ -115,3 +116,20 @@ class TestModuleAlgebraAction:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_agrees_with_clifford_realization(self, n):
         assert check_module_algebra(n)["status"] == "pass"
+
+    def test_phi_without_q_inverse_fails(self, monkeypatch):
+        # negative control: the E image of phi_q without its q^-1 coefficient.
+        # (A wrong K-exponent in the coproduct action would be no control:
+        # every surviving E/F term keeps its word sorted with no other letter
+        # equal to i or i+1, so that exponent is always 0.)
+        phi = embeddings.phi_q
+
+        def unscaled(p, kind, index):
+            op = phi(p, kind, index)
+            return op.scale(QLaurent.q_power(1)) if kind == "E" else op
+
+        monkeypatch.setattr(embeddings, "phi_q", unscaled)
+        report = check_module_algebra(3)
+        assert report["status"] == "fail"
+        failed = [c["generator"] for c in report["checks"] if c["status"] == "fail"]
+        assert failed == ["E1", "E2"]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhowe import braiding
 from qhowe.braiding import (
     _assemble_rhat,
     braiding_eigenvalue,
@@ -17,7 +18,7 @@ from qhowe.braiding import (
     wedge_span_vectors,
     weyl_vector,
 )
-from qhowe.qgroup import DELTA, coproduct_rep, natural_rep
+from qhowe.qgroup import DELTA, DELTA_TILDE, coproduct_rep, natural_rep
 from qhowe.qscalar import QLaurent
 
 
@@ -109,6 +110,15 @@ class TestRhat:
         assert check_hecke(n, swapped)["status"] == "pass"
         assert check_intertwiner(n, swapped)["status"] == "pass"
         assert check_classical_limit(n, swapped)["status"] == "fail"
+
+    def test_other_comultiplication_fails_intertwiner(self, monkeypatch):
+        # negative control: the braiding intertwines Delta, not Delta-tilde;
+        # the torus generators are group-like under both and still commute
+        monkeypatch.setattr(braiding, "DELTA", DELTA_TILDE)
+        report = check_intertwiner(3)
+        assert report["status"] == "fail"
+        failed = [c["generator"] for c in report["checks"] if c["status"] == "fail"]
+        assert failed == ["E1", "F1", "E2", "F2"]
 
 
 class TestHighestWeightVectorsOfSquare:

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from qhowe.cli import main, render_text
 
@@ -160,3 +163,26 @@ def test_render_text_fail_lines():
         "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)",
         "overall: fail",
     ]
+
+
+# sha256 of three canonical reports.  A change to report building must keep
+# these bytes; an intended output change updates the digests and says why in
+# CHANGES.md.
+_PINNED_REPORTS = [
+    pytest.param(["--n", "2", "--m", "3", "--json", "all"],
+                 "15939bae823525dd05c0506c7fa86a075820d24c958f40b8bfc828c4912a4f2c", id="all-json"),
+    pytest.param(["--n", "2", "--m", "3", "all"],
+                 "6767c62e44a7721d86de44b91a3996a3cd585f1cd2e91052dbbf377d65c24d4d", id="all-text"),
+    pytest.param(["--n", "2", "--m", "3", "--json", "hwv", "--partition", "2,1"],
+                 "57b84f2fea16f8b429c2b57489077e1bd9ae18d0f5210e05a1eb43d4d0998d34", id="hwv-json"),
+]
+
+
+@pytest.mark.parametrize("args,digest", _PINNED_REPORTS)
+def test_report_bytes_pinned(capsys, args, digest):
+    assert main(args) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == digest, (
+        f"qhowe {' '.join(args)} changed its output; if the change is intended, "
+        "update the digest here and explain why in CHANGES.md"
+    )

@@ -116,6 +116,20 @@ class TestHwv:
             assert verify_hwv(mu, (n, m), "quantum")["status"] == "pass"
             assert verify_hwv(mu, (n, m), "classical")["status"] == "pass"
 
+    @pytest.mark.parametrize("flavor,failing", [
+        ("quantum", ["lambda_q(E) kills hwv", "lambda_q(K) weight", "lambda_q(L) weight"]),
+        ("classical", ["lambda(E) kills hwv", "lambda(Lbar) eigenvalue"]),
+    ])
+    def test_shifted_diagram_fails(self, monkeypatch, flavor, failing):
+        # negative control: the diagram of 2,1 moved down one cell in the
+        # first column is still killed by the column raising operators
+        state = duality.hwv_state
+        monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(mu, shape) << 1)
+        report = verify_hwv((2, 1), (3, 3), flavor)
+        assert report["status"] == "fail"
+        assert report["state"] == "011010000"
+        assert sorted({c["relation"] for c in report["checks"] if c["status"] == "fail"}) == failing
+
 
 class TestWeylDim:
     def test_examples(self):
@@ -247,6 +261,22 @@ class TestDualCauchy:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             dual_cauchy_check(4, 5)
+
+    def test_perturbed_schur_sum_fails(self, monkeypatch):
+        # negative control: s_(1) with one monomial dropped
+        schur = duality.schur_poly
+
+        def perturbed(mu, p):
+            poly = schur(mu, p)
+            if tuple(mu) == (1,):
+                del poly.terms[min(poly.terms)]
+            return poly
+
+        monkeypatch.setattr(duality, "schur_poly", perturbed)
+        report = dual_cauchy_check(2, 3)
+        assert report["status"] == "fail"
+        assert report["product_equals_schur_sum"] is False
+        assert report["product_equals_weight_enumeration"] is True
 
 
 class TestWeightBounds:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qhowe import fockspace
 from qhowe.fockspace import QVector, string_to_state
 from qhowe.qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator
 from qhowe.qscalar import QLaurent
@@ -57,6 +58,16 @@ def test_q_commutator_hopping_identity(N):
 @pytest.mark.parametrize("N", range(1, 9))
 def test_relation_suite(N):
     assert check_clifford(N)["status"] == "pass"
+
+
+def test_flipped_sign_rule_fails(monkeypatch):
+    # negative control: a reference parity off by one breaks only the sign rule
+    parity = fockspace.prefix_parity
+    monkeypatch.setattr(fockspace, "prefix_parity", lambda state, k: parity(state, k) + 1)
+    report = check_clifford(3)
+    assert report["status"] == "fail"
+    failed = [c["relation"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["classical sign rule"]
 
 
 def test_matrix_cap():

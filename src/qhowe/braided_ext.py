@@ -10,7 +10,8 @@ action used to cross-check the Clifford realization.
 
 from __future__ import annotations
 
-from .fockspace import QVector
+from . import report
+from .fockspace import QVector, state_to_string
 from .qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, CliffordGen, OperatorExpr
 from .qscalar import QLaurent
 
@@ -224,15 +225,12 @@ def check_module_algebra(n):
     for kind, rng in kinds:
         for i in rng:
             op = phi_q(n, kind, i)
-            ok = True
+            witness = None
             for state in range(1 << n):
                 v = QVector.basis(state, n)
                 if module_algebra_action(kind, i, v, n) != op.apply(v):
-                    ok = False
+                    witness = state_to_string(state, n)
                     break
-            checks.append(
-                {"relation": "coproduct action = Clifford action",
-                 "generator": f"{kind}{i}", "status": "pass" if ok else "fail"}
-            )
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"rank": n, "status": "pass" if ok else "fail", "checks": checks}
+            checks.append(report.check("coproduct action = Clifford action", witness is None,
+                                       witness, generator=f"{kind}{i}"))
+    return report.finish(checks, rank=n)

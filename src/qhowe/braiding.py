@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import report
 from .qgroup import coproduct_rep, natural_rep, DELTA
 from .qscalar import QLaurent, exact_div
 from .sparsemat import SparseMatrix, RationalEchelon
@@ -172,8 +173,7 @@ def check_hecke(n, rhat=None):
     dim = rhat.dim
     ident = SparseMatrix.identity(dim)
     lhs = (rhat - ident.scale(QLaurent.q_power(1))) * (rhat + ident.scale(QLaurent.q_power(-1)))
-    ok = lhs.is_zero()
-    return {"status": "pass" if ok else "fail", "relation": "(R - q)(R + q^-1) = 0", "n": n}
+    return report.check("(R - q)(R + q^-1) = 0", lhs.is_zero(), n=n)
 
 
 def check_yang_baxter(n, rhat=None):
@@ -182,34 +182,29 @@ def check_yang_baxter(n, rhat=None):
     idn = SparseMatrix.identity(n)
     r1 = rhat.kron(idn)
     r2 = idn.kron(rhat)
-    ok = r1 * r2 * r1 == r2 * r1 * r2
-    return {"status": "pass" if ok else "fail", "relation": "R1 R2 R1 = R2 R1 R2", "n": n}
+    return report.check("R1 R2 R1 = R2 R1 R2", r1 * r2 * r1 == r2 * r1 * r2, n=n)
 
 
 def check_intertwiner(n, rhat=None):
     """[Rhat, Delta(X)] = 0 for every generator acting on the tensor square."""
     rhat = build_rhat(n) if rhat is None else rhat
     rep = coproduct_rep([natural_rep(n), natural_rep(n)], DELTA)
-    checks = []
-    for gen, mat in rep.generator_items():
-        ok = (rhat * mat - mat * rhat).is_zero()
-        checks.append({"relation": "[R, Delta(X)] = 0", "generator": str(gen),
-                       "status": "pass" if ok else "fail"})
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"status": "pass" if ok else "fail", "n": n, "checks": checks}
+    checks = [report.match("[R, Delta(X)] = 0", rhat * mat, mat * rhat, rep.label,
+                           generator=str(gen))
+              for gen, mat in rep.generator_items()]
+    return report.finish(checks, n=n)
 
 
 def check_classical_limit(n, rhat=None):
     """At q = 1 the braiding degenerates to the flip permutation."""
     rhat = build_rhat(n) if rhat is None else rhat
     spec = rhat.specialize(Fraction(1))
-    ok = True
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            col = spec.get(tensor_index(i, j, n), {})
-            if col != {tensor_index(j, i, n): Fraction(1)}:
-                ok = False
-    return {"status": "pass" if ok else "fail", "relation": "R|_{q=1} = flip", "n": n}
+    ok = all(
+        spec.get(tensor_index(i, j, n), {}) == {tensor_index(j, i, n): Fraction(1)}
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+    return report.check("R|_{q=1} = flip", ok, n=n)
 
 
 def sym2q_dims(n, rhat=None):

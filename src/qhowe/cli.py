@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import braided_ext, braiding, duality, embeddings, qclifford, qgroup
+from . import braided_ext, braiding, duality, embeddings, qclifford, qgroup, report
 from .fockspace import GridShape
 from .qscalar import QLaurent, exact_div, q_binomial, q_int
 
@@ -145,23 +145,17 @@ def _scalar_section(seed):
                 right = right + q_binomial(a - 1, b) * QLaurent.q_power(-b)
             pascal = pascal and left == right
     dequant = all(q_int(k).specialize(1) == k for k in range(13))
-    status = "pass" if ok and pascal and dequant else "fail"
-    return {
-        "section": "scalars",
-        "status": status,
-        "checks": [
-            {"relation": "ring axioms + exact division roundtrip", "status": "pass" if ok else "fail"},
-            {"relation": "q-Pascal recursion", "status": "pass" if pascal else "fail"},
-            {"relation": "q-integers at q=1", "status": "pass" if dequant else "fail"},
-        ],
-    }
+    checks = [
+        report.check("ring axioms + exact division roundtrip", ok),
+        report.check("q-Pascal recursion", pascal),
+        report.check("q-integers at q=1", dequant),
+    ]
+    return report.finish(checks, section="scalars")
 
 
 def _clifford_section(cfg):
     N = cfg["n"] * cfg["m"]
-    report = qclifford.check_clifford(N, cap=cfg["cap"])
-    report["section"] = "clifford"
-    return report
+    return {**qclifford.check_clifford(N, cap=cfg["cap"]), "section": "clifford"}
 
 
 def _qgroup_section(cfg):
@@ -175,8 +169,8 @@ def _qgroup_section(cfg):
         rep = embeddings.phi_rep(p, cap=cfg["cap"])
         checks.append({"target": f"exterior-module rank {p}", "relations": qgroup.check_relations(rep),
                        "serre": qgroup.check_serre(rep)})
-    ok = all(c["relations"]["status"] == "pass" and c["serre"]["status"] == "pass" for c in checks)
-    return {"section": "qgroup", "status": "pass" if ok else "fail", "targets": checks}
+    ok = report.passed([c[part] for c in checks for part in ("relations", "serre")])
+    return {"section": "qgroup", "status": report.status(ok), "targets": checks}
 
 
 def _embeddings_section(cfg):
@@ -192,14 +186,13 @@ def _embeddings_section(cfg):
         "dequantization": embeddings.check_dequantization(n, m, cap=cap),
         "tensor_character": embeddings.check_tensor_character(n, m, cap=cap),
     }
-    ok = all(part["status"] == "pass" for part in parts.values())
-    return {"section": "embeddings", "status": "pass" if ok else "fail", **parts}
+    return {"section": "embeddings", "status": report.status(report.passed(parts.values())),
+            **parts}
 
 
 def _commutant_section(cfg):
-    report = embeddings.check_commutant(cfg["n"], cfg["m"], cap=cfg["cap"])
-    report["section"] = "commutant"
-    return report
+    return {**embeddings.check_commutant(cfg["n"], cfg["m"], cap=cfg["cap"]),
+            "section": "commutant"}
 
 
 def _braiding_section(cfg):
@@ -212,11 +205,10 @@ def _braiding_section(cfg):
         "intertwiner": braiding.check_intertwiner(p, rhat),
         "classical_limit": braiding.check_classical_limit(p, rhat),
     }
-    ok = all(part["status"] == "pass" for part in parts.values())
     return {
         "section": "braiding",
         "rank": p,
-        "status": "pass" if ok else "fail",
+        "status": report.status(report.passed(parts.values())),
         "sym2q_dim": sym_dim,
         "degree2_quotient_dim": wedge_dim,
         **parts,
@@ -225,27 +217,22 @@ def _braiding_section(cfg):
 
 def _module_algebra_section(cfg):
     p = max(2, cfg["n"])
-    report = braided_ext.check_module_algebra(p)
-    report["section"] = "module-algebra"
-    return report
+    return {**braided_ext.check_module_algebra(p), "section": "module-algebra"}
 
 
 def _decompose_section(cfg, values):
     try:
-        report = duality.cyclic_span_dims(cfg["n"], cfg["m"], values)
+        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values)
     except duality.SpecializationAnomaly as exc:
         return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
-    report["section"] = "decompose"
-    report["dimension_identity"] = duality.dimension_identity(cfg["n"], cfg["m"])
-    if report["dimension_identity"]["status"] != "pass":
-        report["status"] = "fail"
-    return report
+    spans["section"] = "decompose"
+    spans["dimension_identity"] = duality.dimension_identity(cfg["n"], cfg["m"])
+    spans["status"] = report.status(report.passed([spans, spans["dimension_identity"]]))
+    return spans
 
 
 def _cauchy_section(cfg):
-    report = duality.dual_cauchy_check(cfg["n"], cfg["m"])
-    report["section"] = "cauchy"
-    return report
+    return {**duality.dual_cauchy_check(cfg["n"], cfg["m"]), "section": "cauchy"}
 
 
 def _hwv_section(cfg, partition_text):
@@ -256,18 +243,18 @@ def _hwv_section(cfg, partition_text):
     shape = GridShape(cfg["n"], cfg["m"])
     if not mu.fits_in_box(shape.n, shape.m):
         raise UsageError(f"partition {mu} does not fit in a {shape.n}x{shape.m} box")
-    report = duality.verify_hwv(mu, shape, "quantum")
+    quantum = duality.verify_hwv(mu, shape, "quantum")
     classical = duality.verify_hwv(mu, shape, "classical")
     bits = duality.hwv_state(mu, shape)
     return {
         "section": "hwv",
         "mu": str(mu),
         "mu_conj": str(mu.conjugate()),
-        "state": report["state"],
+        "state": quantum["state"],
         "grid": _grid_diagram(bits, shape.n, shape.m),
-        "quantum": report,
+        "quantum": quantum,
         "classical": classical,
-        "status": "pass" if report["status"] == classical["status"] == "pass" else "fail",
+        "status": report.status(report.passed([quantum, classical])),
     }
 
 
@@ -315,8 +302,8 @@ def run(args):
         sections.append(_module_algebra_section(cfg))
         sections.append(_decompose_section(cfg, values))
         sections.append(_cauchy_section(cfg))
-    status = "pass" if all(s["status"] == "pass" for s in sections) else "fail"
-    return {"config": cfg, "command": args.command, "status": status, "sections": sections}
+    return {"config": cfg, "command": args.command,
+            "status": report.status(report.passed(sections)), "sections": sections}
 
 
 def _leaves(node, path=""):

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .embeddings import classical_lambda, classical_rho, lambda_q, phi_q, rho_q
+from . import report
+from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
 from .fockspace import GridShape, QVector, grid_to_linear, row_col_weights, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import RationalEchelon
@@ -27,7 +28,6 @@ __all__ = [
     "weyl_dim",
     "dimension_identity",
     "cyclic_span_dims",
-    "fundamental_decomp",
     "MultiPoly",
     "schur_poly",
     "dual_cauchy_check",
@@ -142,51 +142,41 @@ def verify_hwv(mu, shape, flavor="quantum"):
     mu = Partition(mu)
     conj = mu.conjugate()
     vec = hwv(mu, shape)
-    checks = []
-
-    def record(relation, indices, ok):
-        checks.append(
-            {"relation": relation, "indices": list(indices), "status": "pass" if ok else "fail"}
-        )
-
+    # (relation, action, kind, indices, eigenvalue or None for "kills hwv")
+    q_power, rational = QLaurent.q_power, QLaurent.from_rational
     if flavor == "quantum":
-        for i in range(1, n):
-            record("lambda_q(E) kills hwv", [i], lambda_q(n, m, "E", i).apply(vec).is_zero())
-        for j in range(1, m):
-            record("rho_q(E) kills hwv", [j], rho_q(n, m, "E", j).apply(vec).is_zero())
-        for i in range(1, n):
-            expect = vec.scale(QLaurent.q_power(mu.part(i) - mu.part(i + 1)))
-            record("lambda_q(K) weight", [i], lambda_q(n, m, "K", i).apply(vec) == expect)
-        for j in range(1, m):
-            expect = vec.scale(QLaurent.q_power(conj.part(j) - conj.part(j + 1)))
-            record("rho_q(K) weight", [j], rho_q(n, m, "K", j).apply(vec) == expect)
-        for i in range(1, n + 1):
-            expect = vec.scale(QLaurent.q_power(mu.part(i)))
-            record("lambda_q(L) weight", [i], lambda_q(n, m, "L", i).apply(vec) == expect)
-        for j in range(1, m + 1):
-            expect = vec.scale(QLaurent.q_power(conj.part(j)))
-            record("rho_q(L) weight", [j], rho_q(n, m, "L", j).apply(vec) == expect)
+        conditions = [
+            ("lambda_q(E) kills hwv", lambda_q, "E", range(1, n), None),
+            ("rho_q(E) kills hwv", rho_q, "E", range(1, m), None),
+            ("lambda_q(K) weight", lambda_q, "K", range(1, n),
+             lambda i: q_power(mu.part(i) - mu.part(i + 1))),
+            ("rho_q(K) weight", rho_q, "K", range(1, m),
+             lambda j: q_power(conj.part(j) - conj.part(j + 1))),
+            ("lambda_q(L) weight", lambda_q, "L", range(1, n + 1), lambda i: q_power(mu.part(i))),
+            ("rho_q(L) weight", rho_q, "L", range(1, m + 1), lambda j: q_power(conj.part(j))),
+        ]
     else:
-        for i in range(1, n):
-            record("lambda(E) kills hwv", [i], classical_lambda(n, m, "E", i).apply(vec).is_zero())
-        for j in range(1, m):
-            record("rho(E) kills hwv", [j], classical_rho(n, m, "E", j).apply(vec).is_zero())
-        for i in range(1, n + 1):
-            expect = vec.scale(QLaurent.from_rational(mu.part(i)))
-            record("lambda(Lbar) eigenvalue", [i], classical_lambda(n, m, "L", i).apply(vec) == expect)
-        for j in range(1, m + 1):
-            expect = vec.scale(QLaurent.from_rational(conj.part(j)))
-            record("rho(Lbar) eigenvalue", [j], classical_rho(n, m, "L", j).apply(vec) == expect)
-
-    ok = all(c["status"] == "pass" for c in checks)
-    return {
-        "mu": str(mu),
-        "mu_conj": str(conj),
-        "state": state_to_string(hwv_state(mu, shape), shape.positions),
-        "flavor": flavor,
-        "status": "pass" if ok else "fail",
-        "checks": checks,
-    }
+        conditions = [
+            ("lambda(E) kills hwv", classical_lambda, "E", range(1, n), None),
+            ("rho(E) kills hwv", classical_rho, "E", range(1, m), None),
+            ("lambda(Lbar) eigenvalue", classical_lambda, "L", range(1, n + 1),
+             lambda i: rational(mu.part(i))),
+            ("rho(Lbar) eigenvalue", classical_rho, "L", range(1, m + 1),
+             lambda j: rational(conj.part(j))),
+        ]
+    checks = []
+    for relation, action, kind, indices, eigenvalue in conditions:
+        for i in indices:
+            image = action(n, m, kind, i).apply(vec)
+            ok = image.is_zero() if eigenvalue is None else image == vec.scale(eigenvalue(i))
+            checks.append(report.check(relation, ok, indices=[i]))
+    return report.finish(
+        checks,
+        mu=str(mu),
+        mu_conj=str(conj),
+        state=state_to_string(hwv_state(mu, shape), shape.positions),
+        flavor=flavor,
+    )
 
 
 def weyl_dim(mu, p):
@@ -218,7 +208,7 @@ def dimension_identity(n, m):
     return {
         "n": n,
         "m": m,
-        "status": "pass" if ok else "fail",
+        "status": report.status(ok),
         "total": total,
         "degrees": degrees,
     }
@@ -347,7 +337,7 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
         dim_m = weyl_dim(mu.conjugate(), m)
         ok = measured == dim_n * dim_m
         hw_report = verify_hwv(mu, shape, "quantum")
-        all_ok = all_ok and ok and hw_report["status"] == "pass"
+        all_ok = all_ok and ok and report.passed([hw_report])
         degree_sums[mu.size] += measured
         rows.append(
             {
@@ -379,35 +369,8 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
         "space_dim": total_dim,
         "joint_rank": base["joint_rank"],
         "degree_profile": degree_profile,
-        "status": "pass" if all_ok else "fail",
+        "status": report.status(all_ok),
     }
-
-
-def fundamental_decomp(n):
-    """Highest-weight states of the rank-n exterior module, one per degree.
-
-    The n+1 full-prefix states are annihilated by every raising operator and
-    the degree-j graded component has dimension binomial(n, j).
-    """
-    checks = []
-    for j in range(n + 1):
-        bits = (1 << j) - 1
-        vec = QVector.basis(bits, n)
-        ok = all(phi_q(n, "E", i).apply(vec).is_zero() for i in range(1, n))
-        checks.append(
-            {
-                "degree": j,
-                "state": state_to_string(bits, n),
-                "annihilated": ok,
-                "graded_dim": comb(n, j),
-            }
-        )
-    counts = [0] * (n + 1)
-    for bits in range(1 << n):
-        counts[bits.bit_count()] += 1
-    dims_ok = all(counts[j] == comb(n, j) for j in range(n + 1))
-    ok = dims_ok and all(c["annihilated"] for c in checks)
-    return {"n": n, "status": "pass" if ok else "fail", "checks": checks}
 
 
 # -- characters -----------------------------------------------------------------
@@ -552,7 +515,7 @@ def dual_cauchy_check(n, m):
     return {
         "n": n,
         "m": m,
-        "status": "pass" if ok_schur and ok_weights else "fail",
+        "status": report.status(ok_schur and ok_weights),
         "product_equals_schur_sum": ok_schur,
         "product_equals_weight_enumeration": ok_weights,
         "monomials": len(product.terms),

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .fockspace import GridShape, grid_to_linear
+from . import report
+from .fockspace import GridShape, grid_to_linear, state_to_string
 from .qclifford import (
     OMEGA,
     OMEGA_INV,
@@ -45,7 +47,6 @@ from .qclifford import (
 from .qgroup import QGroupGen, Representation, generator_keys
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
-from .fockspace import state_to_string
 
 __all__ = [
     "ROW_LEFT",
@@ -422,44 +423,32 @@ def _gen_list(rank, classical=False):
 
 def check_composition(n, m, cap=DEFAULT_MATRIX_CAP):
     """lambda_q equals phi_q o theta, generator by generator, as matrices."""
+    label = partial(state_to_string, length=n * m)
     checks = []
     for kind, i in _gen_list(n):
         direct = lambda_q(n, m, kind, i).to_matrix(cap)
         composed = compose_phi_theta(n, m, kind, i).to_matrix(cap)
-        ok = direct == composed
-        checks.append(
-            {"relation": "lambda_q = phi_q o theta", "generator": f"{kind}{i}",
-             "status": "pass" if ok else "fail"}
-        )
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"n": n, "m": m, "status": "pass" if ok else "fail", "checks": checks}
+        checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
+                                   generator=f"{kind}{i}"))
+    return report.finish(checks, n=n, m=m)
 
 
 def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP):
     """[row action, column action] = 0 for every generator pair, both flavors."""
+    label = partial(state_to_string, length=n * m)
     checks = []
-    row_gens = [(kind, i, lambda_q(n, m, kind, i).to_matrix(cap)) for kind, i in _gen_list(n)]
-    col_gens = [(kind, j, rho_q(n, m, kind, j).to_matrix(cap)) for kind, j in _gen_list(m)]
-    for kx, ix, X in row_gens:
-        for ky, jy, Y in col_gens:
-            ok = (X * Y - Y * X).is_zero()
-            checks.append(
-                {"relation": "[lambda_q, rho_q] = 0", "pair": [f"{kx}{ix}", f"{ky}{jy}"],
-                 "status": "pass" if ok else "fail"}
-            )
-    crow = [(kind, i, classical_lambda(n, m, kind, i).to_matrix(cap))
-            for kind, i in _gen_list(n, classical=True)]
-    ccol = [(kind, j, classical_rho(n, m, kind, j).to_matrix(cap))
-            for kind, j in _gen_list(m, classical=True)]
-    for kx, ix, X in crow:
-        for ky, jy, Y in ccol:
-            ok = (X * Y - Y * X).is_zero()
-            checks.append(
-                {"relation": "[lambda, rho] = 0 (classical)", "pair": [f"{kx}{ix}", f"{ky}{jy}"],
-                 "status": "pass" if ok else "fail"}
-            )
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"n": n, "m": m, "status": "pass" if ok else "fail", "checks": checks}
+    for relation, row_map, col_map, classical in (
+        ("[lambda_q, rho_q] = 0", lambda_q, rho_q, False),
+        ("[lambda, rho] = 0 (classical)", classical_lambda, classical_rho, True),
+    ):
+        rows = [(f"{kind}{i}", row_map(n, m, kind, i).to_matrix(cap))
+                for kind, i in _gen_list(n, classical)]
+        cols = [(f"{kind}{j}", col_map(n, m, kind, j).to_matrix(cap))
+                for kind, j in _gen_list(m, classical)]
+        for x, X in rows:
+            for y, Y in cols:
+                checks.append(report.match(relation, X * Y, Y * X, label, pair=[x, y]))
+    return report.finish(checks, n=n, m=m)
 
 
 def _diag_exponent_match(qmat, cmat):
@@ -486,21 +475,14 @@ def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP):
             for kind in ("E", "F"):
                 dq = dequantize(qmap(n, m, kind, i), cap)
                 cl = cmap(n, m, kind, i).to_matrix(cap).specialize(Fraction(1))
-                ok = dq == cl
-                checks.append(
-                    {"relation": f"{flavor}_q|q=1 = classical", "generator": f"{kind}{i}",
-                     "status": "pass" if ok else "fail"}
-                )
+                checks.append(report.check(f"{flavor}_q|q=1 = classical", dq == cl,
+                                           generator=f"{kind}{i}"))
         for i in range(1, rank + 1):
             qmat = qmap(n, m, "L", i).to_matrix(cap)
             cmat = cmap(n, m, "L", i).to_matrix(cap).specialize(Fraction(1))
-            ok = _diag_exponent_match(qmat, cmat)
-            checks.append(
-                {"relation": f"{flavor}_q(L) = q^(classical degree)", "generator": f"L{i}",
-                 "status": "pass" if ok else "fail"}
-            )
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"n": n, "m": m, "status": "pass" if ok else "fail", "checks": checks}
+            checks.append(report.check(f"{flavor}_q(L) = q^(classical degree)",
+                                       _diag_exponent_match(qmat, cmat), generator=f"L{i}"))
+    return report.finish(checks, n=n, m=m)
 
 
 def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP):
@@ -530,14 +512,8 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP):
         tensor_exps.append(exps)
     tensor_multiset = sorted(zip(*tensor_exps))
 
-    ok = grid_multiset == tensor_multiset
-    return {
-        "n": n,
-        "m": m,
-        "status": "pass" if ok else "fail",
-        "relation": "joint weight multisets agree",
-        "distinct_weights": len(set(grid_multiset)),
-    }
+    return report.check("joint weight multisets agree", grid_multiset == tensor_multiset,
+                        n=n, m=m, distinct_weights=len(set(grid_multiset)))
 
 
 _MAPS = {

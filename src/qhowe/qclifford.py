@@ -17,9 +17,11 @@ matrix equalities are decidable here.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
-from .fockspace import QVector
+from . import report
+from .fockspace import QVector, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
 
@@ -366,12 +368,7 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
     sign rule of the classical (q = 1) action.
     """
     checks = []
-
-    def record(relation, indices, ok):
-        checks.append(
-            {"relation": relation, "indices": list(indices), "status": "pass" if ok else "fail"}
-        )
-
+    label = partial(state_to_string, length=N)
     zero = SparseMatrix(1 << N)
     ident = SparseMatrix.identity(1 << N)
     psi = [None] + [OperatorExpr.psi(k, N) for k in range(1, N + 1)]
@@ -382,13 +379,15 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
     for i in range(1, N + 1):
         for j in range(i, N + 1):
             anti = psi_m[i] * psi_m[j] + psi_m[j] * psi_m[i]
-            record("psi psi anticommute", [i, j], anti == zero)
+            checks.append(report.match("psi psi anticommute", anti, zero, label, indices=[i, j]))
             anti = psid_m[i] * psid_m[j] + psid_m[j] * psid_m[i]
-            record("psid psid anticommute", [i, j], anti == zero)
+            checks.append(report.match("psid psid anticommute", anti, zero, label,
+                                       indices=[i, j]))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             mixed = psi_m[i] * psid_m[j] + psid_m[j] * psi_m[i]
-            record("{psi_i, psid_j}", [i, j], mixed == (ident if i == j else zero))
+            checks.append(report.match("{psi_i, psid_j}", mixed, ident if i == j else zero,
+                                       label, indices=[i, j]))
 
     q1 = QLaurent.q_power(1)
     qm1 = QLaurent.q_power(-1)
@@ -396,15 +395,19 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
         w = OperatorExpr.omega(a, N).to_matrix(cap)
         winv = OperatorExpr.omega_inv(a, N).to_matrix(cap)
         lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(q1)
-        record("psi psid + q psid psi = w^-1", [a], lhs == winv)
+        checks.append(report.match("psi psid + q psid psi = w^-1", lhs, winv, label, indices=[a]))
         lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(qm1)
-        record("psi psid + q^-1 psid psi = w", [a], lhs == w)
+        checks.append(report.match("psi psid + q^-1 psid psi = w", lhs, w, label, indices=[a]))
 
-    # classical flag: same signed lowering/raising action, verified against
-    # an independent prefix-parity computation
-    from .fockspace import prefix_parity, QVector
+    checks.append(report.check("classical sign rule", *_sign_rule_witness(N), indices=[]))
+    return report.finish(checks, positions=N)
 
-    sign_ok = True
+
+def _sign_rule_witness(N):
+    """(ok, first failing state) of the classical psi/psid action against an
+    independent prefix-parity computation."""
+    from .fockspace import prefix_parity
+
     for k in range(1, N + 1):
         cl = OperatorExpr.psi(k, N, classical=True)
         cl_dag = OperatorExpr.psi_dag(k, N, classical=True)
@@ -412,17 +415,10 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
         for state in range(1 << N):
             v = QVector.basis(state, N)
             sign = QLaurent.from_rational((-1) ** prefix_parity(state, k))
-            got = cl.apply(v)
-            want = (
-                QVector(N, {state ^ bit: sign}) if state & bit else QVector.zero(N)
-            )
-            sign_ok = sign_ok and got == want
-            got = cl_dag.apply(v)
-            want = (
-                QVector.zero(N) if state & bit else QVector(N, {state | bit: sign})
-            )
-            sign_ok = sign_ok and got == want
-    record("classical sign rule", [], sign_ok)
-
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"positions": N, "status": "pass" if ok else "fail", "checks": checks}
+            if state & bit:
+                want, want_dag = QVector(N, {state ^ bit: sign}), QVector.zero(N)
+            else:
+                want, want_dag = QVector.zero(N), QVector(N, {state | bit: sign})
+            if cl.apply(v) != want or cl_dag.apply(v) != want_dag:
+                return False, state_to_string(state, N)
+    return True, None

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import report
 from .qscalar import QLaurent, exact_div, q_int, NonExactDivision
 from .sparsemat import SparseMatrix
 
 __all__ = [
     "QGroupGen",
     "generator_keys",
-    "cartan_matrix",
     "Representation",
     "natural_rep",
     "coproduct_rep",
@@ -55,11 +55,6 @@ def _cartan_entry(i, j):
     if i == j:
         return 2
     return -1 if abs(i - j) == 1 else 0
-
-
-def cartan_matrix(p):
-    """The (p-1) x (p-1) type-A Cartan matrix as a nested tuple."""
-    return tuple(tuple(_cartan_entry(i, j) for j in range(1, p)) for i in range(1, p))
 
 
 class Representation:
@@ -172,39 +167,21 @@ def coproduct_rep(factors, convention=DELTA):
 # -- relation verification ----------------------------------------------------
 
 
-def _record(checks, relation, indices, ok, witness=None):
-    entry = {"relation": relation, "indices": list(indices), "status": "pass" if ok else "fail"}
-    if not ok and witness is not None:
-        entry["witness"] = witness
-    checks.append(entry)
-
-
-def _match(rep, checks, relation, indices, lhs, rhs):
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        c = lhs.first_difference(rhs)
-        witness = rep.label(c) if c is not None else "?"
-    _record(checks, relation, indices, ok, witness)
-
-
-def _conjugation_match(rep, checks, relation, indices, dexps, dmat, dinv, mat, a):
-    """Check D M D^{-1} = q^a M.
+def _conjugation_match(rep, relation, indices, dexps, dmat, dinv, mat, a):
+    """The record of D M D^{-1} = q^a M.
 
     When D = diag(q^(e_c)) this is the integer condition e_r - e_c = a over
     the nonzero entries of M; otherwise fall back to the matrix identity.
     """
-    if dexps is not None:
-        for c, rows in mat.support():
-            dc = dexps[c]
-            for r in rows:
-                if dexps[r] - dc != a:
-                    _record(checks, relation, indices, False, rep.label(c))
-                    return
-        _record(checks, relation, indices, True)
-        return
-    lhs = dmat * mat * dinv
-    _match(rep, checks, relation, indices, lhs, mat.scale(QLaurent.q_power(a)))
+    if dexps is None:
+        return report.match(relation, dmat * mat * dinv, mat.scale(QLaurent.q_power(a)),
+                            rep.label, indices=indices)
+    for c, rows in mat.support():
+        dc = dexps[c]
+        for r in rows:
+            if dexps[r] - dc != a:
+                return report.check(relation, False, rep.label(c), indices=indices)
+    return report.check(relation, True, indices=indices)
 
 
 def check_relations(rep):
@@ -220,38 +197,43 @@ def check_relations(rep):
     q_minus_qinv = QLaurent.q_power(1) - QLaurent.q_power(-1)
     kexps = {i: rep.K(i).monomial_diag_exponents() for i in range(1, p)}
     lexps = {i: rep.L(i).monomial_diag_exponents() for i in range(1, p + 1)}
+    label = rep.label
 
     for i in range(1, p + 1):
-        _match(rep, checks, "L L^-1 = 1", [i], rep.L(i) * rep.Linv(i), ident)
+        checks.append(report.match("L L^-1 = 1", rep.L(i) * rep.Linv(i), ident, label,
+                                   indices=[i]))
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
-            _match(rep, checks, "L commute", [i, j], rep.L(i) * rep.L(j), rep.L(j) * rep.L(i))
+            checks.append(report.match("L commute", rep.L(i) * rep.L(j), rep.L(j) * rep.L(i),
+                                       label, indices=[i, j]))
     for i in range(1, p):
         for j in range(i + 1, p):
-            _match(rep, checks, "K commute", [i, j], rep.K(i) * rep.K(j), rep.K(j) * rep.K(i))
+            checks.append(report.match("K commute", rep.K(i) * rep.K(j), rep.K(j) * rep.K(i),
+                                       label, indices=[i, j]))
 
     for i in range(1, p):
         for j in range(1, p):
             a = _cartan_entry(i, j)
-            _conjugation_match(rep, checks, "K E K^-1 = q^a E", [i, j], kexps[i],
-                               rep.K(i), rep.Kinv(i), rep.E(j), a)
-            _conjugation_match(rep, checks, "K F K^-1 = q^-a F", [i, j], kexps[i],
-                               rep.K(i), rep.Kinv(i), rep.F(j), -a)
+            checks.append(_conjugation_match(rep, "K E K^-1 = q^a E", [i, j], kexps[i],
+                                             rep.K(i), rep.Kinv(i), rep.E(j), a))
+            checks.append(_conjugation_match(rep, "K F K^-1 = q^-a F", [i, j], kexps[i],
+                                             rep.K(i), rep.Kinv(i), rep.F(j), -a))
 
     # L-conjugation exponent is <eps_i, alpha_j> = delta_ij - delta_{i,j+1}
     for i in range(1, p + 1):
         for j in range(1, p):
             e = (1 if i == j else 0) - (1 if i == j + 1 else 0)
-            _conjugation_match(rep, checks, "L E L^-1 = q^<eps,alpha> E", [i, j], lexps[i],
-                               rep.L(i), rep.Linv(i), rep.E(j), e)
-            _conjugation_match(rep, checks, "L F L^-1 = q^-<eps,alpha> F", [i, j], lexps[i],
-                               rep.L(i), rep.Linv(i), rep.F(j), -e)
+            checks.append(_conjugation_match(rep, "L E L^-1 = q^<eps,alpha> E", [i, j],
+                                             lexps[i], rep.L(i), rep.Linv(i), rep.E(j), e))
+            checks.append(_conjugation_match(rep, "L F L^-1 = q^-<eps,alpha> F", [i, j],
+                                             lexps[i], rep.L(i), rep.Linv(i), rep.F(j), -e))
 
     for i in range(1, p):
         for j in range(1, p):
             lhs = rep.E(i).commutator(rep.F(j))
             if i != j:
-                _match(rep, checks, "[E,F] = 0", [i, j], lhs, SparseMatrix(rep.dim))
+                checks.append(report.match("[E,F] = 0", lhs, SparseMatrix(rep.dim), label,
+                                           indices=[i, j]))
                 continue
             if kexps[i] is not None:
                 # diag entry (q^k - q^-k)/(q - q^-1) is the signed q-integer
@@ -266,12 +248,14 @@ def check_relations(rep):
                         for c, col in diff.cols.items()
                     })
                 except NonExactDivision:
-                    _record(checks, "[E,F] = (K-K^-1)/(q-q^-1)", [i, j], False,
-                            "non-exact division in (K - K^-1)/(q - q^-1)")
+                    checks.append(report.check(
+                        "[E,F] = (K-K^-1)/(q-q^-1)", False,
+                        "non-exact division in (K - K^-1)/(q - q^-1)", indices=[i, j]))
                     continue
-            _match(rep, checks, "[E,F] = (K-K^-1)/(q-q^-1)", [i, j], lhs, target)
+            checks.append(report.match("[E,F] = (K-K^-1)/(q-q^-1)", lhs, target, label,
+                                       indices=[i, j]))
 
-    return _finish(checks)
+    return report.finish(checks)
 
 
 def check_serre(rep):
@@ -297,20 +281,17 @@ def check_serre(rep):
                 xj = rep.gen(kind, j)
                 if abs(i - j) > 1:
                     if i < j:
-                        _match(rep, checks, f"[{kind},{kind}] = 0 (far)", [i, j],
-                               xi * xj, xj * xi)
+                        checks.append(report.match(f"[{kind},{kind}] = 0 (far)", xi * xj,
+                                                   xj * xi, rep.label, indices=[i, j]))
                     continue
                 xixj = xi * xj
                 xjxi = xj * xi
                 lhs = xi * xixj - (xi * xjxi).scale(two_q) + xjxi * xi
-                _match(rep, checks, f"{kind}-Serre (q-binomial form)", [i, j], lhs, zero)
+                checks.append(report.match(f"{kind}-Serre (q-binomial form)", lhs, zero,
+                                           rep.label, indices=[i, j]))
                 inner = xixj - xjxi.scale(q1)  # [X_i, X_j]_q
                 nested = xi * inner - (inner * xi).scale(qm1)
-                _match(rep, checks, f"{kind}-Serre (nested form)", [i, j], nested, zero)
+                checks.append(report.match(f"{kind}-Serre (nested form)", nested, zero,
+                                           rep.label, indices=[i, j]))
 
-    return _finish(checks)
-
-
-def _finish(checks):
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"status": "pass" if ok else "fail", "checks": checks}
+    return report.finish(checks)

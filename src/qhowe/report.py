@@ -1,0 +1,43 @@
+"""Check records and their pass/fail folds: the one place a check's outcome
+becomes a status.
+
+A check record is a plain dict: the ``relation`` it verifies, the caller's
+identifying fields (``indices``, ``pair``, ``generator``, ...) and a
+``status`` of "pass" or "fail".  A ``witness`` is attached only to a failed
+check.  A report is a header dict whose status folds its checks.
+"""
+
+from __future__ import annotations
+
+
+def status(ok):
+    return "pass" if ok else "fail"
+
+
+def check(relation, ok, witness=None, **fields):
+    """One check record; the witness is kept only when the check fails."""
+    record = {"relation": relation, **fields, "status": status(ok)}
+    if not ok and witness is not None:
+        record["witness"] = witness
+    return record
+
+
+def match(relation, lhs, rhs, label, **fields):
+    """The record of the matrix identity lhs == rhs (SparseMatrix values).
+
+    On failure the witness is label(c) for the first basis state c whose
+    column differs."""
+    if lhs == rhs:
+        return check(relation, True, **fields)
+    c = lhs.first_difference(rhs)
+    return check(relation, False, label(c) if c is not None else "?", **fields)
+
+
+def passed(parts):
+    """True when every record or report in parts has status pass."""
+    return all(part["status"] == "pass" for part in parts)
+
+
+def finish(checks, **header):
+    """The report {**header, status, checks} with the status of all checks."""
+    return {**header, "status": status(passed(checks)), "checks": checks}

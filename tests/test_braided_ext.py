@@ -131,5 +131,6 @@ class TestModuleAlgebraAction:
         monkeypatch.setattr(embeddings, "phi_q", unscaled)
         report = check_module_algebra(3)
         assert report["status"] == "fail"
-        failed = [c["generator"] for c in report["checks"] if c["status"] == "fail"]
-        assert failed == ["E1", "E2"]
+        failed = [(c["generator"], c.get("witness")) for c in report["checks"]
+                  if c["status"] == "fail"]
+        assert failed == [("E1", "010"), ("E2", "001")]

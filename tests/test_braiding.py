@@ -117,8 +117,10 @@ class TestRhat:
         monkeypatch.setattr(braiding, "DELTA", DELTA_TILDE)
         report = check_intertwiner(3)
         assert report["status"] == "fail"
-        failed = [c["generator"] for c in report["checks"] if c["status"] == "fail"]
-        assert failed == ["E1", "F1", "E2", "F2"]
+        failed = [(c["generator"], c.get("witness")) for c in report["checks"]
+                  if c["status"] == "fail"]
+        assert failed == [("E1", "v1(x)v2"), ("F1", "v1(x)v1"), ("E2", "v2(x)v3"),
+                          ("F2", "v2(x)v2")]
 
 
 class TestHighestWeightVectorsOfSquare:

@@ -12,7 +12,6 @@ from qhowe.duality import (
     cyclic_span_dims,
     dimension_identity,
     dual_cauchy_check,
-    fundamental_decomp,
     hwv,
     hwv_state,
     joint_kernel_count,
@@ -179,6 +178,19 @@ class TestCyclicSpans:
         assert len(report["partitions"]) == comb(5, 2)
         assert report["total"] == 64
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_single_column(self, n):
+        # on an n x 1 grid lambda_q is phi_q: the rank-n exterior module, with
+        # the j-cell prefix killed by every raising operator and spanning the
+        # degree-j component of dimension binomial(n, j)
+        report = cyclic_span_dims(n, 1)
+        assert report["status"] == "pass"
+        rows = report["partitions"]
+        assert [r["hwv_state"] for r in rows] == ["1" * j + "0" * (n - j) for j in range(n + 1)]
+        assert all(r["checks"]["hwv"] == "pass" for r in rows)
+        assert [r["span_dim"] for r in rows] == [comb(n, j) for j in range(n + 1)]
+        assert [d["sum"] for d in report["degree_profile"]] == [comb(n, j) for j in range(n + 1)]
+
     def test_degenerate_values_rejected(self):
         with pytest.raises(ValueError):
             cyclic_span_dims(2, 2, (Fraction(1),))
@@ -222,14 +234,6 @@ class TestCyclicSpanControls:
         report = cyclic_span_dims(2, 3)
         assert report["status"] == "pass"
         assert report["joint_rank"] == 64
-
-
-class TestFundamentalDecomp:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_passes(self, n):
-        report = fundamental_decomp(n)
-        assert report["status"] == "pass"
-        assert [c["graded_dim"] for c in report["checks"]] == [comb(n, j) for j in range(n + 1)]
 
 
 class TestSchur:

@@ -313,3 +313,20 @@ def test_corrupted_table_entry_fails(monkeypatch, name, n, m):
     }
     for suite in failing:
         assert status[suite]() == "fail", suite
+
+
+@pytest.mark.parametrize("mutant,check,first", [
+    pytest.param("rho E kappa above -> below", check_commutant, (["E1", "E1"], "010100"),
+                 id="commutant"),
+    pytest.param("lambda E kappa right -> left", check_composition, ("E1", "011000"),
+                 id="composition"),
+])
+def test_failed_matrix_check_names_a_state(monkeypatch, mutant, check, first):
+    key, field, value, _ = TABLE_MUTANTS[mutant]
+    entry = list(embeddings._QUANTUM_IMAGES[key])
+    entry[field] = value
+    monkeypatch.setitem(embeddings._QUANTUM_IMAGES, key, tuple(entry))
+    failed = [c for c in check(2, 3)["checks"] if c["status"] == "fail"]
+    assert failed and all(isinstance(c.get("witness"), str) for c in failed)
+    assert all(len(c["witness"]) == 6 and set(c["witness"]) <= {"0", "1"} for c in failed)
+    assert (failed[0].get("pair") or failed[0]["generator"], failed[0]["witness"]) == first

@@ -66,8 +66,8 @@ def test_flipped_sign_rule_fails(monkeypatch):
     monkeypatch.setattr(fockspace, "prefix_parity", lambda state, k: parity(state, k) + 1)
     report = check_clifford(3)
     assert report["status"] == "fail"
-    failed = [c["relation"] for c in report["checks"] if c["status"] == "fail"]
-    assert failed == ["classical sign rule"]
+    failed = [(c["relation"], c.get("witness")) for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [("classical sign rule", "000")]
 
 
 def test_matrix_cap():

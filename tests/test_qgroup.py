@@ -4,7 +4,6 @@ from qhowe.qgroup import (
     DELTA,
     DELTA_TILDE,
     Representation,
-    cartan_matrix,
     check_relations,
     check_serre,
     coproduct_rep,
@@ -12,12 +11,6 @@ from qhowe.qgroup import (
 )
 from qhowe.sparsemat import SparseMatrix
 from qhowe.qscalar import QLaurent
-
-
-def test_cartan_matrix():
-    assert cartan_matrix(4) == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    assert cartan_matrix(2) == ((2,),)
-    assert cartan_matrix(1) == ()
 
 
 def basis_vec(rep, j):

@@ -1,0 +1,34 @@
+import json
+
+from qhowe import report
+from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
+
+
+def test_check_keeps_witness_only_on_failure():
+    assert report.check("x = y", True, "v3", indices=[1]) == {
+        "relation": "x = y", "indices": [1], "status": "pass"}
+    assert report.check("x = y", False, "v3", indices=[1]) == {
+        "relation": "x = y", "indices": [1], "status": "fail", "witness": "v3"}
+    assert report.check("x = y", False) == {"relation": "x = y", "status": "fail"}
+
+
+def test_match_names_first_differing_column():
+    one = QLaurent.one()
+    a = SparseMatrix(4, {1: {0: one}, 3: {2: one}})
+    b = SparseMatrix(4, {1: {0: one}, 3: {2: QLaurent.q_power(1)}})
+    label = "s{}".format
+    assert report.match("a = a", a, a, label, pair=["E1", "F1"]) == {
+        "relation": "a = a", "pair": ["E1", "F1"], "status": "pass"}
+    assert report.match("a = b", a, b, label)["witness"] == "s3"
+    assert report.match("a = 0", a, SparseMatrix(4), label)["witness"] == "s1"
+
+
+def test_finish_and_passed_fold_statuses():
+    ok, bad = report.check("p", True), report.check("f", False)
+    assert report.passed([]) and report.passed([ok]) and not report.passed([ok, bad])
+    assert report.finish([ok], n=2) == {"n": 2, "status": "pass", "checks": [ok]}
+    assert report.finish([ok, bad])["status"] == "fail"
+    assert report.passed([{"status": "specialization-anomaly"}]) is False
+    # records are plain dicts: they serialize as they are
+    assert json.loads(json.dumps(report.finish([bad]))) == report.finish([bad])

@@ -80,6 +80,12 @@ def _config(args):
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise UsageError(f"grid shape must be positive, got {n}x{m}")
+    limit = qclifford.DEFAULT_MATRIX_CAP
+    # hwv acts on one vector and explain prints words; every other command
+    # builds exact 2^nm-column matrices, which take hours past 2^16 columns
+    if n * m > limit and args.command not in ("hwv", "explain"):
+        raise UsageError(f"grid {n}x{m} needs matrices with 2^{n * m} = {1 << (n * m)} "
+                         f"columns; qhowe refuses more than 2^{limit}")
     if n * m > args.cap:
         raise UsageError(f"grid needs {n * m} positions but the cap allows {args.cap}")
     GridShape(n, m).check()
@@ -173,25 +179,25 @@ def _qgroup_section(cfg):
     return {"section": "qgroup", "status": report.status(ok), "targets": checks}
 
 
-def _embeddings_section(cfg):
+def _embeddings_section(cfg, memo=None):
     n, m, cap = cfg["n"], cfg["m"], cfg["cap"]
-    lam = embeddings.lambda_rep(n, m, cap=cap)
-    rho = embeddings.rho_rep(n, m, cap=cap)
+    lam = embeddings.lambda_rep(n, m, cap=cap, memo=memo)
+    rho = embeddings.rho_rep(n, m, cap=cap, memo=memo)
     parts = {
         "lambda_relations": qgroup.check_relations(lam),
         "lambda_serre": qgroup.check_serre(lam),
         "rho_relations": qgroup.check_relations(rho),
         "rho_serre": qgroup.check_serre(rho),
-        "composition": embeddings.check_composition(n, m, cap=cap),
-        "dequantization": embeddings.check_dequantization(n, m, cap=cap),
-        "tensor_character": embeddings.check_tensor_character(n, m, cap=cap),
+        "composition": embeddings.check_composition(n, m, cap=cap, memo=memo),
+        "dequantization": embeddings.check_dequantization(n, m, cap=cap, memo=memo),
+        "tensor_character": embeddings.check_tensor_character(n, m, cap=cap, memo=memo),
     }
     return {"section": "embeddings", "status": report.status(report.passed(parts.values())),
             **parts}
 
 
-def _commutant_section(cfg):
-    return {**embeddings.check_commutant(cfg["n"], cfg["m"], cap=cfg["cap"]),
+def _commutant_section(cfg, memo=None):
+    return {**embeddings.check_commutant(cfg["n"], cfg["m"], cap=cfg["cap"], memo=memo),
             "section": "commutant"}
 
 
@@ -293,11 +299,14 @@ def run(args):
     elif args.command == "explain":
         sections.append(_explain_section(cfg, args.map_name, args.gen))
     elif args.command == "all":
+        # each quantum generator matrix is built once and shared by the
+        # embeddings and commutant sections; the memo ends with this run
+        memo = {}
         sections.append(_scalar_section(cfg["seed"]))
         sections.append(_clifford_section(cfg))
         sections.append(_qgroup_section(cfg))
-        sections.append(_embeddings_section(cfg))
-        sections.append(_commutant_section(cfg))
+        sections.append(_embeddings_section(cfg, memo))
+        sections.append(_commutant_section(cfg, memo))
         sections.append(_braiding_section(cfg))
         sections.append(_module_algebra_section(cfg))
         sections.append(_decompose_section(cfg, values))
@@ -329,7 +338,8 @@ def render_text(report):
     )
     for section in report["sections"]:
         mark = "PASS" if section["status"] == "pass" else section["status"].upper()
-        leaves = _leaves(section)
+        # explain only displays a generator image: it verifies nothing
+        leaves = [] if section["section"] == "explain" else _leaves(section)
         failed = [(path, x) for path, x in leaves if x["status"] == "fail"]
         lines.append(f"[{mark}] {section['section']}  "
                      f"({len(leaves) - len(failed)} checks pass, {len(failed)} fail)")

@@ -30,7 +30,6 @@ formula with itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from . import report
@@ -64,7 +63,6 @@ __all__ = [
     "classical_rho",
     "classical_nested_root_vector",
     "matrix_unit_sum",
-    "dequantize",
     "lambda_rep",
     "rho_rep",
     "phi_rep",
@@ -379,17 +377,29 @@ def matrix_unit_sum(n, m, j):
     return total
 
 
-def dequantize(op, cap=DEFAULT_MATRIX_CAP):
-    """Matrix realization followed by entrywise evaluation at q = 1."""
-    return op.to_matrix(cap).specialize(Fraction(1))
-
-
 # -- representation bundles ----------------------------------------------------
 
 
-def _grid_rep(rank, n, m, builder, cap):
+def _generator_matrix(builder, n, m, kind, index, cap, memo):
+    """builder(n, m, kind, index).to_matrix(cap), built once per memo.
+
+    memo is a dict the caller keeps for one run (None: no sharing).  Only the
+    quantum row and column generators go into it; the classical ones are
+    rebuilt on each call, so that the memo holds no more than one
+    representation pair."""
+    if memo is None or builder not in (lambda_q, rho_q):
+        return builder(n, m, kind, index).to_matrix(cap)
+    key = (builder, n, m, kind, index)
+    mat = memo.get(key)
+    if mat is None:
+        mat = memo[key] = builder(n, m, kind, index).to_matrix(cap)
+    return mat
+
+
+def _grid_rep(rank, n, m, builder, cap, memo=None):
     N = n * m
-    mats = {key: builder(n, m, *key).to_matrix(cap) for key in generator_keys(rank)}
+    mats = {key: _generator_matrix(builder, n, m, *key, cap, memo)
+            for key in generator_keys(rank)}
     return Representation(rank, 1 << N, mats, state_label=lambda s: state_to_string(s, N))
 
 
@@ -398,14 +408,17 @@ def _phi_on_grid(n, m, kind, index):
     return phi_q(n, kind, index)
 
 
-def lambda_rep(n, m, cap=DEFAULT_MATRIX_CAP):
-    """The row action as a rank-n Representation on the full grid module."""
-    return _grid_rep(n, n, m, lambda_q, cap)
+def lambda_rep(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+    """The row action as a rank-n Representation on the full grid module.
+
+    With a memo dict, every function here that takes one reads each quantum
+    generator matrix from it, building it on first use."""
+    return _grid_rep(n, n, m, lambda_q, cap, memo)
 
 
-def rho_rep(n, m, cap=DEFAULT_MATRIX_CAP):
+def rho_rep(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """The column action as a rank-m Representation on the full grid module."""
-    return _grid_rep(m, n, m, rho_q, cap)
+    return _grid_rep(m, n, m, rho_q, cap, memo)
 
 
 def phi_rep(p, cap=DEFAULT_MATRIX_CAP):
@@ -421,19 +434,19 @@ def _gen_list(rank, classical=False):
     return [key for key in generator_keys(rank) if not (classical and key[0] == "Linv")]
 
 
-def check_composition(n, m, cap=DEFAULT_MATRIX_CAP):
+def check_composition(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """lambda_q equals phi_q o theta, generator by generator, as matrices."""
     label = partial(state_to_string, length=n * m)
     checks = []
     for kind, i in _gen_list(n):
-        direct = lambda_q(n, m, kind, i).to_matrix(cap)
+        direct = _generator_matrix(lambda_q, n, m, kind, i, cap, memo)
         composed = compose_phi_theta(n, m, kind, i).to_matrix(cap)
         checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
                                    generator=f"{kind}{i}"))
     return report.finish(checks, n=n, m=m)
 
 
-def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP):
+def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """[row action, column action] = 0 for every generator pair, both flavors."""
     label = partial(state_to_string, length=n * m)
     checks = []
@@ -441,25 +454,40 @@ def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP):
         ("[lambda_q, rho_q] = 0", lambda_q, rho_q, False),
         ("[lambda, rho] = 0 (classical)", classical_lambda, classical_rho, True),
     ):
-        rows = [(f"{kind}{i}", row_map(n, m, kind, i).to_matrix(cap))
+        rows = [(f"{kind}{i}", _generator_matrix(row_map, n, m, kind, i, cap, memo))
                 for kind, i in _gen_list(n, classical)]
-        cols = [(f"{kind}{j}", col_map(n, m, kind, j).to_matrix(cap))
+        cols = [(f"{kind}{j}", _generator_matrix(col_map, n, m, kind, j, cap, memo))
                 for kind, j in _gen_list(m, classical)]
         for x, X in rows:
             for y, Y in cols:
-                checks.append(report.match(relation, X * Y, Y * X, label, pair=[x, y]))
+                checks.append(report.commute(relation, X, Y, label, pair=[x, y]))
     return report.finish(checks, n=n, m=m)
 
 
+def _equal_at_one(qmat, cmat):
+    """qmat and cmat agree entrywise at q = 1, compared in ints: with
+    specialize_ints(1) = (cols, scale) for each, qscale * qv == cscale * cv."""
+    (qcols, qs), (ccols, cs) = qmat.specialize_ints(1), cmat.specialize_ints(1)
+    kq, kc = qs.numerator * cs.denominator, cs.numerator * qs.denominator
+    if kq == kc:
+        return qcols == ccols
+    return ({c: {r: v * kq for r, v in col.items()} for c, col in qcols.items()}
+            == {c: {r: v * kc for r, v in col.items()} for c, col in ccols.items()})
+
+
 def _diag_exponent_match(qmat, cmat):
-    """quantum diagonal == q^(classical diagonal), entry by entry."""
+    """quantum diagonal == q^(classical diagonal at q = 1), entry by entry,
+    and the classical matrix has no entry off the diagonal."""
     exps = qmat.monomial_diag_exponents()
-    return exps is not None and all(
-        cmat.get(s, {}).get(s, 0) == e for s, e in enumerate(exps)
-    )
+    if exps is None:
+        return False
+    ccols, scale = cmat.specialize_ints(1)
+    return all(col.keys() == {c} for c, col in ccols.items()) and all(
+        ccols.get(s, {}).get(s, 0) * scale.numerator == e * scale.denominator
+        for s, e in enumerate(exps))
 
 
-def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP):
+def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """q = 1 limits of the quantum actions against their classical versions.
 
     Root vectors specialize to the classical matrices outright.  Torus
@@ -473,19 +501,19 @@ def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP):
     ):
         for i in range(1, rank):
             for kind in ("E", "F"):
-                dq = dequantize(qmap(n, m, kind, i), cap)
-                cl = cmap(n, m, kind, i).to_matrix(cap).specialize(Fraction(1))
-                checks.append(report.check(f"{flavor}_q|q=1 = classical", dq == cl,
-                                           generator=f"{kind}{i}"))
+                qmat = _generator_matrix(qmap, n, m, kind, i, cap, memo)
+                cmat = cmap(n, m, kind, i).to_matrix(cap)
+                checks.append(report.check(f"{flavor}_q|q=1 = classical",
+                                           _equal_at_one(qmat, cmat), generator=f"{kind}{i}"))
         for i in range(1, rank + 1):
-            qmat = qmap(n, m, "L", i).to_matrix(cap)
-            cmat = cmap(n, m, "L", i).to_matrix(cap).specialize(Fraction(1))
+            qmat = _generator_matrix(qmap, n, m, "L", i, cap, memo)
+            cmat = cmap(n, m, "L", i).to_matrix(cap)
             checks.append(report.check(f"{flavor}_q(L) = q^(classical degree)",
                                        _diag_exponent_match(qmat, cmat), generator=f"L{i}"))
     return report.finish(checks, n=n, m=m)
 
 
-def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP):
+def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """Character-level comparison of the grid module with the tensor power.
 
     The multiset of joint torus-eigenvalue exponent tuples of the row action
@@ -496,7 +524,7 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP):
 
     grid_exps = []
     for i in range(1, n + 1):
-        exps = lambda_q(n, m, "L", i).to_matrix(cap).monomial_diag_exponents()
+        exps = _generator_matrix(lambda_q, n, m, "L", i, cap, memo).monomial_diag_exponents()
         if exps is None:
             raise AssertionError("row torus action is not a monomial diagonal")
         grid_exps.append(exps)

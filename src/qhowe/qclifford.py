@@ -399,26 +399,29 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
         lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(qm1)
         checks.append(report.match("psi psid + q^-1 psid psi = w", lhs, w, label, indices=[a]))
 
-    checks.append(report.check("classical sign rule", *_sign_rule_witness(N), indices=[]))
+    checks.append(report.check("classical sign rule", *_sign_rule_witness(N, cap), indices=[]))
     return report.finish(checks, positions=N)
 
 
-def _sign_rule_witness(N):
-    """(ok, first failing state) of the classical psi/psid action against an
-    independent prefix-parity computation."""
+def _sign_rule_witness(N, cap=DEFAULT_MATRIX_CAP):
+    """(ok, first failing state in (k, state) order) of the classical psi_k
+    and psid_k matrices against matrices built from an independent
+    prefix-parity computation."""
     from .fockspace import prefix_parity
 
+    one = QLaurent.one()
     for k in range(1, N + 1):
-        cl = OperatorExpr.psi(k, N, classical=True)
-        cl_dag = OperatorExpr.psi_dag(k, N, classical=True)
         bit = 1 << (k - 1)
-        for state in range(1 << N):
-            v = QVector.basis(state, N)
-            sign = QLaurent.from_rational((-1) ** prefix_parity(state, k))
-            if state & bit:
-                want, want_dag = QVector(N, {state ^ bit: sign}), QVector.zero(N)
-            else:
-                want, want_dag = QVector.zero(N), QVector(N, {state | bit: sign})
-            if cl.apply(v) != want or cl_dag.apply(v) != want_dag:
-                return False, state_to_string(state, N)
+        # (col, row, negative, exponent): psi_k empties position k, psid_k fills it
+        images = [(s, s ^ bit, prefix_parity(s, k) & 1, 0) for s in range(1 << N)]
+        want = SparseMatrix.from_monomial_images(
+            1 << N, [(one, 0, 0, [i for i in images if i[0] & bit])])
+        want_dag = SparseMatrix.from_monomial_images(
+            1 << N, [(one, 0, 0, [i for i in images if not i[0] & bit])])
+        firsts = [c for c in (
+            OperatorExpr.psi(k, N, classical=True).to_matrix(cap).first_difference(want),
+            OperatorExpr.psi_dag(k, N, classical=True).to_matrix(cap).first_difference(want_dag),
+        ) if c is not None]
+        if firsts:
+            return False, state_to_string(min(firsts), N)
     return True, None

@@ -204,12 +204,10 @@ def check_relations(rep):
                                    indices=[i]))
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
-            checks.append(report.match("L commute", rep.L(i) * rep.L(j), rep.L(j) * rep.L(i),
-                                       label, indices=[i, j]))
+            checks.append(report.commute("L commute", rep.L(i), rep.L(j), label, indices=[i, j]))
     for i in range(1, p):
         for j in range(i + 1, p):
-            checks.append(report.match("K commute", rep.K(i) * rep.K(j), rep.K(j) * rep.K(i),
-                                       label, indices=[i, j]))
+            checks.append(report.commute("K commute", rep.K(i), rep.K(j), label, indices=[i, j]))
 
     for i in range(1, p):
         for j in range(1, p):
@@ -281,8 +279,8 @@ def check_serre(rep):
                 xj = rep.gen(kind, j)
                 if abs(i - j) > 1:
                     if i < j:
-                        checks.append(report.match(f"[{kind},{kind}] = 0 (far)", xi * xj,
-                                                   xj * xi, rep.label, indices=[i, j]))
+                        checks.append(report.commute(f"[{kind},{kind}] = 0 (far)", xi, xj,
+                                                     rep.label, indices=[i, j]))
                     continue
                 xixj = xi * xj
                 xjxi = xj * xi

@@ -33,6 +33,13 @@ def match(relation, lhs, rhs, label, **fields):
     return check(relation, False, label(c) if c is not None else "?", **fields)
 
 
+def commute(relation, x, y, label, **fields):
+    """The record of x * y == y * x, the same as match(relation, x * y, y * x,
+    label, **fields), decided by SparseMatrix.first_noncommuting."""
+    c = x.first_noncommuting(y)
+    return check(relation, c is None, None if c is None else label(c), **fields)
+
+
 def passed(parts):
     """True when every record or report in parts has status pass."""
     return all(part["status"] == "pass" for part in parts)

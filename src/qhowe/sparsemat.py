@@ -8,7 +8,8 @@ one Python int: its Laurent polynomial evaluated at ``q = 2^B``
 * an exponent offset ``lo`` (no entry has a term below ``q^lo``), so an entry
   ``sum_e c_e q^e`` is stored as ``sum_e c_e 2^(B (e - lo))``;
 * an exponent ceiling ``hi``, so that products refuse exponents beyond
-  ``MAX_EXPONENT`` with the same ``OverflowError`` as ``QLaurent``;
+  ``MAX_EXPONENT`` with the same ``OverflowError`` as ``QLaurent``, and any
+  operation refuses a range ``hi - lo`` beyond ``MAX_SPAN`` before it packs;
 * a positive integer denominator that every entry is divided by, 1 unless
   ``Fraction`` coefficients occur, so that the stored digits are integers;
 * an upper bound on the l1 norm (sum of absolute digits) of every entry.
@@ -24,9 +25,11 @@ equality and specialization are integer operations; ``cols`` decodes to
 ``{col: {row: QLaurent}}`` on demand and is meant for reporting, witnesses
 and tests, not for hot paths.
 
-Operator equality throughout the package is equality of these matrices.  The
-module also hosts the incremental rational row-reduction used for
-span-dimension and rank computations at specialized q.
+Operator equality throughout the package is equality of these matrices, and
+``first_noncommuting`` decides a commutation without a product when either
+factor is diagonal.  The module also hosts the incremental rational
+row-reduction used for span-dimension and rank computations at specialized
+q.
 """
 
 from __future__ import annotations
@@ -48,10 +51,20 @@ def _width_for(bound):
     return width
 
 
-def _check_exponents(*exps):
-    for e in exps:
+# The widest exponent range hi - lo a packed entry may span.  Real spans stay
+# below 100; the limit keeps one entry under 2^12 digits (8 KiB at the
+# narrowest width), where an unchecked span up to 2 * MAX_EXPONENT would ask
+# for gigabytes.
+MAX_SPAN = 1 << 12
+
+
+def _check_range(lo, hi):
+    """Refuse an exponent range before anything is packed over it."""
+    for e in (lo, hi):
         if abs(e) > MAX_EXPONENT:
             raise OverflowError(f"q-exponent {e} out of range")
+    if hi - lo > MAX_SPAN:
+        raise OverflowError(f"q-exponent span {hi - lo} exceeds {MAX_SPAN}")
 
 
 def _digits(v, width, lo=0):
@@ -107,7 +120,7 @@ class SparseMatrix:
         terms, den = _integer_terms(terms)
         lo = min((min(t) for t in terms), default=0)
         hi = max((max(t) for t in terms), default=0)
-        _check_exponents(lo, hi)
+        _check_range(lo, hi)
         bound = max((sum(map(abs, t.values())) for t in terms), default=0)
         width = _width_for(bound)
         packed = {}
@@ -149,7 +162,7 @@ class SparseMatrix:
         terms = [(t, emin, emax, images) for t, (_, emin, emax, images) in zip(coeffs, terms)]
         lo = min((min(t) + emin for t, emin, _, _ in terms), default=0)
         hi = max((max(t) + emax for t, _, emax, _ in terms), default=0)
-        _check_exponents(lo, hi)
+        _check_range(lo, hi)
         bound = sum(sum(map(abs, t.values())) for t, _, _, _ in terms)
         width = _width_for(bound)
         cols = {}
@@ -211,6 +224,7 @@ class SparseMatrix:
         bound = ba + bb if summed else max(ba, bb)
         width = max(self._width, other._width, _width_for(bound))
         lo = min((x._lo for x in (self, other) if x._cols), default=0)
+        _check_range(lo, max((x._hi for x in (self, other) if x._cols), default=0))
         return self._as(width, lo, den), other._as(width, lo, den), width, lo, den, bound
 
     # -- queries -------------------------------------------------------------
@@ -282,6 +296,43 @@ class SparseMatrix:
                 return c
         return None
 
+    def _diagonal(self):
+        """{col: packed entry} when no entry lies off the diagonal, else None."""
+        diag = {}
+        for c, col in self._cols.items():
+            v = col.get(c)
+            if v is None or len(col) != 1:
+                return None
+            diag[c] = v
+        return diag
+
+    def first_noncommuting(self, other):
+        """The first column where self * other and other * self differ, or None.
+
+        When either factor D has no off-diagonal entry, the commutator entry
+        at (r, c) is (d_r - d_c) Y_rc over the other factor Y's support, so
+        the test compares two packed diagonal entries of D (one encoding, so
+        int equality is entry equality; a missing entry is 0).  Otherwise the
+        two products are compared."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        for diag, off in ((self, other), (other, self)):
+            d = diag._diagonal()
+            if d is None:
+                continue
+            get = d.get
+            first = None
+            for c, rows in off._cols.items():
+                if first is not None and c > first:
+                    continue
+                dc = get(c, 0)
+                for r in rows:
+                    if get(r, 0) != dc:
+                        first = c
+                        break
+            return first
+        return (self * other).first_difference(other * self)
+
     # -- arithmetic ----------------------------------------------------------
 
     def _sum(self, other, negate):
@@ -333,7 +384,7 @@ class SparseMatrix:
         (terms,), cden = _integer_terms([coeff.terms])
         tmin, tmax = min(terms), max(terms)
         lo, hi = self._lo + tmin, self._hi + tmax
-        _check_exponents(lo, hi)
+        _check_range(lo, hi)
         bound = self._bound * sum(map(abs, terms.values()))
         width = max(self._width, _width_for(bound))
         cp = _pack(terms, tmin, width)
@@ -350,7 +401,7 @@ class SparseMatrix:
         if not self._cols or not other._cols:
             return SparseMatrix(self.dim)
         lo, hi = self._lo + other._lo, self._hi + other._hi
-        _check_exponents(lo, hi)
+        _check_range(lo, hi)
         bound = self._bound * other._bound * max(map(len, other._cols.values()))
         width = max(self._width, other._width, _width_for(bound))
         acols = self._as(width, self._lo, self._den)
@@ -380,7 +431,7 @@ class SparseMatrix:
         if not self._cols or not other._cols:
             return SparseMatrix(dim)
         lo, hi = self._lo + other._lo, self._hi + other._hi
-        _check_exponents(lo, hi)
+        _check_range(lo, hi)
         bound = self._bound * other._bound
         width = max(self._width, other._width, _width_for(bound))
         bcols = other._as(width, other._lo, other._den)

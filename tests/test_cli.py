@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qhowe.cli import main, render_text
+from qhowe.cli import UsageError, _config, build_parser, main, render_text
 
 
 def run_cli(*args):
@@ -58,6 +58,25 @@ def test_cap_violation_is_usage_error(capsys):
     assert main(["--n", "5", "--m", "4", "--cap", "16", "cauchy"]) == 2
 
 
+@pytest.mark.parametrize("n,m", [(4, 5), (1, 17), (17, 1)])
+def test_config_refuses_more_than_2_16_columns(n, m):
+    # checked on _config alone, so that no job of this size ever starts
+    args = build_parser().parse_args(["--n", str(n), "--m", str(m), "--cap", "20", "all"])
+    with pytest.raises(UsageError, match=rf"2\^{n * m} = {1 << (n * m)} columns"):
+        _config(args)
+
+
+def test_config_allows_2_16_columns():
+    args = build_parser().parse_args(["--n", "4", "--m", "4", "--cap", "20", "all"])
+    assert _config(args)[0]["cap"] == 20
+
+
+def test_hwv_past_2_16_columns_still_runs(capsys):
+    # hwv applies operators to one vector; at 4x5 it takes well under a second
+    assert main(["--n", "4", "--m", "5", "--cap", "20", "hwv", "--partition", "3,2,1"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
 def test_all_json_deterministic(capsys):
     args = ["--n", "2", "--m", "2", "--json", "all"]
     assert main(args) == 0
@@ -87,6 +106,12 @@ def test_explain_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "lambda_q(E1)" in out
+
+
+def test_explain_counts_no_checks(capsys):
+    # explain displays a generator image and verifies nothing
+    assert main(["--n", "2", "--m", "3", "explain", "--map", "rho_q", "--gen", "E1"]) == 0
+    assert "[PASS] explain  (0 checks pass, 0 fail)" in capsys.readouterr().out.splitlines()
 
 
 def test_spec_q_flag(capsys):

@@ -19,7 +19,6 @@ from qhowe.embeddings import (
     classical_nested_root_vector,
     classical_rho,
     compose_phi_theta,
-    dequantize,
     explain,
     lambda_q,
     lambda_rep,
@@ -178,18 +177,18 @@ class TestNestedRootVectors:
         assert classical_nested_root_vector(n, m, j) == matrix_unit_sum(n, m, j)
 
 
+def at_one(op):
+    """The q = 1 values of op's matrix as (int columns, common scale)."""
+    return op.to_matrix().specialize_ints(1)
+
+
 class TestDequantize:
     def test_examples(self):
-        dq = dequantize(lambda_q(2, 2, "E", 1))
-        cl = classical_lambda(2, 2, "E", 1).to_matrix().specialize(Fraction(1))
-        assert dq == cl
-        dq = dequantize(rho_q(2, 3, "F", 2))
-        cl = classical_rho(2, 3, "F", 2).to_matrix().specialize(Fraction(1))
-        assert dq == cl
+        assert at_one(lambda_q(2, 2, "E", 1)) == at_one(classical_lambda(2, 2, "E", 1))
+        assert at_one(rho_q(2, 3, "F", 2)) == at_one(classical_rho(2, 3, "F", 2))
 
     def test_omega_dequantizes_to_identity(self):
-        dq = dequantize(OperatorExpr.omega(2, 3))
-        assert dq == {c: {c: Fraction(1)} for c in range(8)}
+        assert at_one(OperatorExpr.omega(2, 3)) == ({c: {c: 1} for c in range(8)}, Fraction(1))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
     def test_suite(self, n, m):
@@ -330,3 +329,35 @@ def test_failed_matrix_check_names_a_state(monkeypatch, mutant, check, first):
     assert failed and all(isinstance(c.get("witness"), str) for c in failed)
     assert all(len(c["witness"]) == 6 and set(c["witness"]) <= {"0", "1"} for c in failed)
     assert (failed[0].get("pair") or failed[0]["generator"], failed[0]["witness"]) == first
+
+
+def test_commutant_fails_through_the_diagonal_route(monkeypatch):
+    # negative control: L1 as w_1^-1 alone is diagonal but scales position 1,
+    # which the first column pair's E1 and F1 move
+    original = embeddings.lambda_q
+
+    def mutant(n, m, kind, index):
+        if (kind, index) == ("L", 1):
+            return OperatorExpr.omega_inv(1, n * m)
+        return original(n, m, kind, index)
+
+    monkeypatch.setattr(embeddings, "lambda_q", mutant)
+    failed = [(c["pair"], c.get("witness")) for c in check_commutant(2, 3)["checks"]
+              if c["status"] == "fail"]
+    assert failed == [(["L1", "E1"], "001000"), (["L1", "F1"], "100000")]
+
+
+def test_dequantization_sees_an_off_diagonal_degree_entry(monkeypatch):
+    # negative control: the classical degree operator Lbar_1 plus a stray hop
+    original = embeddings.classical_lambda
+
+    def mutant(n, m, kind, index):
+        op = original(n, m, kind, index)
+        if (kind, index) == ("L", 1):
+            op = op + OperatorExpr(n * m, [(1, [("psid", 1), ("psi", 2)])], classical=True)
+        return op
+
+    monkeypatch.setattr(embeddings, "classical_lambda", mutant)
+    failed = [(c["relation"], c["generator"]) for c in check_dequantization(2, 2)["checks"]
+              if c["status"] == "fail"]
+    assert failed == [("lambda_q(L) = q^(classical degree)", "L1")]

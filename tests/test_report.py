@@ -24,6 +24,18 @@ def test_match_names_first_differing_column():
     assert report.match("a = 0", a, SparseMatrix(4), label)["witness"] == "s1"
 
 
+def test_commute_gives_the_record_of_match_on_the_products():
+    one, q = QLaurent.one(), QLaurent.q_power(1)
+    torus = SparseMatrix.diagonal([one, q, q, q * q])
+    shift = SparseMatrix(4, {1: {0: one}, 2: {1: one}, 3: {3: q}})
+    swap = SparseMatrix(4, {1: {2: one}, 2: {1: one}})
+    label = "s{}".format
+    for x, y in [(torus, shift), (shift, torus), (torus, swap), (swap, shift), (torus, torus)]:
+        assert report.commute("[x,y] = 0", x, y, label, pair=["x", "y"]) == report.match(
+            "[x,y] = 0", x * y, y * x, label, pair=["x", "y"])
+    assert report.commute("[x,y] = 0", torus, shift, label)["witness"] == "s1"
+
+
 def test_finish_and_passed_fold_statuses():
     ok, bad = report.check("p", True), report.check("f", False)
     assert report.passed([]) and report.passed([ok]) and not report.passed([ok, bad])

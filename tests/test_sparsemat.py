@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhowe import sparsemat
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import RationalEchelon, SparseMatrix
@@ -239,6 +240,39 @@ def test_associative_with_mixed_operands(a, b, c):
     assert_matches(x * y + z, ref_add(ref_mul(a, b), c))
 
 
+@st.composite
+def diagonals(draw, dim=DIM):
+    """A diagonal reference matrix whose entries repeat or are missing (zero)."""
+    offset = draw(st.integers(-40, 40))
+    pool = draw(st.lists(laurent(offset), min_size=1, max_size=2)) + [QLaurent.zero()]
+    return ref_clean({c: {c: draw(st.sampled_from(pool))} for c in range(dim)})
+
+
+commutation_operands = st.one_of(matrices(), diagonals())
+
+
+@given(commutation_operands, commutation_operands)
+def test_first_noncommuting_matches_products(a, b):
+    # the diagonal route against the product route it replaces
+    x, y = packed(a), packed(b)
+    assert x.first_noncommuting(y) == (x * y).first_difference(y * x)
+    assert (x.first_noncommuting(y) is None) == (x * y == y * x)
+
+
+def test_first_noncommuting_reads_missing_diagonal_entries_as_zero():
+    # a degree operator diag(0, 1, 1, 2) has no entry at state 0
+    degree = SparseMatrix(4, {c: {c: QLaurent.from_rational(bin(c).count("1"))}
+                              for c in range(1, 4)})
+    swap = SparseMatrix(4, {1: {2: QLaurent.one()}, 2: {1: QLaurent.one()}})
+    raise_ = SparseMatrix(4, {0: {1: QLaurent.q_power(2)}})
+    assert degree.first_noncommuting(swap) is None
+    assert swap.first_noncommuting(degree) is None
+    assert degree.first_noncommuting(raise_) == 0
+    assert raise_.first_noncommuting(degree) == 0
+    with pytest.raises(ValueError):
+        degree.first_noncommuting(SparseMatrix.identity(3))
+
+
 def test_product_cancellation_leaves_no_zeros():
     one, q = QLaurent.one(), QLaurent.q_power(1)
     a = SparseMatrix(2, {0: {0: one, 1: q}, 1: {0: q, 1: q * q}})
@@ -287,6 +321,30 @@ def test_exponent_guard():
     op = OperatorExpr.word(1, [("w", 1)], coeff=QLaurent.q_power(-(1 << 30)))
     with pytest.raises(OverflowError):
         op.to_matrix()
+
+
+def test_span_guard():
+    # unguarded, q^(2^20) + 1 packs to a 2^20-digit int (2 MiB at width 16)
+    wide = QLaurent({0: 1, 1 << 20: 1})
+    with pytest.raises(OverflowError):
+        SparseMatrix(1, {0: {0: wide}})
+    with pytest.raises(OverflowError):
+        SparseMatrix.identity(2).scale(wide)
+    with pytest.raises(OverflowError):
+        OperatorExpr.word(1, [("w", 1)], coeff=wide).to_matrix()
+    # at the limit itself packing works; every route past it is refused
+    span = sparsemat.MAX_SPAN
+    edge = SparseMatrix(1, {0: {0: QLaurent({0: 1, span: 1})}})
+    assert edge.entry(0, 0) == QLaurent({0: 1, span: 1})
+    with pytest.raises(OverflowError):
+        edge * edge
+    with pytest.raises(OverflowError):
+        edge.kron(edge)
+    below = SparseMatrix.identity(1).scale(QLaurent.q_power(-1))
+    with pytest.raises(OverflowError):
+        edge + below
+    with pytest.raises(OverflowError):
+        edge == below
 
 
 def test_specialize_needs_exact_value():

@@ -1,8 +1,10 @@
 """Command-line entry point: every verification plus the decomposition report.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error.  Reports go to stdout (or --out FILE) as text or, with
---json, as canonically ordered JSON that is byte-identical across runs.
+configuration error, 3 internal error (any other exception, its message on
+stderr; a bug in qhowe, never a verdict).  Reports go to stdout (or --out
+FILE) as text or, with --json, as canonically ordered JSON that is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .qscalar import QLaurent, exact_div, q_binomial, q_int
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
-    pass
+    """A bad command line or configuration: exit code 2."""
 
 
 def _parse_rational(text):
@@ -88,7 +91,10 @@ def _config(args):
                          f"columns; qhowe refuses more than 2^{limit}")
     if n * m > args.cap:
         raise UsageError(f"grid needs {n * m} positions but the cap allows {args.cap}")
-    GridShape(n, m).check()
+    try:
+        GridShape(n, m).check()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     values = tuple(_parse_rational(v) for v in (args.spec_q or ["2", "3"]))
     for v in values:
         if v in (0, 1, -1):
@@ -380,16 +386,20 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception as exc:  # every input check raises UsageError: this is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     if args.json:
         payload = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
     else:
         payload = render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         sys.stdout.write(payload)
     return 0 if report["status"] == "pass" else CHECK_FAILURE

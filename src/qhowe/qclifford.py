@@ -320,15 +320,18 @@ class OperatorExpr:
     def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
         """Realize as a 2^N x 2^N sparse matrix (column per basis state).
 
-        Only the basis states a word does not kill are visited."""
+        Only the basis states a word does not kill are visited.  When every
+        word leaves its touched positions as it found them, each state maps
+        to itself and the matrix takes the diagonal form."""
         if self.length > cap:
             raise ValueError(
                 f"matrix for {self.length} positions exceeds the 2^{cap} cap; "
                 "raise the cap explicitly if you mean it"
             )
-        terms = [(coeff, *cw.exponent_range(), cw.images(self.length))
-                 for coeff, cw in self._compiled()]
-        return SparseMatrix.from_monomial_images(1 << self.length, terms)
+        compiled = self._compiled()
+        terms = [(coeff, *cw.exponent_range(), cw.images(self.length)) for coeff, cw in compiled]
+        diagonal = all(cw.final_set == cw.require_set for _, cw in compiled)
+        return SparseMatrix.from_monomial_images(1 << self.length, terms, diagonal)
 
     # -- rendering ----------------------------------------------------------
 

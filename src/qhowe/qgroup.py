@@ -234,10 +234,10 @@ def check_relations(rep):
                                            indices=[i, j]))
                 continue
             if kexps[i] is not None:
-                # diag entry (q^k - q^-k)/(q - q^-1) is the signed q-integer
-                target = SparseMatrix.diagonal(
-                    [q_int(k) if k >= 0 else -q_int(-k) for k in kexps[i]]
-                )
+                # diag entry (q^k - q^-k)/(q - q^-1) is the signed q-integer,
+                # built once per distinct exponent
+                qints = {k: q_int(k) if k >= 0 else -q_int(-k) for k in set(kexps[i])}
+                target = SparseMatrix.diagonal([qints[k] for k in kexps[i]])
             else:
                 diff = rep.K(i) - rep.Kinv(i)
                 try:

@@ -1,8 +1,7 @@
 """Sparse matrices over the Laurent ring and exact rational elimination.
 
-Matrices are stored column-major with no zeros retained, and every entry is
-one Python int: its Laurent polynomial evaluated at ``q = 2^B``
-(Kronecker substitution).  Each matrix carries
+Every entry is one Python int: its Laurent polynomial evaluated at
+``q = 2^B`` (Kronecker substitution).  Each matrix carries
 
 * a digit width ``B``;
 * an exponent offset ``lo`` (no entry has a term below ``q^lo``), so an entry
@@ -13,6 +12,21 @@ one Python int: its Laurent polynomial evaluated at ``q = 2^B``
 * a positive integer denominator that every entry is divided by, 1 unless
   ``Fraction`` coefficients occur, so that the stored digits are integers;
 * an upper bound on the l1 norm (sum of absolute digits) of every entry.
+
+A matrix is stored in one of two forms under that encoding:
+
+* the column form, ``{col: {row: int}}`` with no zeros retained;
+* the diagonal form, one list of ``dim`` packed ints with 0 for a missing
+  entry, whose equal entries are one shared int.  The torus generators
+  (L, K, w and their inverses, the classical degree operators) take it.
+
+Only constructors that see every entry choose the diagonal form: ``identity``,
+``diagonal``, ``__init__`` when there is an entry and none lies off the
+diagonal, and ``from_monomial_images`` when its caller says every image is
+diagonal.  Products, sums, differences, negation, ``scale`` and ``kron`` keep
+it when every operand has it; a zero result takes the empty column form.  Any
+other operation expands a diagonal operand to columns for that call only, so
+both forms have the same values, and ``cols`` reads the same for both.
 
 Digits are balanced (signed), and the packing is an exact injection while
 every digit satisfies ``|c| < 2^(B-1)``.  The l1 bound guarantees that: it is
@@ -26,16 +40,17 @@ equality and specialization are integer operations; ``cols`` decodes to
 and tests, not for hot paths.
 
 Operator equality throughout the package is equality of these matrices, and
-``first_noncommuting`` decides a commutation without a product when either
-factor is diagonal.  The module also hosts the incremental rational
-row-reduction used for span-dimension and rank computations at specialized
-q.
+``first_noncommuting`` decides a commutation from the list without a product
+when either factor has the diagonal form.  The module also hosts the
+incremental rational row-reduction used for span-dimension and rank
+computations at specialized q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+import operator
 
 from .qscalar import MAX_EXPONENT, QLaurent, _is_rational
 
@@ -68,8 +83,8 @@ def _check_range(lo, hi):
 
 
 def _digits(v, width, lo=0):
-    """The nonzero balanced digits of a packed int as {lo + index: digit},
-    from the lowest index up."""
+    """The nonzero balanced digits of a nonzero packed int as {lo + index:
+    digit}, from the lowest index up."""
     half = 1 << (width - 1)
     # the lowest set bit lies in the lowest nonzero digit
     index = ((v & -v).bit_length() - 1) // width
@@ -101,36 +116,72 @@ def _pack(terms, lo, width):
     return sum(c << (width * (e - lo)) for e, c in terms.items())
 
 
+def _encode(values):
+    """Nonzero QLaurent values packed under one encoding: (packed ints,
+    width, lo, hi, den, bound)."""
+    terms, den = _integer_terms([v.terms for v in values])
+    lo = min((min(t) for t in terms), default=0)
+    hi = max((max(t) for t in terms), default=0)
+    _check_range(lo, hi)
+    bound = max((sum(map(abs, t.values())) for t in terms), default=0)
+    width = _width_for(bound)
+    return [_pack(t, lo, width) for t in terms], width, lo, hi, den, bound
+
+
+def _shared(values):
+    """values as a list in which equal ints are one object: a diagonal holds
+    few distinct entries."""
+    share = {}
+    return [share.setdefault(v, v) for v in values]
+
+
+def _mapped(diag, f):
+    """f applied once to each distinct nonzero entry of a packed diagonal;
+    0 stays 0."""
+    image = {v: f(v) for v in set(diag) if v}
+    image[0] = 0
+    return list(map(image.__getitem__, diag))
+
+
 class SparseMatrix:
     """A dim x dim sparse matrix with Laurent-polynomial entries, packed
-    into ints (see the module docstring).  Instances are immutable; column
-    dicts may be shared between matrices."""
+    into ints in the column or the diagonal form (see the module docstring).
+    Instances are immutable; column dicts and diagonal lists may be shared
+    between matrices."""
 
-    __slots__ = ("dim", "_cols", "_width", "_lo", "_hi", "_den", "_bound")
+    __slots__ = ("dim", "_cols", "_diag", "_width", "_lo", "_hi", "_den", "_bound")
 
     def __init__(self, dim, cols=None):
-        """cols maps column -> {row: QLaurent}; zero entries are dropped."""
+        """cols maps column -> {row: QLaurent}; zero entries are dropped.
+        With an entry and none off the diagonal, the diagonal form is kept."""
         keys = []
-        terms = []
+        values = []
         for c, col in (cols or {}).items():
             for r, v in col.items():
                 if v:
                     keys.append((c, r))
-                    terms.append(v.terms)
-        terms, den = _integer_terms(terms)
-        lo = min((min(t) for t in terms), default=0)
-        hi = max((max(t) for t in terms), default=0)
-        _check_range(lo, hi)
-        bound = max((sum(map(abs, t.values())) for t in terms), default=0)
-        width = _width_for(bound)
-        packed = {}
-        for (c, r), t in zip(keys, terms):
-            packed.setdefault(c, {})[r] = _pack(t, lo, width)
-        self._set(dim, packed, width, lo, hi, den, bound)
+                    values.append(v)
+        packed, width, lo, hi, den, bound = _encode(values)
+        if keys and all(c == r for c, r in keys):
+            data = [0] * dim
+            for (c, _), v in zip(keys, packed):
+                data[c] = v
+            data = _shared(data)
+        else:
+            data = {}
+            for (c, r), v in zip(keys, packed):
+                data.setdefault(c, {})[r] = v
+        self._set(dim, data, width, lo, hi, den, bound)
 
-    def _set(self, dim, cols, width, lo, hi, den, bound):
+    def _set(self, dim, data, width, lo, hi, den, bound):
+        """data is {col: {row: int}} for the column form or a list of dim
+        ints for the diagonal form; all-zero data is the zero matrix in the
+        empty column form."""
         self.dim = dim
-        self._cols = cols
+        if isinstance(data, list):
+            self._cols, self._diag = (None, data) if any(data) else ({}, None)
+        else:
+            self._cols, self._diag = data, None
         self._width = width
         self._lo = lo
         self._hi = hi
@@ -138,26 +189,34 @@ class SparseMatrix:
         self._bound = bound
 
     @classmethod
-    def _make(cls, dim, cols, width, lo, hi, den, bound):
+    def _make(cls, dim, data, width, lo, hi, den, bound):
         obj = cls.__new__(cls)
-        obj._set(dim, cols, width, lo, hi, den, bound)
+        obj._set(dim, data, width, lo, hi, den, bound)
         return obj
 
     @classmethod
     def identity(cls, dim):
-        return cls._make(dim, {c: {c: 1} for c in range(dim)}, _width_for(1), 0, 0, 1, 1)
+        return cls._make(dim, [1] * dim, _width_for(1), 0, 0, 1, 1)
 
     @classmethod
     def diagonal(cls, entries):
-        """Diagonal matrix from a list of QLaurent entries."""
-        return cls(len(entries), {c: {c: v} for c, v in enumerate(entries)})
+        """Diagonal matrix from a list of QLaurent entries; each distinct
+        entry is packed once."""
+        distinct = list({v for v in entries if v})
+        packed, width, lo, hi, den, bound = _encode(distinct)
+        image = dict(zip(distinct, packed))
+        diag = [image[v] if v else 0 for v in entries]
+        return cls._make(len(entries), diag, width, lo, hi, den, bound)
 
     @classmethod
-    def from_monomial_images(cls, dim, terms):
+    def from_monomial_images(cls, dim, terms, diagonal=False):
         """The sum, over terms (coeff, emin, emax, images), of the matrices
         with entry coeff * (-1)^neg * q^e at (row, col) for each (col, row,
         neg, e) in images, where emin <= e <= emax.  A term's images hit each
-        column at most once.  Entries are packed as they are emitted."""
+        column at most once.  Entries are packed as they are emitted.
+
+        diagonal=True says that every image has row == col; the matrix then
+        takes the diagonal form."""
         coeffs, den = _integer_terms([coeff.terms for coeff, _, _, _ in terms])
         terms = [(t, emin, emax, images) for t, (_, emin, emax, images) in zip(coeffs, terms)]
         lo = min((min(t) + emin for t, emin, _, _ in terms), default=0)
@@ -165,11 +224,18 @@ class SparseMatrix:
         _check_range(lo, hi)
         bound = sum(sum(map(abs, t.values())) for t, _, _, _ in terms)
         width = _width_for(bound)
+        # each coefficient packed once, with its shift to the offset lo
+        terms = [(_pack(t, min(t), width), min(t) - lo, images) for t, _, _, images in terms]
+        if diagonal:
+            diag = [0] * dim
+            for cp, base, images in terms:
+                for col, row, neg, e in images:
+                    if row != col:
+                        raise ValueError(f"image ({row}, {col}) off the diagonal")
+                    diag[col] += (-cp if neg else cp) << (width * (e + base))
+            return cls._make(dim, _shared(diag), width, lo, hi, den, bound)
         cols = {}
-        for t, _, _, images in terms:
-            tmin = min(t)
-            cp = _pack(t, tmin, width)
-            base = tmin - lo
+        for cp, base, images in terms:
             for col, row, neg, e in images:
                 v = (-cp if neg else cp) << (width * (e + base))
                 dst = cols.get(col)
@@ -195,43 +261,72 @@ class SparseMatrix:
         return QLaurent({e: Fraction(d, self._den) for e, d in terms.items()})
 
     def _as(self, width, lo, den):
-        """The packed columns re-encoded for digit width, offset lo <= self's
-        and denominator den (a multiple of self's)."""
-        cols = self._cols
+        """The packed entries re-encoded for digit width, offset lo <= self's
+        and denominator den (a multiple of self's), in self's form: the
+        diagonal list or the column dict.  Each distinct entry is re-encoded
+        once."""
+        diag, cols = self._diag, self._cols
         if width == self._width and lo == self._lo and den == self._den:
-            return cols
+            return cols if diag is None else diag
         factor = den // self._den
         pad = self._lo - lo
         if width == self._width:
             shift = width * pad
-            return {c: {r: (v * factor) << shift for r, v in col.items()}
-                    for c, col in cols.items()}
-        old = self._width
-        return {
-            c: {r: sum((d * factor) << (width * i) for i, d in _digits(v, old, pad).items())
-                for r, v in col.items()}
-            for c, col in cols.items()
-        }
+
+            def recode(v):
+                return (v * factor) << shift
+        else:
+            old = self._width
+
+            def recode(v):
+                return sum((d * factor) << (width * i) for i, d in _digits(v, old, pad).items())
+        if diag is not None:
+            return _mapped(diag, recode)
+        image = {v: recode(v) for v in {v for col in cols.values() for v in col.values()}}
+        return {c: {r: image[v] for r, v in col.items()} for c, col in cols.items()}
+
+    def _cols_as(self, width, lo, den):
+        """The packed entries as {col: {row: int}} in that encoding; the
+        diagonal form is expanded for the caller only."""
+        data = self._as(width, lo, den)
+        if self._diag is None:
+            return data
+        return {c: {c: v} for c, v in enumerate(data) if v}
 
     def _aligned(self, other, summed):
         """Both operands on one width, offset and denominator.
 
-        Returns (cols, other cols, width, lo, den, bound), where bound is the
-        l1 bound of a sum of the two (summed) or of either one."""
+        Returns (a, b, width, lo, den, bound): a and b are the two diagonal
+        lists when both operands have the diagonal form, else the two column
+        dicts; bound is the l1 bound of a sum of the two (summed) or of
+        either one."""
         den = lcm(self._den, other._den)
         ba = self._bound * (den // self._den)
         bb = other._bound * (den // other._den)
         bound = ba + bb if summed else max(ba, bb)
         width = max(self._width, other._width, _width_for(bound))
-        lo = min((x._lo for x in (self, other) if x._cols), default=0)
-        _check_range(lo, max((x._hi for x in (self, other) if x._cols), default=0))
-        return self._as(width, lo, den), other._as(width, lo, den), width, lo, den, bound
+        nonzero = [x for x in (self, other) if not x.is_zero()]
+        lo = min((x._lo for x in nonzero), default=0)
+        _check_range(lo, max((x._hi for x in nonzero), default=0))
+        if self._diag is not None and other._diag is not None:
+            return self._as(width, lo, den), other._as(width, lo, den), width, lo, den, bound
+        return (self._cols_as(width, lo, den), other._cols_as(width, lo, den),
+                width, lo, den, bound)
+
+    def _column(self, c):
+        """{row: packed entry} of column c."""
+        if self._diag is None:
+            return self._cols.get(c, {})
+        v = self._diag[c]
+        return {c: v} if v else {}
 
     # -- queries -------------------------------------------------------------
 
     @property
     def cols(self):
         """Decoded view {col: {row: QLaurent}}, rebuilt on every access."""
+        if self._diag is not None:
+            return {c: {c: x} for c, x in enumerate(_mapped(self._diag, self._decode)) if x}
         out = {}
         decoded = {}  # entries repeat; QLaurent values are immutable and shareable
         for c, col in self._cols.items():
@@ -244,90 +339,88 @@ class SparseMatrix:
         return out
 
     def entry(self, r, c):
-        v = self._cols.get(c, {}).get(r)
+        v = self._column(c).get(r)
         return QLaurent.zero() if v is None else self._decode(v)
 
     def support(self):
         """(col, rows) for every nonzero column, rows a view of its nonzero rows."""
+        if self._diag is not None:
+            return ((c, (c,)) for c, v in enumerate(self._diag) if v)
         return ((c, col.keys()) for c, col in self._cols.items())
 
     def nnz(self):
+        if self._diag is not None:
+            return self.dim - self._diag.count(0)
         return sum(map(len, self._cols.values()))
 
     def is_zero(self):
-        return not self._cols
+        return self._diag is None and not self._cols
 
     def monomial_diag_exponents(self):
         """Exponents e_c when the matrix is diag(q^(e_c)) with no zero entry,
         else None.  Lets torus conjugations reduce to integer arithmetic."""
-        if len(self._cols) != self.dim:
-            return None
+        diag = self._diag
+        if diag is None:
+            cols = self._cols
+            if len(cols) != self.dim or any(col.keys() != {c} for c, col in cols.items()):
+                return None
+            diag = [cols[c][c] for c in range(self.dim)]
         width, lo, den = self._width, self._lo, self._den
-        exps = [0] * self.dim
-        for c, col in self._cols.items():
-            v = col.get(c)
-            if v is None or len(col) != 1:
-                return None
+        exps = {}
+        for v in set(diag):
             # q^e with coefficient +1 packs to den * 2^(width (e - lo))
-            v, rem = divmod(v, den)
-            if rem or v <= 0 or v & (v - 1):
+            v1, rem = divmod(v, den)
+            if rem or v1 <= 0 or v1 & (v1 - 1):
                 return None
-            k, rem = divmod(v.bit_length() - 1, width)
+            k, rem = divmod(v1.bit_length() - 1, width)
             if rem:
                 return None
-            exps[c] = lo + k
-        return exps
+            exps[v] = lo + k
+        return list(map(exps.__getitem__, diag))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.dim != other.dim:
             return False
-        if not self._cols or not other._cols:
-            return not self._cols and not other._cols
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         a, b = self._aligned(other, False)[:2]
         return a == b
 
     def first_difference(self, other):
         """Column index of the first differing column, or None if equal."""
         a, b = self._aligned(other, False)[:2]
+        if isinstance(a, list):
+            if a == b:
+                return None
+            return next(c for c, (x, y) in enumerate(zip(a, b)) if x != y)
         for c in sorted(set(a) | set(b)):
             if a.get(c, {}) != b.get(c, {}):
                 return c
         return None
 
-    def _diagonal(self):
-        """{col: packed entry} when no entry lies off the diagonal, else None."""
-        diag = {}
-        for c, col in self._cols.items():
-            v = col.get(c)
-            if v is None or len(col) != 1:
-                return None
-            diag[c] = v
-        return diag
-
     def first_noncommuting(self, other):
         """The first column where self * other and other * self differ, or None.
 
-        When either factor D has no off-diagonal entry, the commutator entry
-        at (r, c) is (d_r - d_c) Y_rc over the other factor Y's support, so
-        the test compares two packed diagonal entries of D (one encoding, so
-        int equality is entry equality; a missing entry is 0).  Otherwise the
-        two products are compared."""
+        When either factor D has the diagonal form, the commutator entry at
+        (r, c) is (d_r - d_c) Y_rc over the other factor Y's support, so the
+        test compares two entries of D's list (one encoding, so int equality
+        is entry equality; a missing entry is 0), and two diagonal factors
+        commute.  Otherwise the two products are compared."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         for diag, off in ((self, other), (other, self)):
-            d = diag._diagonal()
+            d = diag._diag
             if d is None:
                 continue
-            get = d.get
             first = None
-            for c, rows in off._cols.items():
+            for c, rows in off.support():
                 if first is not None and c > first:
                     continue
-                dc = get(c, 0)
+                dc = d[c]
                 for r in rows:
-                    if get(r, 0) != dc:
+                    if d[r] != dc:
                         first = c
                         break
             return first
@@ -340,11 +433,15 @@ class SparseMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if not other._cols:
+        if other.is_zero():
             return self
-        if not self._cols:
+        if self.is_zero():
             return -other if negate else other
         a, b, width, lo, den, bound = self._aligned(other, True)
+        hi = max(self._hi, other._hi)
+        if isinstance(a, list):
+            diag = _shared(map(operator.sub if negate else operator.add, a, b))
+            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound)
         cols = dict(a)
         for c, bcol in b.items():
             acol = cols.get(c)
@@ -362,7 +459,6 @@ class SparseMatrix:
                 cols[c] = out
             else:
                 del cols[c]
-        hi = max(self._hi, other._hi)
         return SparseMatrix._make(self.dim, cols, width, lo, hi, den, bound)
 
     def __add__(self, other):
@@ -372,14 +468,17 @@ class SparseMatrix:
         return self._sum(other, True)
 
     def __neg__(self):
-        cols = {c: {r: -v for r, v in col.items()} for c, col in self._cols.items()}
-        return SparseMatrix._make(self.dim, cols, self._width, self._lo, self._hi,
+        if self._diag is not None:
+            data = _mapped(self._diag, operator.neg)
+        else:
+            data = {c: {r: -v for r, v in col.items()} for c, col in self._cols.items()}
+        return SparseMatrix._make(self.dim, data, self._width, self._lo, self._hi,
                                   self._den, self._bound)
 
     def scale(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.from_rational(coeff)
-        if not coeff or not self._cols:
+        if not coeff or self.is_zero():
             return SparseMatrix(self.dim)
         (terms,), cden = _integer_terms([coeff.terms])
         tmin, tmax = min(terms), max(terms)
@@ -388,9 +487,12 @@ class SparseMatrix:
         bound = self._bound * sum(map(abs, terms.values()))
         width = max(self._width, _width_for(bound))
         cp = _pack(terms, tmin, width)
-        cols = {c: {r: v * cp for r, v in col.items()}
-                for c, col in self._as(width, self._lo, self._den).items()}
-        return SparseMatrix._make(self.dim, cols, width, lo, hi, self._den * cden, bound)
+        data = self._as(width, self._lo, self._den)
+        if self._diag is not None:
+            data = _mapped(data, cp.__mul__)
+        else:
+            data = {c: {r: v * cp for r, v in col.items()} for c, col in data.items()}
+        return SparseMatrix._make(self.dim, data, width, lo, hi, self._den * cden, bound)
 
     def __mul__(self, other):
         """Matrix product self @ other (columns of the product via other's)."""
@@ -398,16 +500,25 @@ class SparseMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if not self._cols or not other._cols:
+        if self.is_zero() or other.is_zero():
             return SparseMatrix(self.dim)
         lo, hi = self._lo + other._lo, self._hi + other._hi
         _check_range(lo, hi)
-        bound = self._bound * other._bound * max(map(len, other._cols.values()))
+        den = self._den * other._den
+        if other._diag is not None:
+            bound = self._bound * other._bound
+        else:
+            bound = self._bound * other._bound * max(map(len, other._cols.values()))
         width = max(self._width, other._width, _width_for(bound))
-        acols = self._as(width, self._lo, self._den)
+        if self._diag is not None and other._diag is not None:
+            # entrywise along the diagonal
+            diag = _shared(map(operator.mul, self._as(width, self._lo, self._den),
+                               other._as(width, other._lo, other._den)))
+            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound)
+        acols = self._cols_as(width, self._lo, self._den)
         cols = {}
         get = acols.get
-        for c, bcol in other._as(width, other._lo, other._den).items():
+        for c, bcol in other._cols_as(width, other._lo, other._den).items():
             out = {}
             for k, bv in bcol.items():
                 acol = get(k)
@@ -419,7 +530,7 @@ class SparseMatrix:
                 out = {r: v for r, v in out.items() if v}
             if out:
                 cols[c] = out
-        return SparseMatrix._make(self.dim, cols, width, lo, hi, self._den * other._den, bound)
+        return SparseMatrix._make(self.dim, cols, width, lo, hi, den, bound)
 
     def commutator(self, other):
         return self * other - other * self
@@ -428,20 +539,25 @@ class SparseMatrix:
         """Kronecker product; index (r1, r2) -> r1 * other.dim + r2."""
         d2 = other.dim
         dim = self.dim * d2
-        if not self._cols or not other._cols:
+        if self.is_zero() or other.is_zero():
             return SparseMatrix(dim)
         lo, hi = self._lo + other._lo, self._hi + other._hi
         _check_range(lo, hi)
         bound = self._bound * other._bound
         width = max(self._width, other._width, _width_for(bound))
-        bcols = other._as(width, other._lo, other._den)
+        den = self._den * other._den
+        if self._diag is not None and other._diag is not None:
+            b = other._as(width, other._lo, other._den)
+            diag = _shared(v1 * v2 for v1 in self._as(width, self._lo, self._den) for v2 in b)
+            return SparseMatrix._make(dim, diag, width, lo, hi, den, bound)
+        bcols = other._cols_as(width, other._lo, other._den)
         cols = {}
-        for c1, col1 in self._as(width, self._lo, self._den).items():
+        for c1, col1 in self._cols_as(width, self._lo, self._den).items():
             for c2, col2 in bcols.items():
                 cols[c1 * d2 + c2] = {
                     r1 * d2 + r2: v1 * v2 for r1, v1 in col1.items() for r2, v2 in col2.items()
                 }
-        return SparseMatrix._make(dim, cols, width, lo, hi, self._den * other._den, bound)
+        return SparseMatrix._make(dim, cols, width, lo, hi, den, bound)
 
     def specialize(self, value):
         """Entrywise evaluation at q = value (an int or Fraction); returns
@@ -460,7 +576,7 @@ class SparseMatrix:
         (needed only when b != 1)."""
         if not _is_rational(value):
             raise TypeError(f"specialize needs an int or Fraction, got {type(value).__name__}")
-        if not self._cols:
+        if self.is_zero():
             return {}, Fraction(1)
         if value == 0:
             raise ZeroDivisionError("cannot specialize at q = 0 (negative exponents)")
@@ -468,7 +584,11 @@ class SparseMatrix:
         a, b = value.numerator, value.denominator
         width = self._width
         # entries repeat: evaluate each distinct packed int once
-        values = {v for col in self._cols.values() for v in col.values()}
+        if self._diag is not None:
+            values = set(self._diag)
+            values.discard(0)
+        else:
+            values = {v for col in self._cols.values() for v in col.values()}
         digits = {v: _digits(v, width) for v in values}
         top = max(max(d) for d in digits.values()) if b != 1 else 0
         powers = {}  # digit index i -> a^i b^(top - i)
@@ -482,18 +602,21 @@ class SparseMatrix:
                     p = powers[i] = a**i if b == 1 else a**i * b ** (top - i)
                 num += d * p
             nums[v] = num
+        scale = value**self._lo / (self._den * b**top)
+        if self._diag is not None:
+            return {c: {c: x} for c, v in enumerate(self._diag) if v and (x := nums[v])}, scale
         cols = {}
         for c, col in self._cols.items():
             out = {r: x for r, v in col.items() if (x := nums[v])}
             if out:
                 cols[c] = out
-        return cols, value**self._lo / (self._den * b**top)
+        return cols, scale
 
     def apply_terms(self, entries):
         """Apply to a sparse vector {state: QLaurent}; returns the same shape."""
         out = {}
         for c, coeff in entries.items():
-            for r, v in self._cols.get(c, {}).items():
+            for r, v in self._column(c).items():
                 s = out.get(r)
                 p = self._decode(v) * coeff
                 s = p if s is None else s + p

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qhowe import cli
 from qhowe.cli import UsageError, _config, build_parser, main, render_text
 
 
@@ -52,6 +53,38 @@ def test_exit_code_distinction():
     assert proc.returncode == 2
     proc = run_cli("--n", "2", "--m", "9")  # missing command
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n", "2", "--m", "3", "explain", "--map", "rho_q", "--gen", "E9"],
+     "root index 9 outside 1..2"),
+    (["--n", "2", "--m", "3", "--cap", "4", "all"], "the cap allows 4"),
+    (["--n", "0", "--m", "3", "all"], "grid shape must be positive"),
+    (["--n", "2", "--m", "3", "hwv", "--partition", "3,x"], "bad partition '3,x'"),
+    (["--n", "8", "--m", "9", "--cap", "72", "hwv", "--partition", "1"], "cap is 64"),
+])
+def test_input_errors_exit_2(capsys, args, message):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    assert main(["--n", "1", "--m", "1", "--out", str(target), "decompose"]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    # a ValueError inside a section is a bug, not a usage error or a verdict
+    def broken(cfg):
+        raise ValueError("section blew up")
+
+    monkeypatch.setattr(cli, "_braiding_section", broken)
+    assert main(["--n", "2", "--m", "2", "verify", "braiding"]) == cli.INTERNAL_ERROR == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: section blew up\n"
 
 
 def test_cap_violation_is_usage_error(capsys):

@@ -30,8 +30,9 @@ from qhowe.embeddings import (
 )
 from qhowe.fockspace import GridShape, QVector, grid_to_linear, string_to_state
 from qhowe.qclifford import OMEGA, OperatorExpr
-from qhowe.qgroup import check_relations, check_serre
+from qhowe.qgroup import Representation, check_relations, check_serre
 from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
 
 
 def V(text):
@@ -361,3 +362,33 @@ def test_dequantization_sees_an_off_diagonal_degree_entry(monkeypatch):
     failed = [(c["relation"], c["generator"]) for c in check_dequantization(2, 2)["checks"]
               if c["status"] == "fail"]
     assert failed == [("lambda_q(L) = q^(classical degree)", "L1")]
+
+
+@pytest.mark.parametrize("build", [lambda_rep, rho_rep])
+def test_torus_generators_take_the_diagonal_form(build):
+    # a silent fallback to one dict per column would cost 20x the memory
+    rep = build(2, 3)
+    torus = [rep.gen(kind, i) for kind in ("L", "Linv") for i in range(1, rep.rank + 1)]
+    torus += [rep.gen(kind, i) for kind in ("K", "Kinv") for i in range(1, rep.rank)]
+    assert all(mat._diag is not None and mat.nnz() == rep.dim for mat in torus)
+    assert rep.K(1) is rep.gen("K", 1)  # the cached K is the one checked
+    roots = [rep.gen(kind, i) for kind in ("E", "F") for i in range(1, rep.rank)]
+    assert all(mat._diag is None for mat in roots)
+    degree = (classical_lambda if build is lambda_rep else classical_rho)(2, 3, "L", 1)
+    assert degree.to_matrix()._diag is not None
+
+
+def test_relations_fail_on_a_changed_diagonal_entry():
+    # negative control: one entry of rho L^-1_1, kept in the diagonal form
+    rep = rho_rep(2, 3)
+    state = 0b000011  # occupies positions 1 and 2, both in column 1
+    entries = [rep.Linv(1).entry(s, s) for s in range(rep.dim)]
+    entries[state] = entries[state] * QLaurent.q_power(1)
+    bad = SparseMatrix.diagonal(entries)
+    assert bad._diag is not None
+    mutant = Representation(rep.rank, rep.dim, {**rep.mats, ("Linv", 1): bad}, rep.label)
+    failed = [c for c in check_relations(mutant)["checks"]
+              if c["relation"] == "L L^-1 = 1" and c["status"] == "fail"]
+    assert failed == [{"relation": "L L^-1 = 1", "indices": [1], "status": "fail",
+                       "witness": rep.label(state)}]
+    assert check_relations(rep)["status"] == "pass"

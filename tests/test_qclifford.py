@@ -203,6 +203,17 @@ def test_compiled_word_cases(word):
     assert_compiled_matches(op)
 
 
+@pytest.mark.parametrize("terms", [
+    [(1, [("psi", 1), ("psi", 2), ("psid", 1), ("psid", 2)])],  # -1 on states with 1, 2 empty
+    [(1, [("psid", 2), ("psi", 2)]), (QLaurent.q_power(1), [("psi", 2), ("psid", 2)])],
+    [(QLaurent({0: 1, 2: -3}), [("w", 1), ("winv", 3)]), (-1, [])],
+])
+def test_diagonal_words_take_the_diagonal_form(terms):
+    op = OperatorExpr(3, terms)
+    assert op.to_matrix()._diag is not None
+    assert_compiled_matches(op)
+
+
 def test_dead_and_empty_words():
     assert OperatorExpr.word(3, [("psi", 2), ("psi", 2)]).to_matrix().is_zero()
     assert OperatorExpr.word(3, []).to_matrix() == SparseMatrix.identity(8)

@@ -273,6 +273,169 @@ def test_first_noncommuting_reads_missing_diagonal_entries_as_zero():
         degree.first_noncommuting(SparseMatrix.identity(3))
 
 
+# -- the diagonal form ---------------------------------------------------------------
+
+
+def diagonal_form(mat):
+    return mat._diag is not None
+
+
+def ref_diag_exponents(a, dim=DIM):
+    """[e_c] when a is diag(q^(e_c)) with no zero entry, else None."""
+    exps = []
+    for c in range(dim):
+        col = a.get(c, {})
+        term = col[c].single_term() if col.keys() == {c} else None
+        if term is None or term[1] != 1:
+            return None
+        exps.append(term[0])
+    return exps
+
+
+def via_columns(ref, dim=DIM):
+    """ref in the column form, even when it is diagonal: a cancelled
+    off-diagonal entry keeps the sum in columns."""
+    hop = SparseMatrix(dim, {0: {1: QLaurent.one()}})
+    mat = packed(ref, dim) + hop - hop
+    assert not diagonal_form(mat)
+    return mat
+
+
+forms = st.one_of(matrices(), diagonals())
+forms2 = st.one_of(matrices(2), diagonals(2))
+
+
+@given(diagonals())
+def test_diagonal_constructors(a):
+    entries = [a.get(c, {}).get(c, QLaurent.zero()) for c in range(DIM)]
+    for mat in (packed(a), SparseMatrix.diagonal(entries)):
+        # the zero matrix keeps the empty column form
+        assert diagonal_form(mat) == bool(a)
+        assert_matches(mat, a)
+        assert mat == via_columns(a) and via_columns(a) == mat
+        for c in range(DIM):
+            for r in range(DIM):
+                assert mat.entry(r, c) == a.get(c, {}).get(r, QLaurent.zero())
+    assert diagonal_form(SparseMatrix.identity(DIM))
+
+
+@given(forms, forms)
+def test_diagonal_form_products_and_sums(a, b):
+    x, y = packed(a), packed(b)
+    both = diagonal_form(x) and diagonal_form(y)
+    for got, want in ((x * y, ref_mul(a, b)), (y * x, ref_mul(b, a)),
+                      (x + y, ref_add(a, b)), (x - y, ref_add(a, b, -1))):
+        assert_matches(got, want)
+        if both:
+            assert diagonal_form(got) == bool(want)
+    assert_matches(-x, ref_scale(a, QLaurent.from_rational(-1)))
+    assert diagonal_form(-x) == diagonal_form(x)
+
+
+@given(forms, forms)
+def test_diagonal_form_equality(a, b):
+    same = a == b
+    want = None if same else min(c for c in set(a) | set(b) if a.get(c, {}) != b.get(c, {}))
+    for x in (packed(a), via_columns(a)):
+        for y in (packed(b), via_columns(b)):
+            assert (x == y) is same and (y == x) is same
+            assert x.first_difference(y) == want and y.first_difference(x) == want
+            assert x.first_noncommuting(y) == (x * y).first_difference(y * x)
+
+
+@given(forms, scalars)
+def test_diagonal_form_scale(a, coeff):
+    got = packed(a).scale(coeff)
+    assert_matches(got, ref_scale(a, coeff))
+    assert diagonal_form(got) == (diagonal_form(packed(a)) and bool(coeff))
+
+
+@settings(max_examples=50)
+@given(forms2, forms2)
+def test_diagonal_form_kron(a, b):
+    x, y = packed(a, 2), packed(b, 2)
+    got = x.kron(y)
+    assert_matches(got, ref_kron(a, b, 2), 4)
+    assert diagonal_form(got) == (diagonal_form(x) and diagonal_form(y))
+
+
+@given(diagonals(), spec_values)
+def test_diagonal_form_specialize_ints(a, value):
+    assert_specialize_ints(packed(a), a, value)
+    assert packed(a).specialize(value) == ref_specialize(a, value)
+
+
+@pytest.mark.parametrize("form", [packed, via_columns])
+def test_specialize_ints_drops_entries_that_vanish(form):
+    # q - 2 is a nonzero entry whose value at q = 2 is 0
+    a = {0: {0: QLaurent({0: -2, 1: 1})}, 2: {2: QLaurent.q_power(1)}}
+    assert list(form(a).specialize_ints(2)[0]) == [2]
+    assert_specialize_ints(form(a), a, 2)
+
+
+@given(diagonals(), st.dictionaries(st.integers(0, DIM - 1),
+                                    st.integers(-4, 4).flatmap(laurent), max_size=DIM))
+def test_diagonal_form_apply_terms(a, vec):
+    vec = {k: v for k, v in vec.items() if v}
+    assert packed(a).apply_terms(vec) == ref_apply(a, vec)
+
+
+# diagonal entries for monomial_diag_exponents: q-powers, a zero, and entries
+# that are no +q^e
+_non_monomials = [QLaurent.zero(), QLaurent({1: 2}), QLaurent({0: 1, 1: 1}), QLaurent({1: -1}),
+                  QLaurent({1: Fraction(1, 2)}), QLaurent({0: 1 << 16})]
+
+
+@st.composite
+def torus_like(draw):
+    pool = [QLaurent.q_power(e) for e in draw(st.lists(st.integers(-40, 40), min_size=1,
+                                                       max_size=3))]
+    pool += draw(st.lists(st.sampled_from(_non_monomials), max_size=1))
+    return ref_clean({c: {c: draw(st.sampled_from(pool))} for c in range(DIM)})
+
+
+@given(torus_like())
+def test_diagonal_form_monomial_exponents(a):
+    want = ref_diag_exponents(a)
+    assert packed(a).monomial_diag_exponents() == want
+    assert via_columns(a).monomial_diag_exponents() == want
+
+
+def test_diagonal_entries_share_one_int():
+    entries = [QLaurent.q_power(e % 3) for e in range(64)]
+    mat = SparseMatrix.diagonal(entries)
+    assert len({id(v) for v in mat._diag}) == 3
+    assert len({id(v) for v in (mat * mat)._diag}) == 3
+
+
+def test_monomial_images_off_the_diagonal_are_refused():
+    images = [(0, 1, 0, 0)]
+    assert SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)]).nnz() == 1
+    with pytest.raises(ValueError, match="off the diagonal"):
+        SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)], diagonal=True)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_diagonal_omega_equals_its_clifford_expansion(a):
+    # w_a^-1 = psi_a psid_a + q psid_a psi_a: one side diagonal, one in columns
+    N = 3
+    winv = OperatorExpr.omega_inv(a, N).to_matrix()
+    psi = OperatorExpr.psi(a, N).to_matrix()
+    psid = OperatorExpr.psi_dag(a, N).to_matrix()
+    expansion = psi * psid + (psid * psi).scale(QLaurent.q_power(1))
+    assert diagonal_form(winv) and not diagonal_form(expansion)
+    assert winv == expansion and expansion == winv
+    assert winv.first_difference(expansion) is None
+    # one changed entry shows up as the first differing column, either way round
+    for s in (0, 5, 7):
+        entries = [winv.entry(c, c) for c in range(1 << N)]
+        entries[s] = entries[s] + QLaurent.one()
+        changed = SparseMatrix.diagonal(entries)
+        assert diagonal_form(changed) and changed != expansion and expansion != changed
+        assert changed.first_difference(expansion) == s
+        assert expansion.first_difference(changed) == s
+
+
 def test_product_cancellation_leaves_no_zeros():
     one, q = QLaurent.one(), QLaurent.q_power(1)
     a = SparseMatrix(2, {0: {0: one, 1: q}, 1: {0: q, 1: q * q}})

@@ -518,10 +518,10 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
 
     The multiset of joint torus-eigenvalue exponent tuples of the row action
     on the grid module must equal that of the m-fold coproduct action on the
-    m-th tensor power of the rank-n exterior module.
+    m-th tensor power of the rank-n exterior module.  L_i is grouplike, so
+    that action is L_i (x) ... (x) L_i, m factors of phi_q(L_i); only these
+    diagonal Kronecker products are built.
     """
-    from .qgroup import DELTA, coproduct_rep
-
     grid_exps = []
     for i in range(1, n + 1):
         exps = _generator_matrix(lambda_q, n, m, "L", i, cap, memo).monomial_diag_exponents()
@@ -530,11 +530,12 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
         grid_exps.append(exps)
     grid_multiset = sorted(zip(*grid_exps))
 
-    factor = phi_rep(n, cap)
-    tensor = coproduct_rep([factor] * m, DELTA)
     tensor_exps = []
     for i in range(1, n + 1):
-        exps = tensor.L(i).monomial_diag_exponents()
+        factor = tensor = phi_q(n, "L", i).to_matrix(cap)
+        for _ in range(m - 1):
+            tensor = tensor.kron(factor)
+        exps = tensor.monomial_diag_exponents()
         if exps is None:
             raise AssertionError("tensor torus action is not a monomial diagonal")
         tensor_exps.append(exps)

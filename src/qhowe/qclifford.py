@@ -320,9 +320,11 @@ class OperatorExpr:
     def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
         """Realize as a 2^N x 2^N sparse matrix (column per basis state).
 
-        Only the basis states a word does not kill are visited.  When every
-        word leaves its touched positions as it found them, each state maps
-        to itself and the matrix takes the diagonal form."""
+        Only the basis states a word does not kill are visited.  A word moves
+        each state it keeps by the mask require_set ^ final_set; when every
+        word has the same mask, the matrix takes the XOR form with it (mask 0:
+        every word leaves its touched positions as it found them, and the
+        matrix is diagonal)."""
         if self.length > cap:
             raise ValueError(
                 f"matrix for {self.length} positions exceeds the 2^{cap} cap; "
@@ -330,8 +332,9 @@ class OperatorExpr:
             )
         compiled = self._compiled()
         terms = [(coeff, *cw.exponent_range(), cw.images(self.length)) for coeff, cw in compiled]
-        diagonal = all(cw.final_set == cw.require_set for _, cw in compiled)
-        return SparseMatrix.from_monomial_images(1 << self.length, terms, diagonal)
+        flips = {cw.require_set ^ cw.final_set for _, cw in compiled}
+        flip = flips.pop() if len(flips) == 1 else None
+        return SparseMatrix.from_monomial_images(1 << self.length, terms, flip)
 
     # -- rendering ----------------------------------------------------------
 
@@ -418,9 +421,9 @@ def _sign_rule_witness(N, cap=DEFAULT_MATRIX_CAP):
         # (col, row, negative, exponent): psi_k empties position k, psid_k fills it
         images = [(s, s ^ bit, prefix_parity(s, k) & 1, 0) for s in range(1 << N)]
         want = SparseMatrix.from_monomial_images(
-            1 << N, [(one, 0, 0, [i for i in images if i[0] & bit])])
+            1 << N, [(one, 0, 0, [i for i in images if i[0] & bit])], bit)
         want_dag = SparseMatrix.from_monomial_images(
-            1 << N, [(one, 0, 0, [i for i in images if not i[0] & bit])])
+            1 << N, [(one, 0, 0, [i for i in images if not i[0] & bit])], bit)
         firsts = [c for c in (
             OperatorExpr.psi(k, N, classical=True).to_matrix(cap).first_difference(want),
             OperatorExpr.psi_dag(k, N, classical=True).to_matrix(cap).first_difference(want_dag),

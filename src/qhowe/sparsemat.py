@@ -16,17 +16,23 @@ Every entry is one Python int: its Laurent polynomial evaluated at
 A matrix is stored in one of two forms under that encoding:
 
 * the column form, ``{col: {row: int}}`` with no zeros retained;
-* the diagonal form, one list of ``dim`` packed ints with 0 for a missing
-  entry, whose equal entries are one shared int.  The torus generators
-  (L, K, w and their inverses, the classical degree operators) take it.
+* the XOR (list) form: one list of ``dim`` packed ints, 0 for a missing
+  entry and equal entries one shared int, plus one int mask ``flip``.  The
+  entry of column ``c`` sits at row ``c ^ flip``, a signed permutation with
+  holes, and ``c ^ flip < dim`` for every column.  The diagonal form is the
+  mask 0.  Every Clifford word is such a matrix: ``psi_k`` and ``psid_k``
+  move a state ``s`` to ``s ^ bit_k``, and the torus generators (L, K, w
+  and their inverses, the classical degree operators) are diagonal.
 
-Only constructors that see every entry choose the diagonal form: ``identity``,
-``diagonal``, ``__init__`` when there is an entry and none lies off the
-diagonal, and ``from_monomial_images`` when its caller says every image is
-diagonal.  Products, sums, differences, negation, ``scale`` and ``kron`` keep
-it when every operand has it; a zero result takes the empty column form.  Any
-other operation expands a diagonal operand to columns for that call only, so
-both forms have the same values, and ``cols`` reads the same for both.
+Only constructors that see every entry choose the list form: ``identity``,
+``diagonal``, ``__init__`` when there is an entry and every entry's row XOR
+column is one mask, and ``from_monomial_images`` when its caller names the
+mask.  Products (``flip = fA ^ fB``), negation and ``scale`` keep it when
+every operand has it; sums and differences when the masks are equal; and
+``kron`` when both masks are 0 or the second dimension is a power of two.  A
+zero result takes the empty column form.  Any other operation expands a
+list-form operand to columns for that call only, so both forms have the same
+values, and ``cols`` reads the same for both.
 
 Digits are balanced (signed), and the packing is an exact injection while
 every digit satisfies ``|c| < 2^(B-1)``.  The l1 bound guarantees that: it is
@@ -128,9 +134,15 @@ def _encode(values):
     return [_pack(t, lo, width) for t in terms], width, lo, hi, den, bound
 
 
-def _shared(values):
-    """values as a list in which equal ints are one object: a diagonal holds
-    few distinct entries."""
+def _shared(values, lo, hi, bound):
+    """values, packed with offset lo, ceiling hi and l1 bound bound, as a
+    list in which equal ints are one object: a packed list holds few
+    distinct entries.  With hi == lo every entry is c q^lo, packed as the
+    int c with |c| <= bound, and CPython keeps one object per int in -5..256
+    already; so with bound <= 5 (the +-1 entries of Clifford words) the list
+    is kept as it is."""
+    if hi == lo and bound <= 5:
+        return list(values)
     share = {}
     return [share.setdefault(v, v) for v in values]
 
@@ -143,17 +155,44 @@ def _mapped(diag, f):
     return list(map(image.__getitem__, diag))
 
 
+def _xor_permuted(values, flip):
+    """[values[c ^ flip] for c in range(len(values))], one set bit of flip
+    at a time: bit b swaps the halves of every block of 2b entries, by block
+    slices or by stride-2b slices, whichever takes fewer (len(values) is a
+    multiple of 2b)."""
+    n = len(values)
+    bit = 1
+    while flip:
+        if flip & bit:
+            flip ^= bit
+            step = 2 * bit
+            out = values[:]
+            if bit <= n // step:
+                for j in range(bit):
+                    out[j::step] = values[j + bit::step]
+                    out[j + bit::step] = values[j::step]
+            else:
+                for j in range(0, n, step):
+                    out[j:j + bit] = values[j + bit:j + step]
+                    out[j + bit:j + step] = values[j:j + bit]
+            values = out
+        bit <<= 1
+    return values
+
+
 class SparseMatrix:
     """A dim x dim sparse matrix with Laurent-polynomial entries, packed
-    into ints in the column or the diagonal form (see the module docstring).
-    Instances are immutable; column dicts and diagonal lists may be shared
-    between matrices."""
+    into ints in the column or the XOR form (see the module docstring).
+    Instances are immutable; column dicts and packed lists may be shared
+    between matrices.  ``_diag`` is the packed list of the XOR form and
+    ``_flip`` its mask."""
 
-    __slots__ = ("dim", "_cols", "_diag", "_width", "_lo", "_hi", "_den", "_bound")
+    __slots__ = ("dim", "_cols", "_diag", "_flip", "_width", "_lo", "_hi", "_den", "_bound")
 
     def __init__(self, dim, cols=None):
         """cols maps column -> {row: QLaurent}; zero entries are dropped.
-        With an entry and none off the diagonal, the diagonal form is kept."""
+        With an entry and one mask row ^ col for every entry (one that keeps
+        every column's row inside dim), the XOR form is kept."""
         keys = []
         values = []
         for c, col in (cols or {}).items():
@@ -162,26 +201,30 @@ class SparseMatrix:
                     keys.append((c, r))
                     values.append(v)
         packed, width, lo, hi, den, bound = _encode(values)
-        if keys and all(c == r for c, r in keys):
+        flips = {c ^ r for c, r in keys}
+        flip = flips.pop() if len(flips) == 1 else dim  # dim: no one mask
+        if flip < dim & -dim:
             data = [0] * dim
             for (c, _), v in zip(keys, packed):
                 data[c] = v
-            data = _shared(data)
+            data = _shared(data, lo, hi, bound)
         else:
             data = {}
             for (c, r), v in zip(keys, packed):
                 data.setdefault(c, {})[r] = v
-        self._set(dim, data, width, lo, hi, den, bound)
+        self._set(dim, data, width, lo, hi, den, bound, flip)
 
-    def _set(self, dim, data, width, lo, hi, den, bound):
+    def _set(self, dim, data, width, lo, hi, den, bound, flip=0):
         """data is {col: {row: int}} for the column form or a list of dim
-        ints for the diagonal form; all-zero data is the zero matrix in the
-        empty column form."""
+        ints for the XOR form with mask flip; all-zero data is the zero
+        matrix in the empty column form."""
         self.dim = dim
-        if isinstance(data, list):
-            self._cols, self._diag = (None, data) if any(data) else ({}, None)
+        if not isinstance(data, list):
+            self._cols, self._diag, self._flip = data, None, 0
+        elif any(data):
+            self._cols, self._diag, self._flip = None, data, flip
         else:
-            self._cols, self._diag = data, None
+            self._cols, self._diag, self._flip = {}, None, 0
         self._width = width
         self._lo = lo
         self._hi = hi
@@ -189,9 +232,9 @@ class SparseMatrix:
         self._bound = bound
 
     @classmethod
-    def _make(cls, dim, data, width, lo, hi, den, bound):
+    def _make(cls, dim, data, width, lo, hi, den, bound, flip=0):
         obj = cls.__new__(cls)
-        obj._set(dim, data, width, lo, hi, den, bound)
+        obj._set(dim, data, width, lo, hi, den, bound, flip)
         return obj
 
     @classmethod
@@ -209,14 +252,14 @@ class SparseMatrix:
         return cls._make(len(entries), diag, width, lo, hi, den, bound)
 
     @classmethod
-    def from_monomial_images(cls, dim, terms, diagonal=False):
+    def from_monomial_images(cls, dim, terms, flip=None):
         """The sum, over terms (coeff, emin, emax, images), of the matrices
         with entry coeff * (-1)^neg * q^e at (row, col) for each (col, row,
         neg, e) in images, where emin <= e <= emax.  A term's images hit each
         column at most once.  Entries are packed as they are emitted.
 
-        diagonal=True says that every image has row == col; the matrix then
-        takes the diagonal form."""
+        An int flip says that every image has row == col ^ flip; the matrix
+        then takes the XOR form with that mask (0: the diagonal form)."""
         coeffs, den = _integer_terms([coeff.terms for coeff, _, _, _ in terms])
         terms = [(t, emin, emax, images) for t, (_, emin, emax, images) in zip(coeffs, terms)]
         lo = min((min(t) + emin for t, emin, _, _ in terms), default=0)
@@ -226,14 +269,17 @@ class SparseMatrix:
         width = _width_for(bound)
         # each coefficient packed once, with its shift to the offset lo
         terms = [(_pack(t, min(t), width), min(t) - lo, images) for t, _, _, images in terms]
-        if diagonal:
+        if flip is not None:
+            if not 0 <= flip < dim & -dim:
+                raise ValueError(f"mask {flip} moves a column of {dim} outside it")
             diag = [0] * dim
             for cp, base, images in terms:
                 for col, row, neg, e in images:
-                    if row != col:
-                        raise ValueError(f"image ({row}, {col}) off the diagonal")
+                    if row != col ^ flip:
+                        raise ValueError(f"image ({row}, {col}) off the diagonal"
+                                         + (f" XOR {flip}" if flip else ""))
                     diag[col] += (-cp if neg else cp) << (width * (e + base))
-            return cls._make(dim, _shared(diag), width, lo, hi, den, bound)
+            return cls._make(dim, _shared(diag, lo, hi, bound), width, lo, hi, den, bound, flip)
         cols = {}
         for cp, base, images in terms:
             for col, row, neg, e in images:
@@ -263,8 +309,8 @@ class SparseMatrix:
     def _as(self, width, lo, den):
         """The packed entries re-encoded for digit width, offset lo <= self's
         and denominator den (a multiple of self's), in self's form: the
-        diagonal list or the column dict.  Each distinct entry is re-encoded
-        once."""
+        packed list (its mask is self's) or the column dict.  Each distinct
+        entry is re-encoded once."""
         diag, cols = self._diag, self._cols
         if width == self._width and lo == self._lo and den == self._den:
             return cols if diag is None else diag
@@ -287,19 +333,20 @@ class SparseMatrix:
 
     def _cols_as(self, width, lo, den):
         """The packed entries as {col: {row: int}} in that encoding; the
-        diagonal form is expanded for the caller only."""
+        XOR form is expanded for the caller only."""
         data = self._as(width, lo, den)
         if self._diag is None:
             return data
-        return {c: {c: v} for c, v in enumerate(data) if v}
+        flip = self._flip
+        return {c: {c ^ flip: v} for c, v in enumerate(data) if v}
 
     def _aligned(self, other, summed):
         """Both operands on one width, offset and denominator.
 
-        Returns (a, b, width, lo, den, bound): a and b are the two diagonal
-        lists when both operands have the diagonal form, else the two column
-        dicts; bound is the l1 bound of a sum of the two (summed) or of
-        either one."""
+        Returns (a, b, width, lo, den, bound): a and b are the two packed
+        lists when both operands have the XOR form with one mask, else the
+        two column dicts; bound is the l1 bound of a sum of the two (summed)
+        or of either one."""
         den = lcm(self._den, other._den)
         ba = self._bound * (den // self._den)
         bb = other._bound * (den // other._den)
@@ -308,7 +355,7 @@ class SparseMatrix:
         nonzero = [x for x in (self, other) if not x.is_zero()]
         lo = min((x._lo for x in nonzero), default=0)
         _check_range(lo, max((x._hi for x in nonzero), default=0))
-        if self._diag is not None and other._diag is not None:
+        if self._diag is not None and other._diag is not None and self._flip == other._flip:
             return self._as(width, lo, den), other._as(width, lo, den), width, lo, den, bound
         return (self._cols_as(width, lo, den), other._cols_as(width, lo, den),
                 width, lo, den, bound)
@@ -318,7 +365,7 @@ class SparseMatrix:
         if self._diag is None:
             return self._cols.get(c, {})
         v = self._diag[c]
-        return {c: v} if v else {}
+        return {c ^ self._flip: v} if v else {}
 
     # -- queries -------------------------------------------------------------
 
@@ -326,7 +373,9 @@ class SparseMatrix:
     def cols(self):
         """Decoded view {col: {row: QLaurent}}, rebuilt on every access."""
         if self._diag is not None:
-            return {c: {c: x} for c, x in enumerate(_mapped(self._diag, self._decode)) if x}
+            flip = self._flip
+            return {c: {c ^ flip: x} for c, x in enumerate(_mapped(self._diag, self._decode))
+                    if x}
         out = {}
         decoded = {}  # entries repeat; QLaurent values are immutable and shareable
         for c, col in self._cols.items():
@@ -345,7 +394,8 @@ class SparseMatrix:
     def support(self):
         """(col, rows) for every nonzero column, rows a view of its nonzero rows."""
         if self._diag is not None:
-            return ((c, (c,)) for c, v in enumerate(self._diag) if v)
+            flip = self._flip
+            return ((c, (c ^ flip,)) for c, v in enumerate(self._diag) if v)
         return ((c, col.keys()) for c, col in self._cols.items())
 
     def nnz(self):
@@ -365,6 +415,8 @@ class SparseMatrix:
             if len(cols) != self.dim or any(col.keys() != {c} for c, col in cols.items()):
                 return None
             diag = [cols[c][c] for c in range(self.dim)]
+        elif self._flip:
+            return None
         width, lo, den = self._width, self._lo, self._den
         exps = {}
         for v in set(diag):
@@ -403,16 +455,16 @@ class SparseMatrix:
     def first_noncommuting(self, other):
         """The first column where self * other and other * self differ, or None.
 
-        When either factor D has the diagonal form, the commutator entry at
-        (r, c) is (d_r - d_c) Y_rc over the other factor Y's support, so the
-        test compares two entries of D's list (one encoding, so int equality
-        is entry equality; a missing entry is 0), and two diagonal factors
-        commute.  Otherwise the two products are compared."""
+        When either factor D has the diagonal form (mask 0), the commutator
+        entry at (r, c) is (d_r - d_c) Y_rc over the other factor Y's support,
+        so the test compares two entries of D's list (one encoding, so int
+        equality is entry equality; a missing entry is 0), and two diagonal
+        factors commute.  Otherwise the two products are compared."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         for diag, off in ((self, other), (other, self)):
             d = diag._diag
-            if d is None:
+            if d is None or diag._flip:
                 continue
             first = None
             for c, rows in off.support():
@@ -440,8 +492,8 @@ class SparseMatrix:
         a, b, width, lo, den, bound = self._aligned(other, True)
         hi = max(self._hi, other._hi)
         if isinstance(a, list):
-            diag = _shared(map(operator.sub if negate else operator.add, a, b))
-            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound)
+            diag = _shared(map(operator.sub if negate else operator.add, a, b), lo, hi, bound)
+            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound, self._flip)
         cols = dict(a)
         for c, bcol in b.items():
             acol = cols.get(c)
@@ -473,7 +525,7 @@ class SparseMatrix:
         else:
             data = {c: {r: -v for r, v in col.items()} for c, col in self._cols.items()}
         return SparseMatrix._make(self.dim, data, self._width, self._lo, self._hi,
-                                  self._den, self._bound)
+                                  self._den, self._bound, self._flip)
 
     def scale(self, coeff):
         if not isinstance(coeff, QLaurent):
@@ -492,7 +544,8 @@ class SparseMatrix:
             data = _mapped(data, cp.__mul__)
         else:
             data = {c: {r: v * cp for r, v in col.items()} for c, col in data.items()}
-        return SparseMatrix._make(self.dim, data, width, lo, hi, self._den * cden, bound)
+        return SparseMatrix._make(self.dim, data, width, lo, hi, self._den * cden, bound,
+                                  self._flip)
 
     def __mul__(self, other):
         """Matrix product self @ other (columns of the product via other's)."""
@@ -511,10 +564,14 @@ class SparseMatrix:
             bound = self._bound * other._bound * max(map(len, other._cols.values()))
         width = max(self._width, other._width, _width_for(bound))
         if self._diag is not None and other._diag is not None:
-            # entrywise along the diagonal
-            diag = _shared(map(operator.mul, self._as(width, self._lo, self._den),
-                               other._as(width, other._lo, other._den)))
-            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound)
+            # other's column c holds vB[c] at row c ^ fB, which self sends to
+            # row c ^ fB ^ fA times vA[c ^ fB]
+            flip = other._flip
+            a = _xor_permuted(self._as(width, self._lo, self._den), flip)
+            diag = _shared(map(operator.mul, a, other._as(width, other._lo, other._den)),
+                           lo, hi, bound)
+            return SparseMatrix._make(self.dim, diag, width, lo, hi, den, bound,
+                                      self._flip ^ flip)
         acols = self._cols_as(width, self._lo, self._den)
         cols = {}
         get = acols.get
@@ -536,7 +593,10 @@ class SparseMatrix:
         return self * other - other * self
 
     def kron(self, other):
-        """Kronecker product; index (r1, r2) -> r1 * other.dim + r2."""
+        """Kronecker product; index (r1, r2) -> r1 * other.dim + r2.
+
+        Two XOR forms give one with mask (fA << log2 d2) | fB when both
+        masks are 0 or d2 is a power of two."""
         d2 = other.dim
         dim = self.dim * d2
         if self.is_zero() or other.is_zero():
@@ -546,10 +606,14 @@ class SparseMatrix:
         bound = self._bound * other._bound
         width = max(self._width, other._width, _width_for(bound))
         den = self._den * other._den
-        if self._diag is not None and other._diag is not None:
+        fa, fb = self._flip, other._flip
+        if (self._diag is not None and other._diag is not None
+                and (not d2 & (d2 - 1) or not fa | fb)):
             b = other._as(width, other._lo, other._den)
-            diag = _shared(v1 * v2 for v1 in self._as(width, self._lo, self._den) for v2 in b)
-            return SparseMatrix._make(dim, diag, width, lo, hi, den, bound)
+            diag = _shared((v1 * v2 for v1 in self._as(width, self._lo, self._den) for v2 in b),
+                           lo, hi, bound)
+            return SparseMatrix._make(dim, diag, width, lo, hi, den, bound,
+                                      fa << (d2.bit_length() - 1) | fb)
         bcols = other._cols_as(width, other._lo, other._den)
         cols = {}
         for c1, col1 in self._cols_as(width, self._lo, self._den).items():
@@ -604,7 +668,9 @@ class SparseMatrix:
             nums[v] = num
         scale = value**self._lo / (self._den * b**top)
         if self._diag is not None:
-            return {c: {c: x} for c, v in enumerate(self._diag) if v and (x := nums[v])}, scale
+            flip = self._flip
+            return {c: {c ^ flip: x} for c, v in enumerate(self._diag)
+                    if v and (x := nums[v])}, scale
         cols = {}
         for c, col in self._cols.items():
             out = {r: x for r, v in col.items() if (x := nums[v])}

@@ -20,6 +20,7 @@ from qhowe.braiding import (
 )
 from qhowe.qgroup import DELTA, DELTA_TILDE, coproduct_rep, natural_rep
 from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
 
 
 def eps(p, *idx):
@@ -96,6 +97,19 @@ class TestRhat:
         assert check_yang_baxter(n, R)["status"] == "pass"
         assert check_intertwiner(n, R)["status"] == "pass"
         assert check_classical_limit(n, R)["status"] == "pass"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_entry_times_q_fails_hecke_and_yang_baxter(self, n):
+        # negative control: each entry of the braiding in turn, times q
+        R = build_rhat(n)
+        q = QLaurent.q_power(1)
+        for c, col in R.cols.items():
+            for r in col:
+                cols = R.cols
+                cols[c][r] = cols[c][r] * q
+                bad = SparseMatrix(R.dim, cols)
+                assert check_hecke(n, bad)["status"] == "fail", (r, c)
+                assert check_yang_baxter(n, bad)["status"] == "fail", (r, c)
 
     @pytest.mark.parametrize("n,dims", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
     def test_sym2q_dims(self, n, dims):

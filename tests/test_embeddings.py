@@ -207,6 +207,17 @@ class TestTensorCharacter:
     def test_multisets_agree(self, n, m):
         assert check_tensor_character(n, m)["status"] == "pass"
 
+    @pytest.mark.parametrize("n,m,state", [(2, 2, "0000"), (2, 3, "101000"), (3, 2, "111111")])
+    def test_shifted_grid_weight_fails(self, n, m, state):
+        # negative control: one diagonal entry of the grid lambda_q(L_1) times
+        # q, read through the run's memo; the tensor side is built as before
+        L1 = lambda_q(n, m, "L", 1).to_matrix()
+        entries = [L1.entry(s, s) for s in range(L1.dim)]
+        entries[S(state)] = entries[S(state)] * QLaurent.q_power(1)
+        memo = {(lambda_q, n, m, "L", 1): SparseMatrix.diagonal(entries)}
+        assert check_tensor_character(n, m, memo=memo)["status"] == "fail"
+        assert check_tensor_character(n, m, memo={})["status"] == "pass"
+
 
 def test_explain_output():
     text = explain("lambda_q", 2, 2, "E", 1)

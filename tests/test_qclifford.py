@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from qhowe import fockspace
 from qhowe.fockspace import QVector, string_to_state
-from qhowe.qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator
+from qhowe.qclifford import (
+    DEFAULT_MATRIX_CAP, OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator,
+)
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
 
@@ -68,6 +70,64 @@ def test_flipped_sign_rule_fails(monkeypatch):
     assert report["status"] == "fail"
     failed = [(c["relation"], c.get("witness")) for c in report["checks"] if c["status"] == "fail"]
     assert failed == [("classical sign rule", "000")]
+
+
+def test_flipped_psi_entry_fails_its_relations(monkeypatch):
+    # negative control through the XOR form: psi_2 on N = 3 positions with
+    # the sign of its entry at state 010 flipped.  Every record with psi_2 in
+    # it fails except psi_2 psi_2 + psi_2 psi_2 = 0, which holds whatever
+    # the entries; the witness is the first state whose image runs through
+    # psi_2 at 010: 110 and 011 (psi_1 resp. psi_3 applied first or last),
+    # 010 (psi_2 applied first) and 000 (psid_2 first, then psi_2)
+    N, k = 3, 2
+    good = OperatorExpr.psi(k, N).to_matrix()
+    cols = good.cols
+    state = string_to_state("010").bits
+    cols[state] = {r: -v for r, v in cols[state].items()}
+    bad = SparseMatrix(1 << N, cols)
+    assert bad._diag is not None and bad._flip == good._flip == 1 << (k - 1)
+    original = OperatorExpr.to_matrix
+
+    def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
+        if str(self) == f"psi{k}" and not self.classical:
+            return bad
+        return original(self, cap)
+
+    monkeypatch.setattr(OperatorExpr, "to_matrix", to_matrix)
+    failed = [(c["relation"], c["indices"], c.get("witness"))
+              for c in check_clifford(N)["checks"] if c["status"] == "fail"]
+    assert failed == [
+        ("psi psi anticommute", [1, 2], "110"),
+        ("psi psi anticommute", [2, 3], "011"),
+        ("{psi_i, psid_j}", [2, 1], "010"),
+        ("{psi_i, psid_j}", [2, 2], "000"),
+        ("{psi_i, psid_j}", [2, 3], "010"),
+        ("psi psid + q psid psi = w^-1", [2], "000"),
+        ("psi psid + q^-1 psid psi = w", [2], "000"),
+    ]
+
+
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_psi_words_take_the_xor_form(N):
+    # psi_k and psid_k move every state by bit k, psi_i psid_j by bit i ^ bit j
+    psi = [OperatorExpr.psi(k, N) for k in range(1, N + 1)]
+    psid = [OperatorExpr.psi_dag(k, N) for k in range(1, N + 1)]
+    for k in range(N):
+        for op in (psi[k], psid[k]):
+            mat = op.to_matrix()
+            assert mat._diag is not None and mat._flip == 1 << k
+    ident = SparseMatrix.identity(1 << N)
+    for i in range(N):
+        for j in range(N):
+            product = psi[i].to_matrix() * psid[j].to_matrix()
+            assert product._diag is not None and product._flip == (1 << i) ^ (1 << j)
+            assert product.cols == reference_matrix(psi[i] * psid[j])
+            assert product == (psi[i] * psid[j]).to_matrix()
+            anti = product + psid[j].to_matrix() * psi[i].to_matrix()
+            assert anti == (ident if i == j else SparseMatrix(1 << N))
+    if N > 1:
+        # two words with two masks keep the column form
+        assert (psi[0] + psid[1]).to_matrix()._diag is None
 
 
 def test_matrix_cap():

@@ -412,28 +412,219 @@ def test_monomial_images_off_the_diagonal_are_refused():
     images = [(0, 1, 0, 0)]
     assert SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)]).nnz() == 1
     with pytest.raises(ValueError, match="off the diagonal"):
-        SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)], diagonal=True)
+        SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)], 0)
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_diagonal_omega_equals_its_clifford_expansion(a):
-    # w_a^-1 = psi_a psid_a + q psid_a psi_a: one side diagonal, one in columns
+    # w_a^-1 = psi_a psid_a + q psid_a psi_a: the XOR-form products of psi_a
+    # and psid_a land on the diagonal; the expansion is also compared in columns
     N = 3
     winv = OperatorExpr.omega_inv(a, N).to_matrix()
     psi = OperatorExpr.psi(a, N).to_matrix()
     psid = OperatorExpr.psi_dag(a, N).to_matrix()
     expansion = psi * psid + (psid * psi).scale(QLaurent.q_power(1))
-    assert diagonal_form(winv) and not diagonal_form(expansion)
-    assert winv == expansion and expansion == winv
-    assert winv.first_difference(expansion) is None
+    columns = via_columns(expansion.cols, 1 << N)
+    assert diagonal_form(winv) and diagonal_form(expansion) and not diagonal_form(columns)
+    for other in (expansion, columns):
+        assert winv == other and other == winv
+        assert winv.first_difference(other) is None
     # one changed entry shows up as the first differing column, either way round
     for s in (0, 5, 7):
         entries = [winv.entry(c, c) for c in range(1 << N)]
         entries[s] = entries[s] + QLaurent.one()
         changed = SparseMatrix.diagonal(entries)
-        assert diagonal_form(changed) and changed != expansion and expansion != changed
-        assert changed.first_difference(expansion) == s
-        assert expansion.first_difference(changed) == s
+        assert diagonal_form(changed)
+        for other in (expansion, columns):
+            assert changed != other and other != changed
+            assert changed.first_difference(other) == s
+            assert other.first_difference(changed) == s
+
+
+# -- the XOR form ---------------------------------------------------------------------
+
+XDIM = 4  # a power of two, so that every mask below XDIM permutes the columns
+
+
+@st.composite
+def xor_forms(draw, dim=XDIM):
+    """A reference matrix with the entry of column c at row c ^ mask, for a
+    random mask; entries repeat or are missing (zero)."""
+    mask = draw(st.integers(0, dim - 1))
+    offset = draw(st.integers(-40, 40))
+    pool = draw(st.lists(laurent(offset), min_size=1, max_size=2)) + [QLaurent.zero()]
+    return ref_clean({c: {c ^ mask: draw(st.sampled_from(pool))} for c in range(dim)})
+
+
+xor_operands = st.one_of(xor_forms(), matrices(XDIM), diagonals(XDIM))
+
+
+def ref_mask(ref):
+    """The one mask row ^ col of a nonzero XOR-form reference."""
+    (mask,) = {c ^ r for c, col in ref.items() for r in col}
+    return mask
+
+
+def ref_first_difference(a, b):
+    return min((c for c in set(a) | set(b) if a.get(c, {}) != b.get(c, {})), default=None)
+
+
+def in_columns(ref, dim=XDIM):
+    """ref in the column form: a sum with a two-entry column is never stored
+    as a list, and arithmetic never converts back."""
+    two = SparseMatrix(dim, {0: {0: QLaurent.one(), 1: QLaurent.one()}})
+    mat = packed(ref, dim) + two - two
+    assert not diagonal_form(mat)
+    return mat
+
+
+def assert_same(mat, ref, dim=XDIM):
+    """mat has ref's values through every query, and equals ref forced into
+    the column form, both ways round."""
+    assert_matches(mat, ref, dim)
+    columns = in_columns(ref, dim)
+    assert mat == columns and columns == mat
+    assert mat.first_difference(columns) is None and columns.first_difference(mat) is None
+    assert {c: set(rows) for c, rows in mat.support()} == {c: set(col) for c, col in ref.items()}
+    for c in range(dim):
+        for r in range(dim):
+            assert mat.entry(r, c) == ref.get(c, {}).get(r, QLaurent.zero())
+
+
+@given(xor_forms())
+def test_xor_constructor(a):
+    mat = packed(a, XDIM)
+    # the zero matrix keeps the empty column form
+    assert diagonal_form(mat) == bool(a)
+    if a:
+        assert mat._flip == ref_mask(a)
+    assert_same(mat, a)
+
+
+def test_xor_form_needs_a_mask_that_permutes_the_columns():
+    one = QLaurent.one()
+    # dim 3: 0 <-> 1 is a mask 1 on two columns, but column 2 would go to row 3
+    assert not diagonal_form(SparseMatrix(3, {0: {1: one}, 1: {0: one}}))
+    # dim 6 = 2 * 3: mask 1 keeps every column inside, mask 2 does not
+    assert diagonal_form(SparseMatrix(6, {4: {5: one}}))
+    assert not diagonal_form(SparseMatrix(6, {0: {2: one}}))
+    images = [(0, 2, 0, 0)]
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix.from_monomial_images(6, [(one, 0, 0, images)], 2)
+    with pytest.raises(ValueError, match="off the diagonal XOR 1"):
+        SparseMatrix.from_monomial_images(4, [(one, 0, 0, images)], 1)
+    mat = SparseMatrix.from_monomial_images(4, [(one, 0, 0, images)], 2)
+    assert diagonal_form(mat) and mat._flip == 2 and mat.cols == {0: {2: one}}
+
+
+@given(xor_operands, xor_operands)
+def test_xor_form_products_and_sums(a, b):
+    x, y = packed(a, XDIM), packed(b, XDIM)
+    lists = diagonal_form(x) and diagonal_form(y)
+    if a and b:
+        summed = lists and x._flip == y._flip
+    else:  # a sum with the zero matrix is the other operand
+        summed = diagonal_form(x) or diagonal_form(y)
+    for got, want, by_columns, keeps in (
+        (x * y, ref_mul(a, b), in_columns(a) * in_columns(b), lists),
+        (y * x, ref_mul(b, a), in_columns(b) * in_columns(a), lists),
+        (x + y, ref_add(a, b), in_columns(a) + in_columns(b), summed),
+        (x - y, ref_add(a, b, -1), in_columns(a) - in_columns(b), summed),
+    ):
+        assert_same(got, want)
+        assert got == by_columns and not diagonal_form(by_columns)
+        assert diagonal_form(got) == (keeps and bool(want))
+    if lists and ref_mul(a, b):
+        assert (x * y)._flip == x._flip ^ y._flip
+    assert_same(-x, ref_scale(a, QLaurent.from_rational(-1)))
+    assert diagonal_form(-x) == diagonal_form(x)
+
+
+@given(xor_operands, scalars)
+def test_xor_form_scale(a, coeff):
+    got = packed(a, XDIM).scale(coeff)
+    assert_same(got, ref_scale(a, coeff))
+    assert got == in_columns(a).scale(coeff)
+    assert diagonal_form(got) == (diagonal_form(packed(a, XDIM)) and bool(coeff))
+
+
+def _sized_operand(dim):
+    # a mask needs a power-of-two dimension; dim 3 keeps only mask 0
+    lists = xor_forms(dim) if dim != 3 else diagonals(dim)
+    return st.tuples(st.just(dim), st.one_of(lists, matrices(dim), diagonals(dim)))
+
+
+@settings(max_examples=60)
+@given(st.one_of(xor_forms(2), matrices(2), diagonals(2)),
+       st.sampled_from([2, 3, 4]).flatmap(_sized_operand))
+def test_xor_form_kron(a, sized):
+    d2, b = sized
+    x, y = packed(a, 2), packed(b, d2)
+    got = x.kron(y)
+    assert_same(got, ref_kron(a, b, d2), 2 * d2)
+    assert got == in_columns(a, 2).kron(in_columns(b, d2))
+    # the mask (fA << log2 d2) | fB needs d2 a power of two, unless both are 0
+    keeps = diagonal_form(x) and diagonal_form(y) and (d2 != 3 or x._flip == 0)
+    assert diagonal_form(got) == keeps
+    if keeps:
+        assert got._flip == x._flip * d2 + y._flip
+
+
+@given(xor_operands, xor_operands)
+def test_xor_form_equality(a, b):
+    same = a == b
+    want = ref_first_difference(a, b)
+    commutes = ref_first_difference(ref_mul(a, b), ref_mul(b, a))
+    for x in (packed(a, XDIM), in_columns(a)):
+        for y in (packed(b, XDIM), in_columns(b)):
+            assert (x == y) is same and (y == x) is same
+            assert x.first_difference(y) == want and y.first_difference(x) == want
+            assert x.first_noncommuting(y) == commutes and y.first_noncommuting(x) == commutes
+
+
+@given(xor_operands, spec_values)
+def test_xor_form_specialize(a, value):
+    for mat in (packed(a, XDIM), in_columns(a)):
+        assert_specialize_ints(mat, a, value)
+        assert mat.specialize(value) == ref_specialize(a, value)
+
+
+@st.composite
+def torus_like_xor(draw):
+    """q-power entries, one of them perhaps no +q^e, at row c ^ mask."""
+    mask = draw(st.sampled_from([0, 0, 1, 3]))
+    pool = [QLaurent.q_power(e) for e in draw(st.lists(st.integers(-40, 40), min_size=1,
+                                                       max_size=3))]
+    pool += draw(st.lists(st.sampled_from(_non_monomials), max_size=1))
+    return ref_clean({c: {c ^ mask: draw(st.sampled_from(pool))} for c in range(XDIM)})
+
+
+@given(torus_like_xor())
+def test_xor_form_monomial_exponents(a):
+    want = ref_diag_exponents(a, XDIM)
+    assert packed(a, XDIM).monomial_diag_exponents() == want
+    assert in_columns(a).monomial_diag_exponents() == want
+
+
+@given(xor_operands, st.dictionaries(st.integers(0, XDIM - 1),
+                                     st.integers(-4, 4).flatmap(laurent), max_size=XDIM))
+def test_xor_form_apply_terms(a, vec):
+    vec = {k: v for k, v in vec.items() if v}
+    assert packed(a, XDIM).apply_terms(vec) == ref_apply(a, vec)
+    assert in_columns(a).apply_terms(vec) == ref_apply(a, vec)
+
+
+def test_xor_permutation_by_every_mask():
+    # column c of the product reads the first factor at c ^ mask, for masks
+    # of one, several and all bits, on both sides of the slice-count switch
+    dim = 64
+    values = [QLaurent.q_power(c % 5) for c in range(dim)]
+    diag = SparseMatrix.diagonal(values)
+    for mask in (1, 2, 5, 8, 32, 33, 63):
+        hop = SparseMatrix(dim, {c: {c ^ mask: QLaurent.one()} for c in range(dim)})
+        assert hop._flip == mask
+        assert (diag * hop).cols == {c: {c ^ mask: values[c ^ mask]} for c in range(dim)}
+        assert (hop * diag).cols == {c: {c ^ mask: values[c]} for c in range(dim)}
 
 
 def test_product_cancellation_leaves_no_zeros():

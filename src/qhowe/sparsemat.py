@@ -276,8 +276,7 @@ class SparseMatrix:
             for cp, base, images in terms:
                 for col, row, neg, e in images:
                     if row != col ^ flip:
-                        raise ValueError(f"image ({row}, {col}) off the diagonal"
-                                         + (f" XOR {flip}" if flip else ""))
+                        raise ValueError(f"image ({row}, {col}) off the diagonal XOR {flip}")
                     diag[col] += (-cp if neg else cp) << (width * (e + base))
             return cls._make(dim, _shared(diag, lo, hi, bound), width, lo, hi, den, bound, flip)
         cols = {}

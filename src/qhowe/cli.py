@@ -232,9 +232,9 @@ def _module_algebra_section(cfg):
     return {**braided_ext.check_module_algebra(p), "section": "module-algebra"}
 
 
-def _decompose_section(cfg, values):
+def _decompose_section(cfg, values, memo=None):
     try:
-        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values)
+        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values, cfg["cap"], memo)
     except duality.SpecializationAnomaly as exc:
         return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
     spans["section"] = "decompose"
@@ -306,7 +306,8 @@ def run(args):
         sections.append(_explain_section(cfg, args.map_name, args.gen))
     elif args.command == "all":
         # each quantum generator matrix is built once and shared by the
-        # embeddings and commutant sections; the memo ends with this run
+        # embeddings, commutant and decompose sections; the memo ends with
+        # this run
         memo = {}
         sections.append(_scalar_section(cfg["seed"]))
         sections.append(_clifford_section(cfg))
@@ -315,7 +316,7 @@ def run(args):
         sections.append(_commutant_section(cfg, memo))
         sections.append(_braiding_section(cfg))
         sections.append(_module_algebra_section(cfg))
-        sections.append(_decompose_section(cfg, values))
+        sections.append(_decompose_section(cfg, values, memo))
         sections.append(_cauchy_section(cfg))
     return {"config": cfg, "command": args.command,
             "status": report.status(report.passed(sections)), "sections": sections}

@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import comb
 
 from . import report
-from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
+from .embeddings import classical_lambda, classical_rho, generator_matrix, lambda_q, rho_q
 from .fockspace import GridShape, QVector, grid_to_linear, row_col_weights, state_to_string
+from .qclifford import DEFAULT_MATRIX_CAP
 from .qscalar import QLaurent
 from .sparsemat import RationalEchelon
 
@@ -135,48 +136,63 @@ def verify_hwv(mu, shape, flavor="quantum"):
     q^(mu_i - mu_{i+1}) and q^(mu'_j - mu'_{j+1}).  Classical: same shape
     with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.
     """
+    return _hwv_verifier(shape, flavor)(mu)
+
+
+def _hwv_verifier(shape, flavor):
+    """verify_hwv for one shape and flavor as a function of mu; its generator
+    expressions are built once, so each is compiled once for every mu."""
     if flavor not in ("quantum", "classical"):
         raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
     n, m = shape
-    mu = Partition(mu)
-    conj = mu.conjugate()
-    vec = hwv(mu, shape)
-    # (relation, action, kind, indices, eigenvalue or None for "kills hwv")
+    # (relation, action, kind, indices, eigenvalue(mu, mu', index) or None
+    # for "kills hwv")
     q_power, rational = QLaurent.q_power, QLaurent.from_rational
     if flavor == "quantum":
         conditions = [
             ("lambda_q(E) kills hwv", lambda_q, "E", range(1, n), None),
             ("rho_q(E) kills hwv", rho_q, "E", range(1, m), None),
             ("lambda_q(K) weight", lambda_q, "K", range(1, n),
-             lambda i: q_power(mu.part(i) - mu.part(i + 1))),
+             lambda mu, conj, i: q_power(mu.part(i) - mu.part(i + 1))),
             ("rho_q(K) weight", rho_q, "K", range(1, m),
-             lambda j: q_power(conj.part(j) - conj.part(j + 1))),
-            ("lambda_q(L) weight", lambda_q, "L", range(1, n + 1), lambda i: q_power(mu.part(i))),
-            ("rho_q(L) weight", rho_q, "L", range(1, m + 1), lambda j: q_power(conj.part(j))),
+             lambda mu, conj, j: q_power(conj.part(j) - conj.part(j + 1))),
+            ("lambda_q(L) weight", lambda_q, "L", range(1, n + 1),
+             lambda mu, conj, i: q_power(mu.part(i))),
+            ("rho_q(L) weight", rho_q, "L", range(1, m + 1),
+             lambda mu, conj, j: q_power(conj.part(j))),
         ]
     else:
         conditions = [
             ("lambda(E) kills hwv", classical_lambda, "E", range(1, n), None),
             ("rho(E) kills hwv", classical_rho, "E", range(1, m), None),
             ("lambda(Lbar) eigenvalue", classical_lambda, "L", range(1, n + 1),
-             lambda i: rational(mu.part(i))),
+             lambda mu, conj, i: rational(mu.part(i))),
             ("rho(Lbar) eigenvalue", classical_rho, "L", range(1, m + 1),
-             lambda j: rational(conj.part(j))),
+             lambda mu, conj, j: rational(conj.part(j))),
         ]
-    checks = []
-    for relation, action, kind, indices, eigenvalue in conditions:
-        for i in indices:
-            image = action(n, m, kind, i).apply(vec)
-            ok = image.is_zero() if eigenvalue is None else image == vec.scale(eigenvalue(i))
-            checks.append(report.check(relation, ok, indices=[i]))
-    return report.finish(
-        checks,
-        mu=str(mu),
-        mu_conj=str(conj),
-        state=state_to_string(hwv_state(mu, shape), shape.positions),
-        flavor=flavor,
-    )
+    generators = [(relation, [(i, action(n, m, kind, i)) for i in indices], eigenvalue)
+                  for relation, action, kind, indices, eigenvalue in conditions]
+
+    def verify(mu):
+        mu = Partition(mu)
+        conj = mu.conjugate()
+        vec = hwv(mu, shape)
+        checks = []
+        for relation, gens, eigenvalue in generators:
+            for i, gen in gens:
+                image = gen.apply(vec)
+                ok = image.is_zero() if eigenvalue is None else image == vec.scale(eigenvalue(mu, conj, i))
+                checks.append(report.check(relation, ok, indices=[i]))
+        return report.finish(
+            checks,
+            mu=str(mu),
+            mu_conj=str(conj),
+            state=state_to_string(hwv_state(mu, shape), shape.positions),
+            flavor=flavor,
+        )
+
+    return verify
 
 
 def weyl_dim(mu, p):
@@ -184,12 +200,13 @@ def weyl_dim(mu, p):
     mu = Partition(mu)
     if len(mu) > p:
         raise ValueError(f"{mu} has more than {p} parts")
-    out = Fraction(1)
+    num = den = 1
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
-            out *= Fraction(mu.part(i) - mu.part(j) + j - i, j - i)
-    assert out.denominator == 1
-    return int(out)
+            num *= mu.part(i) - mu.part(j) + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
 
 
 def dimension_identity(n, m):
@@ -214,84 +231,48 @@ def dimension_identity(n, m):
     }
 
 
-def _integer_ops(n, m, kind, value):
+def _integer_ops(n, m, kind, value, cap=DEFAULT_MATRIX_CAP, memo=None):
     """The kind ("E" or "F") generators of both actions at q = value, as
     integer columns {col: {row: int}}.  Each is the specialized matrix
     divided by its own nonzero constant, which changes no span or rank.
-    Each generator matrix is dropped as soon as it is converted."""
-    gens = [lambda_q(n, m, kind, i) for i in range(1, n)]
-    gens += [rho_q(n, m, kind, j) for j in range(1, m)]
-    return [g.to_matrix(cap=MAX_ENUMERATED_POSITIONS).specialize_ints(value)[0] for g in gens]
+    Without a memo, each generator matrix is dropped as soon as it is
+    converted; with one, it is read from the memo (see
+    ``embeddings.generator_matrix``)."""
+    gens = [(lambda_q, i) for i in range(1, n)] + [(rho_q, j) for j in range(1, m)]
+    return [generator_matrix(builder, n, m, kind, i, cap, memo).specialize_ints(value)[0]
+            for builder, i in gens]
 
 
-def _lowering_ops(n, m, value):
+def _lowering_ops(n, m, value, cap, memo):
     """Lowering operators of both actions at q = value, as integer columns."""
-    return _integer_ops(n, m, "F", value)
+    return _integer_ops(n, m, "F", value, cap, memo)
 
 
-def _apply_int_columns(op_cols, vec):
-    """Apply integer columns {col: {row: int}} to a sparse integer vector."""
-    out = {}
-    for c, coeff in vec.items():
-        col = op_cols.get(c)
-        if not col:
-            continue
-        for r, v in col.items():
-            s = out.get(r, 0) + v * coeff
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-    return out
+def _value_ranks(shape, partitions, expected, value, cap, memo):
+    """(span dimension per partition, joint rank) at q = value; expected
+    holds each partition's Weyl product, which bounds its closure's rounds.
 
-
-def _span_closure(seed_state, ops, cap_dim):
-    """Dimension and basis of the lowering closure of one seed state.
-
-    Round-based: each round lowers the vectors added in the previous round;
-    stops when the dimension stabilizes.  The round cap guarantees loud
-    termination.
-    """
-    echelon = RationalEchelon()
-    first = echelon.insert({seed_state: 1})
-    frontier = [first]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > cap_dim + 1:
-            raise RuntimeError("lowering closure failed to stabilize within the round cap")
-        fresh = []
-        for vec in frontier:
-            for op in ops:
-                image = _apply_int_columns(op, vec)
-                if not image:
-                    continue
-                added = echelon.insert(image)
-                if added is not None:
-                    fresh.append(added)
-        frontier = fresh
-    return echelon
-
-
-def _value_ranks(shape, partitions, value):
-    """(span dimension per partition, joint rank) at q = value.
-
-    The operators and echelons live only for this call, so one value's are
-    freed before the next value's are built."""
+    Each span is the closure of the partition's highest-weight state under
+    every lowering operator.  The integer operators and echelons live only
+    for this call, so one value's are freed before the next value's are
+    built."""
     n, m = shape
-    ops = _lowering_ops(n, m, value)
+    ops = _lowering_ops(n, m, value, cap, memo)
     joint = RationalEchelon()
     dims = []
-    for mu in partitions:
-        expected = weyl_dim(mu, n) * weyl_dim(mu.conjugate(), m)
-        closure = _span_closure(hwv_state(mu, shape), ops, expected)
+    for mu, want in zip(partitions, expected):
+        closure = RationalEchelon()
+        seed = closure.insert({hwv_state(mu, shape): 1})
+        # every round but the last adds a pivot, so a span of the expected
+        # dimension needs at most that many rounds; the cap is only a guard
+        closure.close([seed], ops, want + 1)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
             joint.insert(vec)
     return dims, joint.rank
 
 
-def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
+def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, cap=DEFAULT_MATRIX_CAP, memo=None):
     """Certify the decomposition by exact rank computation at specialized q.
 
     For each partition in the box, closes its highest-weight state under all
@@ -302,7 +283,9 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     computed over the integers: each specialized operator is scaled by one
     nonzero constant of its own to integer entries, which changes no span.
     Disagreement between specialization values raises
-    :class:`SpecializationAnomaly`.
+    :class:`SpecializationAnomaly`.  cap and memo are those of
+    ``embeddings.lambda_rep``: the generator matrices are built under cap,
+    and with a memo the lowering generators are read from it.
     """
     shape = GridShape(n, m).check()
     if shape.positions > MAX_ENUMERATED_POSITIONS:
@@ -315,9 +298,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
             raise ValueError(f"specialization value {v} is degenerate")
 
     partitions = partitions_in_box(n, m)
+    weyl = [(weyl_dim(mu, n), weyl_dim(mu.conjugate(), m)) for mu in partitions]
+    expected = [dim_n * dim_m for dim_n, dim_m in weyl]
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, value)
+        dims, joint_rank = _value_ranks(shape, partitions, expected, value, cap, memo)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]
@@ -332,11 +317,10 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     rows = []
     degree_sums = [0] * (shape.positions + 1)
     all_ok = True
-    for mu, measured in zip(partitions, base["dims"]):
-        dim_n = weyl_dim(mu, n)
-        dim_m = weyl_dim(mu.conjugate(), m)
-        ok = measured == dim_n * dim_m
-        hw_report = verify_hwv(mu, shape, "quantum")
+    verify = _hwv_verifier(shape, "quantum")
+    for mu, (dim_n, dim_m), want, measured in zip(partitions, weyl, expected, base["dims"]):
+        ok = measured == want
+        hw_report = verify(mu)
         all_ok = all_ok and ok and report.passed([hw_report])
         degree_sums[mu.size] += measured
         rows.append(

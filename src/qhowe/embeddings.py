@@ -66,6 +66,7 @@ __all__ = [
     "lambda_rep",
     "rho_rep",
     "phi_rep",
+    "generator_matrix",
     "check_composition",
     "check_commutant",
     "check_dequantization",
@@ -380,7 +381,7 @@ def matrix_unit_sum(n, m, j):
 # -- representation bundles ----------------------------------------------------
 
 
-def _generator_matrix(builder, n, m, kind, index, cap, memo):
+def generator_matrix(builder, n, m, kind, index, cap, memo):
     """builder(n, m, kind, index).to_matrix(cap), built once per memo.
 
     memo is a dict the caller keeps for one run (None: no sharing).  Only the
@@ -398,7 +399,7 @@ def _generator_matrix(builder, n, m, kind, index, cap, memo):
 
 def _grid_rep(rank, n, m, builder, cap, memo=None):
     N = n * m
-    mats = {key: _generator_matrix(builder, n, m, *key, cap, memo)
+    mats = {key: generator_matrix(builder, n, m, *key, cap, memo)
             for key in generator_keys(rank)}
     return Representation(rank, 1 << N, mats, state_label=lambda s: state_to_string(s, N))
 
@@ -439,7 +440,7 @@ def check_composition(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     label = partial(state_to_string, length=n * m)
     checks = []
     for kind, i in _gen_list(n):
-        direct = _generator_matrix(lambda_q, n, m, kind, i, cap, memo)
+        direct = generator_matrix(lambda_q, n, m, kind, i, cap, memo)
         composed = compose_phi_theta(n, m, kind, i).to_matrix(cap)
         checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
                                    generator=f"{kind}{i}"))
@@ -454,9 +455,9 @@ def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
         ("[lambda_q, rho_q] = 0", lambda_q, rho_q, False),
         ("[lambda, rho] = 0 (classical)", classical_lambda, classical_rho, True),
     ):
-        rows = [(f"{kind}{i}", _generator_matrix(row_map, n, m, kind, i, cap, memo))
+        rows = [(f"{kind}{i}", generator_matrix(row_map, n, m, kind, i, cap, memo))
                 for kind, i in _gen_list(n, classical)]
-        cols = [(f"{kind}{j}", _generator_matrix(col_map, n, m, kind, j, cap, memo))
+        cols = [(f"{kind}{j}", generator_matrix(col_map, n, m, kind, j, cap, memo))
                 for kind, j in _gen_list(m, classical)]
         for x, X in rows:
             for y, Y in cols:
@@ -501,12 +502,12 @@ def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     ):
         for i in range(1, rank):
             for kind in ("E", "F"):
-                qmat = _generator_matrix(qmap, n, m, kind, i, cap, memo)
+                qmat = generator_matrix(qmap, n, m, kind, i, cap, memo)
                 cmat = cmap(n, m, kind, i).to_matrix(cap)
                 checks.append(report.check(f"{flavor}_q|q=1 = classical",
                                            _equal_at_one(qmat, cmat), generator=f"{kind}{i}"))
         for i in range(1, rank + 1):
-            qmat = _generator_matrix(qmap, n, m, "L", i, cap, memo)
+            qmat = generator_matrix(qmap, n, m, "L", i, cap, memo)
             cmat = cmap(n, m, "L", i).to_matrix(cap)
             checks.append(report.check(f"{flavor}_q(L) = q^(classical degree)",
                                        _diag_exponent_match(qmat, cmat), generator=f"L{i}"))
@@ -524,7 +525,7 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """
     grid_exps = []
     for i in range(1, n + 1):
-        exps = _generator_matrix(lambda_q, n, m, "L", i, cap, memo).monomial_diag_exponents()
+        exps = generator_matrix(lambda_q, n, m, "L", i, cap, memo).monomial_diag_exponents()
         if exps is None:
             raise AssertionError("row torus action is not a monomial diagonal")
         grid_exps.append(exps)

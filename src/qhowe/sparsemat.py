@@ -47,9 +47,16 @@ and tests, not for hot paths.
 
 Operator equality throughout the package is equality of these matrices, and
 ``first_noncommuting`` decides a commutation from the list without a product
-when either factor has the diagonal form.  The module also hosts the
-incremental rational row-reduction used for span-dimension and rank
-computations at specialized q.
+when either factor has the diagonal form.
+
+The module also hosts ``RationalEchelon``, the incremental row reduction
+behind every span dimension and rank at specialized q.  Its pivots are
+primitive integer vectors keyed by their largest key, and one integer-only
+reducer serves ``insert`` (any exact vector, made a primitive integer vector
+first) and ``close``, which closes a span under the integer operators
+``specialize_ints`` returns: it applies every operator to every new pivot
+and reduces each image as it arises, round by round, until a round adds no
+pivot or a round cap is passed.
 """
 
 from __future__ import annotations
@@ -712,11 +719,43 @@ def primitive_int_vector(vec):
     return ints
 
 
+def _reduce_ints(pivots, vec):
+    """Reduce an integer vector against pivots ``{lead: vector}``.
+
+    vec is a fresh dict with no zero entries; it is consumed.  Each step
+    cancels vec's lead (its largest key) with the pivot of that lead:
+    vec * a - pivot * b, a and b the two lead entries.  Returns the primitive
+    remainder, whose lead is no pivot's, or {} when vec lies in the pivots'
+    span.
+    """
+    while vec:
+        lead = max(vec)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = gcd(*vec.values())
+            return {k: v // g for k, v in vec.items()} if g > 1 else vec
+        a = pivot[lead]
+        b = vec[lead]
+        if a != 1:
+            vec = {k: v * a for k, v in vec.items()}
+        for k, v in pivot.items():
+            s = vec.get(k, 0) - v * b
+            if s:
+                vec[k] = s
+            else:
+                del vec[k]
+    return vec
+
+
 class RationalEchelon:
     """Incremental echelon basis for sparse vectors with exact entries.
 
-    Keys must be totally ordered (ints or tuples).  Each inserted vector is
-    reduced against current pivots; a nonzero remainder becomes a new pivot.
+    Keys must be totally ordered (ints or tuples).  ``pivots`` maps each
+    pivot's lead (its largest key) to the pivot, a primitive integer vector.
+    ``insert`` rescales a vector to a primitive integer one and reduces it
+    against the pivots; a nonzero remainder becomes a new pivot.  ``close``
+    inserts the images of integer vectors under integer operators until the
+    span is closed under them.  Both share one integer-only reducer.
     """
 
     __slots__ = ("pivots",)
@@ -730,31 +769,51 @@ class RationalEchelon:
 
     def reduce(self, vec):
         """Fully reduce a vector; returns a primitive integer remainder."""
-        vec = primitive_int_vector(vec)
-        while vec:
-            lead = max(vec)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                return vec
-            a = pivot[lead]
-            b = vec[lead]
-            out = {k: v * a for k, v in vec.items()}
-            for k, v in pivot.items():
-                s = out.get(k, 0) - v * b
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-            vec = out
-        return {}
+        return _reduce_ints(self.pivots, primitive_int_vector(vec))
 
     def insert(self, vec):
         """Reduce and insert; returns the new pivot vector or None."""
         rem = self.reduce(vec)
         if not rem:
             return None
-        g = gcd(*rem.values())
-        if g > 1:
-            rem = {k: v // g for k, v in rem.items()}
         self.pivots[max(rem)] = rem
         return rem
+
+    def close(self, frontier, ops, max_rounds):
+        """Close the span under integer operators.
+
+        frontier: integer vectors of the span whose images are still to be
+        taken, typically the pivots just inserted.  ops: operators as integer
+        columns ``{col: {row: int}}``, the form ``specialize_ints`` returns.
+        Neither may hold an explicit zero entry.
+
+        Each round applies every operator to every vector of the frontier and
+        inserts each nonzero image; the pivots it adds are the next round's
+        frontier, and the span is closed after a round that adds none.
+        Raises RuntimeError when that takes more than max_rounds rounds.
+        """
+        pivots = self.pivots
+        rounds = 0
+        while frontier:
+            rounds += 1
+            if rounds > max_rounds:
+                raise RuntimeError("lowering closure failed to stabilize within the round cap")
+            fresh = []
+            for vec in frontier:
+                for op in ops:
+                    image = {}
+                    for c, x in vec.items():
+                        col = op.get(c)
+                        if col:
+                            for r, v in col.items():
+                                s = image.get(r, 0) + v * x
+                                if s:
+                                    image[r] = s
+                                else:
+                                    del image[r]
+                    if image:
+                        rem = _reduce_ints(pivots, image)
+                        if rem:
+                            pivots[max(rem)] = rem
+                            fresh.append(rem)
+            frontier = fresh

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qhowe import duality
+from qhowe import cli, duality, embeddings
 from qhowe.duality import (
     MultiPoly,
     Partition,
@@ -23,6 +24,7 @@ from qhowe.duality import (
 from qhowe.embeddings import rho_q
 from qhowe.fockspace import GridShape, QVector, row_col_weights, state_to_string, string_to_state
 from qhowe.braided_ext import normalize
+from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
 
 
@@ -160,6 +162,22 @@ class TestDimensionIdentity:
     def test_two_by_three(self):
         assert dimension_identity(2, 3)["total"] == 64
 
+    def test_weyl_dim_off_by_one_fails(self, monkeypatch, capsys):
+        # negative control: dim of the gl_2 irreducible (2,1) reads 3, not 2,
+        # so its product with the gl_3 dimension 8 adds 8 to degree 3
+        weyl = duality.weyl_dim
+        monkeypatch.setattr(duality, "weyl_dim",
+                            lambda mu, p: weyl(mu, p) + ((mu, p) == ((2, 1), 2)))
+        report = dimension_identity(2, 3)
+        assert report["status"] == "fail"
+        assert report["total"] == 72
+        assert [d for d in report["degrees"] if d["sum"] != d["binomial"]] == [
+            {"degree": 3, "sum": 28, "binomial": 20}]
+        assert cli.main(["--n", "2", "--m", "3", "--json", "decompose"]) == 1
+        (section,) = json.loads(capsys.readouterr().out)["sections"]
+        assert section["status"] == "fail"
+        assert section["dimension_identity"]["status"] == "fail"
+
 
 class TestCyclicSpans:
     def test_two_by_two(self):
@@ -195,6 +213,22 @@ class TestCyclicSpans:
         with pytest.raises(ValueError):
             cyclic_span_dims(2, 2, (Fraction(1),))
 
+    def test_memo_supplies_the_lowering_matrices(self, monkeypatch):
+        want = cyclic_span_dims(2, 3)
+        memo = {}
+        embeddings.lambda_rep(2, 3, memo=memo)
+        embeddings.rho_rep(2, 3, memo=memo)
+
+        def refuse(expr, cap):
+            raise AssertionError("to_matrix called although the memo holds the matrix")
+
+        monkeypatch.setattr(OperatorExpr, "to_matrix", refuse)
+        assert cyclic_span_dims(2, 3, memo=memo) == want
+
+    def test_cap_reaches_the_generator_matrices(self):
+        with pytest.raises(ValueError, match="exceeds the 2\\^5 cap"):
+            cyclic_span_dims(2, 3, cap=5)
+
     def test_consistent_across_values(self):
         a = cyclic_span_dims(2, 2, (Fraction(2),))
         b = cyclic_span_dims(2, 2, (Fraction(7), Fraction(5, 3)))
@@ -209,7 +243,8 @@ class TestCyclicSpanControls:
     def patch_ops(self, monkeypatch, corrupt):
         original = duality._lowering_ops
         monkeypatch.setattr(
-            duality, "_lowering_ops", lambda n, m, value: corrupt(original(n, m, value), value)
+            duality, "_lowering_ops",
+            lambda n, m, value, cap, memo: corrupt(original(n, m, value, cap, memo), value)
         )
 
     def test_dropped_operator_fails(self, monkeypatch):

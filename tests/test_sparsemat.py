@@ -7,6 +7,7 @@ widths and denominators differ between operands.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -770,11 +771,22 @@ def test_echelon_rank_matches_fraction_elimination(vectors):
     echelon = RationalEchelon()
     for k, v in enumerate(vectors):
         before = echelon.rank
+        rem = echelon.reduce(v)
         added = echelon.insert(v)
         assert echelon.rank == ref_rank(vectors[:k + 1])
         assert (added is None) == (echelon.rank == before)
-    for pivot in echelon.pivots.values():
+        assert (added or {}) == rem
+    assert_echelon_form(echelon)
+
+
+def assert_echelon_form(echelon):
+    """Each pivot is a primitive integer vector without zeros, keyed by its
+    lead (its largest key), and reduces to zero against the others."""
+    for lead, pivot in echelon.pivots.items():
         assert pivot and all(type(x) is int and x for x in pivot.values())
+        assert max(pivot) == lead
+        assert gcd(*pivot.values()) == 1
+        assert echelon.reduce(pivot) == {}
 
 
 def test_echelon_ignores_explicit_zeros():
@@ -783,3 +795,77 @@ def test_echelon_ignores_explicit_zeros():
     assert echelon.insert({0: 1, 3: 0}) == {0: 1}
     assert echelon.insert({0: 2}) is None
     assert echelon.rank == 1
+
+
+# -- RationalEchelon.close against a breadth-first Fraction closure ---------------
+
+
+def ref_apply_ints(op, vec):
+    out = {}
+    for c, x in vec.items():
+        for r, v in op.get(c, {}).items():
+            out[r] = out.get(r, 0) + v * x
+    return {r: v for r, v in out.items() if v}
+
+
+def ref_closure(seeds, ops):
+    """A basis of the smallest span that holds seeds and that every op maps
+    into itself: breadth first, a vector is kept when it raises the rank, and
+    the images of each kept vector are queued."""
+    basis, queue = [], list(seeds)
+    while queue:
+        vec = queue.pop(0)
+        if ref_rank(basis + [vec]) > len(basis):
+            basis.append(vec)
+            queue.extend(ref_apply_ints(op, vec) for op in ops)
+    return basis
+
+
+CLOSE_DIM = 6
+nonzero_ints = st.integers(-3, 3).filter(bool)
+int_vectors = st.dictionaries(st.integers(0, CLOSE_DIM - 1), nonzero_ints, min_size=1, max_size=3)
+# columns may be empty and operators may be zero
+int_operators = st.dictionaries(
+    st.integers(0, CLOSE_DIM - 1),
+    st.dictionaries(st.integers(0, CLOSE_DIM - 1), nonzero_ints, max_size=3),
+    max_size=CLOSE_DIM)
+
+
+@st.composite
+def operator_lists(draw):
+    """One to three operators plus up to two scaled copies of them."""
+    ops = draw(st.lists(int_operators, min_size=1, max_size=3))
+    for i, factor in draw(st.lists(st.tuples(st.integers(0, len(ops) - 1),
+                                             st.sampled_from([-2, -1, 2, 3])), max_size=2)):
+        ops.append({c: {r: factor * v for r, v in col.items()} for c, col in ops[i].items()})
+    return draw(st.permutations(ops))
+
+
+@settings(max_examples=300)
+@given(st.lists(int_vectors, min_size=1, max_size=3), operator_lists())
+def test_close_matches_breadth_first_fraction_closure(seeds, ops):
+    echelon = RationalEchelon()
+    frontier = [p for p in map(echelon.insert, seeds) if p is not None]
+    # every round but the last adds a pivot, so rank + 1 rounds always do
+    echelon.close(frontier, ops, CLOSE_DIM + 1)
+    basis = ref_closure(seeds, ops)
+    assert echelon.rank == len(basis)
+    pivots = list(echelon.pivots.values())
+    assert ref_rank(basis + pivots) == len(basis)
+    assert all(echelon.reduce(v) == {} for v in basis)
+    assert all(echelon.reduce(ref_apply_ints(op, p)) == {} for op in ops for p in pivots)
+    assert_echelon_form(echelon)
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_close_round_cap(length):
+    # a shift along a chain of length basis vectors: the closure of the first
+    # takes length rounds, the last of which adds nothing
+    shift = {k: {k + 1: 2} for k in range(length - 1)}
+    echelon = RationalEchelon()
+    echelon.close([echelon.insert({0: 1})], [shift], length)
+    assert echelon.pivots == {k: {k: 1} for k in range(length)}
+    echelon = RationalEchelon()
+    with pytest.raises(RuntimeError, match="round cap"):
+        echelon.close([echelon.insert({0: 1})], [shift], length - 1)
+

@@ -781,7 +781,7 @@ def test_echelon_rank_matches_fraction_elimination(vectors):
 
 def assert_echelon_form(echelon):
     """Each pivot is a primitive integer vector without zeros, keyed by its
-    lead (its largest key), and reduces to zero against the others."""
+    lead (its largest key), and reduces to zero."""
     for lead, pivot in echelon.pivots.items():
         assert pivot and all(type(x) is int and x for x in pivot.values())
         assert max(pivot) == lead

@@ -268,7 +268,7 @@ def _value_ranks(shape, partitions, expected, value, cap, memo):
         closure.close([seed], ops, want + 1)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
-            joint.insert(vec)
+            joint.insert_ints(vec)
     return dims, joint.rank
 
 

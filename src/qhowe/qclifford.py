@@ -9,10 +9,12 @@ Generators on N positions:
 Operator expressions are scalar-weighted words in these generators.  Words
 apply right to left, matching the usual composition convention for displayed
 products.  Each word is compiled once into bit masks over the input state
-(:class:`_CompiledWord`); ``apply`` and ``to_matrix`` both evaluate that
-form.  Identities between operators are decided at the matrix level: the
-module is not a faithful representation of the abstract algebra, so only
-matrix equalities are decidable here.
+(:class:`_CompiledWord`); ``apply`` evaluates that form state by state, and
+``to_matrix`` lists the states a word keeps and their sign and q-exponent by
+doubling over the word's free bits, then packs them through
+``SparseMatrix.from_word_columns``.  Identities between operators are decided
+at the matrix level: the module is not a faithful representation of the
+abstract algebra, so only matrix equalities are decidable here.
 """
 
 from __future__ import annotations
@@ -154,19 +156,35 @@ class _CompiledWord(NamedTuple):
                 high += c * mask.bit_count()
         return low, high
 
-    def images(self, length):
-        """(state, output state, negative, q-exponent) for every surviving
-        state of the given length, in increasing state order."""
-        free = ((1 << length) - 1) & ~(self.require_set | self.require_clear)
-        image = self.image
-        sub = 0
-        while True:
-            state = self.require_set | sub
-            yield (state, *image(state))
-            # next subset of free in increasing order
-            sub = (sub - free) & free
-            if not sub:
-                return
+    def columns(self, length):
+        """(states, keys) for the states of the given length that survive,
+        in increasing order: ``keys[i]`` is ``2 * (e - emin) + negative`` for
+        ``states[i]``, e its q-exponent and emin the low end of
+        ``exponent_range``.
+
+        The survivors are ``require_set | sub`` for every subset ``sub`` of
+        the free bits.  Each free bit adds its weight to e and, in
+        ``sign_mask``, flips the sign, whatever the other bits; so both lists
+        double once per free bit, in increasing bit order, by C-level
+        ``map`` calls over what is built so far."""
+        require_set, require_clear, _, sign_mask, sign_odd, exp0, exp_masks = self
+        weights = {}
+        for c, mask in exp_masks:
+            while mask:
+                bit = mask & -mask
+                weights[bit] = c
+                mask ^= bit
+        states = [require_set]
+        keys = [2 * (exp0 - self.exponent_range()[0]) + sign_odd]
+        free = ((1 << length) - 1) & ~(require_set | require_clear)
+        while free:
+            bit = free & -free
+            free ^= bit
+            states += list(map(bit.__or__, states))
+            step = 2 * weights.get(bit, 0)
+            moved = map(step.__add__, keys) if step else keys
+            keys += list(map((1).__xor__, moved) if sign_mask & bit else moved)
+        return states, keys
 
 
 class OperatorExpr:
@@ -320,21 +338,20 @@ class OperatorExpr:
     def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
         """Realize as a 2^N x 2^N sparse matrix (column per basis state).
 
-        Only the basis states a word does not kill are visited.  A word moves
-        each state it keeps by the mask require_set ^ final_set; when every
-        word has the same mask, the matrix takes the XOR form with it (mask 0:
-        every word leaves its touched positions as it found them, and the
-        matrix is diagonal)."""
+        Each word contributes the states it keeps, built by doubling over its
+        free bits (``_CompiledWord.columns``).  A word moves each state it
+        keeps by the mask require_set ^ final_set; when every word has the
+        same mask, the matrix takes the XOR form with it (mask 0: every word
+        leaves its touched positions as it found them, and the matrix is
+        diagonal)."""
         if self.length > cap:
             raise ValueError(
                 f"matrix for {self.length} positions exceeds the 2^{cap} cap; "
                 "raise the cap explicitly if you mean it"
             )
-        compiled = self._compiled()
-        terms = [(coeff, *cw.exponent_range(), cw.images(self.length)) for coeff, cw in compiled]
-        flips = {cw.require_set ^ cw.final_set for _, cw in compiled}
-        flip = flips.pop() if len(flips) == 1 else None
-        return SparseMatrix.from_monomial_images(1 << self.length, terms, flip)
+        terms = [(coeff, cw.require_set ^ cw.final_set, *cw.exponent_range(),
+                  *cw.columns(self.length)) for coeff, cw in self._compiled()]
+        return SparseMatrix.from_word_columns(1 << self.length, terms)
 
     # -- rendering ----------------------------------------------------------
 
@@ -416,14 +433,17 @@ def _sign_rule_witness(N, cap=DEFAULT_MATRIX_CAP):
     from .fockspace import prefix_parity
 
     one = QLaurent.one()
+    dim = 1 << N
     for k in range(1, N + 1):
         bit = 1 << (k - 1)
-        # (col, row, negative, exponent): psi_k empties position k, psid_k fills it
-        images = [(s, s ^ bit, prefix_parity(s, k) & 1, 0) for s in range(1 << N)]
-        want = SparseMatrix.from_monomial_images(
-            1 << N, [(one, 0, 0, [i for i in images if i[0] & bit])], bit)
-        want_dag = SparseMatrix.from_monomial_images(
-            1 << N, [(one, 0, 0, [i for i in images if not i[0] & bit])], bit)
+        # psi_k empties position k of each state that has it, psid_k fills it
+        # in each state that lacks it; the sign key is the prefix parity
+        full = [s for s in range(dim) if s & bit]
+        empty = [s ^ bit for s in full]
+        want, want_dag = (
+            SparseMatrix.from_word_columns(
+                dim, [(one, bit, 0, 0, states, [prefix_parity(s, k) & 1 for s in states])])
+            for states in (full, empty))
         firsts = [c for c in (
             OperatorExpr.psi(k, N, classical=True).to_matrix(cap).first_difference(want),
             OperatorExpr.psi_dag(k, N, classical=True).to_matrix(cap).first_difference(want_dag),

@@ -26,8 +26,8 @@ A matrix is stored in one of two forms under that encoding:
 
 Only constructors that see every entry choose the list form: ``identity``,
 ``diagonal``, ``__init__`` when there is an entry and every entry's row XOR
-column is one mask, and ``from_monomial_images`` when its caller names the
-mask.  Products (``flip = fA ^ fB``), negation and ``scale`` keep it when
+column is one mask, and ``from_word_columns`` when every term it sums has
+one mask.  Products (``flip = fA ^ fB``), negation and ``scale`` keep it when
 every operand has it; sums and differences when the masks are equal; and
 ``kron`` when both masks are 0 or the second dimension is a power of two.  A
 zero result takes the empty column form.  Any other operation expands a
@@ -53,10 +53,11 @@ The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q.  Its pivots are
 primitive integer vectors keyed by their largest key, and one integer-only
 reducer serves ``insert`` (any exact vector, made a primitive integer vector
-first) and ``close``, which closes a span under the integer operators
-``specialize_ints`` returns: it applies every operator to every new pivot
-and reduces each image as it arises, round by round, until a round adds no
-pivot or a round cap is passed.
+first), ``insert_ints`` (a vector that already is one) and ``close``, which
+closes a span under the integer operators ``specialize_ints`` returns: it
+applies every operator to every new pivot and reduces each image as it
+arises, round by round, until a round adds no pivot or a round cap is
+passed.
 """
 
 from __future__ import annotations
@@ -259,37 +260,49 @@ class SparseMatrix:
         return cls._make(len(entries), diag, width, lo, hi, den, bound)
 
     @classmethod
-    def from_monomial_images(cls, dim, terms, flip=None):
-        """The sum, over terms (coeff, emin, emax, images), of the matrices
-        with entry coeff * (-1)^neg * q^e at (row, col) for each (col, row,
-        neg, e) in images, where emin <= e <= emax.  A term's images hit each
-        column at most once.  Entries are packed as they are emitted.
+    def from_word_columns(cls, dim, terms):
+        """The sum, over terms (coeff, flip, emin, emax, states, keys), of the
+        matrices with entry coeff * (-1)^(key & 1) * q^(emin + (key >> 1)) at
+        row state ^ flip of column state, for each state and key of the equal
+        length lists states and keys; emin + (key >> 1) <= emax.  A term lists
+        each state at most once, every state and row below dim.
 
-        An int flip says that every image has row == col ^ flip; the matrix
-        then takes the XOR form with that mask (0: the diagonal form)."""
-        coeffs, den = _integer_terms([coeff.terms for coeff, _, _, _ in terms])
-        terms = [(t, emin, emax, images) for t, (_, emin, emax, images) in zip(coeffs, terms)]
-        lo = min((min(t) + emin for t, emin, _, _ in terms), default=0)
-        hi = max((max(t) + emax for t, _, emax, _ in terms), default=0)
+        Each term's entries are read from a table of its 2 (emax - emin + 1)
+        packed monomials, one C-level ``map`` over keys.  When every term has
+        one mask flip that keeps every column inside dim, the matrix takes the
+        XOR form with it (0: the diagonal form); otherwise the column form,
+        columns in ascending order."""
+        coeffs, den = _integer_terms([coeff.terms for coeff, *_ in terms])
+        terms = [(c, *rest) for c, (_, *rest) in zip(coeffs, terms)]
+        lo = min((min(c) + emin for c, _, emin, _, _, _ in terms), default=0)
+        hi = max((max(c) + emax for c, _, _, emax, _, _ in terms), default=0)
         _check_range(lo, hi)
-        bound = sum(sum(map(abs, t.values())) for t, _, _, _ in terms)
+        bound = sum(sum(map(abs, c.values())) for c in coeffs)
         width = _width_for(bound)
-        # each coefficient packed once, with its shift to the offset lo
-        terms = [(_pack(t, min(t), width), min(t) - lo, images) for t, _, _, images in terms]
-        if flip is not None:
-            if not 0 <= flip < dim & -dim:
-                raise ValueError(f"mask {flip} moves a column of {dim} outside it")
+        built = []
+        for c, flip, emin, emax, states, keys in terms:
+            cp = _pack(c, min(c), width)
+            base = min(c) + emin - lo
+            table = [(-cp if k & 1 else cp) << (width * (base + (k >> 1)))
+                     for k in range(2 * (emax - emin + 1))]
+            built.append((flip, states, list(map(table.__getitem__, keys))))
+        flips = {flip for flip, _, _ in built}
+        flip = flips.pop() if len(flips) == 1 else dim  # dim: no one mask
+        if flip < dim & -dim:
+            (_, states, values), *rest = built
             diag = [0] * dim
-            for cp, base, images in terms:
-                for col, row, neg, e in images:
-                    if row != col ^ flip:
-                        raise ValueError(f"image ({row}, {col}) off the diagonal XOR {flip}")
-                    diag[col] += (-cp if neg else cp) << (width * (e + base))
-            return cls._make(dim, _shared(diag, lo, hi, bound), width, lo, hi, den, bound, flip)
+            for s, v in zip(states, values):
+                diag[s] = v
+            for _, states, values in rest:
+                for s, v in zip(states, values):
+                    diag[s] += v
+            if rest:
+                diag = _shared(diag, lo, hi, bound)
+            return cls._make(dim, diag, width, lo, hi, den, bound, flip)
         cols = {}
-        for cp, base, images in terms:
-            for col, row, neg, e in images:
-                v = (-cp if neg else cp) << (width * (e + base))
+        for flip, states, values in built:
+            for col, v in zip(states, values):
+                row = col ^ flip
                 dst = cols.get(col)
                 if dst is None:
                     cols[col] = {row: v}
@@ -299,7 +312,7 @@ class SparseMatrix:
                     dst[row] = s
                 else:
                     del dst[row]
-        if len(terms) > 1:
+        if len(built) > 1:
             # one column order for every matrix built here: ascending
             cols = {c: cols[c] for c in sorted(cols) if cols[c]}
         return cls._make(dim, cols, width, lo, hi, den, bound)
@@ -773,7 +786,15 @@ class RationalEchelon:
 
     def insert(self, vec):
         """Reduce and insert; returns the new pivot vector or None."""
-        rem = self.reduce(vec)
+        return self._keep(self.reduce(vec))
+
+    def insert_ints(self, vec):
+        """insert for a primitive integer vector without zero entries, such
+        as another echelon's pivot: reduced as it is, without the rescaling;
+        vec itself is left unchanged."""
+        return self._keep(_reduce_ints(self.pivots, dict(vec)))
+
+    def _keep(self, rem):
         if not rem:
             return None
         self.pivots[max(rem)] = rem

@@ -6,6 +6,9 @@ from qhowe.fockspace import QVector, string_to_state
 from qhowe.qclifford import (
     DEFAULT_MATRIX_CAP, OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator,
 )
+from qhowe.embeddings import (
+    classical_lambda, classical_rho, compose_phi_theta, lambda_q, rho_q,
+)
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
 
@@ -220,17 +223,36 @@ def assert_compiled_matches(op):
     assert mat == SparseMatrix(1 << op.length, ref)
     # every column is present in increasing order, as the interpreter built them
     assert list(mat.cols) == sorted(ref)
+    # the XOR form exactly when every word that survives has one mask
+    masks = {cw.require_set ^ cw.final_set for _, cw in op._compiled()}
+    assert (mat._diag is not None) == (len(masks) == 1 and bool(ref))
+    if mat._diag is None:
+        assert list(mat._cols) == sorted(ref)
     for state in range(1 << op.length):
         v = QVector.basis(state, op.length)
         assert op.apply(v) == reference_apply(op, v)
 
 
+# digits whose l1 norm reaches 2^15, so that the packing needs a 32-bit digit
+WIDE_DIGITS = [1 << 15, -(1 << 15) - 3, (1 << 20) + 1]
+
+
 @st.composite
 def operators(draw):
-    n = draw(st.integers(1, 4))
+    """Up to 4 terms on up to 7 positions.  w and winv on positions no psi
+    or psid touches give negative and positive exponent weights; a last term
+    may repeat the first one's word, negated, times w_k w_k^-1 (cancelling
+    it) or times w_k (cancelling it on the states without position k)."""
+    n = draw(st.integers(1, 7))
     gens = st.tuples(st.sampled_from([PSI, PSI_DAG, OMEGA, OMEGA_INV]), st.integers(1, n))
-    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=2).map(QLaurent)
+    digits = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE_DIGITS))
+    coeffs = st.dictionaries(st.integers(-3, 3), digits, max_size=2).map(QLaurent)
     terms = draw(st.lists(st.tuples(coeffs, st.lists(gens, max_size=6)), max_size=3))
+    tail = draw(st.sampled_from([None, (OMEGA, OMEGA_INV), (OMEGA,)]))
+    if terms and tail:
+        k = draw(st.integers(1, n))
+        coeff, word = terms[0]
+        terms.append((-coeff, [(kind, k) for kind in tail] + word))
     return OperatorExpr(n, terms)
 
 
@@ -280,3 +302,68 @@ def test_dead_and_empty_words():
     # cancelling terms leave no zero entries or empty columns behind
     op = OperatorExpr.psi(1, 2) - OperatorExpr.psi(1, 2)
     assert op.to_matrix().is_zero() and op.to_matrix().cols == {}
+
+
+@pytest.mark.parametrize("word, weights", [
+    ([("w", 1), ("w", 3)], ((-1, 0b101),)),                    # negative weights
+    ([("winv", 2), ("w", 1), ("w", 1), ("psid", 3)], ((-2, 0b1), (1, 0b10))),
+    ([("psi", 1), ("winv", 1), ("w", 2)], ((-1, 0b10),)),      # position 1 touched
+])
+def test_untouched_weights(word, weights):
+    (_, cw), = OperatorExpr.word(3, word)._compiled()
+    assert cw.exp_masks == weights
+    assert_compiled_matches(OperatorExpr.word(3, word))
+
+
+@pytest.mark.parametrize("terms, zero", [
+    # one mask, and the words cancel on every state
+    ([(1, [("psid", 1), ("psi", 2)]), (-1, [("w", 3), ("winv", 3), ("psid", 1), ("psi", 2)])], True),
+    # one mask, cancelling only on the states without position 3
+    ([(1, [("psid", 1), ("psi", 2)]), (-1, [("w", 3), ("psid", 1), ("psi", 2)])], False),
+    # two masks, one word cancelled: the column form of the other word
+    ([(1, [("psi", 1)]), (-1, [("psi", 1)]), (2, [("psid", 2)])], False),
+])
+def test_words_that_cancel(terms, zero):
+    op = OperatorExpr(3, terms)
+    assert op.to_matrix().is_zero() == zero
+    assert_compiled_matches(op)
+
+
+def test_word_matrix_entries_share_one_int():
+    # one word: its entries come from one table of monomials; two words of
+    # one mask: equal sums are shared afterwards
+    op = OperatorExpr.word(6, [("w", 1), ("winv", 4)], coeff=QLaurent({0: 1, 1: 1}))
+    assert len({id(v) for v in op.to_matrix()._diag}) == 3
+    psi, psid = OperatorExpr.psi(1, 6), OperatorExpr.psi_dag(1, 6)
+    op = psi * psid + (psid * psi).scale(QLaurent.q_power(1))
+    assert len({id(v) for v in op.to_matrix()._diag}) == 2
+    assert_compiled_matches(op)
+
+
+def test_wide_coefficient_needs_a_32_bit_digit():
+    op = OperatorExpr(4, [(QLaurent({0: WIDE_DIGITS[0]}), [("psi", 2)]),
+                          (QLaurent({-1: 3}), [("w", 1), ("psid", 3)])])
+    assert op.to_matrix()._width == 32
+    assert_compiled_matches(op)
+
+
+def grid_generators():
+    """(builder, n, m, kind, index) for every generator of the four grid
+    actions and every phi_q o theta composite, at 2x3 and 3x2."""
+    quantum = ("E", "F", "L", "Linv", "K", "Kinv")
+    cases = []
+    for n, m in ((2, 3), (3, 2)):
+        for builder, rank, kinds in (
+            (lambda_q, n, quantum), (rho_q, m, quantum), (compose_phi_theta, n, quantum),
+            (classical_lambda, n, ("E", "F", "L")), (classical_rho, m, ("E", "F", "L")),
+        ):
+            for kind in kinds:
+                top = rank if kind in ("L", "Linv") else rank - 1
+                cases += [(builder, n, m, kind, i) for i in range(1, top + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("builder, n, m, kind, index", grid_generators(),
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_grid_generators_match_interpreter(builder, n, m, kind, index):
+    assert_compiled_matches(builder(n, m, kind, index))

@@ -7,7 +7,7 @@ widths and denominators differ between operands.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,11 +410,22 @@ def test_diagonal_entries_share_one_int():
     assert len({id(v) for v in (mat * mat)._diag}) == 3
 
 
-def test_monomial_images_off_the_diagonal_are_refused():
-    images = [(0, 1, 0, 0)]
-    assert SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)]).nnz() == 1
-    with pytest.raises(ValueError, match="off the diagonal"):
-        SparseMatrix.from_monomial_images(2, [(QLaurent.one(), 0, 0, images)], 0)
+def test_word_columns_of_several_masks_take_the_column_form():
+    # two terms, masks 1 and 2: column form, columns ascending, rows in term
+    # order, and the entries read from each term's keys
+    one = QLaurent.one()
+    q = QLaurent.q_power(1)
+    terms = [(one, 1, -1, 0, [2, 3], [0, 3]), (q, 2, 0, 0, [0, 1, 3], [1, 0, 0])]
+    mat = SparseMatrix.from_word_columns(4, terms)
+    assert not diagonal_form(mat)
+    assert list(mat._cols) == [0, 1, 2, 3]
+    assert list(mat._cols[3]) == [2, 1]
+    assert mat.cols == {0: {2: -q}, 1: {3: q}, 2: {3: QLaurent.q_power(-1)},
+                        3: {2: -one, 1: q}}
+    # one mask: the XOR form, and terms that cancel leave the zero matrix
+    same = [(one, 1, 0, 0, [0, 2], [0, 0]), (-one, 1, 0, 0, [0, 2], [0, 0])]
+    assert SparseMatrix.from_word_columns(4, same).is_zero()
+    assert SparseMatrix.from_word_columns(4, []).is_zero()
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -501,13 +512,15 @@ def test_xor_form_needs_a_mask_that_permutes_the_columns():
     # dim 6 = 2 * 3: mask 1 keeps every column inside, mask 2 does not
     assert diagonal_form(SparseMatrix(6, {4: {5: one}}))
     assert not diagonal_form(SparseMatrix(6, {0: {2: one}}))
-    images = [(0, 2, 0, 0)]
-    with pytest.raises(ValueError, match="outside"):
-        SparseMatrix.from_monomial_images(6, [(one, 0, 0, images)], 2)
-    with pytest.raises(ValueError, match="off the diagonal XOR 1"):
-        SparseMatrix.from_monomial_images(4, [(one, 0, 0, images)], 1)
-    mat = SparseMatrix.from_monomial_images(4, [(one, 0, 0, images)], 2)
+    # the same rule for word columns: one mask keeps the XOR form only
+    # when it moves no column outside dim
+    term = (one, 2, 0, 0, [0], [0])
+    mat = SparseMatrix.from_word_columns(6, [term])
+    assert not diagonal_form(mat) and mat.cols == {0: {2: one}}
+    mat = SparseMatrix.from_word_columns(4, [term])
     assert diagonal_form(mat) and mat._flip == 2 and mat.cols == {0: {2: one}}
+    mat = SparseMatrix.from_word_columns(6, [(one, 1, 0, 0, [4], [1])])
+    assert diagonal_form(mat) and mat._flip == 1 and mat.cols == {4: {5: -one}}
 
 
 @given(xor_operands, xor_operands)
@@ -769,6 +782,8 @@ entry_kinds["mixed"] = st.one_of(*entry_kinds.values())
     st.dictionaries(st.integers(0, 5), entry_kinds[kind], max_size=5), max_size=8)))
 def test_echelon_rank_matches_fraction_elimination(vectors):
     echelon = RationalEchelon()
+    # the same vectors made primitive integer vectors first, through insert_ints
+    ints = RationalEchelon()
     for k, v in enumerate(vectors):
         before = echelon.rank
         rem = echelon.reduce(v)
@@ -776,7 +791,24 @@ def test_echelon_rank_matches_fraction_elimination(vectors):
         assert echelon.rank == ref_rank(vectors[:k + 1])
         assert (added is None) == (echelon.rank == before)
         assert (added or {}) == rem
+        primitive = ref_primitive(v)
+        assert ints.insert_ints(primitive) == added
+        assert primitive == ref_primitive(v)  # left unchanged
+        assert ints.pivots == echelon.pivots
+        assert list(ints.pivots) == list(echelon.pivots)
     assert_echelon_form(echelon)
+    assert_echelon_form(ints)
+
+
+def ref_primitive(vec):
+    """vec as a primitive integer vector without zero entries, by Fraction
+    arithmetic: scaled by the lcm of its denominators over the gcd of the
+    scaled numerators."""
+    entries = {k: Fraction(x) for k, x in vec.items() if x}
+    den = lcm(*(x.denominator for x in entries.values()))
+    nums = {k: int(x * den) for k, x in entries.items()}
+    g = gcd(*nums.values())
+    return {k: x // g for k, x in nums.items()}
 
 
 def assert_echelon_form(echelon):

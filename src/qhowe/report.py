@@ -27,16 +27,15 @@ def match(relation, lhs, rhs, label, **fields):
 
     On failure the witness is label(c) for the first basis state c whose
     column differs."""
-    if lhs == rhs:
-        return check(relation, True, **fields)
     c = lhs.first_difference(rhs)
-    return check(relation, False, label(c) if c is not None else "?", **fields)
+    return check(relation, c is None, None if c is None else label(c), **fields)
 
 
-def commute(relation, x, y, label, **fields):
-    """The record of x * y == y * x, the same as match(relation, x * y, y * x,
-    label, **fields), decided by SparseMatrix.first_noncommuting."""
-    c = x.first_noncommuting(y)
+def commute(relation, x, y, label, shift=0, **fields):
+    """The record of x * y == q^shift y * x, the same as match(relation,
+    x * y, (y * x).scale(q^shift), label, **fields), decided by
+    SparseMatrix.first_noncommuting."""
+    c = x.first_noncommuting(y, shift)
     return check(relation, c is None, None if c is None else label(c), **fields)
 
 

@@ -46,8 +46,8 @@ equality and specialization are integer operations; ``cols`` decodes to
 and tests, not for hot paths.
 
 Operator equality throughout the package is equality of these matrices, and
-``first_noncommuting`` decides a commutation from the list without a product
-when either factor has the diagonal form.
+``first_noncommuting`` decides a commutation, or a shifted one X Y = q^s Y X,
+from the list without a product when either factor has the diagonal form.
 
 The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q.  Its pivots are
@@ -461,41 +461,51 @@ class SparseMatrix:
 
     def first_difference(self, other):
         """Column index of the first differing column, or None if equal."""
-        a, b = self._aligned(other, False)[:2]
-        if isinstance(a, list):
-            if a == b:
-                return None
-            return next(c for c, (x, y) in enumerate(zip(a, b)) if x != y)
-        for c in sorted(set(a) | set(b)):
-            if a.get(c, {}) != b.get(c, {}):
-                return c
-        return None
-
-    def first_noncommuting(self, other):
-        """The first column where self * other and other * self differ, or None.
-
-        When either factor D has the diagonal form (mask 0), the commutator
-        entry at (r, c) is (d_r - d_c) Y_rc over the other factor Y's support,
-        so the test compares two entries of D's list (one encoding, so int
-        equality is entry equality; a missing entry is 0), and two diagonal
-        factors commute.  Otherwise the two products are compared."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        for diag, off in ((self, other), (other, self)):
+        a, b = self._aligned(other, False)[:2]
+        if a == b:
+            return None
+        if isinstance(a, list):
+            return next(c for c, (x, y) in enumerate(zip(a, b)) if x != y)
+        return next((c for c in sorted(set(a) | set(b)) if a.get(c, {}) != b.get(c, {})), None)
+
+    def first_noncommuting(self, other, shift=0):
+        """The first column where self * other and q^shift other * self
+        differ, or None.
+
+        When either factor D has the diagonal form (mask 0), the difference
+        at (r, c) is (d_r - q^s d_c) Y_rc over the other factor Y's support,
+        s = shift when D is self and -shift when D is other.  So the test
+        compares two entries of D's list, one side shifted left by |s|
+        digits (q^|s| times the entry in the same encoding, so int equality
+        is entry equality; a missing entry is 0), and forms no product.
+        Otherwise the two products are compared, one of them scaled."""
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        for diag, off, s in ((self, other, shift), (other, self, -shift)):
             d = diag._diag
             if d is None or diag._flip:
                 continue
+            left = right = d
+            if s:
+                bits = diag._width * abs(s)
+                shifted = _mapped(d, lambda v: v << bits)
+                left, right = (d, shifted) if s > 0 else (shifted, d)
             first = None
             for c, rows in off.support():
                 if first is not None and c > first:
                     continue
-                dc = d[c]
+                dc = right[c]
                 for r in rows:
-                    if d[r] != dc:
+                    if left[r] != dc:
                         first = c
                         break
             return first
-        return (self * other).first_difference(other * self)
+        swapped = other * self
+        if shift:
+            swapped = swapped.scale(QLaurent.q_power(shift))
+        return (self * other).first_difference(swapped)
 
     # -- arithmetic ----------------------------------------------------------
 

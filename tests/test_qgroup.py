@@ -101,7 +101,7 @@ def test_report_shape():
         assert {"relation", "indices", "status"} <= set(entry)
 
 
-# -- negative controls for the monomial shortcuts -------------------------------
+# -- negative controls for the torus relations -----------------------------------
 
 
 def tensor_rep():
@@ -142,5 +142,13 @@ def test_perturbed_K_fails_EF_target(entry):
     rep.mats[("L", 1)] = SparseMatrix(rep.dim, cols)
     monomial = entry.single_term() is not None and entry.single_term()[1] == 1
     assert (rep.K(1).monomial_diag_exponents() is not None) is monomial
-    bad = failures(check_relations(rep), "[E,F] = (K-K^-1)/(q-q^-1)")
+    report = check_relations(rep)
+    bad = failures(report, "[E,F] = (K-K^-1)/(q-q^-1)")
     assert bad and all("witness" in b for b in bad)
+    # a state witness for a non-monomial K too: nothing is divided
+    assert [b["witness"] for b in bad] == [rep.label(0)]
+    # the conjugations that meet the changed entry fail as well
+    assert [(b["indices"], b["witness"]) for b in failures(report, "K E K^-1 = q^a E")] == [
+        ([1, 1], rep.label(1))]
+    assert [(b["indices"], b["witness"])
+            for b in failures(report, "L F L^-1 = q^-<eps,alpha> F")] == [([1, 1], rep.label(0))]

@@ -34,6 +34,17 @@ def test_commute_gives_the_record_of_match_on_the_products():
         assert report.commute("[x,y] = 0", x, y, label, pair=["x", "y"]) == report.match(
             "[x,y] = 0", x * y, y * x, label, pair=["x", "y"])
     assert report.commute("[x,y] = 0", torus, shift, label)["witness"] == "s1"
+    # x y = q^s y x: the record of match against the scaled product
+    for s in range(-3, 4):
+        qs = QLaurent.q_power(s)
+        for x, y in [(torus, shift), (shift, torus), (torus, swap), (swap, shift),
+                     (torus, torus)]:
+            assert report.commute("x y = q^s y x", x, y, label, s, pair=["x", "y"]) == (
+                report.match("x y = q^s y x", x * y, (y * x).scale(qs), label, pair=["x", "y"]))
+    # the lowering of a q^degree torus passes with shift -1, not 0
+    lower = SparseMatrix(4, {1: {0: one}, 3: {1: one}})
+    assert report.commute("t l = q^-1 l t", torus, lower, label, -1)["status"] == "pass"
+    assert report.commute("t l = l t", torus, lower, label)["witness"] == "s1"
 
 
 def test_finish_and_passed_fold_statuses():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhowe import sparsemat
 from qhowe.qclifford import OperatorExpr
@@ -243,21 +243,33 @@ def test_associative_with_mixed_operands(a, b, c):
 
 @st.composite
 def diagonals(draw, dim=DIM):
-    """A diagonal reference matrix whose entries repeat or are missing (zero)."""
+    """A diagonal reference matrix whose entries repeat or are missing (zero),
+    or a graded torus, one entry times q^(g c) at column c, on which shifted
+    commutations d_r = q^s d_c hold."""
     offset = draw(st.integers(-40, 40))
     pool = draw(st.lists(laurent(offset), min_size=1, max_size=2)) + [QLaurent.zero()]
+    if draw(st.booleans()):
+        grade = draw(st.integers(-3, 3))
+        return ref_clean({c: {c: pool[0] * QLaurent.q_power(grade * c)} for c in range(dim)})
     return ref_clean({c: {c: draw(st.sampled_from(pool))} for c in range(dim)})
 
 
 commutation_operands = st.one_of(matrices(), diagonals())
 
 
-@given(commutation_operands, commutation_operands)
-def test_first_noncommuting_matches_products(a, b):
+@given(commutation_operands, commutation_operands, st.integers(-3, 3))
+def test_first_noncommuting_matches_products(a, b, shift):
     # the diagonal route against the product route it replaces
     x, y = packed(a), packed(b)
     assert x.first_noncommuting(y) == (x * y).first_difference(y * x)
     assert (x.first_noncommuting(y) is None) == (x * y == y * x)
+    # x y = q^shift y x, both orders, in the list and the column form
+    qs = QLaurent.q_power(shift)
+    for u in (x, via_columns(a)):
+        for v in (y, via_columns(b)):
+            for s, t in ((u, v), (v, u)):
+                assert s.first_noncommuting(t, shift) == (s * t).first_difference(
+                    (t * s).scale(qs))
 
 
 def test_first_noncommuting_reads_missing_diagonal_entries_as_zero():
@@ -272,6 +284,13 @@ def test_first_noncommuting_reads_missing_diagonal_entries_as_zero():
     assert raise_.first_noncommuting(degree) == 0
     with pytest.raises(ValueError):
         degree.first_noncommuting(SparseMatrix.identity(3))
+
+
+def test_first_difference_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SparseMatrix.identity(2).first_difference(SparseMatrix.identity(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SparseMatrix.identity(3).first_difference(SparseMatrix(2))
 
 
 # -- the diagonal form ---------------------------------------------------------------
@@ -576,16 +595,28 @@ def test_xor_form_kron(a, sized):
         assert got._flip == x._flip * d2 + y._flip
 
 
-@given(xor_operands, xor_operands)
-def test_xor_form_equality(a, b):
+# a torus q^c against the swaps 0 <-> 1, 2 <-> 3: x y = q y x holds at the
+# even columns only, y x = q x y at the odd ones
+@example({c: {c: QLaurent.q_power(c)} for c in range(XDIM)},
+         {c: {c ^ 1: QLaurent.one()} for c in range(XDIM)}, 1)
+@given(xor_operands, xor_operands, st.integers(-3, 3))
+def test_xor_form_equality(a, b, shift):
     same = a == b
     want = ref_first_difference(a, b)
     commutes = ref_first_difference(ref_mul(a, b), ref_mul(b, a))
+    qs = QLaurent.q_power(shift)
+    shifted = ref_first_difference(ref_mul(a, b), ref_scale(ref_mul(b, a), qs))
+    shifted_back = ref_first_difference(ref_mul(b, a), ref_scale(ref_mul(a, b), qs))
     for x in (packed(a, XDIM), via_columns(a, XDIM)):
         for y in (packed(b, XDIM), via_columns(b, XDIM)):
             assert (x == y) is same and (y == x) is same
             assert x.first_difference(y) == want and y.first_difference(x) == want
             assert x.first_noncommuting(y) == commutes and y.first_noncommuting(x) == commutes
+            # x y = q^shift y x, and y x = q^shift x y
+            assert x.first_noncommuting(y, shift) == shifted == (x * y).first_difference(
+                (y * x).scale(qs))
+            assert y.first_noncommuting(x, shift) == shifted_back == (y * x).first_difference(
+                (x * y).scale(qs))
 
 
 @given(xor_operands, spec_values)

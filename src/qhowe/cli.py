@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import braided_ext, braiding, duality, embeddings, qclifford, qgroup, report
-from .fockspace import GridShape
+from .fockspace import MAX_ENUMERATED_POSITIONS, GridShape
 from .qscalar import QLaurent, exact_div, q_binomial, q_int
 
 USAGE_ERROR = 2
@@ -51,8 +51,6 @@ def build_parser():
         metavar="Q",
         help="specialization value for rank checks; repeatable (default 2 and 3)",
     )
-    parser.add_argument("--cap", type=int, default=qclifford.DEFAULT_MATRIX_CAP,
-                        help="matrix-size cap as a power of two exponent (default 16)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--out", metavar="FILE", help="write the report to FILE")
     parser.add_argument("--seed", type=int, default=0,
@@ -83,14 +81,11 @@ def _config(args):
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise UsageError(f"grid shape must be positive, got {n}x{m}")
-    limit = qclifford.DEFAULT_MATRIX_CAP
     # hwv acts on one vector and explain prints words; every other command
     # builds exact 2^nm-column matrices, which take hours past 2^16 columns
-    if n * m > limit and args.command not in ("hwv", "explain"):
+    if n * m > MAX_ENUMERATED_POSITIONS and args.command not in ("hwv", "explain"):
         raise UsageError(f"grid {n}x{m} needs matrices with 2^{n * m} = {1 << (n * m)} "
-                         f"columns; qhowe refuses more than 2^{limit}")
-    if n * m > args.cap:
-        raise UsageError(f"grid needs {n * m} positions but the cap allows {args.cap}")
+                         f"columns; qhowe refuses more than 2^{MAX_ENUMERATED_POSITIONS}")
     try:
         GridShape(n, m).check()
     except ValueError as exc:
@@ -103,7 +98,6 @@ def _config(args):
         "n": n,
         "m": m,
         "spec_values": [str(v) for v in values],
-        "cap": args.cap,
         "seed": args.seed,
     }, values
 
@@ -167,7 +161,7 @@ def _scalar_section(seed):
 
 def _clifford_section(cfg):
     N = cfg["n"] * cfg["m"]
-    return {**qclifford.check_clifford(N, cap=cfg["cap"]), "section": "clifford"}
+    return {**qclifford.check_clifford(N), "section": "clifford"}
 
 
 def _qgroup_section(cfg):
@@ -178,7 +172,7 @@ def _qgroup_section(cfg):
         checks.append({"target": f"natural rank {p}", "relations": qgroup.check_relations(rep),
                        "serre": qgroup.check_serre(rep)})
     for p in range(1, top + 1):
-        rep = embeddings.phi_rep(p, cap=cfg["cap"])
+        rep = embeddings.phi_rep(p)
         checks.append({"target": f"exterior-module rank {p}", "relations": qgroup.check_relations(rep),
                        "serre": qgroup.check_serre(rep)})
     ok = report.passed([c[part] for c in checks for part in ("relations", "serre")])
@@ -186,24 +180,24 @@ def _qgroup_section(cfg):
 
 
 def _embeddings_section(cfg, memo=None):
-    n, m, cap = cfg["n"], cfg["m"], cfg["cap"]
-    lam = embeddings.lambda_rep(n, m, cap=cap, memo=memo)
-    rho = embeddings.rho_rep(n, m, cap=cap, memo=memo)
+    n, m = cfg["n"], cfg["m"]
+    lam = embeddings.lambda_rep(n, m, memo=memo)
+    rho = embeddings.rho_rep(n, m, memo=memo)
     parts = {
         "lambda_relations": qgroup.check_relations(lam),
         "lambda_serre": qgroup.check_serre(lam),
         "rho_relations": qgroup.check_relations(rho),
         "rho_serre": qgroup.check_serre(rho),
-        "composition": embeddings.check_composition(n, m, cap=cap, memo=memo),
-        "dequantization": embeddings.check_dequantization(n, m, cap=cap, memo=memo),
-        "tensor_character": embeddings.check_tensor_character(n, m, cap=cap, memo=memo),
+        "composition": embeddings.check_composition(n, m, memo=memo),
+        "dequantization": embeddings.check_dequantization(n, m, memo=memo),
+        "tensor_character": embeddings.check_tensor_character(n, m, memo=memo),
     }
     return {"section": "embeddings", "status": report.status(report.passed(parts.values())),
             **parts}
 
 
 def _commutant_section(cfg, memo=None):
-    return {**embeddings.check_commutant(cfg["n"], cfg["m"], cap=cfg["cap"], memo=memo),
+    return {**embeddings.check_commutant(cfg["n"], cfg["m"], memo=memo),
             "section": "commutant"}
 
 
@@ -234,7 +228,7 @@ def _module_algebra_section(cfg):
 
 def _decompose_section(cfg, values, memo=None):
     try:
-        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values, cfg["cap"], memo)
+        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values, memo)
     except duality.SpecializationAnomaly as exc:
         return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
     spans["section"] = "decompose"
@@ -341,7 +335,7 @@ def render_text(report):
     cfg = report["config"]
     lines.append(
         f"qhowe {report['command']}  n={cfg['n']} m={cfg['m']} "
-        f"spec-q={','.join(cfg['spec_values'])} cap={cfg['cap']} seed={cfg['seed']}"
+        f"spec-q={','.join(cfg['spec_values'])} seed={cfg['seed']}"
     )
     for section in report["sections"]:
         mark = "PASS" if section["status"] == "pass" else section["status"].upper()

@@ -14,8 +14,9 @@ from math import comb
 
 from . import report
 from .embeddings import classical_lambda, classical_rho, generator_matrix, lambda_q, rho_q
-from .fockspace import GridShape, QVector, grid_to_linear, row_col_weights, state_to_string
-from .qclifford import DEFAULT_MATRIX_CAP
+from .fockspace import (
+    MAX_ENUMERATED_POSITIONS, GridShape, QVector, grid_to_linear, row_col_weights, state_to_string,
+)
 from .qscalar import QLaurent
 from .sparsemat import RationalEchelon
 
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SPEC_VALUES = (Fraction(2), Fraction(3))
-
-# The span closure and the weight enumeration visit all 2^(nm) basis states.
-MAX_ENUMERATED_POSITIONS = 16
 
 
 class SpecializationAnomaly(Exception):
@@ -231,7 +229,7 @@ def dimension_identity(n, m):
     }
 
 
-def _integer_ops(n, m, kind, value, cap=DEFAULT_MATRIX_CAP, memo=None):
+def _integer_ops(n, m, kind, value, memo=None):
     """The kind ("E" or "F") generators of both actions at q = value, as
     integer columns {col: {row: int}}.  Each is the specialized matrix
     divided by its own nonzero constant, which changes no span or rank.
@@ -239,16 +237,16 @@ def _integer_ops(n, m, kind, value, cap=DEFAULT_MATRIX_CAP, memo=None):
     converted; with one, it is read from the memo (see
     ``embeddings.generator_matrix``)."""
     gens = [(lambda_q, i) for i in range(1, n)] + [(rho_q, j) for j in range(1, m)]
-    return [generator_matrix(builder, n, m, kind, i, cap, memo).specialize_ints(value)[0]
+    return [generator_matrix(builder, n, m, kind, i, memo).specialize_ints(value)[0]
             for builder, i in gens]
 
 
-def _lowering_ops(n, m, value, cap, memo):
+def _lowering_ops(n, m, value, memo):
     """Lowering operators of both actions at q = value, as integer columns."""
-    return _integer_ops(n, m, "F", value, cap, memo)
+    return _integer_ops(n, m, "F", value, memo)
 
 
-def _value_ranks(shape, partitions, expected, value, cap, memo):
+def _value_ranks(shape, partitions, expected, value, memo):
     """(span dimension per partition, joint rank) at q = value; expected
     holds each partition's Weyl product, which bounds its closure's rounds.
 
@@ -257,7 +255,7 @@ def _value_ranks(shape, partitions, expected, value, cap, memo):
     for this call, so one value's are freed before the next value's are
     built."""
     n, m = shape
-    ops = _lowering_ops(n, m, value, cap, memo)
+    ops = _lowering_ops(n, m, value, memo)
     joint = RationalEchelon()
     dims = []
     for mu, want in zip(partitions, expected):
@@ -272,7 +270,7 @@ def _value_ranks(shape, partitions, expected, value, cap, memo):
     return dims, joint.rank
 
 
-def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, cap=DEFAULT_MATRIX_CAP, memo=None):
+def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, memo=None):
     """Certify the decomposition by exact rank computation at specialized q.
 
     For each partition in the box, closes its highest-weight state under all
@@ -283,9 +281,10 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, cap=DEFAULT_MATRIX_C
     computed over the integers: each specialized operator is scaled by one
     nonzero constant of its own to integer entries, which changes no span.
     Disagreement between specialization values raises
-    :class:`SpecializationAnomaly`.  cap and memo are those of
-    ``embeddings.lambda_rep``: the generator matrices are built under cap,
-    and with a memo the lowering generators are read from it.
+    :class:`SpecializationAnomaly`.  The closures visit all 2^(nm) basis
+    states, so more than ``MAX_ENUMERATED_POSITIONS`` positions are refused.
+    memo is that of ``embeddings.lambda_rep``: with one, the lowering
+    generators are read from it.
     """
     shape = GridShape(n, m).check()
     if shape.positions > MAX_ENUMERATED_POSITIONS:
@@ -302,7 +301,7 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, cap=DEFAULT_MATRIX_C
     expected = [dim_n * dim_m for dim_n, dim_m in weyl]
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, expected, value, cap, memo)
+        dims, joint_rank = _value_ranks(shape, partitions, expected, value, memo)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]

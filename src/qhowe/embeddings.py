@@ -41,11 +41,9 @@ from .qclifford import (
     PSI_DAG,
     CliffordGen,
     OperatorExpr,
-    DEFAULT_MATRIX_CAP,
 )
 from .qgroup import QGroupGen, Representation, generator_keys
 from .qscalar import QLaurent
-from .sparsemat import SparseMatrix
 
 __all__ = [
     "ROW_LEFT",
@@ -61,8 +59,6 @@ __all__ = [
     "rho_q",
     "classical_lambda",
     "classical_rho",
-    "classical_nested_root_vector",
-    "matrix_unit_sum",
     "lambda_rep",
     "rho_rep",
     "phi_rep",
@@ -340,66 +336,28 @@ def classical_rho(n, m, kind, index):
     return _grid_action(n, m, COL, kind, index, classical=True)
 
 
-# -- classical rank-nm root vectors ------------------------------------------
-
-
-def _matrix_unit(dim, row, col):
-    """M_{row,col} (one-based) as a dim x dim SparseMatrix."""
-    return SparseMatrix(dim, {col - 1: {row - 1: QLaurent.one()}})
-
-
-def classical_nested_root_vector(n, m, j):
-    """The column root vector of the rank-m algebra inside rank nm.
-
-    Evaluates sum_i [[[E_{i+(j-1)n}, E_{i+1+(j-1)n}], ...], E_{i-1+jn}] on
-    matrix units (E_a = M_{a,a+1}) and returns the nm x nm matrix.  Equals
-    sum_i M_{i+(j-1)n, i+jn}.
-    """
-    if not 1 <= j <= m - 1:
-        raise ValueError(f"column index {j} outside 1..{m - 1}")
-    N = n * m
-    total = SparseMatrix(N)
-    for i in range(1, n + 1):
-        start = i + (j - 1) * n
-        acc = _matrix_unit(N, start, start + 1)
-        for a in range(start + 1, i + j * n):
-            acc = acc.commutator(_matrix_unit(N, a, a + 1))
-        total = total + acc
-    return total
-
-
-def matrix_unit_sum(n, m, j):
-    """sum_i M_{i+(j-1)n, i+jn} as an nm x nm SparseMatrix."""
-    shape = GridShape(n, m)
-    total = SparseMatrix(shape.positions)
-    for i in range(1, n + 1):
-        total = total + _matrix_unit(
-            shape.positions, grid_to_linear(shape, i, j), grid_to_linear(shape, i, j + 1))
-    return total
-
-
 # -- representation bundles ----------------------------------------------------
 
 
-def generator_matrix(builder, n, m, kind, index, cap, memo):
-    """builder(n, m, kind, index).to_matrix(cap), built once per memo.
+def generator_matrix(builder, n, m, kind, index, memo):
+    """builder(n, m, kind, index).to_matrix(), built once per memo.
 
     memo is a dict the caller keeps for one run (None: no sharing).  Only the
     quantum row and column generators go into it; the classical ones are
     rebuilt on each call, so that the memo holds no more than one
     representation pair."""
     if memo is None or builder not in (lambda_q, rho_q):
-        return builder(n, m, kind, index).to_matrix(cap)
+        return builder(n, m, kind, index).to_matrix()
     key = (builder, n, m, kind, index)
     mat = memo.get(key)
     if mat is None:
-        mat = memo[key] = builder(n, m, kind, index).to_matrix(cap)
+        mat = memo[key] = builder(n, m, kind, index).to_matrix()
     return mat
 
 
-def _grid_rep(rank, n, m, builder, cap, memo=None):
+def _grid_rep(rank, n, m, builder, memo=None):
     N = n * m
-    mats = {key: generator_matrix(builder, n, m, *key, cap, memo)
+    mats = {key: generator_matrix(builder, n, m, *key, memo)
             for key in generator_keys(rank)}
     return Representation(rank, 1 << N, mats, state_label=lambda s: state_to_string(s, N))
 
@@ -409,22 +367,22 @@ def _phi_on_grid(n, m, kind, index):
     return phi_q(n, kind, index)
 
 
-def lambda_rep(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def lambda_rep(n, m, memo=None):
     """The row action as a rank-n Representation on the full grid module.
 
     With a memo dict, every function here that takes one reads each quantum
     generator matrix from it, building it on first use."""
-    return _grid_rep(n, n, m, lambda_q, cap, memo)
+    return _grid_rep(n, n, m, lambda_q, memo)
 
 
-def rho_rep(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def rho_rep(n, m, memo=None):
     """The column action as a rank-m Representation on the full grid module."""
-    return _grid_rep(m, n, m, rho_q, cap, memo)
+    return _grid_rep(m, n, m, rho_q, memo)
 
 
-def phi_rep(p, cap=DEFAULT_MATRIX_CAP):
+def phi_rep(p):
     """The rank-p exterior-module action as a Representation."""
-    return _grid_rep(p, p, 1, _phi_on_grid, cap)
+    return _grid_rep(p, p, 1, _phi_on_grid)
 
 
 # -- bundled verifications -----------------------------------------------------
@@ -435,19 +393,19 @@ def _gen_list(rank, classical=False):
     return [key for key in generator_keys(rank) if not (classical and key[0] == "Linv")]
 
 
-def check_composition(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def check_composition(n, m, memo=None):
     """lambda_q equals phi_q o theta, generator by generator, as matrices."""
     label = partial(state_to_string, length=n * m)
     checks = []
     for kind, i in _gen_list(n):
-        direct = generator_matrix(lambda_q, n, m, kind, i, cap, memo)
-        composed = compose_phi_theta(n, m, kind, i).to_matrix(cap)
+        direct = generator_matrix(lambda_q, n, m, kind, i, memo)
+        composed = compose_phi_theta(n, m, kind, i).to_matrix()
         checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
                                    generator=f"{kind}{i}"))
     return report.finish(checks, n=n, m=m)
 
 
-def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def check_commutant(n, m, memo=None):
     """[row action, column action] = 0 for every generator pair, both flavors."""
     label = partial(state_to_string, length=n * m)
     checks = []
@@ -455,9 +413,9 @@ def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
         ("[lambda_q, rho_q] = 0", lambda_q, rho_q, False),
         ("[lambda, rho] = 0 (classical)", classical_lambda, classical_rho, True),
     ):
-        rows = [(f"{kind}{i}", generator_matrix(row_map, n, m, kind, i, cap, memo))
+        rows = [(f"{kind}{i}", generator_matrix(row_map, n, m, kind, i, memo))
                 for kind, i in _gen_list(n, classical)]
-        cols = [(f"{kind}{j}", generator_matrix(col_map, n, m, kind, j, cap, memo))
+        cols = [(f"{kind}{j}", generator_matrix(col_map, n, m, kind, j, memo))
                 for kind, j in _gen_list(m, classical)]
         for x, X in rows:
             for y, Y in cols:
@@ -466,55 +424,72 @@ def check_commutant(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
 
 
 def _equal_at_one(qmat, cmat):
-    """qmat and cmat agree entrywise at q = 1, compared in ints: with
-    specialize_ints(1) = (cols, scale) for each, qscale * qv == cscale * cv."""
+    """The first column where qmat and cmat differ at q = 1, or None.
+    Compared in ints: with specialize_ints(1) = (cols, scale) for each,
+    qscale * qv == cscale * cv."""
     (qcols, qs), (ccols, cs) = qmat.specialize_ints(1), cmat.specialize_ints(1)
     kq, kc = qs.numerator * cs.denominator, cs.numerator * qs.denominator
-    if kq == kc:
-        return qcols == ccols
-    return ({c: {r: v * kq for r, v in col.items()} for c, col in qcols.items()}
-            == {c: {r: v * kc for r, v in col.items()} for c, col in ccols.items()})
+    if kq != kc:
+        qcols = {c: {r: v * kq for r, v in col.items()} for c, col in qcols.items()}
+        ccols = {c: {r: v * kc for r, v in col.items()} for c, col in ccols.items()}
+    if qcols == ccols:
+        return None
+    return min(c for c in qcols.keys() | ccols.keys() if qcols.get(c) != ccols.get(c))
+
+
+def _diag_exponents(mat):
+    """e_c for each column c that is {c: q^(e_c)}, None for any other column."""
+    exps = mat.monomial_diag_exponents()
+    if exps is None:
+        exps = [None] * mat.dim
+        for c, col in mat.cols.items():
+            term = col[c].single_term() if col.keys() == {c} else None
+            if term and term[1] == 1:
+                exps[c] = term[0]
+    return exps
 
 
 def _diag_exponent_match(qmat, cmat):
-    """quantum diagonal == q^(classical diagonal at q = 1), entry by entry,
-    and the classical matrix has no entry off the diagonal."""
-    exps = qmat.monomial_diag_exponents()
-    if exps is None:
-        return False
+    """The first column where the quantum matrix is not q^(classical diagonal
+    at q = 1) or the classical matrix has an entry off the diagonal, or
+    None."""
     ccols, scale = cmat.specialize_ints(1)
-    return all(col.keys() == {c} for c, col in ccols.items()) and all(
-        ccols.get(s, {}).get(s, 0) * scale.numerator == e * scale.denominator
-        for s, e in enumerate(exps))
+    num, den = scale.numerator, scale.denominator
+    for s, e in enumerate(_diag_exponents(qmat)):
+        col = ccols.get(s, {})
+        if e is None or col.keys() - {s} or col.get(s, 0) * num != e * den:
+            return s
+    return None
 
 
-def check_dequantization(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def check_dequantization(n, m, memo=None):
     """q = 1 limits of the quantum actions against their classical versions.
 
     Root vectors specialize to the classical matrices outright.  Torus
     generators are q-exponentials of the classical degree operators, so the
-    exact statement for L is an exponent match on the diagonal.
+    exact statement for L is an exponent match on the diagonal.  A failed
+    check's witness is the first basis state whose column differs.
     """
+    label = partial(state_to_string, length=n * m)
     checks = []
     for flavor, qmap, cmap, rank in (
         ("lambda", lambda_q, classical_lambda, n),
         ("rho", rho_q, classical_rho, m),
     ):
-        for i in range(1, rank):
-            for kind in ("E", "F"):
-                qmat = generator_matrix(qmap, n, m, kind, i, cap, memo)
-                cmat = cmap(n, m, kind, i).to_matrix(cap)
-                checks.append(report.check(f"{flavor}_q|q=1 = classical",
-                                           _equal_at_one(qmat, cmat), generator=f"{kind}{i}"))
-        for i in range(1, rank + 1):
-            qmat = generator_matrix(qmap, n, m, "L", i, cap, memo)
-            cmat = cmap(n, m, "L", i).to_matrix(cap)
-            checks.append(report.check(f"{flavor}_q(L) = q^(classical degree)",
-                                       _diag_exponent_match(qmat, cmat), generator=f"L{i}"))
+        gens = [(kind, i) for i in range(1, rank) for kind in ("E", "F")]
+        for kind, i in gens + [("L", i) for i in range(1, rank + 1)]:
+            qmat = generator_matrix(qmap, n, m, kind, i, memo)
+            cmat = cmap(n, m, kind, i).to_matrix()
+            if kind == "L":
+                relation = f"{flavor}_q(L) = q^(classical degree)"
+                c = _diag_exponent_match(qmat, cmat)
+            else:
+                relation, c = f"{flavor}_q|q=1 = classical", _equal_at_one(qmat, cmat)
+            checks.append(report.column(relation, c, label, generator=f"{kind}{i}"))
     return report.finish(checks, n=n, m=m)
 
 
-def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
+def check_tensor_character(n, m, memo=None):
     """Character-level comparison of the grid module with the tensor power.
 
     The multiset of joint torus-eigenvalue exponent tuples of the row action
@@ -525,7 +500,7 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
     """
     grid_exps = []
     for i in range(1, n + 1):
-        exps = generator_matrix(lambda_q, n, m, "L", i, cap, memo).monomial_diag_exponents()
+        exps = generator_matrix(lambda_q, n, m, "L", i, memo).monomial_diag_exponents()
         if exps is None:
             raise AssertionError("row torus action is not a monomial diagonal")
         grid_exps.append(exps)
@@ -533,7 +508,7 @@ def check_tensor_character(n, m, cap=DEFAULT_MATRIX_CAP, memo=None):
 
     tensor_exps = []
     for i in range(1, n + 1):
-        factor = tensor = phi_q(n, "L", i).to_matrix(cap)
+        factor = tensor = phi_q(n, "L", i).to_matrix()
         for _ in range(m - 1):
             tensor = tensor.kron(factor)
         exps = tensor.monomial_diag_exponents()

@@ -17,6 +17,7 @@ from .qscalar import QLaurent
 
 __all__ = [
     "MAX_POSITIONS",
+    "MAX_ENUMERATED_POSITIONS",
     "GridShape",
     "BasisState",
     "QVector",
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 MAX_POSITIONS = 64
+
+# Every check that lists the 2^N basis states (each operator matrix, span
+# closure and weight enumeration) refuses more positions than this: 2^16
+# columns of exact arithmetic is the desk-scale ceiling.
+MAX_ENUMERATED_POSITIONS = 16
 
 
 class GridShape(NamedTuple):

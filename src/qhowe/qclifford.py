@@ -14,7 +14,9 @@ products.  Each word is compiled once into bit masks over the input state
 doubling over the word's free bits, then packs them through
 ``SparseMatrix.from_word_columns``.  Identities between operators are decided
 at the matrix level: the module is not a faithful representation of the
-abstract algebra, so only matrix equalities are decidable here.
+abstract algebra, so only matrix equalities are decidable here.  A matrix
+has 2^N columns, so ``to_matrix`` refuses more than
+``fockspace.MAX_ENUMERATED_POSITIONS`` (16) positions.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 from typing import NamedTuple
 
 from . import report
-from .fockspace import QVector, state_to_string
+from .fockspace import MAX_ENUMERATED_POSITIONS, QVector, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
 
@@ -36,7 +38,6 @@ __all__ = [
     "OperatorExpr",
     "q_commutator",
     "check_clifford",
-    "DEFAULT_MATRIX_CAP",
 ]
 
 PSI = "psi"
@@ -45,9 +46,6 @@ OMEGA = "w"
 OMEGA_INV = "winv"
 
 _KINDS = (PSI, PSI_DAG, OMEGA, OMEGA_INV)
-
-# 2^16 columns of exact arithmetic is the sane desk-scale ceiling.
-DEFAULT_MATRIX_CAP = 16
 
 
 class CliffordGen(NamedTuple):
@@ -335,7 +333,7 @@ class OperatorExpr:
                     out.pop(row, None)
         return QVector._raw(self.length, out)
 
-    def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
+    def to_matrix(self):
         """Realize as a 2^N x 2^N sparse matrix (column per basis state).
 
         Each word contributes the states it keeps, built by doubling over its
@@ -344,11 +342,9 @@ class OperatorExpr:
         same mask, the matrix takes the XOR form with it (mask 0: every word
         leaves its touched positions as it found them, and the matrix is
         diagonal)."""
-        if self.length > cap:
-            raise ValueError(
-                f"matrix for {self.length} positions exceeds the 2^{cap} cap; "
-                "raise the cap explicitly if you mean it"
-            )
+        if self.length > MAX_ENUMERATED_POSITIONS:
+            raise ValueError(f"matrix for {self.length} positions exceeds "
+                             f"2^{MAX_ENUMERATED_POSITIONS} columns")
         terms = [(coeff, cw.require_set ^ cw.final_set, *cw.exponent_range(),
                   *cw.columns(self.length)) for coeff, cw in self._compiled()]
         return SparseMatrix.from_word_columns(1 << self.length, terms)
@@ -383,7 +379,7 @@ def q_commutator(a, b, k=0):
     return a * b - (b * a).scale(QLaurent.q_power(k))
 
 
-def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
+def check_clifford(N):
     """Exhaustive operator-level checks of the generator relations on N positions.
 
     Canonical anticommutation among the psi and psid, {psi_a, psid_a} = id,
@@ -396,8 +392,8 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
     ident = SparseMatrix.identity(1 << N)
     psi = [None] + [OperatorExpr.psi(k, N) for k in range(1, N + 1)]
     psid = [None] + [OperatorExpr.psi_dag(k, N) for k in range(1, N + 1)]
-    psi_m = [None] + [psi[k].to_matrix(cap) for k in range(1, N + 1)]
-    psid_m = [None] + [psid[k].to_matrix(cap) for k in range(1, N + 1)]
+    psi_m = [None] + [psi[k].to_matrix() for k in range(1, N + 1)]
+    psid_m = [None] + [psid[k].to_matrix() for k in range(1, N + 1)]
 
     for i in range(1, N + 1):
         for j in range(i, N + 1):
@@ -415,18 +411,18 @@ def check_clifford(N, cap=DEFAULT_MATRIX_CAP):
     q1 = QLaurent.q_power(1)
     qm1 = QLaurent.q_power(-1)
     for a in range(1, N + 1):
-        w = OperatorExpr.omega(a, N).to_matrix(cap)
-        winv = OperatorExpr.omega_inv(a, N).to_matrix(cap)
+        w = OperatorExpr.omega(a, N).to_matrix()
+        winv = OperatorExpr.omega_inv(a, N).to_matrix()
         lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(q1)
         checks.append(report.match("psi psid + q psid psi = w^-1", lhs, winv, label, indices=[a]))
         lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(qm1)
         checks.append(report.match("psi psid + q^-1 psid psi = w", lhs, w, label, indices=[a]))
 
-    checks.append(report.check("classical sign rule", *_sign_rule_witness(N, cap), indices=[]))
+    checks.append(report.check("classical sign rule", *_sign_rule_witness(N), indices=[]))
     return report.finish(checks, positions=N)
 
 
-def _sign_rule_witness(N, cap=DEFAULT_MATRIX_CAP):
+def _sign_rule_witness(N):
     """(ok, first failing state in (k, state) order) of the classical psi_k
     and psid_k matrices against matrices built from an independent
     prefix-parity computation."""
@@ -445,8 +441,8 @@ def _sign_rule_witness(N, cap=DEFAULT_MATRIX_CAP):
                 dim, [(one, bit, 0, 0, states, [prefix_parity(s, k) & 1 for s in states])])
             for states in (full, empty))
         firsts = [c for c in (
-            OperatorExpr.psi(k, N, classical=True).to_matrix(cap).first_difference(want),
-            OperatorExpr.psi_dag(k, N, classical=True).to_matrix(cap).first_difference(want_dag),
+            OperatorExpr.psi(k, N, classical=True).to_matrix().first_difference(want),
+            OperatorExpr.psi_dag(k, N, classical=True).to_matrix().first_difference(want_dag),
         ) if c is not None]
         if firsts:
             return False, state_to_string(min(firsts), N)

@@ -22,21 +22,23 @@ def check(relation, ok, witness=None, **fields):
     return record
 
 
-def match(relation, lhs, rhs, label, **fields):
-    """The record of the matrix identity lhs == rhs (SparseMatrix values).
-
-    On failure the witness is label(c) for the first basis state c whose
-    column differs."""
-    c = lhs.first_difference(rhs)
+def column(relation, c, label, **fields):
+    """The record of a matrix check whose first differing column is c (None:
+    the check passes); the witness is label(c), the basis state of c."""
     return check(relation, c is None, None if c is None else label(c), **fields)
+
+
+def match(relation, lhs, rhs, label, **fields):
+    """The record of the matrix identity lhs == rhs (SparseMatrix values),
+    with the first differing column as the witness."""
+    return column(relation, lhs.first_difference(rhs), label, **fields)
 
 
 def commute(relation, x, y, label, shift=0, **fields):
     """The record of x * y == q^shift y * x, the same as match(relation,
     x * y, (y * x).scale(q^shift), label, **fields), decided by
     SparseMatrix.first_noncommuting."""
-    c = x.first_noncommuting(y, shift)
-    return check(relation, c is None, None if c is None else label(c), **fields)
+    return column(relation, x.first_noncommuting(y, shift), label, **fields)
 
 
 def passed(parts):

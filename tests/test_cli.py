@@ -58,15 +58,26 @@ def test_exit_code_distinction():
 @pytest.mark.parametrize("args,message", [
     (["--n", "2", "--m", "3", "explain", "--map", "rho_q", "--gen", "E9"],
      "root index 9 outside 1..2"),
-    (["--n", "2", "--m", "3", "--cap", "4", "all"], "the cap allows 4"),
+    (["--n", "4", "--m", "5", "all"], "qhowe refuses more than 2^16"),
     (["--n", "0", "--m", "3", "all"], "grid shape must be positive"),
     (["--n", "2", "--m", "3", "hwv", "--partition", "3,x"], "bad partition '3,x'"),
-    (["--n", "8", "--m", "9", "--cap", "72", "hwv", "--partition", "1"], "cap is 64"),
+    (["--n", "8", "--m", "9", "hwv", "--partition", "1"], "cap is 64"),
 ])
 def test_input_errors_exit_2(capsys, args, message):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n", "2", "--m", "3", "--cap", "16", "all"], "invalid choice: '16'"),
+    (["--n", "2", "--m", "3", "all", "--cap", "16"], "unrecognized arguments: --cap 16"),
+])
+def test_cap_flag_is_gone(capsys, args, message):
+    # the 16-position wall is fixed; argparse refuses the old flag
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qhowe") and message in err
 
 
 def test_unwritable_out_file_is_usage_error(tmp_path, capsys):
@@ -88,26 +99,34 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_cap_violation_is_usage_error(capsys):
-    assert main(["--n", "5", "--m", "4", "--cap", "16", "cauchy"]) == 2
+    assert main(["--n", "5", "--m", "4", "cauchy"]) == 2
 
 
 @pytest.mark.parametrize("n,m", [(4, 5), (1, 17), (17, 1)])
 def test_config_refuses_more_than_2_16_columns(n, m):
     # checked on _config alone, so that no job of this size ever starts
-    args = build_parser().parse_args(["--n", str(n), "--m", str(m), "--cap", "20", "all"])
+    args = build_parser().parse_args(["--n", str(n), "--m", str(m), "all"])
     with pytest.raises(UsageError, match=rf"2\^{n * m} = {1 << (n * m)} columns"):
         _config(args)
 
 
 def test_config_allows_2_16_columns():
-    args = build_parser().parse_args(["--n", "4", "--m", "4", "--cap", "20", "all"])
-    assert _config(args)[0]["cap"] == 20
+    args = build_parser().parse_args(["--n", "4", "--m", "4", "all"])
+    cfg = _config(args)[0]
+    assert (cfg["n"], cfg["m"]) == (4, 4)
+    assert "cap" not in cfg
 
 
 def test_hwv_past_2_16_columns_still_runs(capsys):
     # hwv applies operators to one vector; at 4x5 it takes well under a second
-    assert main(["--n", "4", "--m", "5", "--cap", "20", "hwv", "--partition", "3,2,1"]) == 0
+    assert main(["--n", "4", "--m", "5", "hwv", "--partition", "3,2,1"]) == 0
     assert "overall: pass" in capsys.readouterr().out
+
+
+def test_explain_past_2_16_columns_still_runs(capsys):
+    # explain prints the words of one generator image and builds no matrix
+    assert main(["--n", "4", "--m", "5", "explain", "--map", "rho_q", "--gen", "E1"]) == 0
+    assert "rho_q(E1) = " in capsys.readouterr().out
 
 
 def test_all_json_deterministic(capsys):
@@ -175,7 +194,7 @@ def test_all_2x5_passes(capsys):
 # (the section itself is the leaf), a leaf that passes with an empty checks
 # list (serre), and a status that is neither pass nor fail.
 _FAILING_REPORT = {
-    "config": {"n": 2, "m": 3, "spec_values": ["2", "3"], "cap": 16, "seed": 0},
+    "config": {"n": 2, "m": 3, "spec_values": ["2", "3"], "seed": 0},
     "command": "all",
     "status": "fail",
     "sections": [
@@ -207,7 +226,7 @@ _FAILING_REPORT = {
 
 def test_render_text_fail_lines():
     assert render_text(_FAILING_REPORT).splitlines() == [
-        "qhowe all  n=2 m=3 spec-q=2,3 cap=16 seed=0",
+        "qhowe all  n=2 m=3 spec-q=2,3 seed=0",
         "[FAIL] qgroup  (2 checks pass, 1 fail)",
         "  FAIL K E K^-1 = q^a E [1, 1] v2",
         "[FAIL] commutant  (1 checks pass, 1 fail)",
@@ -228,11 +247,11 @@ def test_render_text_fail_lines():
 # CHANGES.md.
 _PINNED_REPORTS = [
     pytest.param(["--n", "2", "--m", "3", "--json", "all"],
-                 "15939bae823525dd05c0506c7fa86a075820d24c958f40b8bfc828c4912a4f2c", id="all-json"),
+                 "03b6500105df7acd5474bce4687e5b7787cf4178f264b0bd113e3e6191c96304", id="all-json"),
     pytest.param(["--n", "2", "--m", "3", "all"],
-                 "6767c62e44a7721d86de44b91a3996a3cd585f1cd2e91052dbbf377d65c24d4d", id="all-text"),
+                 "8d08129a3d156aff447528e05387833fe7512ea9ba2b18f700d6421d71e19cb6", id="all-text"),
     pytest.param(["--n", "2", "--m", "3", "--json", "hwv", "--partition", "2,1"],
-                 "57b84f2fea16f8b429c2b57489077e1bd9ae18d0f5210e05a1eb43d4d0998d34", id="hwv-json"),
+                 "5a2c7fe0cde38c67415f8326720e1557efc98e14637cf0b32f76877c0ab94b70", id="hwv-json"),
 ]
 
 

@@ -219,15 +219,11 @@ class TestCyclicSpans:
         embeddings.lambda_rep(2, 3, memo=memo)
         embeddings.rho_rep(2, 3, memo=memo)
 
-        def refuse(expr, cap):
+        def refuse(expr):
             raise AssertionError("to_matrix called although the memo holds the matrix")
 
         monkeypatch.setattr(OperatorExpr, "to_matrix", refuse)
         assert cyclic_span_dims(2, 3, memo=memo) == want
-
-    def test_cap_reaches_the_generator_matrices(self):
-        with pytest.raises(ValueError, match="exceeds the 2\\^5 cap"):
-            cyclic_span_dims(2, 3, cap=5)
 
     def test_consistent_across_values(self):
         a = cyclic_span_dims(2, 2, (Fraction(2),))
@@ -244,7 +240,7 @@ class TestCyclicSpanControls:
         original = duality._lowering_ops
         monkeypatch.setattr(
             duality, "_lowering_ops",
-            lambda n, m, value, cap, memo: corrupt(original(n, m, value, cap, memo), value)
+            lambda n, m, value, memo: corrupt(original(n, m, value, memo), value)
         )
 
     def test_dropped_operator_fails(self, monkeypatch):

@@ -16,13 +16,11 @@ from qhowe.embeddings import (
     check_dequantization,
     check_tensor_character,
     classical_lambda,
-    classical_nested_root_vector,
     classical_rho,
     compose_phi_theta,
     explain,
     lambda_q,
     lambda_rep,
-    matrix_unit_sum,
     phi_q,
     rho_q,
     rho_rep,
@@ -167,15 +165,6 @@ class TestClassical:
 
     def test_vacuum_killed(self):
         assert classical_lambda(2, 2, "E", 1).apply(V("0000")).is_zero()
-
-
-class TestNestedRootVectors:
-    def test_no_nesting_at_n1(self):
-        assert classical_nested_root_vector(1, 3, 1) == matrix_unit_sum(1, 3, 1)
-
-    @pytest.mark.parametrize("n,m,j", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 1), (4, 2, 1)])
-    def test_nested_commutators_give_matrix_units(self, n, m, j):
-        assert classical_nested_root_vector(n, m, j) == matrix_unit_sum(n, m, j)
 
 
 def at_one(op):
@@ -370,9 +359,35 @@ def test_dequantization_sees_an_off_diagonal_degree_entry(monkeypatch):
         return op
 
     monkeypatch.setattr(embeddings, "classical_lambda", mutant)
-    failed = [(c["relation"], c["generator"]) for c in check_dequantization(2, 2)["checks"]
-              if c["status"] == "fail"]
-    assert failed == [("lambda_q(L) = q^(classical degree)", "L1")]
+    failed = [(c["relation"], c["generator"], c.get("witness"))
+              for c in check_dequantization(2, 2)["checks"] if c["status"] == "fail"]
+    # 0100 is the first state the hop psid_1 psi_2 acts on
+    assert failed == [("lambda_q(L) = q^(classical degree)", "L1", "0100")]
+
+
+@pytest.mark.parametrize("builder,gen,mutate,relation", [
+    # the classical E1 times 2 against the unscaled quantum E1 at q = 1
+    pytest.param("classical_lambda", ("E", 1), lambda op: op.scale(2),
+                 "lambda_q|q=1 = classical", id="classical-E1-times-2"),
+    # the quantum L1 plus a hop is no longer a monomial diagonal
+    pytest.param("lambda_q", ("L", 1),
+                 lambda op: op + OperatorExpr(op.length, [(1, [("psid", 1), ("psi", 2)])]),
+                 "lambda_q(L) = q^(classical degree)", id="quantum-L1-plus-a-hop"),
+])
+def test_dequantization_names_the_first_differing_state(monkeypatch, builder, gen, mutate,
+                                                        relation):
+    # negative controls: in both mutants the first column that changes is
+    # that of 0100, the first state psid_1 psi_2 acts on
+    original = getattr(embeddings, builder)
+
+    def mutant(n, m, kind, index):
+        op = original(n, m, kind, index)
+        return mutate(op) if (kind, index) == gen else op
+
+    monkeypatch.setattr(embeddings, builder, mutant)
+    failed = [(c["relation"], c["generator"], c.get("witness"))
+              for c in check_dequantization(2, 2)["checks"] if c["status"] == "fail"]
+    assert failed == [(relation, f"{gen[0]}{gen[1]}", "0100")]
 
 
 @pytest.mark.parametrize("build", [lambda_rep, rho_rep])

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from qhowe import fockspace
 from qhowe.fockspace import QVector, string_to_state
 from qhowe.qclifford import (
-    DEFAULT_MATRIX_CAP, OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator,
+    OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator,
 )
 from qhowe.embeddings import (
     classical_lambda, classical_rho, compose_phi_theta, lambda_q, rho_q,
@@ -91,10 +91,10 @@ def test_flipped_psi_entry_fails_its_relations(monkeypatch):
     assert bad._diag is not None and bad._flip == good._flip == 1 << (k - 1)
     original = OperatorExpr.to_matrix
 
-    def to_matrix(self, cap=DEFAULT_MATRIX_CAP):
+    def to_matrix(self):
         if str(self) == f"psi{k}" and not self.classical:
             return bad
-        return original(self, cap)
+        return original(self)
 
     monkeypatch.setattr(OperatorExpr, "to_matrix", to_matrix)
     failed = [(c["relation"], c["indices"], c.get("witness"))
@@ -134,10 +134,10 @@ def test_psi_words_take_the_xor_form(N):
 
 
 def test_matrix_cap():
-    op = OperatorExpr.identity(5)
-    with pytest.raises(ValueError):
-        op.to_matrix(cap=4)
-    assert op.to_matrix(cap=5).dim == 32
+    # one wall for every matrix: 16 positions build, 17 are refused
+    with pytest.raises(ValueError, match=r"2\^16"):
+        OperatorExpr.identity(17).to_matrix()
+    assert OperatorExpr.identity(16).to_matrix().dim == 65536
 
 
 def test_classical_flag_rejects_omega():

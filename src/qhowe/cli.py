@@ -81,9 +81,12 @@ def _config(args):
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise UsageError(f"grid shape must be positive, got {n}x{m}")
-    # hwv acts on one vector and explain prints words; every other command
-    # builds exact 2^nm-column matrices, which take hours past 2^16 columns
-    if n * m > MAX_ENUMERATED_POSITIONS and args.command not in ("hwv", "explain"):
+    # hwv acts on one vector, explain prints words and verify qgroup checks
+    # p x p matrices and Clifford words; every other command builds exact
+    # 2^nm-column matrices, which take hours past 2^16 columns
+    unwalled = args.command in ("hwv", "explain") or (
+        args.command == "verify" and args.suite == "qgroup")
+    if n * m > MAX_ENUMERATED_POSITIONS and not unwalled:
         raise UsageError(f"grid {n}x{m} needs matrices with 2^{n * m} = {1 << (n * m)} "
                          f"columns; qhowe refuses more than 2^{MAX_ENUMERATED_POSITIONS}")
     try:
@@ -181,8 +184,8 @@ def _qgroup_section(cfg):
 
 def _embeddings_section(cfg, memo=None):
     n, m = cfg["n"], cfg["m"]
-    lam = embeddings.lambda_rep(n, m, memo=memo)
-    rho = embeddings.rho_rep(n, m, memo=memo)
+    lam = embeddings.lambda_rep(n, m)
+    rho = embeddings.rho_rep(n, m)
     parts = {
         "lambda_relations": qgroup.check_relations(lam),
         "lambda_serre": qgroup.check_serre(lam),

@@ -283,8 +283,9 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, memo=None):
     Disagreement between specialization values raises
     :class:`SpecializationAnomaly`.  The closures visit all 2^(nm) basis
     states, so more than ``MAX_ENUMERATED_POSITIONS`` positions are refused.
-    memo is that of ``embeddings.lambda_rep``: with one, the lowering
-    generators are read from it.
+    memo is the run's generator-matrix memo (``embeddings.generator_matrix``,
+    filled by the composition, commutant and dequantization checks): with
+    one, the lowering generator matrices are read from it.
     """
     shape = GridShape(n, m).check()
     if shape.positions > MAX_ENUMERATED_POSITIONS:

@@ -25,6 +25,11 @@ composition check compares ``lambda_q`` with ``phi_q o theta`` and the
 dequantization check compares the quantum table with the classical one, so
 deriving either side from the other would make that check compare a
 formula with itself.
+
+``lambda_rep``, ``rho_rep`` and ``phi_rep`` hold their generators as Clifford
+words, so ``qgroup``'s relation and Serre suites decide them on the words,
+past 16 positions too.  The composition, commutant, dequantization and
+tensor-character checks compare 2^nm-column matrices (``generator_matrix``).
 """
 
 from __future__ import annotations
@@ -355,11 +360,13 @@ def generator_matrix(builder, n, m, kind, index, memo):
     return mat
 
 
-def _grid_rep(rank, n, m, builder, memo=None):
+def _grid_rep(rank, n, m, builder):
+    """The generators as Clifford words; the relation checks decide them
+    on the words, so no 2^nm-column matrix is built."""
     N = n * m
-    mats = {key: generator_matrix(builder, n, m, *key, memo)
-            for key in generator_keys(rank)}
-    return Representation(rank, 1 << N, mats, state_label=lambda s: state_to_string(s, N))
+    gens = {key: builder(n, m, *key) for key in generator_keys(rank)}
+    return Representation(rank, 1 << N, gens, state_label=lambda s: state_to_string(s, N),
+                          identity=OperatorExpr.identity(N))
 
 
 def _phi_on_grid(n, m, kind, index):
@@ -367,17 +374,14 @@ def _phi_on_grid(n, m, kind, index):
     return phi_q(n, kind, index)
 
 
-def lambda_rep(n, m, memo=None):
-    """The row action as a rank-n Representation on the full grid module.
-
-    With a memo dict, every function here that takes one reads each quantum
-    generator matrix from it, building it on first use."""
-    return _grid_rep(n, n, m, lambda_q, memo)
+def lambda_rep(n, m):
+    """The row action as a rank-n Representation on the full grid module."""
+    return _grid_rep(n, n, m, lambda_q)
 
 
-def rho_rep(n, m, memo=None):
+def rho_rep(n, m):
     """The column action as a rank-m Representation on the full grid module."""
-    return _grid_rep(m, n, m, rho_q, memo)
+    return _grid_rep(m, n, m, rho_q)
 
 
 def phi_rep(p):

@@ -12,10 +12,12 @@ products.  Each word is compiled once into bit masks over the input state
 (:class:`_CompiledWord`); ``apply`` evaluates that form state by state, and
 ``to_matrix`` lists the states a word keeps and their sign and q-exponent by
 doubling over the word's free bits, then packs them through
-``SparseMatrix.from_word_columns``.  Identities between operators are decided
-at the matrix level: the module is not a faithful representation of the
-abstract algebra, so only matrix equalities are decidable here.  A matrix
-has 2^N columns, so ``to_matrix`` refuses more than
+``SparseMatrix.from_word_columns``.  Identities between operators are
+identities of their action on the module, not in the abstract algebra (the
+module is not a faithful representation of it).  ``first_difference`` and
+``first_noncommuting`` decide them on the compiled words (``wordzero``) and
+name the same witness state as the matrices would, at any length up to 64
+positions.  A matrix has 2^N columns, so ``to_matrix`` refuses more than
 ``fockspace.MAX_ENUMERATED_POSITIONS`` (16) positions.
 """
 
@@ -28,6 +30,7 @@ from . import report
 from .fockspace import MAX_ENUMERATED_POSITIONS, QVector, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
+from .wordzero import first_nonzero_state
 
 __all__ = [
     "PSI",
@@ -348,6 +351,20 @@ class OperatorExpr:
         terms = [(coeff, cw.require_set ^ cw.final_set, *cw.exponent_range(),
                   *cw.columns(self.length)) for coeff, cw in self._compiled()]
         return SparseMatrix.from_word_columns(1 << self.length, terms)
+
+    # -- identities -----------------------------------------------------------
+
+    def first_difference(self, other):
+        """The first basis state whose column differs between self and
+        other, or None when they are equal; decided on the words
+        (``wordzero``), the same state ``SparseMatrix.first_difference``
+        names on the two matrices."""
+        return first_nonzero_state((self - other)._compiled())
+
+    def first_noncommuting(self, other, shift=0):
+        """The first column where self * other and q^shift other * self
+        differ, or None; as ``SparseMatrix.first_noncommuting``."""
+        return first_nonzero_state(q_commutator(self, other, shift)._compiled())
 
     # -- rendering ----------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Type-A quantum group presentations, representations, relation checks.
 
-A :class:`Representation` assigns sparse matrices to the generators E_i, F_i
-(i < p) and L_i, L_i^{-1} (i <= p) of the rank-p general linear quantum
-group; K_i is always realized as L_i L_{i+1}^{-1}.  ``check_relations`` and
-``check_serre`` verify the full defining relation set as exact matrix
-identities and report per-relation pass/fail with a witness basis state on
+A :class:`Representation` assigns operators, ``SparseMatrix`` values or
+Clifford ``OperatorExpr`` words, to the generators E_i, F_i (i < p) and
+L_i, L_i^{-1} (i <= p) of the rank-p general linear quantum group, and holds
+the identity operator (the identity matrix unless given); K_i is always
+L_i L_{i+1}^{-1}.  ``check_relations`` and ``check_serre`` verify the full
+defining relation set as exact identities, with a witness basis state on
 failure.  Each relation is one ``report.match`` or ``report.commute`` call,
 the torus conjugations as shifted commutations D X = q^a X D, so the checks
-use only matrix arithmetic, ``first_difference`` and ``first_noncommuting``.
+use only ``*``, ``+``, ``-``, ``scale`` (zero is ``identity.scale(0)``),
+``first_difference`` and ``first_noncommuting``, which both types provide.
 """
 
 from __future__ import annotations
@@ -54,18 +56,17 @@ def generator_keys(rank):
 
 
 def _cartan_entry(i, j):
-    if i == j:
-        return 2
-    return -1 if abs(i - j) == 1 else 0
+    return 2 if i == j else -1 if abs(i - j) == 1 else 0
 
 
 class Representation:
-    """Generator-to-matrix assignment for a rank-p quantum group action."""
+    """Generator-to-operator assignment for a rank-p quantum group action."""
 
-    def __init__(self, rank, dim, mats, state_label=None):
+    def __init__(self, rank, dim, mats, state_label=None, identity=None):
         self.rank = rank
         self.dim = dim
         self.mats = mats
+        self.identity = SparseMatrix.identity(dim) if identity is None else identity
         self._kcache = {}
         self._state_label = state_label or (lambda s: f"v{s + 1}")
         for kind, i in generator_keys(rank):
@@ -103,7 +104,7 @@ class Representation:
         return self._state_label(state)
 
     def generator_items(self):
-        """All assigned generators as (QGroupGen, matrix) pairs."""
+        """All assigned generators as (QGroupGen, operator) pairs."""
         return [(QGroupGen(*key), self.mats[key]) for key in generator_keys(self.rank)]
 
 
@@ -170,7 +171,7 @@ def coproduct_rep(factors, convention=DELTA):
 
 
 def check_relations(rep):
-    """Verify the non-Serre defining relations as exact matrix identities.
+    """Verify the non-Serre defining relations as exact operator identities.
 
     Covers torus commutativity and invertibility, the K- and L-conjugation
     of E and F, and [E_i, F_j] = delta_ij (K_i - K_i^{-1}) / (q - q^{-1}).
@@ -182,12 +183,11 @@ def check_relations(rep):
     """
     p = rep.rank
     checks = []
-    ident = SparseMatrix.identity(rep.dim)
     q_minus_qinv = QLaurent.q_power(1) - QLaurent.q_power(-1)
     label = rep.label
 
     for i in range(1, p + 1):
-        checks.append(report.match("L L^-1 = 1", rep.L(i) * rep.Linv(i), ident, label,
+        checks.append(report.match("L L^-1 = 1", rep.L(i) * rep.Linv(i), rep.identity, label,
                                    indices=[i]))
     for i in range(1, p + 1):
         for j in range(i + 1, p + 1):
@@ -219,7 +219,7 @@ def check_relations(rep):
                 checks.append(report.commute("[E,F] = 0", rep.E(i), rep.F(j), label,
                                              indices=[i, j]))
                 continue
-            lhs = rep.E(i).commutator(rep.F(i)).scale(q_minus_qinv)
+            lhs = (rep.E(i) * rep.F(i) - rep.F(i) * rep.E(i)).scale(q_minus_qinv)
             checks.append(report.match("[E,F] = (K-K^-1)/(q-q^-1)", lhs,
                                        rep.K(i) - rep.Kinv(i), label, indices=[i, j]))
 
@@ -235,10 +235,9 @@ def check_serre(rep):
     """
     p = rep.rank
     checks = []
-    zero = SparseMatrix(rep.dim)
-    two_q = QLaurent.q_power(1) + QLaurent.q_power(-1)  # [2]_q
-    q1 = QLaurent.q_power(1)
-    qm1 = QLaurent.q_power(-1)
+    zero = rep.identity.scale(0)
+    q1, qm1 = QLaurent.q_power(1), QLaurent.q_power(-1)
+    two_q = q1 + qm1  # [2]_q
 
     for kind in ("E", "F"):
         for i in range(1, p):

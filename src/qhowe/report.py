@@ -29,15 +29,15 @@ def column(relation, c, label, **fields):
 
 
 def match(relation, lhs, rhs, label, **fields):
-    """The record of the matrix identity lhs == rhs (SparseMatrix values),
-    with the first differing column as the witness."""
+    """The record of the operator identity lhs == rhs (SparseMatrix or
+    OperatorExpr values), with the first differing column as the witness."""
     return column(relation, lhs.first_difference(rhs), label, **fields)
 
 
 def commute(relation, x, y, label, shift=0, **fields):
     """The record of x * y == q^shift y * x, the same as match(relation,
-    x * y, (y * x).scale(q^shift), label, **fields), decided by
-    SparseMatrix.first_noncommuting."""
+    x * y, (y * x).scale(q^shift), label, **fields), decided by the
+    operators' first_noncommuting."""
     return column(relation, x.first_noncommuting(y, shift), label, **fields)
 
 

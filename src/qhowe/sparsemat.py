@@ -45,12 +45,14 @@ equality and specialization are integer operations; ``cols`` decodes to
 ``{col: {row: QLaurent}}`` on demand and is meant for reporting, witnesses
 and tests, not for hot paths.
 
-Operator equality throughout the package is equality of these matrices, and
-``first_noncommuting`` decides a commutation, or a shifted one X Y = q^s Y X,
+Operator equality on matrices is equality of these packed entries (the
+relation suites of the grid representations decide theirs on Clifford words
+instead, see ``wordzero``), and ``first_noncommuting`` decides a commutation, or a shifted one X Y = q^s Y X,
 from the list without a product when either factor has the diagonal form.
 
 The module also hosts ``RationalEchelon``, the incremental row reduction
-behind every span dimension and rank at specialized q.  Its pivots are
+behind every span dimension and rank at specialized q, and behind the span
+sweep that ``wordzero`` runs over Clifford words.  Its pivots are
 primitive integer vectors keyed by their largest key, and one integer-only
 reducer serves ``insert`` (any exact vector, made a primitive integer vector
 first), ``insert_ints`` (a vector that already is one) and ``close``, which
@@ -617,9 +619,6 @@ class SparseMatrix:
             if out:
                 cols[c] = out
         return SparseMatrix._make(self.dim, cols, width, lo, hi, den, bound)
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def kron(self, other):
         """Kronecker product; index (r1, r2) -> r1 * other.dim + r2.

@@ -129,6 +129,14 @@ def test_explain_past_2_16_columns_still_runs(capsys):
     assert "rho_q(E1) = " in capsys.readouterr().out
 
 
+def test_verify_qgroup_past_2_16_columns_still_runs(capsys):
+    # the section checks p x p matrices and the Clifford words of phi_rep(p)
+    assert main(["--n", "1", "--m", "24", "verify", "qgroup"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    # the wall still holds for the suites that build 2^nm-column matrices
+    assert main(["--n", "1", "--m", "24", "verify", "embeddings"]) == 2
+
+
 def test_all_json_deterministic(capsys):
     args = ["--n", "2", "--m", "2", "--json", "all"]
     assert main(args) == 0

@@ -216,8 +216,7 @@ class TestCyclicSpans:
     def test_memo_supplies_the_lowering_matrices(self, monkeypatch):
         want = cyclic_span_dims(2, 3)
         memo = {}
-        embeddings.lambda_rep(2, 3, memo=memo)
-        embeddings.rho_rep(2, 3, memo=memo)
+        embeddings.check_commutant(2, 3, memo=memo)
 
         def refuse(expr):
             raise AssertionError("to_matrix called although the memo holds the matrix")

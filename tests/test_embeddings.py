@@ -19,16 +19,18 @@ from qhowe.embeddings import (
     classical_rho,
     compose_phi_theta,
     explain,
+    generator_matrix,
     lambda_q,
     lambda_rep,
     phi_q,
+    phi_rep,
     rho_q,
     rho_rep,
     theta,
 )
 from qhowe.fockspace import GridShape, QVector, grid_to_linear, string_to_state
 from qhowe.qclifford import OMEGA, OperatorExpr
-from qhowe.qgroup import Representation, check_relations, check_serre
+from qhowe.qgroup import Representation, check_relations, check_serre, generator_keys
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
 
@@ -298,13 +300,19 @@ TABLE_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
-@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
-def test_corrupted_table_entry_fails(monkeypatch, name, n, m):
+def mutate(monkeypatch, name):
+    """Install the TABLE_MUTANTS entry name; returns the suites it must fail."""
     key, field, value, failing = TABLE_MUTANTS[name]
     entry = list(embeddings._QUANTUM_IMAGES[key])
     entry[field] = value
     monkeypatch.setitem(embeddings._QUANTUM_IMAGES, key, tuple(entry))
+    return failing
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_corrupted_table_entry_fails(monkeypatch, name, n, m):
+    failing = mutate(monkeypatch, name)
     status = {
         "composition": lambda: check_composition(n, m)["status"],
         "commutant": lambda: check_commutant(n, m)["status"],
@@ -322,10 +330,7 @@ def test_corrupted_table_entry_fails(monkeypatch, name, n, m):
                  id="composition"),
 ])
 def test_failed_matrix_check_names_a_state(monkeypatch, mutant, check, first):
-    key, field, value, _ = TABLE_MUTANTS[mutant]
-    entry = list(embeddings._QUANTUM_IMAGES[key])
-    entry[field] = value
-    monkeypatch.setitem(embeddings._QUANTUM_IMAGES, key, tuple(entry))
+    mutate(monkeypatch, mutant)
     failed = [c for c in check(2, 3)["checks"] if c["status"] == "fail"]
     assert failed and all(isinstance(c.get("witness"), str) for c in failed)
     assert all(len(c["witness"]) == 6 and set(c["witness"]) <= {"0", "1"} for c in failed)
@@ -390,31 +395,102 @@ def test_dequantization_names_the_first_differing_state(monkeypatch, builder, ge
     assert failed == [(relation, f"{gen[0]}{gen[1]}", "0100")]
 
 
+def matrix_rep(rep):
+    """rep with every generator realized as its matrix: the matrix path of
+    the relation checks, against the word path of rep itself."""
+    mats = {key: op.to_matrix() for key, op in rep.mats.items()}
+    return Representation(rep.rank, rep.dim, mats, rep.label)
+
+
 @pytest.mark.parametrize("build", [lambda_rep, rho_rep])
 def test_torus_generators_take_the_diagonal_form(build):
-    # a silent fallback to one dict per column would cost 20x the memory
+    # a silent fallback to one dict per column would cost 20x the memory;
+    # the matrices are those the matrix checks read through generator_matrix
     rep = build(2, 3)
-    torus = [rep.gen(kind, i) for kind in ("L", "Linv") for i in range(1, rep.rank + 1)]
-    torus += [rep.gen(kind, i) for kind in ("K", "Kinv") for i in range(1, rep.rank)]
+    builder = lambda_q if build is lambda_rep else rho_q
+    mats = Representation(rep.rank, rep.dim, {
+        key: generator_matrix(builder, 2, 3, *key, None) for key in generator_keys(rep.rank)})
+    torus = [mats.gen(kind, i) for kind in ("L", "Linv") for i in range(1, rep.rank + 1)]
+    torus += [mats.gen(kind, i) for kind in ("K", "Kinv") for i in range(1, rep.rank)]
+    torus += [generator_matrix(builder, 2, 3, kind, i, None)
+              for kind in ("K", "Kinv") for i in range(1, rep.rank)]
     assert all(mat._diag is not None and mat.nnz() == rep.dim for mat in torus)
-    assert rep.K(1) is rep.gen("K", 1)  # the cached K is the one checked
-    roots = [rep.gen(kind, i) for kind in ("E", "F") for i in range(1, rep.rank)]
+    assert mats.K(1) is mats.gen("K", 1)  # the cached K is the one checked
+    assert rep.K(1) is rep.gen("K", 1)
+    roots = [mats.gen(kind, i) for kind in ("E", "F") for i in range(1, rep.rank)]
     assert all(mat._diag is None for mat in roots)
     degree = (classical_lambda if build is lambda_rep else classical_rho)(2, 3, "L", 1)
     assert degree.to_matrix()._diag is not None
 
 
 def test_relations_fail_on_a_changed_diagonal_entry():
-    # negative control: one entry of rho L^-1_1, kept in the diagonal form
+    # negative control: one entry of rho L^-1_1 times q, once as a matrix
+    # kept in the diagonal form and once as a word sum on the word path
     rep = rho_rep(2, 3)
+    mats = matrix_rep(rep)
     state = 0b000011  # occupies positions 1 and 2, both in column 1
-    entries = [rep.Linv(1).entry(s, s) for s in range(rep.dim)]
+    entries = [mats.Linv(1).entry(s, s) for s in range(rep.dim)]
     entries[state] = entries[state] * QLaurent.q_power(1)
     bad = SparseMatrix.diagonal(entries)
     assert bad._diag is not None
-    mutant = Representation(rep.rank, rep.dim, {**rep.mats, ("Linv", 1): bad}, rep.label)
-    failed = [c for c in check_relations(mutant)["checks"]
-              if c["relation"] == "L L^-1 = 1" and c["status"] == "fail"]
-    assert failed == [{"relation": "L L^-1 = 1", "indices": [1], "status": "fail",
-                       "witness": rep.label(state)}]
-    assert check_relations(rep)["status"] == "pass"
+    # its word twin: n_1 n_2 = psid_1 psi_1 psid_2 psi_2 is 1 on the states
+    # with positions 1 and 2 occupied, the smallest of which is this state
+    number = OperatorExpr.word(6, [("psid", 1), ("psi", 1), ("psid", 2), ("psi", 2)])
+    bad_word = rep.Linv(1) + (rep.Linv(1) * number).scale(QLaurent({1: 1, 0: -1}))
+    for base, linv in ((mats, bad), (rep, bad_word)):
+        mutant = Representation(rep.rank, rep.dim, {**base.mats, ("Linv", 1): linv}, rep.label,
+                                base.identity)
+        failed = [c for c in check_relations(mutant)["checks"]
+                  if c["relation"] == "L L^-1 = 1" and c["status"] == "fail"]
+        assert failed == [{"relation": "L L^-1 = 1", "indices": [1], "status": "fail",
+                           "witness": rep.label(state)}]
+        assert check_relations(base)["status"] == "pass"
+
+
+# -- the word path of the relation checks against the matrix path ---------------
+
+SHAPES_UP_TO_9 = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
+
+
+def suite_reports(rep):
+    return check_relations(rep), check_serre(rep)
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_9)
+def test_word_and_matrix_paths_report_alike(n, m):
+    reps = [lambda_rep(n, m), rho_rep(n, m)] + ([phi_rep(n)] if m == 1 else [])
+    for rep in reps:
+        assert isinstance(rep.E(1) if rep.rank > 1 else rep.L(1), OperatorExpr)
+        assert suite_reports(rep) == suite_reports(matrix_rep(rep))
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_word_and_matrix_paths_report_alike_under_a_mutant(monkeypatch, name, n, m):
+    failing = mutate(monkeypatch, name)
+    reps = {"lambda_relations": lambda_rep(n, m), "rho_relations": rho_rep(n, m)}
+    for suite, rep in reps.items():
+        words = suite_reports(rep)
+        assert words == suite_reports(matrix_rep(rep))
+        # the comparison covers failed records and their witnesses
+        assert (words[0]["status"] == "fail") == (suite in failing)
+
+
+def test_relation_suites_pass_above_the_old_wall():
+    # 25 positions: decided on the words, with no 2^25-column matrix
+    for rep in (lambda_rep(5, 5), rho_rep(5, 5)):
+        assert rep.dim == 1 << 25
+        assert check_relations(rep)["status"] == "pass"
+        assert check_serre(rep)["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_corrupted_table_entry_fails_above_the_old_wall(monkeypatch, name):
+    failing = mutate(monkeypatch, name)
+    suites = [suite for suite in failing if suite.endswith("_relations")]
+    assert suites
+    for suite in suites:
+        rep = (lambda_rep if suite == "lambda_relations" else rho_rep)(5, 5)
+        failed = [c for c in check_relations(rep)["checks"] if c["status"] == "fail"]
+        assert failed, suite
+        assert all(len(c["witness"]) == 25 and set(c["witness"]) <= {"0", "1"} for c in failed)

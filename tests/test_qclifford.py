@@ -238,12 +238,13 @@ WIDE_DIGITS = [1 << 15, -(1 << 15) - 3, (1 << 20) + 1]
 
 
 @st.composite
-def operators(draw):
-    """Up to 4 terms on up to 7 positions.  w and winv on positions no psi
-    or psid touches give negative and positive exponent weights; a last term
-    may repeat the first one's word, negated, times w_k w_k^-1 (cancelling
-    it) or times w_k (cancelling it on the states without position k)."""
-    n = draw(st.integers(1, 7))
+def operators(draw, length=None):
+    """Up to 4 terms on up to 7 positions (or on length positions).  w and
+    winv on positions no psi or psid touches give negative and positive
+    exponent weights; a last term may repeat the first one's word, negated,
+    times w_k w_k^-1 (cancelling it) or times w_k (cancelling it on the
+    states without position k)."""
+    n = length or draw(st.integers(1, 7))
     gens = st.tuples(st.sampled_from([PSI, PSI_DAG, OMEGA, OMEGA_INV]), st.integers(1, n))
     digits = st.one_of(st.integers(-3, 3), st.sampled_from(WIDE_DIGITS))
     coeffs = st.dictionaries(st.integers(-3, 3), digits, max_size=2).map(QLaurent)
@@ -259,6 +260,81 @@ def operators(draw):
 @given(operators())
 def test_compiled_words_match_interpreter(op):
     assert_compiled_matches(op)
+
+
+def deformed_relation(k, n, e):
+    """psi_k psid_k + q^e psid_k psi_k - w_k^-e (e = +-1): a zero operator
+    that no merge of equal words cancels."""
+    psi, psid = OperatorExpr.psi(k, n), OperatorExpr.psi_dag(k, n)
+    w = OperatorExpr.omega_inv(k, n) if e == 1 else OperatorExpr.omega(k, n)
+    return psi * psid + (psid * psi).scale(QLaurent.q_power(e)) - w
+
+
+@st.composite
+def operator_pairs(draw):
+    """(a, b) on one length: two drawn operators, or b and b + x R y with R
+    a deformed relation (a zero sum), possibly plus a drawn perturbation."""
+    b = draw(operators())
+    n = b.length
+    form = draw(st.sampled_from(["independent", "zero sum", "perturbed"]))
+    if form == "independent":
+        return draw(operators(n)), b
+    k = draw(st.integers(1, n))
+    relation = deformed_relation(k, n, draw(st.sampled_from([1, -1])))
+    a = b + draw(operators(n)) * relation * draw(operators(n))
+    if form == "perturbed":
+        a = a + draw(operators(n))
+    return a, b
+
+
+@given(operator_pairs(), st.integers(-2, 2))
+def test_word_decisions_match_the_matrices(pair, shift):
+    # the word path (wordzero) against the packed matrices, witnesses included
+    a, b = pair
+    ma, mb = a.to_matrix(), b.to_matrix()
+    assert a.first_difference(b) == ma.first_difference(mb)
+    assert a.first_noncommuting(b, shift) == ma.first_noncommuting(mb, shift)
+
+
+def _small_sums():
+    """{name: (operator, first nonzero state)} on 3 positions."""
+    n1 = [("psid", 1), ("psi", 1)]  # 1 on the states with position 1 occupied
+    e1 = [("psi", 1), ("psid", 1)]  # 1 on the states without it
+    # psi_2's sign depends on position 1, which the other two words touch:
+    # psi_2 (1 + c n_1 + d e_1) keeps 010 unless d = -1 and 011 unless c = -1
+    sums = {f"signs {c} {d}": (OperatorExpr(3, [
+        (1, [("psi", 2)]), (c, [("psi", 2)] + n1), (d, [("psi", 2)] + e1)]), first)
+        for (c, d), first in (((1, 1), 2), ((1, -1), 3), ((-1, 1), 2), ((-1, -1), None))}
+    # entries that vanish at q = 2 or q = 3 but not in the Laurent ring
+    roots = QLaurent({2: 1, 1: -5, 0: 6})  # (q - 2)(q - 3)
+    sums["root factor"] = (OperatorExpr(3, [(roots, n1), (-roots, [])]), 0)
+    sums["root entry"] = (
+        OperatorExpr(3, [(1, [("winv", 1)]), (QLaurent({2: 1, 1: -5, 0: 5}), [])]), 0)
+    sums["root entry, zero"] = (OperatorExpr(3, [
+        (roots, [("winv", 1)] + n1), (-roots, n1), (QLaurent({1: -1, 0: 1}) * roots, n1)]), None)
+    return sums
+
+
+@pytest.mark.parametrize("name", sorted(_small_sums()))
+def test_word_decisions_on_signs_and_small_roots(name):
+    op, first = _small_sums()[name]
+    assert op.to_matrix().first_difference(SparseMatrix(1 << op.length)) == first
+    assert op.first_difference(OperatorExpr.zero(op.length)) == first
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_deformed_relations_are_zero_on_the_words(N):
+    zero = OperatorExpr.zero(N)
+    hop = OperatorExpr.word(N, [("psid", 1), ("w", N), ("psi", N)])
+    for k in range(1, N + 1):
+        for e in (1, -1):
+            relation = deformed_relation(k, N, e)
+            assert relation.first_difference(zero) is None
+            assert (hop * relation * hop.scale(2)).first_difference(zero) is None
+            # one word off: the first state it keeps is the witness
+            off = relation + OperatorExpr.psi_dag(k, N)
+            assert off.first_difference(zero) == 0
+            assert off.to_matrix().first_difference(SparseMatrix(1 << N)) == 0
 
 
 @given(operators(), st.dictionaries(st.integers(0, 15), st.integers(-2, 2), max_size=5))

@@ -47,8 +47,9 @@ and tests, not for hot paths.
 
 Operator equality on matrices is equality of these packed entries (the
 relation suites of the grid representations decide theirs on Clifford words
-instead, see ``wordzero``), and ``first_noncommuting`` decides a commutation, or a shifted one X Y = q^s Y X,
-from the list without a product when either factor has the diagonal form.
+instead, see ``wordzero``), and ``first_noncommuting`` decides a
+commutation, or a shifted one X Y = q^s Y X, from the list without a
+product when either factor has the diagonal form.
 
 The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q, and behind the span

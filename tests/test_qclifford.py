@@ -301,7 +301,8 @@ def _small_sums():
     n1 = [("psid", 1), ("psi", 1)]  # 1 on the states with position 1 occupied
     e1 = [("psi", 1), ("psid", 1)]  # 1 on the states without it
     # psi_2's sign depends on position 1, which the other two words touch:
-    # psi_2 (1 + c n_1 + d e_1) keeps 010 unless d = -1 and 011 unless c = -1
+    # psi_2 (1 + c n_1 + d e_1) is nonzero on state 2 (position 2 occupied)
+    # unless d = -1, and on state 3 (positions 1 and 2) unless c = -1
     sums = {f"signs {c} {d}": (OperatorExpr(3, [
         (1, [("psi", 2)]), (c, [("psi", 2)] + n1), (d, [("psi", 2)] + e1)]), first)
         for (c, d), first in (((1, 1), 2), ((1, -1), 3), ((-1, 1), 2), ((-1, -1), None))}

@@ -81,11 +81,11 @@ def _config(args):
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise UsageError(f"grid shape must be positive, got {n}x{m}")
-    # hwv acts on one vector, explain prints words and verify qgroup checks
-    # p x p matrices and Clifford words; every other command builds exact
-    # 2^nm-column matrices, which take hours past 2^16 columns
+    # hwv acts on one vector, explain prints words, and verify qgroup,
+    # embeddings and commutant decide on Clifford words (and p x p matrices);
+    # the rest enumerate the 2^nm basis states, which takes hours past 2^16
     unwalled = args.command in ("hwv", "explain") or (
-        args.command == "verify" and args.suite == "qgroup")
+        args.command == "verify" and args.suite in ("qgroup", "embeddings", "commutant"))
     if n * m > MAX_ENUMERATED_POSITIONS and not unwalled:
         raise UsageError(f"grid {n}x{m} needs matrices with 2^{n * m} = {1 << (n * m)} "
                          f"columns; qhowe refuses more than 2^{MAX_ENUMERATED_POSITIONS}")
@@ -182,7 +182,7 @@ def _qgroup_section(cfg):
     return {"section": "qgroup", "status": report.status(ok), "targets": checks}
 
 
-def _embeddings_section(cfg, memo=None):
+def _embeddings_section(cfg):
     n, m = cfg["n"], cfg["m"]
     lam = embeddings.lambda_rep(n, m)
     rho = embeddings.rho_rep(n, m)
@@ -191,16 +191,16 @@ def _embeddings_section(cfg, memo=None):
         "lambda_serre": qgroup.check_serre(lam),
         "rho_relations": qgroup.check_relations(rho),
         "rho_serre": qgroup.check_serre(rho),
-        "composition": embeddings.check_composition(n, m, memo=memo),
-        "dequantization": embeddings.check_dequantization(n, m, memo=memo),
-        "tensor_character": embeddings.check_tensor_character(n, m, memo=memo),
+        "composition": embeddings.check_composition(n, m),
+        "dequantization": embeddings.check_dequantization(n, m),
+        "tensor_character": embeddings.check_tensor_character(n, m),
     }
     return {"section": "embeddings", "status": report.status(report.passed(parts.values())),
             **parts}
 
 
-def _commutant_section(cfg, memo=None):
-    return {**embeddings.check_commutant(cfg["n"], cfg["m"], memo=memo),
+def _commutant_section(cfg):
+    return {**embeddings.check_commutant(cfg["n"], cfg["m"]),
             "section": "commutant"}
 
 
@@ -229,9 +229,9 @@ def _module_algebra_section(cfg):
     return {**braided_ext.check_module_algebra(p), "section": "module-algebra"}
 
 
-def _decompose_section(cfg, values, memo=None):
+def _decompose_section(cfg, values):
     try:
-        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values, memo)
+        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values)
     except duality.SpecializationAnomaly as exc:
         return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
     spans["section"] = "decompose"
@@ -302,35 +302,40 @@ def run(args):
     elif args.command == "explain":
         sections.append(_explain_section(cfg, args.map_name, args.gen))
     elif args.command == "all":
-        # each quantum generator matrix is built once and shared by the
-        # embeddings, commutant and decompose sections; the memo ends with
-        # this run
-        memo = {}
         sections.append(_scalar_section(cfg["seed"]))
         sections.append(_clifford_section(cfg))
         sections.append(_qgroup_section(cfg))
-        sections.append(_embeddings_section(cfg, memo))
-        sections.append(_commutant_section(cfg, memo))
+        sections.append(_embeddings_section(cfg))
+        sections.append(_commutant_section(cfg))
         sections.append(_braiding_section(cfg))
         sections.append(_module_algebra_section(cfg))
-        sections.append(_decompose_section(cfg, values, memo))
+        sections.append(_decompose_section(cfg, values))
         sections.append(_cauchy_section(cfg))
     return {"config": cfg, "command": args.command,
             "status": report.status(report.passed(sections)), "sections": sections}
 
 
-def _leaves(node, path=""):
-    """(path, check) for each deepest dict whose status is pass or fail."""
-    if isinstance(node, dict):
-        children = [(f"{path}.{key}" if path else key, value) for key, value in node.items()]
-    elif isinstance(node, list):
-        children = [(f"{path}[{i}]", value) for i, value in enumerate(node)]
-    else:
-        return []
-    out = [leaf for child_path, value in children for leaf in _leaves(value, child_path)]
-    if not out and isinstance(node, dict) and node.get("status") in ("pass", "fail"):
-        out.append((path, node))
-    return out
+def _tally(node, path, failed):
+    """The number of leaves under the dict or list node: the deepest dicts
+    whose status is pass or fail.  Appends (path, leaf) to failed for each
+    failing leaf; path is a chain (parent path, key) from the root None."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    count = sum(_tally(value, (path, key), failed) for key, value in items
+                if isinstance(value, (dict, list)))
+    if count or not isinstance(node, dict) or node.get("status") not in ("pass", "fail"):
+        return count
+    if node["status"] == "fail":
+        failed.append((path, node))
+    return 1
+
+
+def _spell(path):
+    """A _tally path as text: keys joined by dots, list indices in brackets."""
+    parts = []
+    while path is not None:
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return "".join(reversed(parts)).lstrip(".")
 
 
 def render_text(report):
@@ -343,10 +348,10 @@ def render_text(report):
     for section in report["sections"]:
         mark = "PASS" if section["status"] == "pass" else section["status"].upper()
         # explain only displays a generator image: it verifies nothing
-        leaves = [] if section["section"] == "explain" else _leaves(section)
-        failed = [(path, x) for path, x in leaves if x["status"] == "fail"]
+        failed = []
+        leaves = 0 if section["section"] == "explain" else _tally(section, None, failed)
         lines.append(f"[{mark}] {section['section']}  "
-                     f"({len(leaves) - len(failed)} checks pass, {len(failed)} fail)")
+                     f"({leaves - len(failed)} checks pass, {len(failed)} fail)")
         if section["section"] == "hwv":
             lines.append(f"  mu = {section['mu']}   conjugate = {section['mu_conj']}")
             lines.append(f"  state = v({section['state']})")
@@ -365,7 +370,7 @@ def render_text(report):
             lines.append(f"  total {section['total']} of {section['space_dim']}")
         if section["status"] == "fail":
             for path, x in failed:
-                desc = x.get("relation") or x.get("generator") or path
+                desc = x.get("relation") or x.get("generator") or _spell(path)
                 extra = [str(x[k]) for k in ("indices", "pair", "generator", "witness") if k in x]
                 text = f"{desc} {' '.join(extra)}".strip()
                 lines.append(f"  FAIL {text}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from . import report
-from .embeddings import classical_lambda, classical_rho, generator_matrix, lambda_q, rho_q
+from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
 from .fockspace import (
     MAX_ENUMERATED_POSITIONS, GridShape, QVector, grid_to_linear, row_col_weights, state_to_string,
 )
@@ -229,24 +229,21 @@ def dimension_identity(n, m):
     }
 
 
-def _integer_ops(n, m, kind, value, memo=None):
+def _integer_ops(n, m, kind, value):
     """The kind ("E" or "F") generators of both actions at q = value, as
-    integer columns {col: {row: int}}.  Each is the specialized matrix
-    divided by its own nonzero constant, which changes no span or rank.
-    Without a memo, each generator matrix is dropped as soon as it is
-    converted; with one, it is read from the memo (see
-    ``embeddings.generator_matrix``)."""
+    integer columns {col: {row: int}}, built from the Clifford words
+    (``OperatorExpr.specialize_ints``).  Each is the specialized operator
+    times its own nonzero constant, which changes no span or rank."""
     gens = [(lambda_q, i) for i in range(1, n)] + [(rho_q, j) for j in range(1, m)]
-    return [generator_matrix(builder, n, m, kind, i, memo).specialize_ints(value)[0]
-            for builder, i in gens]
+    return [builder(n, m, kind, i).specialize_ints(value)[0] for builder, i in gens]
 
 
-def _lowering_ops(n, m, value, memo):
+def _lowering_ops(n, m, value):
     """Lowering operators of both actions at q = value, as integer columns."""
-    return _integer_ops(n, m, "F", value, memo)
+    return _integer_ops(n, m, "F", value)
 
 
-def _value_ranks(shape, partitions, expected, value, memo):
+def _value_ranks(shape, partitions, expected, value):
     """(span dimension per partition, joint rank) at q = value; expected
     holds each partition's Weyl product, which bounds its closure's rounds.
 
@@ -255,7 +252,7 @@ def _value_ranks(shape, partitions, expected, value, memo):
     for this call, so one value's are freed before the next value's are
     built."""
     n, m = shape
-    ops = _lowering_ops(n, m, value, memo)
+    ops = _lowering_ops(n, m, value)
     joint = RationalEchelon()
     dims = []
     for mu, want in zip(partitions, expected):
@@ -270,22 +267,20 @@ def _value_ranks(shape, partitions, expected, value, memo):
     return dims, joint.rank
 
 
-def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, memo=None):
+def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     """Certify the decomposition by exact rank computation at specialized q.
 
     For each partition in the box, closes its highest-weight state under all
     lowering operators of both actions (coefficients specialized at each
-    value), measures the span by exact integer-preserving Gaussian
-    elimination, and checks the dimensions against Weyl products, their sum
-    against 2^(nm), and the joint span against the full space.  Ranks are
-    computed over the integers: each specialized operator is scaled by one
-    nonzero constant of its own to integer entries, which changes no span.
-    Disagreement between specialization values raises
-    :class:`SpecializationAnomaly`.  The closures visit all 2^(nm) basis
-    states, so more than ``MAX_ENUMERATED_POSITIONS`` positions are refused.
-    memo is the run's generator-matrix memo (``embeddings.generator_matrix``,
-    filled by the composition, commutant and dequantization checks): with
-    one, the lowering generator matrices are read from it.
+    value, integer columns built from the Clifford words), measures the span
+    by exact integer-preserving Gaussian elimination, and checks the
+    dimensions against Weyl products, their sum against 2^(nm), and the
+    joint span against the full space.  Ranks are computed over the
+    integers: each specialized operator is scaled by one nonzero constant of
+    its own to integer entries, which changes no span.  Disagreement between
+    specialization values raises :class:`SpecializationAnomaly`.  The
+    closures visit all 2^(nm) basis states, so more than
+    ``MAX_ENUMERATED_POSITIONS`` positions are refused.
     """
     shape = GridShape(n, m).check()
     if shape.positions > MAX_ENUMERATED_POSITIONS:
@@ -302,7 +297,7 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES, memo=None):
     expected = [dim_n * dim_m for dim_n, dim_m in weyl]
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, expected, value, memo)
+        dims, joint_rank = _value_ranks(shape, partitions, expected, value)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]

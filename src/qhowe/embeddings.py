@@ -27,15 +27,18 @@ deriving either side from the other would make that check compare a
 formula with itself.
 
 ``lambda_rep``, ``rho_rep`` and ``phi_rep`` hold their generators as Clifford
-words, so ``qgroup``'s relation and Serre suites decide them on the words,
-past 16 positions too.  The composition, commutant, dequantization and
-tensor-character checks compare 2^nm-column matrices (``generator_matrix``).
+words.  ``qgroup``'s relation and Serre suites and the composition, commutant
+and dequantization checks here decide their identities on the words, and the
+tensor character reads the torus words' exponent masks, so no check builds a
+2^nm-column matrix, past 16 positions too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from math import prod
 
 from . import report
 from .fockspace import GridShape, grid_to_linear, state_to_string
@@ -67,7 +70,6 @@ __all__ = [
     "lambda_rep",
     "rho_rep",
     "phi_rep",
-    "generator_matrix",
     "check_composition",
     "check_commutant",
     "check_dequantization",
@@ -344,22 +346,6 @@ def classical_rho(n, m, kind, index):
 # -- representation bundles ----------------------------------------------------
 
 
-def generator_matrix(builder, n, m, kind, index, memo):
-    """builder(n, m, kind, index).to_matrix(), built once per memo.
-
-    memo is a dict the caller keeps for one run (None: no sharing).  Only the
-    quantum row and column generators go into it; the classical ones are
-    rebuilt on each call, so that the memo holds no more than one
-    representation pair."""
-    if memo is None or builder not in (lambda_q, rho_q):
-        return builder(n, m, kind, index).to_matrix()
-    key = (builder, n, m, kind, index)
-    mat = memo.get(key)
-    if mat is None:
-        mat = memo[key] = builder(n, m, kind, index).to_matrix()
-    return mat
-
-
 def _grid_rep(rank, n, m, builder):
     """The generators as Clifford words; the relation checks decide them
     on the words, so no 2^nm-column matrix is built."""
@@ -397,19 +383,16 @@ def _gen_list(rank, classical=False):
     return [key for key in generator_keys(rank) if not (classical and key[0] == "Linv")]
 
 
-def check_composition(n, m, memo=None):
-    """lambda_q equals phi_q o theta, generator by generator, as matrices."""
+def check_composition(n, m):
+    """lambda_q equals phi_q o theta, generator by generator, on the words."""
     label = partial(state_to_string, length=n * m)
-    checks = []
-    for kind, i in _gen_list(n):
-        direct = generator_matrix(lambda_q, n, m, kind, i, memo)
-        composed = compose_phi_theta(n, m, kind, i).to_matrix()
-        checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
-                                   generator=f"{kind}{i}"))
+    checks = [report.match("lambda_q = phi_q o theta", lambda_q(n, m, kind, i),
+                           compose_phi_theta(n, m, kind, i), label, generator=f"{kind}{i}")
+              for kind, i in _gen_list(n)]
     return report.finish(checks, n=n, m=m)
 
 
-def check_commutant(n, m, memo=None):
+def check_commutant(n, m):
     """[row action, column action] = 0 for every generator pair, both flavors."""
     label = partial(state_to_string, length=n * m)
     checks = []
@@ -417,64 +400,37 @@ def check_commutant(n, m, memo=None):
         ("[lambda_q, rho_q] = 0", lambda_q, rho_q, False),
         ("[lambda, rho] = 0 (classical)", classical_lambda, classical_rho, True),
     ):
-        rows = [(f"{kind}{i}", generator_matrix(row_map, n, m, kind, i, memo))
-                for kind, i in _gen_list(n, classical)]
-        cols = [(f"{kind}{j}", generator_matrix(col_map, n, m, kind, j, memo))
-                for kind, j in _gen_list(m, classical)]
+        rows = [(f"{kind}{i}", row_map(n, m, kind, i)) for kind, i in _gen_list(n, classical)]
+        cols = [(f"{kind}{j}", col_map(n, m, kind, j)) for kind, j in _gen_list(m, classical)]
         for x, X in rows:
             for y, Y in cols:
                 checks.append(report.commute(relation, X, Y, label, pair=[x, y]))
     return report.finish(checks, n=n, m=m)
 
 
-def _equal_at_one(qmat, cmat):
-    """The first column where qmat and cmat differ at q = 1, or None.
-    Compared in ints: with specialize_ints(1) = (cols, scale) for each,
-    qscale * qv == cscale * cv."""
-    (qcols, qs), (ccols, cs) = qmat.specialize_ints(1), cmat.specialize_ints(1)
-    kq, kc = qs.numerator * cs.denominator, cs.numerator * qs.denominator
-    if kq != kc:
-        qcols = {c: {r: v * kq for r, v in col.items()} for c, col in qcols.items()}
-        ccols = {c: {r: v * kc for r, v in col.items()} for c, col in ccols.items()}
-    if qcols == ccols:
-        return None
-    return min(c for c in qcols.keys() | ccols.keys() if qcols.get(c) != ccols.get(c))
+def _exponent_operators(N, weights):
+    """For weights (e0, ((c, mask), ...)) and e(s) = e0 + sum(c * |s &
+    mask|): the torus word that scales each state s by q^e(s), and the
+    classical diagonal e0 + sum(c * psid_k psi_k) with entries e(s)."""
+    e0, masks = weights
+    cells = [(c, k) for c, mask in masks for k in range(1, N + 1) if mask >> (k - 1) & 1]
+    word = [CliffordGen(OMEGA_INV if c > 0 else OMEGA, k) for c, k in cells for _ in range(abs(c))]
+    degree = [(e0, ())] + [(c, (CliffordGen(PSI_DAG, k), CliffordGen(PSI, k))) for c, k in cells]
+    return (OperatorExpr.word(N, word, coeff=QLaurent.q_power(e0)),
+            OperatorExpr(N, degree, classical=True))
 
 
-def _diag_exponents(mat):
-    """e_c for each column c that is {c: q^(e_c)}, None for any other column."""
-    exps = mat.monomial_diag_exponents()
-    if exps is None:
-        exps = [None] * mat.dim
-        for c, col in mat.cols.items():
-            term = col[c].single_term() if col.keys() == {c} else None
-            if term and term[1] == 1:
-                exps[c] = term[0]
-    return exps
-
-
-def _diag_exponent_match(qmat, cmat):
-    """The first column where the quantum matrix is not q^(classical diagonal
-    at q = 1) or the classical matrix has an entry off the diagonal, or
-    None."""
-    ccols, scale = cmat.specialize_ints(1)
-    num, den = scale.numerator, scale.denominator
-    for s, e in enumerate(_diag_exponents(qmat)):
-        col = ccols.get(s, {})
-        if e is None or col.keys() - {s} or col.get(s, 0) * num != e * den:
-            return s
-    return None
-
-
-def check_dequantization(n, m, memo=None):
+def check_dequantization(n, m):
     """q = 1 limits of the quantum actions against their classical versions.
 
-    Root vectors specialize to the classical matrices outright.  Torus
-    generators are q-exponentials of the classical degree operators, so the
-    exact statement for L is an exponent match on the diagonal.  A failed
-    check's witness is the first basis state whose column differs.
+    Root vectors specialize to the classical operators outright.  Torus
+    generators are q-exponentials of the classical degree operators: the
+    quantum L must be the torus word of its own exponents, and the classical
+    L the degree operator of those exponents.  A failed check's witness is
+    the first basis state whose column differs.
     """
-    label = partial(state_to_string, length=n * m)
+    N = n * m
+    label = partial(state_to_string, length=N)
     checks = []
     for flavor, qmap, cmap, rank in (
         ("lambda", lambda_q, classical_lambda, n),
@@ -482,47 +438,58 @@ def check_dequantization(n, m, memo=None):
     ):
         gens = [(kind, i) for i in range(1, rank) for kind in ("E", "F")]
         for kind, i in gens + [("L", i) for i in range(1, rank + 1)]:
-            qmat = generator_matrix(qmap, n, m, kind, i, memo)
-            cmat = cmap(n, m, kind, i).to_matrix()
+            qop, cop = qmap(n, m, kind, i), cmap(n, m, kind, i)
             if kind == "L":
                 relation = f"{flavor}_q(L) = q^(classical degree)"
-                c = _diag_exponent_match(qmat, cmat)
+                torus, degree = _exponent_operators(N, qop.torus_weights() or (0, ()))
+                firsts = qop.first_difference(torus), cop.first_difference(degree)
+                c = min((x for x in firsts if x is not None), default=None)
             else:
-                relation, c = f"{flavor}_q|q=1 = classical", _equal_at_one(qmat, cmat)
+                relation, c = f"{flavor}_q|q=1 = classical", qop.first_difference_at_one(cop)
             checks.append(report.column(relation, c, label, generator=f"{kind}{i}"))
     return report.finish(checks, n=n, m=m)
 
 
-def check_tensor_character(n, m, memo=None):
+def _weight_polynomial(torus, positions, copies):
+    """The joint weight multiset of the torus words torus[i] = L_i on
+    ``positions`` positions, over ``copies`` tensor copies of their module:
+    x^shift times one binomial 1 + x^(v_k) per position k, v_k its weight
+    vector.  Returned as (number of v_k = 0, {variables: {exponents: count}})
+    with one polynomial per group of variables that some v_k link, multiplied
+    out by convolution; two products are equal exactly when these are."""
+    weights = [op.torus_weights() if len(op.terms) == 1 else None for op in torus]
+    if None in weights:
+        raise AssertionError("torus action is not a monomial diagonal")
+    vectors = [tuple(next((c for c, mask in masks if mask >> k & 1), 0) for _, masks in weights)
+               for k in range(positions)] * copies
+    groups = {(i,): [] for i in range(len(weights))}  # variables -> their vectors
+    for v in vectors:
+        linked = [g for g in groups if any(v[i] for i in g)]
+        if linked:
+            groups[tuple(sorted(sum(linked, ())))] = sum(map(groups.pop, linked), [v])
+    polys = {}
+    for variables, vs in groups.items():
+        poly = Counter({tuple(copies * weights[i][0] for i in variables): 1})
+        for v in vs:
+            poly += Counter({tuple(x + v[i] for x, i in zip(e, variables)): count
+                             for e, count in poly.items()})
+        polys[variables] = poly
+    return vectors.count((0,) * len(weights)), polys
+
+
+def check_tensor_character(n, m):
     """Character-level comparison of the grid module with the tensor power.
 
     The multiset of joint torus-eigenvalue exponent tuples of the row action
     on the grid module must equal that of the m-fold coproduct action on the
-    m-th tensor power of the rank-n exterior module.  L_i is grouplike, so
-    that action is L_i (x) ... (x) L_i, m factors of phi_q(L_i); only these
-    diagonal Kronecker products are built.
+    m-th tensor power of the rank-n exterior module (L_i is grouplike: m
+    factors of phi_q(L_i)).  Both are read from the torus words, with no
+    state enumerated; distinct_weights counts the grid side's monomials.
     """
-    grid_exps = []
-    for i in range(1, n + 1):
-        exps = generator_matrix(lambda_q, n, m, "L", i, memo).monomial_diag_exponents()
-        if exps is None:
-            raise AssertionError("row torus action is not a monomial diagonal")
-        grid_exps.append(exps)
-    grid_multiset = sorted(zip(*grid_exps))
-
-    tensor_exps = []
-    for i in range(1, n + 1):
-        factor = tensor = phi_q(n, "L", i).to_matrix()
-        for _ in range(m - 1):
-            tensor = tensor.kron(factor)
-        exps = tensor.monomial_diag_exponents()
-        if exps is None:
-            raise AssertionError("tensor torus action is not a monomial diagonal")
-        tensor_exps.append(exps)
-    tensor_multiset = sorted(zip(*tensor_exps))
-
-    return report.check("joint weight multisets agree", grid_multiset == tensor_multiset,
-                        n=n, m=m, distinct_weights=len(set(grid_multiset)))
+    grid = _weight_polynomial([lambda_q(n, m, "L", i) for i in range(1, n + 1)], n * m, 1)
+    tensor = _weight_polynomial([phi_q(n, "L", i) for i in range(1, n + 1)], n, m)
+    return report.check("joint weight multisets agree", grid == tensor, n=n, m=m,
+                        distinct_weights=prod(map(len, grid[1].values())))
 
 
 _MAPS = {

@@ -14,16 +14,19 @@ products.  Each word is compiled once into bit masks over the input state
 doubling over the word's free bits, then packs them through
 ``SparseMatrix.from_word_columns``.  Identities between operators are
 identities of their action on the module, not in the abstract algebra (the
-module is not a faithful representation of it).  ``first_difference`` and
-``first_noncommuting`` decide them on the compiled words (``wordzero``) and
-name the same witness state as the matrices would, at any length up to 64
-positions.  A matrix has 2^N columns, so ``to_matrix`` refuses more than
-``fockspace.MAX_ENUMERATED_POSITIONS`` (16) positions.
+module is not a faithful representation of it).  ``first_difference``,
+``first_noncommuting`` and ``first_difference_at_one`` decide them on the
+compiled words (``wordzero``), naming the witness state the matrices would,
+at up to 64 positions.  ``specialize_ints`` gives the integer columns at one
+q from the words.  It and ``to_matrix`` list 2^N columns, so both refuse
+more than ``fockspace.MAX_ENUMERATED_POSITIONS`` (16) positions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import NamedTuple
 
 from . import report
@@ -345,12 +348,41 @@ class OperatorExpr:
         same mask, the matrix takes the XOR form with it (mask 0: every word
         leaves its touched positions as it found them, and the matrix is
         diagonal)."""
-        if self.length > MAX_ENUMERATED_POSITIONS:
-            raise ValueError(f"matrix for {self.length} positions exceeds "
-                             f"2^{MAX_ENUMERATED_POSITIONS} columns")
+        self._check_enumerable()
         terms = [(coeff, cw.require_set ^ cw.final_set, *cw.exponent_range(),
                   *cw.columns(self.length)) for coeff, cw in self._compiled()]
         return SparseMatrix.from_word_columns(1 << self.length, terms)
+
+    def specialize_ints(self, value):
+        """(cols, scale) as ``to_matrix().specialize_ints(value)`` returns,
+        up to one constant factor between the two cols, built from each
+        word's states and keys (``_CompiledWord.columns``) and a table of its
+        entries per key, all over one common denominator."""
+        self._check_enumerable()
+        value = Fraction(value)
+        words = []
+        for coeff, cw in self._compiled():
+            c = coeff.specialize(value)
+            emin, emax = cw.exponent_range()
+            # the entry at key 2 * (e - emin) + negative
+            table = [x for e in range(emin, emax + 1) for x in (c * value**e, -c * value**e)]
+            words.append((cw, table))
+        den = lcm(*(x.denominator for _, table in words for x in table))
+        cols = {}
+        for cw, table in words:
+            table = [int(x * den) for x in table]
+            move = cw.require_set ^ cw.final_set
+            for s, key in zip(*cw.columns(self.length)):
+                col = cols.setdefault(s, {})
+                v = col.pop(s ^ move, 0) + table[key]
+                if v:
+                    col[s ^ move] = v
+        return {c: col for c, col in cols.items() if col}, Fraction(1, den)
+
+    def _check_enumerable(self):
+        if self.length > MAX_ENUMERATED_POSITIONS:
+            raise ValueError(f"matrix for {self.length} positions exceeds "
+                             f"2^{MAX_ENUMERATED_POSITIONS} columns")
 
     # -- identities -----------------------------------------------------------
 
@@ -365,6 +397,23 @@ class OperatorExpr:
         """The first column where self * other and q^shift other * self
         differ, or None; as ``SparseMatrix.first_noncommuting``."""
         return first_nonzero_state(q_commutator(self, other, shift)._compiled())
+
+    def first_difference_at_one(self, other):
+        """first_difference at q = 1: each word's coefficient is taken at 1
+        and its q-exponents are dropped before the words are decided."""
+        return first_nonzero_state([
+            (QLaurent.from_rational(coeff.specialize(1)), cw._replace(exp0=0, exp_masks=()))
+            for coeff, cw in (self - other)._compiled()])
+
+    def torus_weights(self):
+        """(e0, exp_masks) of the first word that touches no position and has
+        a coefficient q^e0: it scales each state s by q^(e0 + sum(c * |s &
+        mask|) for c, mask in exp_masks).  None when no word does."""
+        for coeff, cw in self._compiled():
+            term = coeff.single_term()
+            if not cw.require_set | cw.require_clear and term and term[1] == 1:
+                return term[0], cw.exp_masks
+        return None
 
     # -- rendering ----------------------------------------------------------
 
@@ -397,43 +446,37 @@ def q_commutator(a, b, k=0):
 
 
 def check_clifford(N):
-    """Exhaustive operator-level checks of the generator relations on N positions.
+    """Operator-level checks of the generator relations on N positions.
 
-    Canonical anticommutation among the psi and psid, {psi_a, psid_a} = id,
-    the deformed relations psi psid + q^{+-1} psid psi = w^{-+1}, and the
-    sign rule of the classical (q = 1) action.
+    Canonical anticommutation among the psi and psid, {psi_a, psid_a} = id and
+    the deformed relations psi psid + q^{+-1} psid psi = w^{-+1}, decided on
+    the Clifford words; the sign rule of the classical (q = 1) action, state
+    by state against 2^N-column matrices.
     """
     checks = []
     label = partial(state_to_string, length=N)
-    zero = SparseMatrix(1 << N)
-    ident = SparseMatrix.identity(1 << N)
+    ident = OperatorExpr.identity(N)
+    zero = ident.scale(0)
     psi = [None] + [OperatorExpr.psi(k, N) for k in range(1, N + 1)]
     psid = [None] + [OperatorExpr.psi_dag(k, N) for k in range(1, N + 1)]
-    psi_m = [None] + [psi[k].to_matrix() for k in range(1, N + 1)]
-    psid_m = [None] + [psid[k].to_matrix() for k in range(1, N + 1)]
 
     for i in range(1, N + 1):
         for j in range(i, N + 1):
-            anti = psi_m[i] * psi_m[j] + psi_m[j] * psi_m[i]
-            checks.append(report.match("psi psi anticommute", anti, zero, label, indices=[i, j]))
-            anti = psid_m[i] * psid_m[j] + psid_m[j] * psid_m[i]
-            checks.append(report.match("psid psid anticommute", anti, zero, label,
-                                       indices=[i, j]))
+            for relation, ops in (("psi psi anticommute", psi), ("psid psid anticommute", psid)):
+                anti = ops[i] * ops[j] + ops[j] * ops[i]
+                checks.append(report.match(relation, anti, zero, label, indices=[i, j]))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            mixed = psi_m[i] * psid_m[j] + psid_m[j] * psi_m[i]
+            mixed = psi[i] * psid[j] + psid[j] * psi[i]
             checks.append(report.match("{psi_i, psid_j}", mixed, ident if i == j else zero,
                                        label, indices=[i, j]))
-
-    q1 = QLaurent.q_power(1)
-    qm1 = QLaurent.q_power(-1)
     for a in range(1, N + 1):
-        w = OperatorExpr.omega(a, N).to_matrix()
-        winv = OperatorExpr.omega_inv(a, N).to_matrix()
-        lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(q1)
-        checks.append(report.match("psi psid + q psid psi = w^-1", lhs, winv, label, indices=[a]))
-        lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(qm1)
-        checks.append(report.match("psi psid + q^-1 psid psi = w", lhs, w, label, indices=[a]))
+        for relation, e, target in (
+            ("psi psid + q psid psi = w^-1", 1, OperatorExpr.omega_inv(a, N)),
+            ("psi psid + q^-1 psid psi = w", -1, OperatorExpr.omega(a, N)),
+        ):
+            lhs = psi[a] * psid[a] + (psid[a] * psi[a]).scale(QLaurent.q_power(e))
+            checks.append(report.match(relation, lhs, target, label, indices=[a]))
 
     checks.append(report.check("classical sign rule", *_sign_rule_witness(N), indices=[]))
     return report.finish(checks, positions=N)

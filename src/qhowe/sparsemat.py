@@ -46,7 +46,7 @@ equality and specialization are integer operations; ``cols`` decodes to
 and tests, not for hot paths.
 
 Operator equality on matrices is equality of these packed entries (the
-relation suites of the grid representations decide theirs on Clifford words
+operator suites of the grid representations decide theirs on Clifford words
 instead, see ``wordzero``), and ``first_noncommuting`` decides a
 commutation, or a shifted one X Y = q^s Y X, from the list without a
 product when either factor has the diagonal form.
@@ -430,27 +430,14 @@ class SparseMatrix:
 
     def monomial_diag_exponents(self):
         """Exponents e_c when the matrix is diag(q^(e_c)) with no zero entry,
-        else None.  Lets torus conjugations reduce to integer arithmetic."""
-        diag = self._diag
-        if diag is None:
-            cols = self._cols
-            if len(cols) != self.dim or any(col.keys() != {c} for c, col in cols.items()):
-                return None
-            diag = [cols[c][c] for c in range(self.dim)]
-        elif self._flip:
+        else None; read from ``cols``."""
+        cols = self.cols
+        if len(cols) != self.dim or any(col.keys() != {c} for c, col in cols.items()):
             return None
-        width, lo, den = self._width, self._lo, self._den
-        exps = {}
-        for v in set(diag):
-            # q^e with coefficient +1 packs to den * 2^(width (e - lo))
-            v1, rem = divmod(v, den)
-            if rem or v1 <= 0 or v1 & (v1 - 1):
-                return None
-            k, rem = divmod(v1.bit_length() - 1, width)
-            if rem:
-                return None
-            exps[v] = lo + k
-        return list(map(exps.__getitem__, diag))
+        terms = [cols[c][c].single_term() for c in range(self.dim)]
+        if all(t and t[1] == 1 for t in terms):
+            return [e for e, _ in terms]
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

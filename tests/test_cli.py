@@ -133,8 +133,16 @@ def test_verify_qgroup_past_2_16_columns_still_runs(capsys):
     # the section checks p x p matrices and the Clifford words of phi_rep(p)
     assert main(["--n", "1", "--m", "24", "verify", "qgroup"]) == 0
     assert "overall: pass" in capsys.readouterr().out
-    # the wall still holds for the suites that build 2^nm-column matrices
-    assert main(["--n", "1", "--m", "24", "verify", "embeddings"]) == 2
+    # the wall still holds for the classical sign rule's 2^nm-column matrices
+    assert main(["--n", "1", "--m", "24", "verify", "clifford"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["commutant", "embeddings"])
+def test_operator_suites_past_2_16_columns_run(capsys, suite):
+    # both suites decide their identities on the Clifford words: 25 positions
+    # take well under a second each
+    assert main(["--n", "5", "--m", "5", "verify", suite]) == 0
+    assert "overall: pass" in capsys.readouterr().out
 
 
 def test_all_json_deterministic(capsys):
@@ -248,6 +256,18 @@ def test_render_text_fail_lines():
         "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)",
         "overall: fail",
     ]
+
+
+def test_render_text_spells_nested_paths():
+    # a failing leaf with neither a relation nor a generator prints its path,
+    # list indices in brackets
+    report = {"config": _FAILING_REPORT["config"], "command": "all", "status": "fail",
+              "sections": [{"section": "qgroup", "status": "fail", "targets": [
+                  {"target": "natural rank 1", "serre": {"status": "pass", "checks": []}},
+                  {"target": "natural rank 2", "serre": {"status": "fail", "checks": []}},
+              ]}]}
+    assert render_text(report).splitlines()[1:3] == [
+        "[FAIL] qgroup  (1 checks pass, 1 fail)", "  FAIL targets[1].serre"]
 
 
 # sha256 of three canonical reports.  A change to report building must keep

@@ -213,16 +213,19 @@ class TestCyclicSpans:
         with pytest.raises(ValueError):
             cyclic_span_dims(2, 2, (Fraction(1),))
 
-    def test_memo_supplies_the_lowering_matrices(self, monkeypatch):
+    def test_spans_and_operator_checks_build_no_matrix(self, monkeypatch):
+        # the lowering columns and the four embeddings checks come from the
+        # Clifford words; none of them realizes a 2^nm-column matrix
         want = cyclic_span_dims(2, 3)
-        memo = {}
-        embeddings.check_commutant(2, 3, memo=memo)
 
         def refuse(expr):
-            raise AssertionError("to_matrix called although the memo holds the matrix")
+            raise AssertionError("to_matrix called")
 
         monkeypatch.setattr(OperatorExpr, "to_matrix", refuse)
-        assert cyclic_span_dims(2, 3, memo=memo) == want
+        assert cyclic_span_dims(2, 3) == want
+        for check in (embeddings.check_composition, embeddings.check_commutant,
+                      embeddings.check_dequantization, embeddings.check_tensor_character):
+            assert check(2, 3)["status"] == "pass"
 
     def test_consistent_across_values(self):
         a = cyclic_span_dims(2, 2, (Fraction(2),))
@@ -239,7 +242,7 @@ class TestCyclicSpanControls:
         original = duality._lowering_ops
         monkeypatch.setattr(
             duality, "_lowering_ops",
-            lambda n, m, value, memo: corrupt(original(n, m, value, memo), value)
+            lambda n, m, value: corrupt(original(n, m, value), value)
         )
 
     def test_dropped_operator_fails(self, monkeypatch):

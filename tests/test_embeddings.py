@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from qhowe import embeddings
+from qhowe import embeddings, report
 from qhowe.embeddings import (
     COL,
     COL_ABOVE,
@@ -19,7 +20,6 @@ from qhowe.embeddings import (
     classical_rho,
     compose_phi_theta,
     explain,
-    generator_matrix,
     lambda_q,
     lambda_rep,
     phi_q,
@@ -28,8 +28,8 @@ from qhowe.embeddings import (
     rho_rep,
     theta,
 )
-from qhowe.fockspace import GridShape, QVector, grid_to_linear, string_to_state
-from qhowe.qclifford import OMEGA, OperatorExpr
+from qhowe.fockspace import GridShape, QVector, grid_to_linear, state_to_string, string_to_state
+from qhowe.qclifford import OMEGA, OMEGA_INV, OperatorExpr
 from qhowe.qgroup import Representation, check_relations, check_serre, generator_keys
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
@@ -199,15 +199,22 @@ class TestTensorCharacter:
         assert check_tensor_character(n, m)["status"] == "pass"
 
     @pytest.mark.parametrize("n,m,state", [(2, 2, "0000"), (2, 3, "101000"), (3, 2, "111111")])
-    def test_shifted_grid_weight_fails(self, n, m, state):
-        # negative control: one diagonal entry of the grid lambda_q(L_1) times
-        # q, read through the run's memo; the tensor side is built as before
-        L1 = lambda_q(n, m, "L", 1).to_matrix()
-        entries = [L1.entry(s, s) for s in range(L1.dim)]
-        entries[S(state)] = entries[S(state)] * QLaurent.q_power(1)
-        memo = {(lambda_q, n, m, "L", 1): SparseMatrix.diagonal(entries)}
-        assert check_tensor_character(n, m, memo=memo)["status"] == "fail"
-        assert check_tensor_character(n, m, memo={})["status"] == "pass"
+    def test_shifted_grid_weight_fails(self, monkeypatch, n, m, state):
+        # negative control: the grid lambda_q(L_1) as the torus word over the
+        # occupied positions of state (one w^-1 each) instead of row 1's
+        # cells; the tensor side is built as before
+        assert check_tensor_character(n, m)["status"] == "pass"
+        original = embeddings.lambda_q
+        word = [(OMEGA_INV, k) for k in range(1, n * m + 1) if state[k - 1] == "1"]
+
+        def mutant(n, m, kind, index):
+            if (kind, index) == ("L", 1):
+                return OperatorExpr.word(n * m, word)
+            return original(n, m, kind, index)
+
+        monkeypatch.setattr(embeddings, "lambda_q", mutant)
+        assert check_tensor_character(n, m)["status"] == "fail"
+        assert check_tensor_character(n, m) == ref_check_tensor_character(n, m)
 
 
 def test_explain_output():
@@ -405,14 +412,14 @@ def matrix_rep(rep):
 @pytest.mark.parametrize("build", [lambda_rep, rho_rep])
 def test_torus_generators_take_the_diagonal_form(build):
     # a silent fallback to one dict per column would cost 20x the memory;
-    # the matrices are those the matrix checks read through generator_matrix
+    # the matrices are those the matrix oracles below build
     rep = build(2, 3)
     builder = lambda_q if build is lambda_rep else rho_q
     mats = Representation(rep.rank, rep.dim, {
-        key: generator_matrix(builder, 2, 3, *key, None) for key in generator_keys(rep.rank)})
+        key: builder(2, 3, *key).to_matrix() for key in generator_keys(rep.rank)})
     torus = [mats.gen(kind, i) for kind in ("L", "Linv") for i in range(1, rep.rank + 1)]
     torus += [mats.gen(kind, i) for kind in ("K", "Kinv") for i in range(1, rep.rank)]
-    torus += [generator_matrix(builder, 2, 3, kind, i, None)
+    torus += [builder(2, 3, kind, i).to_matrix()
               for kind in ("K", "Kinv") for i in range(1, rep.rank)]
     assert all(mat._diag is not None and mat.nnz() == rep.dim for mat in torus)
     assert mats.K(1) is mats.gen("K", 1)  # the cached K is the one checked
@@ -494,3 +501,176 @@ def test_corrupted_table_entry_fails_above_the_old_wall(monkeypatch, name):
         failed = [c for c in check_relations(rep)["checks"] if c["status"] == "fail"]
         assert failed, suite
         assert all(len(c["witness"]) == 25 and set(c["witness"]) <= {"0", "1"} for c in failed)
+
+
+# -- the word path of the operator checks against their matrix path ------------
+#
+# The ref_* oracles are the matrix versions of check_composition,
+# check_commutant, check_dequantization and check_tensor_character: every
+# generator realized as its 2^nm-column matrix.  They look the builders up on
+# the module, so monkeypatched mutants reach them too.
+
+
+def ref_check_composition(n, m):
+    label = partial(state_to_string, length=n * m)
+    checks = []
+    for kind, i in embeddings._gen_list(n):
+        direct = embeddings.lambda_q(n, m, kind, i).to_matrix()
+        composed = embeddings.compose_phi_theta(n, m, kind, i).to_matrix()
+        checks.append(report.match("lambda_q = phi_q o theta", direct, composed, label,
+                                   generator=f"{kind}{i}"))
+    return report.finish(checks, n=n, m=m)
+
+
+def ref_check_commutant(n, m):
+    label = partial(state_to_string, length=n * m)
+    checks = []
+    for relation, row_map, col_map, classical in (
+        ("[lambda_q, rho_q] = 0", "lambda_q", "rho_q", False),
+        ("[lambda, rho] = 0 (classical)", "classical_lambda", "classical_rho", True),
+    ):
+        row_map, col_map = getattr(embeddings, row_map), getattr(embeddings, col_map)
+        rows = [(f"{kind}{i}", row_map(n, m, kind, i).to_matrix())
+                for kind, i in embeddings._gen_list(n, classical)]
+        cols = [(f"{kind}{j}", col_map(n, m, kind, j).to_matrix())
+                for kind, j in embeddings._gen_list(m, classical)]
+        for x, X in rows:
+            for y, Y in cols:
+                checks.append(report.commute(relation, X, Y, label, pair=[x, y]))
+    return report.finish(checks, n=n, m=m)
+
+
+def ref_equal_at_one(qmat, cmat):
+    """The first column where qmat and cmat differ at q = 1, or None."""
+    (qcols, qs), (ccols, cs) = qmat.specialize_ints(1), cmat.specialize_ints(1)
+    kq, kc = qs.numerator * cs.denominator, cs.numerator * qs.denominator
+    if kq != kc:
+        qcols = {c: {r: v * kq for r, v in col.items()} for c, col in qcols.items()}
+        ccols = {c: {r: v * kc for r, v in col.items()} for c, col in ccols.items()}
+    if qcols == ccols:
+        return None
+    return min(c for c in qcols.keys() | ccols.keys() if qcols.get(c) != ccols.get(c))
+
+
+def ref_diag_exponents(mat):
+    """e_c for each column c that is {c: q^(e_c)}, None for any other column."""
+    exps = mat.monomial_diag_exponents()
+    if exps is None:
+        exps = [None] * mat.dim
+        for c, col in mat.cols.items():
+            term = col[c].single_term() if col.keys() == {c} else None
+            if term and term[1] == 1:
+                exps[c] = term[0]
+    return exps
+
+
+def ref_diag_exponent_match(qmat, cmat):
+    """The first column where the quantum matrix is not q^(classical diagonal
+    at q = 1) or the classical matrix has an entry off the diagonal, or None."""
+    ccols, scale = cmat.specialize_ints(1)
+    num, den = scale.numerator, scale.denominator
+    for s, e in enumerate(ref_diag_exponents(qmat)):
+        col = ccols.get(s, {})
+        if e is None or col.keys() - {s} or col.get(s, 0) * num != e * den:
+            return s
+    return None
+
+
+def ref_check_dequantization(n, m):
+    label = partial(state_to_string, length=n * m)
+    checks = []
+    for flavor, qmap, cmap, rank in (
+        ("lambda", "lambda_q", "classical_lambda", n),
+        ("rho", "rho_q", "classical_rho", m),
+    ):
+        qmap, cmap = getattr(embeddings, qmap), getattr(embeddings, cmap)
+        gens = [(kind, i) for i in range(1, rank) for kind in ("E", "F")]
+        for kind, i in gens + [("L", i) for i in range(1, rank + 1)]:
+            qmat = qmap(n, m, kind, i).to_matrix()
+            cmat = cmap(n, m, kind, i).to_matrix()
+            if kind == "L":
+                relation = f"{flavor}_q(L) = q^(classical degree)"
+                c = ref_diag_exponent_match(qmat, cmat)
+            else:
+                relation, c = f"{flavor}_q|q=1 = classical", ref_equal_at_one(qmat, cmat)
+            checks.append(report.column(relation, c, label, generator=f"{kind}{i}"))
+    return report.finish(checks, n=n, m=m)
+
+
+def ref_check_tensor_character(n, m):
+    grid_exps = []
+    for i in range(1, n + 1):
+        exps = embeddings.lambda_q(n, m, "L", i).to_matrix().monomial_diag_exponents()
+        assert exps is not None
+        grid_exps.append(exps)
+    grid_multiset = sorted(zip(*grid_exps))
+    tensor_exps = []
+    for i in range(1, n + 1):
+        factor = tensor = embeddings.phi_q(n, "L", i).to_matrix()
+        for _ in range(m - 1):
+            tensor = tensor.kron(factor)
+        exps = tensor.monomial_diag_exponents()
+        assert exps is not None
+        tensor_exps.append(exps)
+    tensor_multiset = sorted(zip(*tensor_exps))
+    return report.check("joint weight multisets agree", grid_multiset == tensor_multiset,
+                        n=n, m=m, distinct_weights=len(set(grid_multiset)))
+
+
+OPERATOR_CHECKS = {
+    "composition": (check_composition, ref_check_composition),
+    "commutant": (check_commutant, ref_check_commutant),
+    "dequantization": (check_dequantization, ref_check_dequantization),
+    "tensor_character": (check_tensor_character, ref_check_tensor_character),
+}
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_9)
+@pytest.mark.parametrize("suite", sorted(OPERATOR_CHECKS))
+def test_operator_checks_report_alike_on_both_paths(suite, n, m):
+    check, ref = OPERATOR_CHECKS[suite]
+    assert check(n, m) == ref(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_operator_checks_report_alike_under_a_mutant(monkeypatch, name, n, m):
+    failing = mutate(monkeypatch, name)
+    for suite, (check, ref) in OPERATOR_CHECKS.items():
+        words = check(n, m)
+        assert words == ref(n, m), suite
+        # the comparison covers failed records and their witnesses
+        assert (words["status"] == "fail") == (suite in failing), suite
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_operator_checks_fail_above_the_old_wall(monkeypatch, name):
+    # negative controls at 25 positions, decided on the words
+    failing = mutate(monkeypatch, name)
+    suites = [suite for suite in ("composition", "commutant") if suite in failing]
+    for suite in suites:
+        failed = [c for c in OPERATOR_CHECKS[suite][0](5, 5)["checks"] if c["status"] == "fail"]
+        assert failed, suite
+        assert all(len(c["witness"]) == 25 and set(c["witness"]) <= {"0", "1"} for c in failed)
+
+
+@pytest.mark.parametrize("kind,mutate_op,fails", [
+    # L1 times q: exponent one above the classical degree on every state
+    pytest.param("L", lambda op: op.scale(QLaurent.q_power(1)), True, id="L1-times-q"),
+    # E1 times 2 differs from the classical E1 at q = 1
+    pytest.param("E", lambda op: op.scale(2), True, id="E1-times-2"),
+    # E1 with its q-power shifted (q^-1 -> q^-2) is the same operator at
+    # q = 1, so no q = 1 check can see it
+    pytest.param("E", lambda op: op.scale(QLaurent.q_power(-1)), False, id="E1-shifted-q-power"),
+])
+def test_dequantization_above_the_old_wall(monkeypatch, kind, mutate_op, fails):
+    original = embeddings.lambda_q
+
+    def mutant(n, m, k, index):
+        op = original(n, m, k, index)
+        return mutate_op(op) if (k, index) == (kind, 1) else op
+
+    monkeypatch.setattr(embeddings, "lambda_q", mutant)
+    failed = [c for c in check_dequantization(5, 5)["checks"] if c["status"] == "fail"]
+    assert [c["generator"] for c in failed] == ([f"{kind}1"] if fails else [])
+    assert all(len(c["witness"]) == 25 and set(c["witness"]) <= {"0", "1"} for c in failed)

@@ -1,10 +1,14 @@
+from fractions import Fraction
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qhowe import fockspace
-from qhowe.fockspace import QVector, string_to_state
+from qhowe import fockspace, qclifford, report
+from qhowe.fockspace import QVector, state_to_string, string_to_state
 from qhowe.qclifford import (
-    OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, check_clifford, q_commutator,
+    OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, _sign_rule_witness, check_clifford,
+    q_commutator,
 )
 from qhowe.embeddings import (
     classical_lambda, classical_rho, compose_phi_theta, lambda_q, rho_q,
@@ -75,13 +79,46 @@ def test_flipped_sign_rule_fails(monkeypatch):
     assert failed == [("classical sign rule", "000")]
 
 
+# psi_2 on N = 3 positions with the sign of its entry at state 010 flipped:
+# every record with psi_2 in it fails except psi_2 psi_2 + psi_2 psi_2 = 0,
+# which holds whatever the entries; the witness is the first state whose image
+# runs through psi_2 at 010: 110 and 011 (psi_1 resp. psi_3 applied first or
+# last), 010 (psi_2 applied first) and 000 (psid_2 first, then psi_2)
+FLIPPED_PSI_FAILURES = [
+    ("psi psi anticommute", [1, 2], "110"),
+    ("psi psi anticommute", [2, 3], "011"),
+    ("{psi_i, psid_j}", [2, 1], "010"),
+    ("{psi_i, psid_j}", [2, 2], "000"),
+    ("{psi_i, psid_j}", [2, 3], "010"),
+    ("psi psid + q psid psi = w^-1", [2], "000"),
+    ("psi psid + q^-1 psid psi = w", [2], "000"),
+]
+
+
+def failures(report):
+    return [(c["relation"], c["indices"], c.get("witness"))
+            for c in report["checks"] if c["status"] == "fail"]
+
+
 def test_flipped_psi_entry_fails_its_relations(monkeypatch):
-    # negative control through the XOR form: psi_2 on N = 3 positions with
-    # the sign of its entry at state 010 flipped.  Every record with psi_2 in
-    # it fails except psi_2 psi_2 + psi_2 psi_2 = 0, which holds whatever
-    # the entries; the witness is the first state whose image runs through
-    # psi_2 at 010: 110 and 011 (psi_1 resp. psi_3 applied first or last),
-    # 010 (psi_2 applied first) and 000 (psid_2 first, then psi_2)
+    # negative control on the words: psi_2 - 2 psi_2 P, P = e_1 n_2 e_3 the
+    # projector on 010 (n_k = psid_k psi_k, e_k = psi_k psid_k)
+    N, k = 3, 2
+    projector = [("psi", 1), ("psid", 1), ("psid", 2), ("psi", 2), ("psi", 3), ("psid", 3)]
+    bad = OperatorExpr(N, [(1, [("psi", k)]), (-2, [("psi", k)] + projector)])
+    original = OperatorExpr.psi.__func__
+
+    def psi(cls, index, length, classical=False):
+        if (index, length, classical) == (k, N, False):
+            return bad
+        return original(cls, index, length, classical)
+
+    monkeypatch.setattr(OperatorExpr, "psi", classmethod(psi))
+    assert failures(check_clifford(N)) == FLIPPED_PSI_FAILURES
+
+
+def test_flipped_psi_entry_fails_the_matrix_oracle(monkeypatch):
+    # the same control through the XOR form of the matrix path
     N, k = 3, 2
     good = OperatorExpr.psi(k, N).to_matrix()
     cols = good.cols
@@ -97,17 +134,63 @@ def test_flipped_psi_entry_fails_its_relations(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(OperatorExpr, "to_matrix", to_matrix)
-    failed = [(c["relation"], c["indices"], c.get("witness"))
-              for c in check_clifford(N)["checks"] if c["status"] == "fail"]
-    assert failed == [
-        ("psi psi anticommute", [1, 2], "110"),
-        ("psi psi anticommute", [2, 3], "011"),
-        ("{psi_i, psid_j}", [2, 1], "010"),
-        ("{psi_i, psid_j}", [2, 2], "000"),
-        ("{psi_i, psid_j}", [2, 3], "010"),
-        ("psi psid + q psid psi = w^-1", [2], "000"),
-        ("psi psid + q^-1 psid psi = w", [2], "000"),
-    ]
+    assert failures(ref_check_clifford(N)) == FLIPPED_PSI_FAILURES
+
+
+def ref_check_clifford(N):
+    """The matrix path of check_clifford: every relation compared on
+    2^N-column matrices (the differential oracle of the word path)."""
+    checks = []
+    label = partial(state_to_string, length=N)
+    zero = SparseMatrix(1 << N)
+    ident = SparseMatrix.identity(1 << N)
+    psi_m = [None] + [OperatorExpr.psi(k, N).to_matrix() for k in range(1, N + 1)]
+    psid_m = [None] + [OperatorExpr.psi_dag(k, N).to_matrix() for k in range(1, N + 1)]
+    for i in range(1, N + 1):
+        for j in range(i, N + 1):
+            anti = psi_m[i] * psi_m[j] + psi_m[j] * psi_m[i]
+            checks.append(report.match("psi psi anticommute", anti, zero, label, indices=[i, j]))
+            anti = psid_m[i] * psid_m[j] + psid_m[j] * psid_m[i]
+            checks.append(report.match("psid psid anticommute", anti, zero, label,
+                                       indices=[i, j]))
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            mixed = psi_m[i] * psid_m[j] + psid_m[j] * psi_m[i]
+            checks.append(report.match("{psi_i, psid_j}", mixed, ident if i == j else zero,
+                                       label, indices=[i, j]))
+    for a in range(1, N + 1):
+        w = OperatorExpr.omega(a, N).to_matrix()
+        winv = OperatorExpr.omega_inv(a, N).to_matrix()
+        lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(QLaurent.q_power(1))
+        checks.append(report.match("psi psid + q psid psi = w^-1", lhs, winv, label, indices=[a]))
+        lhs = psi_m[a] * psid_m[a] + (psid_m[a] * psi_m[a]).scale(QLaurent.q_power(-1))
+        checks.append(report.match("psi psid + q^-1 psid psi = w", lhs, w, label, indices=[a]))
+    checks.append(report.check("classical sign rule", *_sign_rule_witness(N), indices=[]))
+    return report.finish(checks, positions=N)
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_word_and_matrix_paths_report_alike(N):
+    assert check_clifford(N) == ref_check_clifford(N)
+
+
+def test_relations_fail_above_the_old_wall(monkeypatch):
+    # negative control at 25 positions: psi_2 times a stray w_1 fails its
+    # anticommutation with psi_1 on the words (psi_1 psi_2 w_1 sees position
+    # 1 occupied, psi_2 w_1 psi_1 sees it emptied), witnesses of 25
+    # characters; the sign rule alone would need 2^25-column matrices
+    N = 25
+    original = OperatorExpr.psi.__func__
+
+    def psi(cls, index, length, classical=False):
+        op = original(cls, index, length, classical)
+        return op * OperatorExpr.omega(1, length) if (index, classical) == (2, False) else op
+
+    monkeypatch.setattr(OperatorExpr, "psi", classmethod(psi))
+    monkeypatch.setattr(qclifford, "_sign_rule_witness", lambda N: (True, None))
+    failed = failures(check_clifford(N))
+    assert failed[0] == ("psi psi anticommute", [1, 2], "11" + "0" * 23)
+    assert all(len(w) == N and set(w) <= {"0", "1"} for _, _, w in failed)
 
 
 @pytest.mark.parametrize("N", [1, 3, 5])
@@ -260,6 +343,19 @@ def operators(draw, length=None):
 @given(operators())
 def test_compiled_words_match_interpreter(op):
     assert_compiled_matches(op)
+
+
+@given(operators(), st.sampled_from([2, 3, Fraction(5, 3), -2]))
+def test_word_integer_columns_match_the_matrix(op, value):
+    # the integer columns built from the words are the matrix's at q = value,
+    # column by column, up to one constant: equal once each side is scaled
+    cols, scale = op.specialize_ints(value)
+    want, want_scale = op.to_matrix().specialize_ints(value)
+    assert cols.keys() == want.keys()
+    for c, col in cols.items():
+        assert col.keys() == want[c].keys() and 0 not in col.values()
+        assert ({r: v * scale for r, v in col.items()}
+                == {r: v * want_scale for r, v in want[c].items()})
 
 
 def deformed_relation(k, n, e):

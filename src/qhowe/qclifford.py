@@ -10,16 +10,15 @@ Operator expressions are scalar-weighted words in these generators.  Words
 apply right to left, matching the usual composition convention for displayed
 products.  Each word is compiled once into bit masks over the input state
 (:class:`_CompiledWord`); ``apply`` evaluates that form state by state, and
-``to_matrix`` lists the states a word keeps and their sign and q-exponent by
-doubling over the word's free bits, then packs them through
-``SparseMatrix.from_word_columns``.  Identities between operators are
-identities of their action on the module, not in the abstract algebra (the
-module is not a faithful representation of it).  ``first_difference``,
-``first_noncommuting`` and ``first_difference_at_one`` decide them on the
-compiled words (``wordzero``), naming the witness state the matrices would,
-at up to 64 positions.  ``specialize_ints`` gives the integer columns at one
-q from the words.  It and ``to_matrix`` list 2^N columns, so both refuse
-more than ``fockspace.MAX_ENUMERATED_POSITIONS`` (16) positions.
+``_CompiledWord.columns`` lists the states a word keeps and a sign and
+q-exponent key for each by doubling over the word's free bits.  Identities
+between operators are identities of their action on the module, not in the
+abstract algebra (the module is not a faithful representation of it).
+``first_difference``, ``first_noncommuting`` and ``first_difference_at_one``
+decide them on the compiled words (``wordzero``), naming the witness state
+the matrices would, at up to 64 positions.  The classical sign rule,
+``specialize_ints`` and ``to_matrix`` (the tests' oracle) read those lists
+of 2^N states, so they refuse more than ``MAX_ENUMERATED_POSITIONS`` (16).
 """
 
 from __future__ import annotations
@@ -159,6 +158,12 @@ class _CompiledWord(NamedTuple):
             else:
                 high += c * mask.bit_count()
         return low, high
+
+    def entries(self, coeff):
+        """The entry of each key of ``columns``: coeff times -q^e or q^e,
+        from the low end of ``exponent_range`` up."""
+        low, high = self.exponent_range()
+        return [x for e in range(low, high + 1) for x in (coeff.shift(e), -coeff.shift(e))]
 
     def columns(self, length):
         """(states, keys) for the states of the given length that survive,
@@ -340,18 +345,24 @@ class OperatorExpr:
         return QVector._raw(self.length, out)
 
     def to_matrix(self):
-        """Realize as a 2^N x 2^N sparse matrix (column per basis state).
+        """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),
+        the oracle the tests hold the word decisions to.
 
-        Each word contributes the states it keeps, built by doubling over its
-        free bits (``_CompiledWord.columns``).  A word moves each state it
-        keeps by the mask require_set ^ final_set; when every word has the
-        same mask, the matrix takes the XOR form with it (mask 0: every word
-        leaves its touched positions as it found them, and the matrix is
-        diagonal)."""
+        Each word's kept states and keys (``_CompiledWord.columns``) index the
+        table of its entries (``_CompiledWord.entries``); a state s goes to
+        row s ^ (require_set ^ final_set).  Columns are in ascending order."""
         self._check_enumerable()
-        terms = [(coeff, cw.require_set ^ cw.final_set, *cw.exponent_range(),
-                  *cw.columns(self.length)) for coeff, cw in self._compiled()]
-        return SparseMatrix.from_word_columns(1 << self.length, terms)
+        cols = {}
+        for coeff, cw in self._compiled():
+            move = cw.require_set ^ cw.final_set
+            states, keys = cw.columns(self.length)
+            for s, v in zip(states, map(cw.entries(coeff).__getitem__, keys)):
+                col = cols.setdefault(s, {})
+                prev = col.pop(s ^ move, None)
+                v = v if prev is None else prev + v
+                if v:
+                    col[s ^ move] = v
+        return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols) if cols[c]})
 
     def specialize_ints(self, value):
         """(cols, scale) as ``to_matrix().specialize_ints(value)`` returns,
@@ -451,7 +462,7 @@ def check_clifford(N):
     Canonical anticommutation among the psi and psid, {psi_a, psid_a} = id and
     the deformed relations psi psid + q^{+-1} psid psi = w^{-+1}, decided on
     the Clifford words; the sign rule of the classical (q = 1) action, state
-    by state against 2^N-column matrices.
+    by state on the classical words (at most 16 positions).
     """
     checks = []
     label = partial(state_to_string, length=N)
@@ -484,26 +495,52 @@ def check_clifford(N):
 
 def _sign_rule_witness(N):
     """(ok, first failing state in (k, state) order) of the classical psi_k
-    and psid_k matrices against matrices built from an independent
-    prefix-parity computation."""
+    and psid_k against an independent prefix-parity computation.
+
+    psi_k must keep the states with bit k and psid_k those without it, move
+    each kept state s by bit k and scale it by (-1)^prefix_parity(s, k).  The
+    compiled words are compared state by state, with no matrix, and the
+    witness is the state ``first_difference`` names on the two matrices."""
     from .fockspace import prefix_parity
 
-    one = QLaurent.one()
-    dim = 1 << N
+    if N > MAX_ENUMERATED_POSITIONS:
+        raise ValueError(f"sign rule for {N} positions exceeds "
+                         f"2^{MAX_ENUMERATED_POSITIONS} states")
     for k in range(1, N + 1):
         bit = 1 << (k - 1)
-        # psi_k empties position k of each state that has it, psid_k fills it
-        # in each state that lacks it; the sign key is the prefix parity
-        full = [s for s in range(dim) if s & bit]
+        full = [s for s in range(1 << N) if s & bit]
         empty = [s ^ bit for s in full]
-        want, want_dag = (
-            SparseMatrix.from_word_columns(
-                dim, [(one, bit, 0, 0, states, [prefix_parity(s, k) & 1 for s in states])])
-            for states in (full, empty))
         firsts = [c for c in (
-            OperatorExpr.psi(k, N, classical=True).to_matrix().first_difference(want),
-            OperatorExpr.psi_dag(k, N, classical=True).to_matrix().first_difference(want_dag),
+            _first_sign_mismatch(OperatorExpr.psi(k, N, classical=True), bit, full,
+                                 [prefix_parity(s, k) & 1 for s in full]),
+            _first_sign_mismatch(OperatorExpr.psi_dag(k, N, classical=True), bit, empty,
+                                 [prefix_parity(s, k) & 1 for s in empty]),
         ) if c is not None]
         if firsts:
             return False, state_to_string(min(firsts), N)
     return True, None
+
+
+def _first_sign_mismatch(op, bit, states, signs):
+    """The smallest column where op's matrix differs from the one with entry
+    (-1)^signs[i] at row states[i] ^ bit of column states[i] (states
+    ascending), or None.  op must compile to one word: an operator that does
+    not fails at states[0], the first state it should act on."""
+    words = op._compiled()
+    if len(words) != 1:
+        return states[0]
+    (coeff, cw), = words
+    kept, keys = cw.columns(op.length)
+    if cw.require_set ^ cw.final_set != bit:
+        return min(kept[0], states[0])
+    # each key's entry as a sign bit, 2 for an entry that is not +-1
+    code = [0 if x == 1 else 1 if x == -1 else 2 for x in cw.entries(coeff)]
+    got = list(map(code.__getitem__, keys))
+    if kept == states and got == signs:
+        return None
+    for s, g, t, w in zip(kept, got, states, signs):
+        if s != t:
+            return min(s, t)
+        if g != w:
+            return s
+    return (kept if len(kept) > len(states) else states)[min(len(kept), len(states))]

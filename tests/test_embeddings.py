@@ -409,9 +409,12 @@ def matrix_rep(rep):
     return Representation(rep.rank, rep.dim, mats, rep.label)
 
 
+def is_diagonal(mat):
+    return all(col.keys() == {c} for c, col in mat.cols.items())
+
+
 @pytest.mark.parametrize("build", [lambda_rep, rho_rep])
 def test_torus_generators_take_the_diagonal_form(build):
-    # a silent fallback to one dict per column would cost 20x the memory;
     # the matrices are those the matrix oracles below build
     rep = build(2, 3)
     builder = lambda_q if build is lambda_rep else rho_q
@@ -421,25 +424,22 @@ def test_torus_generators_take_the_diagonal_form(build):
     torus += [mats.gen(kind, i) for kind in ("K", "Kinv") for i in range(1, rep.rank)]
     torus += [builder(2, 3, kind, i).to_matrix()
               for kind in ("K", "Kinv") for i in range(1, rep.rank)]
-    assert all(mat._diag is not None and mat.nnz() == rep.dim for mat in torus)
+    assert all(is_diagonal(mat) and mat.nnz() == rep.dim for mat in torus)
     assert mats.K(1) is mats.gen("K", 1)  # the cached K is the one checked
     assert rep.K(1) is rep.gen("K", 1)
-    roots = [mats.gen(kind, i) for kind in ("E", "F") for i in range(1, rep.rank)]
-    assert all(mat._diag is None for mat in roots)
     degree = (classical_lambda if build is lambda_rep else classical_rho)(2, 3, "L", 1)
-    assert degree.to_matrix()._diag is not None
+    assert is_diagonal(degree.to_matrix())
 
 
 def test_relations_fail_on_a_changed_diagonal_entry():
-    # negative control: one entry of rho L^-1_1 times q, once as a matrix
-    # kept in the diagonal form and once as a word sum on the word path
+    # negative control: one entry of rho L^-1_1 times q, once as a diagonal
+    # matrix and once as a word sum on the word path
     rep = rho_rep(2, 3)
     mats = matrix_rep(rep)
     state = 0b000011  # occupies positions 1 and 2, both in column 1
     entries = [mats.Linv(1).entry(s, s) for s in range(rep.dim)]
     entries[state] = entries[state] * QLaurent.q_power(1)
     bad = SparseMatrix.diagonal(entries)
-    assert bad._diag is not None
     # its word twin: n_1 n_2 = psid_1 psi_1 psid_2 psi_2 is 1 on the states
     # with positions 1 and 2 occupied, the smallest of which is this state
     number = OperatorExpr.word(6, [("psid", 1), ("psi", 1), ("psid", 2), ("psi", 2)])
@@ -554,13 +554,11 @@ def ref_equal_at_one(qmat, cmat):
 
 def ref_diag_exponents(mat):
     """e_c for each column c that is {c: q^(e_c)}, None for any other column."""
-    exps = mat.monomial_diag_exponents()
-    if exps is None:
-        exps = [None] * mat.dim
-        for c, col in mat.cols.items():
-            term = col[c].single_term() if col.keys() == {c} else None
-            if term and term[1] == 1:
-                exps[c] = term[0]
+    exps = [None] * mat.dim
+    for c, col in mat.cols.items():
+        term = col[c].single_term() if col.keys() == {c} else None
+        if term and term[1] == 1:
+            exps[c] = term[0]
     return exps
 
 
@@ -600,8 +598,8 @@ def ref_check_dequantization(n, m):
 def ref_check_tensor_character(n, m):
     grid_exps = []
     for i in range(1, n + 1):
-        exps = embeddings.lambda_q(n, m, "L", i).to_matrix().monomial_diag_exponents()
-        assert exps is not None
+        exps = ref_diag_exponents(embeddings.lambda_q(n, m, "L", i).to_matrix())
+        assert None not in exps
         grid_exps.append(exps)
     grid_multiset = sorted(zip(*grid_exps))
     tensor_exps = []
@@ -609,8 +607,8 @@ def ref_check_tensor_character(n, m):
         factor = tensor = embeddings.phi_q(n, "L", i).to_matrix()
         for _ in range(m - 1):
             tensor = tensor.kron(factor)
-        exps = tensor.monomial_diag_exponents()
-        assert exps is not None
+        exps = ref_diag_exponents(tensor)
+        assert None not in exps
         tensor_exps.append(exps)
     tensor_multiset = sorted(zip(*tensor_exps))
     return report.check("joint weight multisets agree", grid_multiset == tensor_multiset,

@@ -79,6 +79,86 @@ def test_flipped_sign_rule_fails(monkeypatch):
     assert failed == [("classical sign rule", "000")]
 
 
+def sign_after_k(monkeypatch, N):
+    """Compile each one-generator psi_k and psid_k word with the sign of the
+    occupied positions after k instead of before it."""
+    original = qclifford._CompiledWord.compile.__func__
+
+    def compile(cls, word):
+        cw = original(cls, word)
+        if cw is not None and len(word) == 1 and word[0].kind in (PSI, PSI_DAG):
+            after = ((1 << N) - 1) & -(1 << word[0].index)
+            cw = cw._replace(sign_mask=after)
+        return cw
+
+    monkeypatch.setattr(qclifford._CompiledWord, "compile", classmethod(compile))
+
+
+def test_sign_after_k_fails_the_sign_rule(monkeypatch):
+    # negative control on the words: psid_1 on 010 sees position 2 after it
+    sign_after_k(monkeypatch, 3)
+    report = check_clifford(3)
+    failed = [(c["relation"], c.get("witness")) for c in report["checks"] if c["status"] == "fail"]
+    assert failed == [("classical sign rule", "010")]
+
+
+def test_sign_rule_fails_a_generator_of_several_words(monkeypatch):
+    # the rule reads one compiled word per generator; psi_2 written as
+    # psi_2 n_1 + psi_2 e_1 is refused at 010, the first state it acts on
+    original = OperatorExpr.psi.__func__
+
+    def psi(cls, index, length, classical=False):
+        if (index, classical) == (2, True):
+            return OperatorExpr(length, [(1, [("psi", 2), ("psid", 1), ("psi", 1)]),
+                                         (1, [("psi", 2), ("psi", 1), ("psid", 1)])],
+                                classical=True)
+        return original(cls, index, length, classical)
+
+    monkeypatch.setattr(OperatorExpr, "psi", classmethod(psi))
+    assert _sign_rule_witness(3) == (False, "010")
+
+
+def test_sign_rule_refuses_past_16_positions():
+    # it enumerates the states, so it keeps the wall of the matrices
+    with pytest.raises(ValueError, match=r"2\^16"):
+        _sign_rule_witness(17)
+
+
+def ref_sign_rule_witness(N):
+    """The sign rule on matrices: each classical psi_k and psid_k from
+    to_matrix() against the matrix with entry (-1)^prefix_parity(s, k) at row
+    s ^ bit k of each column s with (psi_k) or without (psid_k) bit k."""
+    one = QLaurent.one()
+    for k in range(1, N + 1):
+        bit = 1 << (k - 1)
+        firsts = []
+        for op, kept in ((OperatorExpr.psi(k, N, classical=True), bit),
+                         (OperatorExpr.psi_dag(k, N, classical=True), 0)):
+            want = SparseMatrix(1 << N, {
+                s: {s ^ bit: -one if fockspace.prefix_parity(s, k) & 1 else one}
+                for s in range(1 << N) if s & bit == kept})
+            first = op.to_matrix().first_difference(want)
+            if first is not None:
+                firsts.append(first)
+        if firsts:
+            return False, state_to_string(min(firsts), N)
+    return True, None
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+@pytest.mark.parametrize("mutant", [None, "parity off by one", "sign after k"])
+def test_sign_rule_matches_the_matrix_oracle(monkeypatch, mutant, N):
+    if mutant == "parity off by one":
+        parity = fockspace.prefix_parity
+        monkeypatch.setattr(fockspace, "prefix_parity", lambda state, k: parity(state, k) + 1)
+    elif mutant == "sign after k":
+        sign_after_k(monkeypatch, N)
+    got = _sign_rule_witness(N)
+    assert got == ref_sign_rule_witness(N)
+    # every state passes unmutated; after k, one position has nothing after it
+    assert got[0] == (mutant is None or (mutant == "sign after k" and N == 1))
+
+
 # psi_2 on N = 3 positions with the sign of its entry at state 010 flipped:
 # every record with psi_2 in it fails except psi_2 psi_2 + psi_2 psi_2 = 0,
 # which holds whatever the entries; the witness is the first state whose image
@@ -118,14 +198,13 @@ def test_flipped_psi_entry_fails_its_relations(monkeypatch):
 
 
 def test_flipped_psi_entry_fails_the_matrix_oracle(monkeypatch):
-    # the same control through the XOR form of the matrix path
+    # the same control through the matrix path
     N, k = 3, 2
     good = OperatorExpr.psi(k, N).to_matrix()
     cols = good.cols
     state = string_to_state("010").bits
     cols[state] = {r: -v for r, v in cols[state].items()}
     bad = SparseMatrix(1 << N, cols)
-    assert bad._diag is not None and bad._flip == good._flip == 1 << (k - 1)
     original = OperatorExpr.to_matrix
 
     def to_matrix(self):
@@ -200,20 +279,15 @@ def test_psi_words_take_the_xor_form(N):
     psid = [OperatorExpr.psi_dag(k, N) for k in range(1, N + 1)]
     for k in range(N):
         for op in (psi[k], psid[k]):
-            mat = op.to_matrix()
-            assert mat._diag is not None and mat._flip == 1 << k
+            assert all(col.keys() == {c ^ 1 << k} for c, col in op.to_matrix().cols.items())
     ident = SparseMatrix.identity(1 << N)
     for i in range(N):
         for j in range(N):
             product = psi[i].to_matrix() * psid[j].to_matrix()
-            assert product._diag is not None and product._flip == (1 << i) ^ (1 << j)
             assert product.cols == reference_matrix(psi[i] * psid[j])
             assert product == (psi[i] * psid[j]).to_matrix()
             anti = product + psid[j].to_matrix() * psi[i].to_matrix()
             assert anti == (ident if i == j else SparseMatrix(1 << N))
-    if N > 1:
-        # two words with two masks keep the column form
-        assert (psi[0] + psid[1]).to_matrix()._diag is None
 
 
 def test_matrix_cap():
@@ -306,17 +380,12 @@ def assert_compiled_matches(op):
     assert mat == SparseMatrix(1 << op.length, ref)
     # every column is present in increasing order, as the interpreter built them
     assert list(mat.cols) == sorted(ref)
-    # the XOR form exactly when every word that survives has one mask
-    masks = {cw.require_set ^ cw.final_set for _, cw in op._compiled()}
-    assert (mat._diag is not None) == (len(masks) == 1 and bool(ref))
-    if mat._diag is None:
-        assert list(mat._cols) == sorted(ref)
     for state in range(1 << op.length):
         v = QVector.basis(state, op.length)
         assert op.apply(v) == reference_apply(op, v)
 
 
-# digits whose l1 norm reaches 2^15, so that the packing needs a 32-bit digit
+# coefficient digits of 2^15 and beyond
 WIDE_DIGITS = [1 << 15, -(1 << 15) - 3, (1 << 20) + 1]
 
 
@@ -385,7 +454,7 @@ def operator_pairs(draw):
 
 @given(operator_pairs(), st.integers(-2, 2))
 def test_word_decisions_match_the_matrices(pair, shift):
-    # the word path (wordzero) against the packed matrices, witnesses included
+    # the word path (wordzero) against the matrices, witnesses included
     a, b = pair
     ma, mb = a.to_matrix(), b.to_matrix()
     assert a.first_difference(b) == ma.first_difference(mb)
@@ -465,7 +534,7 @@ def test_compiled_word_cases(word):
 ])
 def test_diagonal_words_take_the_diagonal_form(terms):
     op = OperatorExpr(3, terms)
-    assert op.to_matrix()._diag is not None
+    assert all(col.keys() == {c} for c, col in op.to_matrix().cols.items())
     assert_compiled_matches(op)
 
 
@@ -503,20 +572,15 @@ def test_words_that_cancel(terms, zero):
 
 
 def test_word_matrix_entries_share_one_int():
-    # one word: its entries come from one table of monomials; two words of
-    # one mask: equal sums are shared afterwards
-    op = OperatorExpr.word(6, [("w", 1), ("winv", 4)], coeff=QLaurent({0: 1, 1: 1}))
-    assert len({id(v) for v in op.to_matrix()._diag}) == 3
+    # two diagonal words that keep complementary states
     psi, psid = OperatorExpr.psi(1, 6), OperatorExpr.psi_dag(1, 6)
     op = psi * psid + (psid * psi).scale(QLaurent.q_power(1))
-    assert len({id(v) for v in op.to_matrix()._diag}) == 2
     assert_compiled_matches(op)
 
 
 def test_wide_coefficient_needs_a_32_bit_digit():
     op = OperatorExpr(4, [(QLaurent({0: WIDE_DIGITS[0]}), [("psi", 2)]),
                           (QLaurent({-1: 3}), [("w", 1), ("psid", 3)])])
-    assert op.to_matrix()._width == 32
     assert_compiled_matches(op)
 
 

@@ -114,7 +114,6 @@ def failures(report, relation):
 
 def test_controls_pass_unperturbed():
     rep = tensor_rep()
-    assert rep.K(1).monomial_diag_exponents() is not None
     assert check_relations(rep)["status"] == "pass"
 
 
@@ -128,7 +127,6 @@ def test_E_entry_off_its_weight_fails_conjugation():
     col[c] = col.pop(r)
     cols[c] = col
     rep.mats[("E", 1)] = SparseMatrix(rep.dim, cols)
-    assert rep.K(1).monomial_diag_exponents() is not None  # the shortcut still runs
     bad = failures(check_relations(rep), "K E K^-1 = q^a E")
     assert bad and all(isinstance(b.get("witness"), str) for b in bad)
     assert any(b["indices"] == [1, 1] and b["witness"] == rep.label(c) for b in bad)
@@ -140,8 +138,6 @@ def test_perturbed_K_fails_EF_target(entry):
     cols = rep.L(1).cols
     cols[0] = {0: entry}  # L_1 on v1 (x) v1 is q^2; replace it
     rep.mats[("L", 1)] = SparseMatrix(rep.dim, cols)
-    monomial = entry.single_term() is not None and entry.single_term()[1] == 1
-    assert (rep.K(1).monomial_diag_exponents() is not None) is monomial
     report = check_relations(rep)
     bad = failures(report, "[E,F] = (K-K^-1)/(q-q^-1)")
     assert bad and all("witness" in b for b in bad)

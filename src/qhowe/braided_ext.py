@@ -11,7 +11,7 @@ action used to cross-check the Clifford realization.
 from __future__ import annotations
 
 from . import report
-from .fockspace import QVector, state_to_string
+from .fockspace import QVector, check_enumerable, state_to_string
 from .qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, CliffordGen, OperatorExpr
 from .qscalar import QLaurent
 
@@ -215,10 +215,12 @@ def check_module_algebra(n):
     """Coproduct action vs Clifford realization on every basis state.
 
     The coproduct-driven action and the generator words must agree entrywise
-    for every generator of the rank-n group.
+    for every generator of the rank-n group, on each of the 2^n basis states
+    (so n stops at ``fockspace.check_enumerable``'s wall).
     """
     from .embeddings import phi_q
 
+    check_enumerable(n)
     checks = []
     kinds = [("E", range(1, n)), ("F", range(1, n)), ("L", range(1, n + 1)),
              ("Linv", range(1, n + 1))]

@@ -1,10 +1,11 @@
 """Command-line entry point: every verification plus the decomposition report.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error, 3 internal error (any other exception, its message on
-stderr; a bug in qhowe, never a verdict).  Reports go to stdout (or --out
-FILE) as text or, with --json, as canonically ordered JSON that is
-byte-identical across runs.
+configuration error (among them a shape at which a section would list more
+than 2^16 basis states: ``SECTIONS``), 3 internal error (any other
+exception, its message on stderr; a bug in qhowe, never a verdict).
+Reports go to stdout (or --out FILE) as text or, with --json, as
+canonically ordered JSON that is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import braided_ext, braiding, duality, embeddings, qclifford, qgroup, report
-from .fockspace import MAX_ENUMERATED_POSITIONS, GridShape
+from .fockspace import GridShape, check_enumerable
 from .qscalar import QLaurent, exact_div, q_binomial, q_int
 
 USAGE_ERROR = 2
@@ -26,6 +27,25 @@ INTERNAL_ERROR = 3
 
 class UsageError(Exception):
     """A bad command line or configuration: exit code 2."""
+
+
+# The sections of all, in report order: each name maps to the name of its
+# runner, a function of the config looked up when it runs (so a rebound one
+# is called), and to the number of positions, from n and m, whose 2^p basis
+# states it lists.  The other sections decide on Clifford words or on small
+# matrices at any shape.  decompose and cauchy are commands of their own,
+# verify runs any other section but scalars.
+SECTIONS = {
+    "scalars": ("_scalar_section", None),
+    "clifford": ("_clifford_section", None),
+    "qgroup": ("_qgroup_section", None),
+    "embeddings": ("_embeddings_section", None),
+    "commutant": ("_commutant_section", None),
+    "braiding": ("_braiding_section", None),
+    "module-algebra": ("_module_algebra_section", lambda n, m: max(2, n)),
+    "decompose": ("_decompose_section", lambda n, m: n * m),
+    "cauchy": ("_cauchy_section", lambda n, m: n * m),
+}
 
 
 def _parse_rational(text):
@@ -59,9 +79,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument(
-        "suite",
-        choices=["clifford", "qgroup", "embeddings", "commutant", "braiding", "module-algebra"],
-    )
+        "suite", choices=[s for s in SECTIONS if s not in ("scalars", "decompose", "cauchy")])
     sub.add_parser("decompose", help="multiplicity-free decomposition report")
     sub.add_parser("cauchy", help="dual Cauchy character identity")
     hwv = sub.add_parser("hwv", help="highest-weight vector for a partition")
@@ -77,18 +95,27 @@ def build_parser():
     return parser
 
 
+def _sections(args):
+    """The SECTIONS the command runs, in report order; none for hwv and explain."""
+    if args.command == "all":
+        return list(SECTIONS)
+    name = args.suite if args.command == "verify" else args.command
+    return [name] if name in SECTIONS else []
+
+
 def _config(args):
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise UsageError(f"grid shape must be positive, got {n}x{m}")
-    # hwv acts on one vector, explain prints words, and verify qgroup,
-    # embeddings and commutant decide on Clifford words (and p x p matrices);
-    # the rest enumerate the 2^nm basis states, which takes hours past 2^16
-    unwalled = args.command in ("hwv", "explain") or (
-        args.command == "verify" and args.suite in ("qgroup", "embeddings", "commutant"))
-    if n * m > MAX_ENUMERATED_POSITIONS and not unwalled:
-        raise UsageError(f"grid {n}x{m} needs matrices with 2^{n * m} = {1 << (n * m)} "
-                         f"columns; qhowe refuses more than 2^{MAX_ENUMERATED_POSITIONS}")
+    # refused before any section starts: past the wall, listing the states
+    # would take hours
+    for name in _sections(args):
+        positions = SECTIONS[name][1]
+        if positions:
+            try:
+                check_enumerable(positions(n, m))
+            except ValueError as exc:
+                raise UsageError(f"{name} on grid {n}x{m}: {exc}") from exc
     try:
         GridShape(n, m).check()
     except ValueError as exc:
@@ -127,9 +154,9 @@ def _grid_diagram(bits, n, m):
 # -- sections -------------------------------------------------------------------
 
 
-def _scalar_section(seed):
+def _scalar_section(cfg):
     """Randomized ring self-checks; deterministic for a fixed seed."""
-    rng = random.Random(seed)
+    rng = random.Random(cfg["seed"])
 
     def rand_poly(max_terms=6):
         terms = {}
@@ -229,9 +256,9 @@ def _module_algebra_section(cfg):
     return {**braided_ext.check_module_algebra(p), "section": "module-algebra"}
 
 
-def _decompose_section(cfg, values):
+def _decompose_section(cfg):
     try:
-        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], values)
+        spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], cfg["spec_values"])
     except duality.SpecializationAnomaly as exc:
         return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
     spans["section"] = "decompose"
@@ -281,36 +308,13 @@ def _explain_section(cfg, map_name, gen_text):
 
 
 def run(args):
-    cfg, values = _config(args)
-    sections = []
-    if args.command == "verify":
-        dispatch = {
-            "clifford": lambda: _clifford_section(cfg),
-            "qgroup": lambda: _qgroup_section(cfg),
-            "embeddings": lambda: _embeddings_section(cfg),
-            "commutant": lambda: _commutant_section(cfg),
-            "braiding": lambda: _braiding_section(cfg),
-            "module-algebra": lambda: _module_algebra_section(cfg),
-        }
-        sections.append(dispatch[args.suite]())
-    elif args.command == "decompose":
-        sections.append(_decompose_section(cfg, values))
-    elif args.command == "cauchy":
-        sections.append(_cauchy_section(cfg))
-    elif args.command == "hwv":
-        sections.append(_hwv_section(cfg, args.partition))
+    cfg = _config(args)[0]
+    if args.command == "hwv":
+        sections = [_hwv_section(cfg, args.partition)]
     elif args.command == "explain":
-        sections.append(_explain_section(cfg, args.map_name, args.gen))
-    elif args.command == "all":
-        sections.append(_scalar_section(cfg["seed"]))
-        sections.append(_clifford_section(cfg))
-        sections.append(_qgroup_section(cfg))
-        sections.append(_embeddings_section(cfg))
-        sections.append(_commutant_section(cfg))
-        sections.append(_braiding_section(cfg))
-        sections.append(_module_algebra_section(cfg))
-        sections.append(_decompose_section(cfg, values))
-        sections.append(_cauchy_section(cfg))
+        sections = [_explain_section(cfg, args.map_name, args.gen)]
+    else:
+        sections = [globals()[SECTIONS[name][0]](cfg) for name in _sections(args)]
     return {"config": cfg, "command": args.command,
             "status": report.status(report.passed(sections)), "sections": sections}
 

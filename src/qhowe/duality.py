@@ -15,7 +15,7 @@ from math import comb
 from . import report
 from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
 from .fockspace import (
-    MAX_ENUMERATED_POSITIONS, GridShape, QVector, grid_to_linear, row_col_weights, state_to_string,
+    GridShape, QVector, check_enumerable, grid_to_linear, row_col_weights, state_to_string,
 )
 from .qscalar import QLaurent
 from .sparsemat import RationalEchelon
@@ -279,12 +279,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     integers: each specialized operator is scaled by one nonzero constant of
     its own to integer entries, which changes no span.  Disagreement between
     specialization values raises :class:`SpecializationAnomaly`.  The
-    closures visit all 2^(nm) basis states, so more than
-    ``MAX_ENUMERATED_POSITIONS`` positions are refused.
+    closures visit all 2^(nm) basis states, so they stop at
+    ``fockspace.check_enumerable``'s wall.
     """
     shape = GridShape(n, m).check()
-    if shape.positions > MAX_ENUMERATED_POSITIONS:
-        raise ValueError(f"span computation capped at {MAX_ENUMERATED_POSITIONS} grid positions")
+    check_enumerable(shape.positions)
     spec_values = tuple(Fraction(v) for v in spec_values)
     if not spec_values:
         raise ValueError("need at least one specialization value")
@@ -463,10 +462,10 @@ def dual_cauchy_check(n, m):
     """The three-way character identity on n + m variables.
 
     prod (1 + a_i b_j) equals both the conjugate-paired Schur sum over the
-    box and the joint weight generating function of the basis states.
+    box and the joint weight generating function of the basis states, whose
+    enumeration stops at ``fockspace.check_enumerable``'s wall.
     """
-    if n * m > MAX_ENUMERATED_POSITIONS:
-        raise ValueError(f"character expansion capped at {MAX_ENUMERATED_POSITIONS} grid positions")
+    check_enumerable(n * m)
     nv = n + m
     product = MultiPoly.one(nv)
     for i in range(n):

@@ -21,6 +21,7 @@ __all__ = [
     "GridShape",
     "BasisState",
     "QVector",
+    "check_enumerable",
     "grid_to_linear",
     "linear_to_grid",
     "prefix_parity",
@@ -31,10 +32,18 @@ __all__ = [
 
 MAX_POSITIONS = 64
 
-# Every check that lists the 2^N basis states (each operator matrix, span
-# closure and weight enumeration) refuses more positions than this: 2^16
-# columns of exact arithmetic is the desk-scale ceiling.
+# check_enumerable refuses to list the 2^N basis states past this many
+# positions: 2^16 columns of exact arithmetic is the desk-scale ceiling.
 MAX_ENUMERATED_POSITIONS = 16
+
+
+def check_enumerable(positions):
+    """The one wall: raise ValueError when the 2^positions basis states are
+    too many to list.  Every function that lists them calls it first, and
+    the CLI calls it before any section starts."""
+    if positions > MAX_ENUMERATED_POSITIONS:
+        raise ValueError(f"{positions} positions need 2^{positions} = {1 << positions} "
+                         f"columns; qhowe refuses more than 2^{MAX_ENUMERATED_POSITIONS}")
 
 
 class GridShape(NamedTuple):

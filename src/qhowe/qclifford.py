@@ -16,9 +16,10 @@ between operators are identities of their action on the module, not in the
 abstract algebra (the module is not a faithful representation of it).
 ``first_difference``, ``first_noncommuting`` and ``first_difference_at_one``
 decide them on the compiled words (``wordzero``), naming the witness state
-the matrices would, at up to 64 positions.  The classical sign rule,
-``specialize_ints`` and ``to_matrix`` (the tests' oracle) read those lists
-of 2^N states, so they refuse more than ``MAX_ENUMERATED_POSITIONS`` (16).
+the matrices would, at up to 64 positions; so is the classical sign rule,
+against one reference Jordan-Wigner word per generator.  ``specialize_ints``
+and ``to_matrix`` (the tests' oracle) read those lists of 2^N states, so
+they stop at ``fockspace.check_enumerable``'s wall of 16 positions.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from functools import partial
 from math import lcm
 from typing import NamedTuple
 
-from . import report
-from .fockspace import MAX_ENUMERATED_POSITIONS, QVector, state_to_string
+from . import fockspace, report
+from .fockspace import QVector, check_enumerable, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
 from .wordzero import first_nonzero_state
@@ -351,7 +352,7 @@ class OperatorExpr:
         Each word's kept states and keys (``_CompiledWord.columns``) index the
         table of its entries (``_CompiledWord.entries``); a state s goes to
         row s ^ (require_set ^ final_set).  Columns are in ascending order."""
-        self._check_enumerable()
+        check_enumerable(self.length)
         cols = {}
         for coeff, cw in self._compiled():
             move = cw.require_set ^ cw.final_set
@@ -369,7 +370,7 @@ class OperatorExpr:
         up to one constant factor between the two cols, built from each
         word's states and keys (``_CompiledWord.columns``) and a table of its
         entries per key, all over one common denominator."""
-        self._check_enumerable()
+        check_enumerable(self.length)
         value = Fraction(value)
         words = []
         for coeff, cw in self._compiled():
@@ -389,11 +390,6 @@ class OperatorExpr:
                 if v:
                     col[s ^ move] = v
         return {c: col for c, col in cols.items() if col}, Fraction(1, den)
-
-    def _check_enumerable(self):
-        if self.length > MAX_ENUMERATED_POSITIONS:
-            raise ValueError(f"matrix for {self.length} positions exceeds "
-                             f"2^{MAX_ENUMERATED_POSITIONS} columns")
 
     # -- identities -----------------------------------------------------------
 
@@ -461,8 +457,8 @@ def check_clifford(N):
 
     Canonical anticommutation among the psi and psid, {psi_a, psid_a} = id and
     the deformed relations psi psid + q^{+-1} psid psi = w^{-+1}, decided on
-    the Clifford words; the sign rule of the classical (q = 1) action, state
-    by state on the classical words (at most 16 positions).
+    the Clifford words; the sign rule of the classical (q = 1) action, on the
+    classical words against reference Jordan-Wigner words.
     """
     checks = []
     label = partial(state_to_string, length=N)
@@ -498,49 +494,25 @@ def _sign_rule_witness(N):
     and psid_k against an independent prefix-parity computation.
 
     psi_k must keep the states with bit k and psid_k those without it, move
-    each kept state s by bit k and scale it by (-1)^prefix_parity(s, k).  The
-    compiled words are compared state by state, with no matrix, and the
-    witness is the state ``first_difference`` names on the two matrices."""
-    from .fockspace import prefix_parity
-
-    if N > MAX_ENUMERATED_POSITIONS:
-        raise ValueError(f"sign rule for {N} positions exceeds "
-                         f"2^{MAX_ENUMERATED_POSITIONS} states")
+    each kept state s by bit k and scale it by (-1)^prefix_parity(s, k): the
+    Jordan-Wigner word with no exponents whose sign bit and sign mask are
+    read off ``prefix_parity`` at its smallest kept state and that state's
+    one-bit neighbours.  Each generator is decided against that word on the
+    words (``wordzero``), naming the state ``first_difference`` names on the
+    two matrices, at any N."""
+    minus_one = -QLaurent.one()
     for k in range(1, N + 1):
         bit = 1 << (k - 1)
-        full = [s for s in range(1 << N) if s & bit]
-        empty = [s ^ bit for s in full]
-        firsts = [c for c in (
-            _first_sign_mismatch(OperatorExpr.psi(k, N, classical=True), bit, full,
-                                 [prefix_parity(s, k) & 1 for s in full]),
-            _first_sign_mismatch(OperatorExpr.psi_dag(k, N, classical=True), bit, empty,
-                                 [prefix_parity(s, k) & 1 for s in empty]),
-        ) if c is not None]
+        firsts = []
+        for op, base in ((OperatorExpr.psi(k, N, classical=True), bit),
+                         (OperatorExpr.psi_dag(k, N, classical=True), 0)):
+            odd = fockspace.prefix_parity(base, k) & 1
+            sign_mask = sum(1 << j for j in range(N) if 1 << j != bit and
+                            fockspace.prefix_parity(base | 1 << j, k) & 1 != odd)
+            reference = _CompiledWord(base, base ^ bit, base ^ bit, sign_mask, odd, 0, ())
+            first = first_nonzero_state(op._compiled() + [(minus_one, reference)])
+            if first is not None:
+                firsts.append(first)
         if firsts:
             return False, state_to_string(min(firsts), N)
     return True, None
-
-
-def _first_sign_mismatch(op, bit, states, signs):
-    """The smallest column where op's matrix differs from the one with entry
-    (-1)^signs[i] at row states[i] ^ bit of column states[i] (states
-    ascending), or None.  op must compile to one word: an operator that does
-    not fails at states[0], the first state it should act on."""
-    words = op._compiled()
-    if len(words) != 1:
-        return states[0]
-    (coeff, cw), = words
-    kept, keys = cw.columns(op.length)
-    if cw.require_set ^ cw.final_set != bit:
-        return min(kept[0], states[0])
-    # each key's entry as a sign bit, 2 for an entry that is not +-1
-    code = [0 if x == 1 else 1 if x == -1 else 2 for x in cw.entries(coeff)]
-    got = list(map(code.__getitem__, keys))
-    if kept == states and got == signs:
-        return None
-    for s, g, t, w in zip(kept, got, states, signs):
-        if s != t:
-            return min(s, t)
-        if g != w:
-            return s
-    return (kept if len(kept) > len(states) else states)[min(len(kept), len(states))]

@@ -117,6 +117,11 @@ class TestModuleAlgebraAction:
     def test_agrees_with_clifford_realization(self, n):
         assert check_module_algebra(n)["status"] == "pass"
 
+    def test_refuses_past_16_positions(self):
+        # it compares the two actions on each of the 2^n basis states
+        with pytest.raises(ValueError, match=r"2\^17 = 131072 columns"):
+            check_module_algebra(17)
+
     def test_phi_without_q_inverse_fails(self, monkeypatch):
         # negative control: the E image of phi_q without its q^-1 coefficient.
         # (A wrong K-exponent in the coproduct action would be no control:

@@ -133,8 +133,43 @@ def test_verify_qgroup_past_2_16_columns_still_runs(capsys):
     # the section checks p x p matrices and the Clifford words of phi_rep(p)
     assert main(["--n", "1", "--m", "24", "verify", "qgroup"]) == 0
     assert "overall: pass" in capsys.readouterr().out
-    # the wall still holds for the classical sign rule's 2^nm-column matrices
-    assert main(["--n", "1", "--m", "24", "verify", "clifford"]) == 2
+    # the classical sign rule is decided on words too
+    assert main(["--n", "1", "--m", "24", "--json", "verify", "clifford"]) == 0
+    checks = json.loads(capsys.readouterr().out)["sections"][0]["checks"]
+    assert {"relation": "classical sign rule", "indices": [], "status": "pass"} in checks
+
+
+@pytest.mark.parametrize("suite", ["braiding", "module-algebra"])
+def test_rank_sections_past_2_16_columns_run(capsys, suite):
+    # both work at rank max(2, n) = 2, whatever m is
+    assert main(["--n", "2", "--m", "9", "verify", suite]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,m,command", [
+    (17, 1, ["verify", "module-algebra"]), (1, 17, ["decompose"]), (1, 17, ["cauchy"])])
+def test_config_refuses_sections_that_list_2_17_states(n, m, command):
+    # module-algebra lists the 2^n states of its rank, decompose and cauchy
+    # the 2^nm states of the grid
+    args = build_parser().parse_args(["--n", str(n), "--m", str(m), *command])
+    with pytest.raises(UsageError, match=r"2\^17 = 131072 columns; qhowe refuses more than 2\^16"):
+        _config(args)
+
+
+def test_all_calls_the_runner_bound_at_run_time(monkeypatch, capsys):
+    # the section table names its runners, so a rebound one (as a tracer
+    # installs) is what all calls
+    calls = []
+    original = cli._cauchy_section
+
+    def traced(cfg):
+        calls.append(cfg["n"])
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "_cauchy_section", traced)
+    assert main(["--n", "1", "--m", "2", "all"]) == 0
+    assert calls == [1]
+    assert "overall: pass" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suite", ["commutant", "embeddings"])

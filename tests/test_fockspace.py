@@ -5,6 +5,7 @@ from qhowe.fockspace import (
     BasisState,
     GridShape,
     QVector,
+    check_enumerable,
     grid_to_linear,
     linear_to_grid,
     prefix_parity,
@@ -13,6 +14,13 @@ from qhowe.fockspace import (
     string_to_state,
 )
 from qhowe.qscalar import QLaurent
+
+
+def test_check_enumerable_is_the_16_position_wall():
+    check_enumerable(16)
+    with pytest.raises(ValueError, match=r"^17 positions need 2\^17 = 131072 columns; "
+                                         r"qhowe refuses more than 2\^16$"):
+        check_enumerable(17)
 
 
 def test_grid_to_linear_examples():

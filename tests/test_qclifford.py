@@ -103,25 +103,23 @@ def test_sign_after_k_fails_the_sign_rule(monkeypatch):
 
 
 def test_sign_rule_fails_a_generator_of_several_words(monkeypatch):
-    # the rule reads one compiled word per generator; psi_2 written as
-    # psi_2 n_1 + psi_2 e_1 is refused at 010, the first state it acts on
+    # psi_2 n_1 + psi_2 e_1 is psi_2; with the second word negated it is
+    # psi_2 (n_1 - e_1), wrong from 010 on: the rule sums the words, as the
+    # matrix oracle does
     original = OperatorExpr.psi.__func__
+    second = 1
 
     def psi(cls, index, length, classical=False):
         if (index, classical) == (2, True):
             return OperatorExpr(length, [(1, [("psi", 2), ("psid", 1), ("psi", 1)]),
-                                         (1, [("psi", 2), ("psi", 1), ("psid", 1)])],
+                                         (second, [("psi", 2), ("psi", 1), ("psid", 1)])],
                                 classical=True)
         return original(cls, index, length, classical)
 
     monkeypatch.setattr(OperatorExpr, "psi", classmethod(psi))
-    assert _sign_rule_witness(3) == (False, "010")
-
-
-def test_sign_rule_refuses_past_16_positions():
-    # it enumerates the states, so it keeps the wall of the matrices
-    with pytest.raises(ValueError, match=r"2\^16"):
-        _sign_rule_witness(17)
+    assert _sign_rule_witness(3) == ref_sign_rule_witness(3) == (True, None)
+    second = -1
+    assert _sign_rule_witness(3) == ref_sign_rule_witness(3) == (False, "010")
 
 
 def ref_sign_rule_witness(N):
@@ -157,6 +155,20 @@ def test_sign_rule_matches_the_matrix_oracle(monkeypatch, mutant, N):
     assert got == ref_sign_rule_witness(N)
     # every state passes unmutated; after k, one position has nothing after it
     assert got[0] == (mutant is None or (mutant == "sign after k" and N == 1))
+
+
+@pytest.mark.parametrize("N", [17, 24, 64])
+@pytest.mark.parametrize("mutant, witness", [
+    (None, None), ("parity off by one", "00"), ("sign after k", "01")])
+def test_sign_rule_past_16_positions(monkeypatch, mutant, witness, N):
+    # the witnesses at N = 3 (000 and 010), padded with unoccupied positions
+    if mutant == "parity off by one":
+        parity = fockspace.prefix_parity
+        monkeypatch.setattr(fockspace, "prefix_parity", lambda state, k: parity(state, k) + 1)
+    elif mutant == "sign after k":
+        sign_after_k(monkeypatch, N)
+    want = (True, None) if witness is None else (False, witness.ljust(N, "0"))
+    assert _sign_rule_witness(N) == want
 
 
 # psi_2 on N = 3 positions with the sign of its entry at state 010 flipped:
@@ -257,7 +269,7 @@ def test_relations_fail_above_the_old_wall(monkeypatch):
     # negative control at 25 positions: psi_2 times a stray w_1 fails its
     # anticommutation with psi_1 on the words (psi_1 psi_2 w_1 sees position
     # 1 occupied, psi_2 w_1 psi_1 sees it emptied), witnesses of 25
-    # characters; the sign rule alone would need 2^25-column matrices
+    # characters; the classical sign rule still passes
     N = 25
     original = OperatorExpr.psi.__func__
 
@@ -266,7 +278,6 @@ def test_relations_fail_above_the_old_wall(monkeypatch):
         return op * OperatorExpr.omega(1, length) if (index, classical) == (2, False) else op
 
     monkeypatch.setattr(OperatorExpr, "psi", classmethod(psi))
-    monkeypatch.setattr(qclifford, "_sign_rule_witness", lambda N: (True, None))
     failed = failures(check_clifford(N))
     assert failed[0] == ("psi psi anticommute", [1, 2], "11" + "0" * 23)
     assert all(len(w) == N and set(w) <= {"0", "1"} for _, _, w in failed)
@@ -571,14 +582,14 @@ def test_words_that_cancel(terms, zero):
     assert_compiled_matches(op)
 
 
-def test_word_matrix_entries_share_one_int():
+def test_diagonal_words_on_complementary_states_match_the_reference():
     # two diagonal words that keep complementary states
     psi, psid = OperatorExpr.psi(1, 6), OperatorExpr.psi_dag(1, 6)
     op = psi * psid + (psid * psi).scale(QLaurent.q_power(1))
     assert_compiled_matches(op)
 
 
-def test_wide_coefficient_needs_a_32_bit_digit():
+def test_wide_coefficient_digit_matches_the_reference():
     op = OperatorExpr(4, [(QLaurent({0: WIDE_DIGITS[0]}), [("psi", 2)]),
                           (QLaurent({-1: 3}), [("w", 1), ("psid", 3)])])
     assert_compiled_matches(op)

@@ -223,7 +223,7 @@ def test_equality_and_first_difference(a, b):
 
 
 @given(matrices(), matrices())
-def test_equality_across_encodings(a, b):
+def test_sum_then_difference_restores_the_matrix(a, b):
     # (a + b) - b has a's entries, reached through arithmetic
     roundabout = sparse(a) + sparse(b) - sparse(b)
     assert roundabout == sparse(a)

@@ -229,30 +229,48 @@ def dimension_identity(n, m):
     }
 
 
-def _integer_ops(n, m, kind, value):
-    """The kind ("E" or "F") generators of both actions at q = value, as
-    integer columns {col: {row: int}}, built from the Clifford words
+def _generators(n, m, kind):
+    """The kind ("E" or "F") generators of lambda_q and of rho_q, as two
+    lists of Clifford word expressions."""
+    return ([lambda_q(n, m, kind, i) for i in range(1, n)],
+            [rho_q(n, m, kind, j) for j in range(1, m)])
+
+
+def _integer_ops(exprs, value):
+    """Word expressions at q = value as integer columns {col: {row: int}}
     (``OperatorExpr.specialize_ints``).  Each is the specialized operator
     times its own nonzero constant, which changes no span or rank."""
-    gens = [(lambda_q, i) for i in range(1, n)] + [(rho_q, j) for j in range(1, m)]
-    return [builder(n, m, kind, i).specialize_ints(value)[0] for builder, i in gens]
+    return [expr.specialize_ints(value)[0] for expr in exprs]
 
 
-def _lowering_ops(n, m, value):
-    """Lowering operators of both actions at q = value, as integer columns."""
-    return _integer_ops(n, m, "F", value)
+def _noncommuting_pair(rows, cols):
+    """(i, j) for the first lambda_q F_i and rho_q F_j, given as word
+    expressions, that do not commute, or None when every pair does.  The word
+    identity is exact in q, so it holds at every specialization value."""
+    for i, row in enumerate(rows, start=1):
+        for j, col in enumerate(cols, start=1):
+            if row.first_noncommuting(col) is not None:
+                return i, j
+    return None
 
 
-def _value_ranks(shape, partitions, expected, value):
-    """(span dimension per partition, joint rank) at q = value; expected
-    holds each partition's Weyl product, which bounds its closure's rounds.
+def _value_ranks(shape, partitions, expected, lowering, commute, value):
+    """(span dimension per partition, joint rank) at q = value.
 
-    Each span is the closure of the partition's highest-weight state under
-    every lowering operator.  The integer operators and echelons live only
-    for this call, so one value's are freed before the next value's are
-    built."""
+    lowering: the lambda_q F_i then the rho_q F_j as word expressions;
+    commute: whether every pair of them commutes; expected: each
+    partition's Weyl product, which bounds each phase's rounds.  Each span
+    is closed under the larger family first and then, from all of that
+    closure's pivots, under the other family, or under every operator when
+    the families do not commute.  The integer operators and echelons live
+    only for this call, so one value's are freed before the next value's
+    are built."""
     n, m = shape
-    ops = _lowering_ops(n, m, value)
+    ops = _integer_ops(lowering, value)
+    rows, cols = ops[:n - 1], ops[n - 1:]
+    first, second = (cols, rows) if m >= n else (rows, cols)
+    if not commute:
+        second = ops
     joint = RationalEchelon()
     dims = []
     for mu, want in zip(partitions, expected):
@@ -260,7 +278,8 @@ def _value_ranks(shape, partitions, expected, value):
         seed = closure.insert({hwv_state(mu, shape): 1})
         # every round but the last adds a pivot, so a span of the expected
         # dimension needs at most that many rounds; the cap is only a guard
-        closure.close([seed], ops, want + 1)
+        closure.close([seed], first, want + 1)
+        closure.close(list(closure.pivots.values()), second, want + 1)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
             joint.insert_ints(vec)
@@ -270,17 +289,32 @@ def _value_ranks(shape, partitions, expected, value):
 def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     """Certify the decomposition by exact rank computation at specialized q.
 
-    For each partition in the box, closes its highest-weight state under all
-    lowering operators of both actions (coefficients specialized at each
+    For each partition in the box, closes its highest-weight state v under
+    all lowering operators of both actions (coefficients specialized at each
     value, integer columns built from the Clifford words), measures the span
     by exact integer-preserving Gaussian elimination, and checks the
     dimensions against Weyl products, their sum against 2^(nm), and the
-    joint span against the full space.  Ranks are computed over the
-    integers: each specialized operator is scaled by one nonzero constant of
-    its own to integer entries, which changes no span.  Disagreement between
-    specialization values raises :class:`SpecializationAnomaly`.  The
-    closures visit all 2^(nm) basis states, so they stop at
-    ``fockspace.check_enumerable``'s wall.
+    joint span against the full space.
+
+    The closure runs in two phases: v is closed under the family with more
+    generators (the rho_q F_j when m >= n, else the lambda_q F_i), then all
+    of that closure's pivots are closed under the other family.  When every
+    lambda_q F_i commutes with every rho_q F_j, this is the joint closure:
+    for a word a in the row F's and a word b in the column F's,
+    rho_q(F_j) a b v = a rho_q(F_j) b v, so the span of the vectors a b v is
+    closed under both families (the factorization U-(gl_n) U-(gl_m) v of
+    Howe duality).  The commutation is decided once per shape, on the word
+    expressions that the integer operators are built from: the word identity
+    is exact in q, and each integer operator is its specialization times a
+    nonzero constant, so the integer operators commute too.  When some pair
+    does not commute, the second phase closes under every operator, which
+    gives the joint closure again.
+
+    Ranks are computed over the integers: each specialized operator is
+    scaled by one nonzero constant of its own to integer entries, which
+    changes no span.  Disagreement between specialization values raises
+    :class:`SpecializationAnomaly`.  The closures visit all 2^(nm) basis
+    states, so they stop at ``fockspace.check_enumerable``'s wall.
     """
     shape = GridShape(n, m).check()
     check_enumerable(shape.positions)
@@ -294,9 +328,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     partitions = partitions_in_box(n, m)
     weyl = [(weyl_dim(mu, n), weyl_dim(mu.conjugate(), m)) for mu in partitions]
     expected = [dim_n * dim_m for dim_n, dim_m in weyl]
+    rows, cols = _generators(n, m, "F")
+    commute = _noncommuting_pair(rows, cols) is None
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, expected, value)
+        dims, joint_rank = _value_ranks(shape, partitions, expected, rows + cols, commute, value)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]
@@ -509,7 +545,8 @@ def joint_kernel_count(n, m, value=Fraction(2)):
     constant to integer entries, which keeps the joint kernel.
     """
     shape = GridShape(n, m).check()
-    ops = _integer_ops(n, m, "E", Fraction(value))
+    rows, cols = _generators(n, m, "E")
+    ops = _integer_ops(rows + cols, Fraction(value))
 
     buckets = {}
     for bits in range(1 << shape.positions):

@@ -131,6 +131,14 @@ class QLaurent:
         if not isinstance(other, QLaurent):
             return NotImplemented
         a, b = self.terms, other.terms
+        if len(a) == 1 == len(b):
+            # monomial times monomial: nothing can cancel
+            (ea, ca), = a.items()
+            (eb, cb), = b.items()
+            e = ea + eb
+            if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+                raise OverflowError("q-exponent out of range")
+            return QLaurent._raw({e: ca * cb})
         if not a or not b:
             return _ZERO
         if len(a) == 1:

@@ -311,9 +311,11 @@ class RationalEchelon:
         """Close the span under integer operators.
 
         frontier: integer vectors of the span whose images are still to be
-        taken, typically the pivots just inserted.  ops: operators as integer
-        columns ``{col: {row: int}}``, the form ``specialize_ints`` returns.
-        Neither may hold an explicit zero entry.
+        taken: typically the pivots just inserted, or every pivot of an
+        earlier closure under other operators, to close that span under
+        these ones too.  ops: operators as integer columns
+        ``{col: {row: int}}``, the form ``specialize_ints`` returns.  Neither
+        may hold an explicit zero entry.
 
         Each round applies every operator to every vector of the frontier and
         inserts each nonzero image; the pivots it adds are the next round's

@@ -26,6 +26,8 @@ from qhowe.fockspace import GridShape, QVector, row_col_weights, state_to_string
 from qhowe.braided_ext import normalize
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import RationalEchelon
+from test_embeddings import SHAPES_UP_TO_9, TABLE_MUTANTS, mutate
 
 
 partition_lists = st.lists(st.integers(0, 6), max_size=5).map(
@@ -239,10 +241,12 @@ class TestCyclicSpanControls:
     """Negative controls: corrupted lowering operators must be caught."""
 
     def patch_ops(self, monkeypatch, corrupt):
-        original = duality._lowering_ops
+        # _integer_ops builds the lowering operators that both phases of the
+        # closure take: the lambda_q F_i, then the rho_q F_j
+        original = duality._integer_ops
         monkeypatch.setattr(
-            duality, "_lowering_ops",
-            lambda n, m, value: corrupt(original(n, m, value), value)
+            duality, "_integer_ops",
+            lambda exprs, value: corrupt(original(exprs, value), value)
         )
 
     def test_dropped_operator_fails(self, monkeypatch):
@@ -267,6 +271,71 @@ class TestCyclicSpanControls:
         report = cyclic_span_dims(2, 3)
         assert report["status"] == "pass"
         assert report["joint_rank"] == 64
+
+
+# -- the two-phase closure against the single-phase one -------------------------
+
+
+def ref_value_ranks(shape, partitions, expected, lowering, commute, value):
+    """The single-phase closure in place of duality._value_ranks: each span is
+    closed under every lowering operator of both actions at once.  It builds
+    its own operators and ignores lowering and commute."""
+    n, m = shape
+    exprs = ([embeddings.lambda_q(n, m, "F", i) for i in range(1, n)]
+             + [embeddings.rho_q(n, m, "F", j) for j in range(1, m)])
+    ops = [expr.specialize_ints(value)[0] for expr in exprs]
+    joint = RationalEchelon()
+    dims = []
+    for mu, want in zip(partitions, expected):
+        closure = RationalEchelon()
+        seed = closure.insert({hwv_state(mu, shape): 1})
+        closure.close([seed], ops, want + 1)
+        dims.append(closure.rank)
+        for vec in closure.pivots.values():
+            joint.insert_ints(vec)
+    return dims, joint.rank
+
+
+def ref_cyclic_span_dims(monkeypatch, n, m):
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "_value_ranks", ref_value_ranks)
+        return cyclic_span_dims(n, m)
+
+
+# the two table entries whose lambda_q F and rho_q F words do not commute
+NONCOMMUTING_MUTANTS = ["lambda F kappa left -> right", "rho F kappa below -> above"]
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_9)
+def test_two_phase_closure_matches_the_single_phase_one(monkeypatch, n, m):
+    # the row and column F's commute, so the second phase takes only its family
+    assert duality._noncommuting_pair(*duality._generators(n, m, "F")) is None
+    report = cyclic_span_dims(n, m)
+    assert report["status"] == "pass"
+    assert report == ref_cyclic_span_dims(monkeypatch, n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_two_phase_closure_matches_the_single_phase_one_under_a_mutant(monkeypatch, name, n, m):
+    mutate(monkeypatch, name)
+    report = cyclic_span_dims(n, m)
+    assert report == ref_cyclic_span_dims(monkeypatch, n, m)
+    # the comparison covers a failing report
+    assert report["status"] == ("fail" if name in NONCOMMUTING_MUTANTS else "pass")
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", NONCOMMUTING_MUTANTS)
+def test_noncommuting_families_close_under_every_operator(monkeypatch, name, n, m):
+    mutate(monkeypatch, name)
+    assert duality._noncommuting_pair(*duality._generators(n, m, "F")) is not None
+    report = cyclic_span_dims(n, m)
+    assert report["status"] == "fail"
+    assert report == ref_cyclic_span_dims(monkeypatch, n, m)
+    # a guard that wrongly reports commuting families changes the spans
+    monkeypatch.setattr(duality, "_noncommuting_pair", lambda rows, cols: None)
+    assert cyclic_span_dims(n, m) != report
 
 
 class TestSchur:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhowe.qscalar import (
+    MAX_EXPONENT,
     NonExactDivision,
     QLaurent,
     exact_div,
@@ -97,6 +98,25 @@ class TestExactDiv:
         assert exact_div(a * b, b) == a
 
 
+def ref_mul(a, b):
+    """The product term by term; the constructor checks every exponent."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return QLaurent(out)
+
+
+# exponents near zero and at both ends of the allowed range
+edge_exponents = st.one_of(
+    st.integers(-4, 4),
+    st.integers(MAX_EXPONENT - 4, MAX_EXPONENT),
+    st.integers(-MAX_EXPONENT, -MAX_EXPONENT + 4),
+)
+edge_monomials = st.builds(QLaurent.q_power, edge_exponents, coeffs.filter(bool))
+edge_polys = st.dictionaries(edge_exponents, coeffs, max_size=3).map(QLaurent)
+
+
 class TestRingAxioms:
     @given(polys, polys, polys)
     def test_add_associative(self, a, b, c):
@@ -109,6 +129,17 @@ class TestRingAxioms:
     @given(polys, polys, polys)
     def test_distributive(self, a, b, c):
         assert a * (b + c) == a * b + a * c
+
+    @given(st.one_of(edge_monomials, edge_polys), st.one_of(edge_monomials, edge_polys))
+    def test_mul_matches_the_term_by_term_product(self, a, b):
+        # covers the monomial-times-monomial branch at both exponent bounds
+        try:
+            want = ref_mul(a, b)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                a * b
+        else:
+            assert (a * b).terms == want.terms
 
     @given(polys)
     def test_no_zero_terms_stored(self, a):

@@ -132,7 +132,9 @@ def verify_hwv(mu, shape, flavor="quantum"):
 
     Quantum: lambda_q(E_i) v = rho_q(E_j) v = 0, K-weights
     q^(mu_i - mu_{i+1}) and q^(mu'_j - mu'_{j+1}).  Classical: same shape
-    with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.
+    with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.  A failed check's
+    witness is the smallest state where the image differs from the
+    expected vector.
     """
     return _hwv_verifier(shape, flavor)(mu)
 
@@ -172,6 +174,8 @@ def _hwv_verifier(shape, flavor):
     generators = [(relation, [(i, action(n, m, kind, i)) for i in indices], eigenvalue)
                   for relation, action, kind, indices, eigenvalue in conditions]
 
+    zero = QVector.zero(shape.positions)
+
     def verify(mu):
         mu = Partition(mu)
         conj = mu.conjugate()
@@ -180,8 +184,11 @@ def _hwv_verifier(shape, flavor):
         for relation, gens, eigenvalue in generators:
             for i, gen in gens:
                 image = gen.apply(vec)
-                ok = image.is_zero() if eigenvalue is None else image == vec.scale(eigenvalue(mu, conj, i))
-                checks.append(report.check(relation, ok, indices=[i]))
+                want = zero if eigenvalue is None else vec.scale(eigenvalue(mu, conj, i))
+                ok = image == want
+                witness = None if ok else state_to_string(min((image - want).entries),
+                                                          shape.positions)
+                checks.append(report.check(relation, ok, witness, indices=[i]))
         return report.finish(
             checks,
             mu=str(mu),
@@ -254,35 +261,43 @@ def _noncommuting_pair(rows, cols):
     return None
 
 
-def _value_ranks(shape, partitions, expected, lowering, commute, value):
+def _value_ranks(shape, partitions, lowering, commute, value):
     """(span dimension per partition, joint rank) at q = value.
 
     lowering: the lambda_q F_i then the rho_q F_j as word expressions;
-    commute: whether every pair of them commutes; expected: each
-    partition's Weyl product, which bounds each phase's rounds.  Each span
-    is closed under the larger family first and then, from all of that
-    closure's pivots, under the other family, or under every operator when
-    the families do not commute.  The integer operators and echelons live
-    only for this call, so one value's are freed before the next value's
-    are built."""
+    commute: whether every pair of them commutes.  Each span is closed
+    under the larger family first and then, from all of that closure's
+    pivots, under the other family, or under every operator when the
+    families do not commute.  A closure pivot whose lead no joint pivot
+    holds is kept as it is, being primitive already; only the others are
+    reduced by ``insert_ints``, so the joint pivots are those that
+    inserting every closure pivot gives.  The integer operators and
+    echelons live only for this call, so one value's are freed before the
+    next value's are built."""
     n, m = shape
     ops = _integer_ops(lowering, value)
     rows, cols = ops[:n - 1], ops[n - 1:]
     first, second = (cols, rows) if m >= n else (rows, cols)
     if not commute:
         second = ops
+    # every round but the last adds a pivot and no span exceeds the whole
+    # space, so only a closure that never stops reaches this cap; a span
+    # larger than its Weyl product stops below it and is reported as a fail
+    cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
+    held = joint.pivots
     dims = []
-    for mu, want in zip(partitions, expected):
+    for mu in partitions:
         closure = RationalEchelon()
         seed = closure.insert({hwv_state(mu, shape): 1})
-        # every round but the last adds a pivot, so a span of the expected
-        # dimension needs at most that many rounds; the cap is only a guard
-        closure.close([seed], first, want + 1)
-        closure.close(list(closure.pivots.values()), second, want + 1)
+        closure.close([seed], first, cap)
+        closure.close(list(closure.pivots.values()), second, cap)
         dims.append(closure.rank)
-        for vec in closure.pivots.values():
-            joint.insert_ints(vec)
+        for lead, vec in closure.pivots.items():
+            if lead in held:
+                joint.insert_ints(vec)
+            else:
+                held[lead] = vec
     return dims, joint.rank
 
 
@@ -332,7 +347,7 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     commute = _noncommuting_pair(rows, cols) is None
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, expected, rows + cols, commute, value)
+        dims, joint_rank = _value_ranks(shape, partitions, rows + cols, commute, value)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]

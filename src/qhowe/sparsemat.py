@@ -321,6 +321,15 @@ class RationalEchelon:
         inserts each nonzero image; the pivots it adds are the next round's
         frontier, and the span is closed after a round that adds none.
         Raises RuntimeError when that takes more than max_rounds rounds.
+
+        The vectors of a lowering closure are nearly monomial, so three
+        shortcuts skip the general reducer, each giving the pivot it would
+        give: the image of a one-entry vector {c: x} is column c times x; a
+        one-entry image {r: w} becomes the pivot {r: sign(w)} when no pivot
+        leads at r and is skipped when the pivot at r has one entry too; and
+        an image whose lead no pivot holds is only divided by its gcd.  The
+        pivots, their entries and their order are those of reducing every
+        image with ``_reduce_ints``.
         """
         pivots = self.pivots
         rounds = 0
@@ -330,20 +339,47 @@ class RationalEchelon:
                 raise RuntimeError("lowering closure failed to stabilize within the round cap")
             fresh = []
             for vec in frontier:
+                monomial = len(vec) == 1
+                if monomial:
+                    (c, x), = vec.items()
                 for op in ops:
-                    image = {}
-                    for c, x in vec.items():
+                    if monomial:
                         col = op.get(c)
-                        if col:
-                            for r, v in col.items():
-                                s = image.get(r, 0) + v * x
-                                if s:
-                                    image[r] = s
-                                else:
-                                    del image[r]
-                    if image:
-                        rem = _reduce_ints(pivots, image)
-                        if rem:
-                            pivots[max(rem)] = rem
-                            fresh.append(rem)
+                        if not col:
+                            continue
+                        image = {r: v * x for r, v in col.items()}
+                    else:
+                        image = {}
+                        for c, x in vec.items():
+                            col = op.get(c)
+                            if col:
+                                for r, v in col.items():
+                                    s = image.get(r, 0) + v * x
+                                    if s:
+                                        image[r] = s
+                                    else:
+                                        del image[r]
+                        if not image:
+                            continue
+                    if len(image) == 1:
+                        (lead, w), = image.items()
+                        pivot = pivots.get(lead)
+                        if pivot is None:
+                            image = {lead: 1 if w > 0 else -1}
+                        elif len(pivot) == 1:
+                            continue  # a multiple of that one-entry pivot
+                    else:
+                        lead = max(image)
+                        pivot = pivots.get(lead)
+                        if pivot is None:
+                            g = gcd(*image.values())
+                            if g > 1:
+                                image = {k: v // g for k, v in image.items()}
+                    if pivot is not None:
+                        image = _reduce_ints(pivots, image)
+                        if not image:
+                            continue
+                        lead = max(image)
+                    pivots[lead] = image
+                    fresh.append(image)
             frontier = fresh

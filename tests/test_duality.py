@@ -133,6 +133,21 @@ class TestHwv:
         assert report["state"] == "011010000"
         assert sorted({c["relation"] for c in report["checks"] if c["status"] == "fail"}) == failing
 
+    @pytest.mark.parametrize("flavor", ["quantum", "classical"])
+    def test_shifted_diagram_names_its_witnesses(self, monkeypatch, flavor):
+        # E_1 moves the diagram's stray cell to state 011100000, which is
+        # not zero there; each wrong weight differs on the state itself
+        state = duality.hwv_state
+        monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(mu, shape) << 1)
+        report = verify_hwv((2, 1), (3, 3), flavor)
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["witness"] for c in failed] == ["011100000"] + ["011010000"] * (len(failed) - 1)
+        raising = next(c for c in failed if "E" in c["relation"])
+        op = (embeddings.lambda_q if flavor == "quantum" else embeddings.classical_lambda)(3, 3, "E", 1)
+        column = op.to_matrix().cols[string_to_state(report["state"]).bits]
+        assert state_to_string(min(column), 9) == raising["witness"]
+        assert all("witness" not in c for c in report["checks"] if c["status"] == "pass")
+
 
 class TestWeylDim:
     def test_examples(self):
@@ -272,24 +287,51 @@ class TestCyclicSpanControls:
         assert report["status"] == "pass"
         assert report["joint_rank"] == 64
 
+    def test_enlarged_span_fails(self, monkeypatch, capsys):
+        # a shift s -> s + 1 among the lowering operators takes the empty
+        # diagram's span from 1 to all 64 states in 64 rounds: the span is
+        # reported against its Weyl product, not stopped by the round cap
+        shift = {s: {s + 1: 1} for s in range(63)}
+        self.patch_ops(monkeypatch, lambda ops, value: ops + [shift])
+        report = cyclic_span_dims(2, 3)
+        assert report["status"] == "fail"
+        row = next(r for r in report["partitions"] if r["mu"] == "-")
+        assert (row["span_dim"], row["dim_n"] * row["dim_m"]) == (64, 1)
+        assert (report["total"], report["joint_rank"]) == (471, 64)
+        assert cli.main(["--n", "2", "--m", "3", "decompose"]) == 1
+        assert "overall: fail" in capsys.readouterr().out
+
+    def test_every_joint_lead_collides(self, monkeypatch):
+        # partition 2 seeds from partition 1's state, so every pivot of its
+        # closure has a lead that the joint echelon already holds
+        state = duality.hwv_state
+        monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(
+            (1,) if Partition(mu) == (2,) else mu, shape))
+        report = cyclic_span_dims(2, 3)
+        # partition 2's span adds nothing to the joint one: 64 - 9
+        assert report["joint_rank"] == 55 < 64
+        assert report["status"] == "fail"
+        assert report == ref_cyclic_span_dims(monkeypatch, 2, 3)
+
 
 # -- the two-phase closure against the single-phase one -------------------------
 
 
-def ref_value_ranks(shape, partitions, expected, lowering, commute, value):
+def ref_value_ranks(shape, partitions, lowering, commute, value):
     """The single-phase closure in place of duality._value_ranks: each span is
-    closed under every lowering operator of both actions at once.  It builds
-    its own operators and ignores lowering and commute."""
+    closed under every lowering operator of both actions at once, and every
+    closure pivot goes through insert_ints.  It builds its own operators and
+    ignores lowering and commute."""
     n, m = shape
     exprs = ([embeddings.lambda_q(n, m, "F", i) for i in range(1, n)]
              + [embeddings.rho_q(n, m, "F", j) for j in range(1, m)])
     ops = [expr.specialize_ints(value)[0] for expr in exprs]
     joint = RationalEchelon()
     dims = []
-    for mu, want in zip(partitions, expected):
+    for mu in partitions:
         closure = RationalEchelon()
-        seed = closure.insert({hwv_state(mu, shape): 1})
-        closure.close([seed], ops, want + 1)
+        seed = closure.insert({duality.hwv_state(mu, shape): 1})
+        closure.close([seed], ops, (1 << shape.positions) + 1)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
             joint.insert_ints(vec)

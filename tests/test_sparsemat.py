@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
-from qhowe.sparsemat import RationalEchelon, SparseMatrix
+from qhowe.sparsemat import RationalEchelon, SparseMatrix, _reduce_ints
 
 # -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
 
@@ -536,9 +536,9 @@ int_operators = st.dictionaries(
 
 
 @st.composite
-def operator_lists(draw):
+def operator_lists(draw, operators=int_operators):
     """One to three operators plus up to two scaled copies of them."""
-    ops = draw(st.lists(int_operators, min_size=1, max_size=3))
+    ops = draw(st.lists(operators, min_size=1, max_size=3))
     for i, factor in draw(st.lists(st.tuples(st.integers(0, len(ops) - 1),
                                              st.sampled_from([-2, -1, 2, 3])), max_size=2)):
         ops.append({c: {r: factor * v for r, v in col.items()} for c, col in ops[i].items()})
@@ -573,3 +573,86 @@ def test_close_round_cap(length):
     with pytest.raises(RuntimeError, match="round cap"):
         echelon.close([echelon.insert({0: 1})], [shift], length - 1)
 
+
+# -- RationalEchelon.close against the general reducer on every image -----------
+
+
+def ref_close(echelon, frontier, ops, max_rounds):
+    """close without its shortcuts: every image is built by the accumulation
+    loop and reduced by _reduce_ints."""
+    pivots = echelon.pivots
+    rounds = 0
+    while frontier:
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("lowering closure failed to stabilize within the round cap")
+        fresh = []
+        for vec in frontier:
+            for op in ops:
+                image = {}
+                for c, x in vec.items():
+                    col = op.get(c)
+                    if col:
+                        for r, v in col.items():
+                            s = image.get(r, 0) + v * x
+                            if s:
+                                image[r] = s
+                            else:
+                                del image[r]
+                if image:
+                    rem = _reduce_ints(pivots, image)
+                    if rem:
+                        pivots[max(rem)] = rem
+                        fresh.append(rem)
+        frontier = fresh
+
+
+# one-entry vectors and columns are the shortcuts' inputs, so they are drawn
+# as often as the general ones
+one_entry_vectors = st.dictionaries(st.integers(0, CLOSE_DIM - 1), nonzero_ints,
+                                    min_size=1, max_size=1)
+close_vectors = st.one_of(one_entry_vectors, int_vectors)
+close_operators = st.dictionaries(
+    st.integers(0, CLOSE_DIM - 1),
+    st.one_of(one_entry_vectors,
+              st.dictionaries(st.integers(0, CLOSE_DIM - 1), nonzero_ints, max_size=3)),
+    max_size=CLOSE_DIM)
+
+
+def pivot_items(echelon):
+    return [(lead, list(pivot.items())) for lead, pivot in echelon.pivots.items()]
+
+
+@settings(max_examples=300)
+@given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
+       operator_lists(close_operators), st.integers(0, CLOSE_DIM + 1))
+# a negative one-entry image at a fresh lead: the new pivot is {1: -1}
+@example([], [{0: 1}], [{0: {1: -2}}], 3)
+# a one-entry image at a one-entry pivot's lead lies in the span
+@example([{3: -1}], [{0: 1}], [{0: {3: 2}}], 3)
+# a one-entry image at a several-entry pivot's lead leaves the remainder {1: -1}
+@example([{1: 1, 3: 1}], [{0: 1}], [{0: {3: 1}}], 3)
+# an image with a fresh lead and gcd 2 becomes {1: 1, 2: 1}
+@example([], [{0: 1}], [{0: {1: 2, 2: 2}}], 3)
+@example([], [{0: 1, 1: 1}], [{0: {2: 3}, 1: {2: 3, 4: -3}}], 3)
+# the round cap
+@example([], [{0: 1}], [{0: {1: 1}, 1: {2: 1}}], 1)
+def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds):
+    # held: pivots inserted before the closure that are not on its frontier,
+    # so that images meet one-entry and several-entry pivots at their leads
+    echelon = RationalEchelon()
+    for vec in held:
+        echelon.insert(vec)
+    frontier = [p for p in map(echelon.insert, seeds) if p is not None]
+    ref = RationalEchelon()
+    ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
+    outcomes = []
+    for close, target, vectors in ((RationalEchelon.close, echelon, frontier),
+                                   (ref_close, ref, [dict(p) for p in frontier])):
+        try:
+            close(target, vectors, ops, max_rounds)
+            outcomes.append(None)
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert pivot_items(echelon) == pivot_items(ref)

@@ -477,6 +477,67 @@ def _weight_polynomial(torus, positions, copies):
     return vectors.count((0,) * len(weights)), polys
 
 
+def _block_polynomial(polys, block):
+    """The product of the polynomials of ``polys`` whose variables lie in
+    block, keyed by the exponents of block's variables in increasing order."""
+    out, order = Counter({(): 1}), ()
+    for variables, poly in polys.items():
+        if block.issuperset(variables):
+            out = Counter({e + f: c * d for e, c in out.items() for f, d in poly.items()})
+            order += variables
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    return Counter({tuple(e[i] for i in perm): c for e, c in out.items()})
+
+
+def _tell_apart(sides):
+    """True when the two (scale, [block polynomial]) sides, products over
+    disjoint variable blocks with positive coefficients, differ.  Two such
+    nonzero products are equal exactly when each block's polynomials are
+    proportional and the ratios cancel the scales."""
+    (scale_g, grid), (scale_t, tensor) = sides
+    if not (all(grid) and all(tensor)):  # a product with an empty block is zero
+        return all(grid) != all(tensor)
+    for g, t in zip(grid, tensor):
+        sum_g, sum_t = sum(g.values()), sum(t.values())
+        if g.keys() != t.keys() or any(g[e] * sum_t != t[e] * sum_g for e in g):
+            return True
+        scale_g, scale_t = scale_g * sum_g, scale_t * sum_t
+    return scale_g != scale_t
+
+
+def _first_weight_difference(grid, tensor, rank):
+    """The witness of two unequal _weight_polynomial results: the smallest
+    joint weight (one exponent per L_i, compared lexicographically) whose
+    number of states differs between the sides, with both numbers.
+
+    The variable groups of both sides merge into common blocks, so each side
+    is 2^zeros times one polynomial per block.  The weight is fixed one
+    variable at a time at the smallest exponent that some completion still
+    tells apart (``_tell_apart``)."""
+    blocks = [set(variables) for variables in grid[1]]
+    for variables in tensor[1]:
+        linked = [b for b in blocks if b.intersection(variables)]
+        blocks = [b for b in blocks if b not in linked] + [set(variables).union(*linked)]
+    blocks.sort(key=min)
+    sides = [(1 << zeros, [_block_polynomial(polys, b) for b in blocks])
+             for zeros, polys in (grid, tensor)]
+    if not _tell_apart(sides):
+        return None
+    weight = []
+    for v in range(rank):
+        k = next(k for k, b in enumerate(blocks) if v in b)
+        at = sorted(blocks[k]).index(v)
+        for x in sorted({e[at] for _, polys in sides for e in polys[k]}):
+            trial = [(scale, [*polys[:k], Counter({e: c for e, c in polys[k].items() if e[at] == x}),
+                              *polys[k + 1:]]) for scale, polys in sides]
+            if _tell_apart(trial):
+                sides = trial
+                weight.append(x)
+                break
+    counts = [scale * prod(sum(p.values()) for p in polys) for scale, polys in sides]
+    return f"weight {weight}: grid {counts[0]}, tensor {counts[1]}"
+
+
 def check_tensor_character(n, m):
     """Character-level comparison of the grid module with the tensor power.
 
@@ -484,11 +545,14 @@ def check_tensor_character(n, m):
     on the grid module must equal that of the m-fold coproduct action on the
     m-th tensor power of the rank-n exterior module (L_i is grouplike: m
     factors of phi_q(L_i)).  Both are read from the torus words, with no
-    state enumerated; distinct_weights counts the grid side's monomials.
+    state enumerated; distinct_weights counts the grid side's monomials.  A
+    failed check names the first weight whose two counts differ.
     """
     grid = _weight_polynomial([lambda_q(n, m, "L", i) for i in range(1, n + 1)], n * m, 1)
     tensor = _weight_polynomial([phi_q(n, "L", i) for i in range(1, n + 1)], n, m)
-    return report.check("joint weight multisets agree", grid == tensor, n=n, m=m,
+    ok = grid == tensor
+    return report.check("joint weight multisets agree", ok,
+                        None if ok else _first_weight_difference(grid, tensor, n), n=n, m=m,
                         distinct_weights=prod(map(len, grid[1].values())))
 
 

@@ -8,8 +8,13 @@ Generators on N positions:
 
 Operator expressions are scalar-weighted words in these generators.  Words
 apply right to left, matching the usual composition convention for displayed
-products.  Each word is compiled once into bit masks over the input state
-(:class:`_CompiledWord`); ``apply`` evaluates that form state by state, and
+products.  Each generator word is compiled once into bit masks over the input
+state (:class:`_CompiledWord`).  A compiled word is a monomial matrix, a
+partial permutation times a diagonal of +-q^e (the Jordan-Wigner form), so a
+product of operators composes its operands' compiled words on their masks
+(``_CompiledWord.compose``) and never walks a concatenated word; it lists its
+word tuples (``terms``) only when something reads them, such as ``str``.
+``apply`` evaluates the compiled form state by state, and
 ``_CompiledWord.columns`` lists the states a word keeps and a sign and
 q-exponent key for each by doubling over the word's free bits.  Identities
 between operators are identities of their action on the module, not in the
@@ -27,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import add
 from typing import NamedTuple
 
 from . import fockspace, report
@@ -138,6 +144,52 @@ class _CompiledWord(NamedTuple):
         return cls(require_set, require_clear, final_set, sign_mask, sign_odd, exp0,
                    tuple(sorted(masks.items())))
 
+    def compose(self, first):
+        """The compiled form of self's generators applied after first's,
+        ``compile(self_word + first_word)``, read off the two words' masks;
+        None when the product kills every state.
+
+        On the bits first touches, self reads first's ``final_set``: its
+        requirements there must hold, and its sign and exponent masks there
+        add a constant.  On the other bits it reads the input state, so its
+        requirements and masks pass through to the product's, and first's
+        masks on the bits self touches fold in self's required bits."""
+        a_set, a_clear, a_final, a_sign, a_odd, a_exp0, a_masks = self
+        b_set, b_clear, b_final, b_sign, b_odd, b_exp0, b_masks = first
+        b_touched = b_set | b_clear
+        if a_set & b_touched & ~b_final or a_clear & b_final:
+            return None
+        a_touched = a_set | a_clear
+        sign_mask = b_sign ^ a_sign & ~b_touched
+        sign_odd = (a_odd + b_odd + (a_sign & b_final).bit_count()
+                    + (sign_mask & a_set).bit_count()) & 1
+        exp0 = a_exp0 + b_exp0
+        exp_masks = ()
+        if a_masks or b_masks:
+            weights = {}  # q-exponent per input bit -> its bits
+            for c, mask in b_masks:
+                if mask & a_touched:
+                    exp0 += c * (mask & a_set).bit_count()
+                    mask &= ~a_touched
+                weights[c] = mask
+            for c, mask in a_masks:
+                if mask & b_touched:
+                    exp0 += c * (mask & b_final).bit_count()
+                    mask &= ~b_touched
+                # a bit in both words' masks carries the sum of its weights
+                for cb, mb in list(weights.items()):
+                    both = mask & mb
+                    if both:
+                        weights[cb] ^= both
+                        weights[c + cb] = weights.get(c + cb, 0) | both
+                        mask ^= both
+                weights[c] = weights.get(c, 0) | mask
+            exp_masks = tuple(sorted([(c, mask) for c, mask in weights.items() if c and mask]))
+        return _CompiledWord(
+            b_set | a_set & ~b_touched, b_clear | a_clear & ~b_touched,
+            a_final | b_final & ~a_touched, sign_mask & ~(a_touched | b_touched), sign_odd,
+            exp0, exp_masks)
+
     def image(self, state):
         """(output state, negative, q-exponent), or None if the word kills state."""
         require_set, require_clear, final_set, sign_mask, sign_odd, exp0, exp_masks = self
@@ -197,15 +249,52 @@ class _CompiledWord(NamedTuple):
         return states, keys
 
 
+def _listed(terms):
+    """An operator's term list from its ``_terms``: the list itself, or a
+    node ``(build, *args)`` that builds it from constants and the operands'
+    ``_terms``, lists or nodes again.  Nodes are built bottom up, each once,
+    without recursion, so a sum built in a long loop lists its terms too."""
+    built = {}  # id(node) -> its term list
+    stack = [terms]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, list) or id(node) in built:
+            stack.pop()
+            continue
+        pending = [a for a in node[1:] if isinstance(a, tuple) and id(a) not in built]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        built[id(node)] = node[0](*(built.get(id(a), a) for a in node[1:]))
+    return built.get(id(terms), terms)
+
+
+def _negated(terms):
+    return [(-c, w) for c, w in terms]
+
+
+def _products(terms, others):
+    return [(ca * cb, wa + wb) for ca, wa in terms for cb, wb in others]
+
+
+def _scaled(terms, coeff):
+    return [(c * coeff, w) for c, w in terms]
+
+
 class OperatorExpr:
     """A formal sum of scalar-weighted generator words on N positions.
 
     ``terms`` is a list of (QLaurent coefficient, word tuple).  The classical
     flag forbids w generators and restricts coefficients to constants (the
-    q = 1 picture).
+    q = 1 picture).  An operator built from generator tuples compiles its
+    words once, on first use; one built by ``+``, ``-``, ``*`` and ``scale``
+    is born with its compiled words (a product composes its operands', see
+    ``_CompiledWord.compose``) and lists its word tuples only when ``terms``
+    is first read.
     """
 
-    __slots__ = ("length", "terms", "classical", "_words")
+    __slots__ = ("length", "_terms", "classical", "_words")
 
     def __init__(self, length, terms, classical=False):
         self.length = length
@@ -225,16 +314,24 @@ class OperatorExpr:
             if classical and coeff.constant_value() is None:
                 raise ValueError("classical operators need constant coefficients")
             cleaned.append((coeff, word))
-        self.terms = cleaned
+        self._terms = cleaned
 
     @classmethod
-    def _raw(cls, length, terms, classical=False):
+    def _raw(cls, length, terms, classical=False, words=None):
+        """terms: the term list, or a node that builds it on first read
+        (``_listed``); words: the compiled words, or None to compile terms
+        on first use."""
         obj = cls.__new__(cls)
         obj.length = length
-        obj.terms = terms
+        obj._terms = terms
         obj.classical = classical
-        obj._words = None
+        obj._words = words
         return obj
+
+    @property
+    def terms(self):
+        self._terms = _listed(self._terms)
+        return self._terms
 
     # -- convenient constructors --------------------------------------------
 
@@ -244,7 +341,7 @@ class OperatorExpr:
 
     @classmethod
     def zero(cls, length, classical=False):
-        return cls._raw(length, [], classical)
+        return cls._raw(length, [], classical, [])
 
     @classmethod
     def word(cls, length, gens, coeff=None, classical=False):
@@ -278,12 +375,14 @@ class OperatorExpr:
             return NotImplemented
         self._check_space(other)
         return OperatorExpr._raw(
-            self.length, self.terms + other.terms, self.classical and other.classical
+            self.length, (add, self._terms, other._terms),
+            self.classical and other.classical, self._compiled() + other._compiled(),
         )
 
     def __neg__(self):
         return OperatorExpr._raw(
-            self.length, [(-c, w) for c, w in self.terms], self.classical
+            self.length, (_negated, self._terms), self.classical,
+            [(-c, cw) for c, cw in self._compiled()],
         )
 
     def __sub__(self, other):
@@ -296,10 +395,14 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         self._check_space(other)
-        terms = [
-            (ca * cb, wa + wb) for ca, wa in self.terms for cb, wb in other.terms
+        words = [
+            (ca * cb, cw) for ca, a in self._compiled() for cb, b in other._compiled()
+            if (cw := a.compose(b)) is not None
         ]
-        return OperatorExpr._raw(self.length, terms, self.classical and other.classical)
+        return OperatorExpr._raw(
+            self.length, (_products, self._terms, other._terms),
+            self.classical and other.classical, words,
+        )
 
     def scale(self, coeff):
         if not isinstance(coeff, QLaurent):
@@ -307,7 +410,8 @@ class OperatorExpr:
         if not coeff:
             return OperatorExpr.zero(self.length, self.classical)
         return OperatorExpr._raw(
-            self.length, [(c * coeff, w) for c, w in self.terms], self.classical
+            self.length, (_scaled, self._terms, coeff), self.classical,
+            [(c * coeff, cw) for c, cw in self._compiled()],
         )
 
     # -- action ----------------------------------------------------------------

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qhowe import embeddings, report
+from qhowe import embeddings, qclifford, report
 from qhowe.embeddings import (
     COL,
     COL_ABOVE,
@@ -215,6 +217,28 @@ class TestTensorCharacter:
         monkeypatch.setattr(embeddings, "lambda_q", mutant)
         assert check_tensor_character(n, m)["status"] == "fail"
         assert check_tensor_character(n, m) == ref_check_tensor_character(n, m)
+
+    @pytest.mark.parametrize("n,m,a,witness", [
+        # position 1 weighs 2 in L_1: one grid state of weight (1, 0), two tensor states
+        (2, 2, 1, "weight [1, 0]: grid 1, tensor 2"),
+        (2, 3, 3, "weight [1, 0]: grid 2, tensor 3"),
+        (3, 2, 5, "weight [0, 1, 0]: grid 1, tensor 2"),
+        (3, 3, 9, "weight [0, 0, 1]: grid 2, tensor 3"),
+    ])
+    def test_shifted_weight_names_its_witness(self, monkeypatch, n, m, a, witness):
+        # negative control: lambda_q(L_i) of the row holding position a times
+        # one more w_a^-1, built by the operator algebra, so one weight shifts
+        i = (a - 1) % n + 1
+        original = embeddings.lambda_q
+
+        def mutant(n, m, kind, index):
+            op = original(n, m, kind, index)
+            return op * OperatorExpr.omega_inv(a, n * m) if (kind, index) == ("L", i) else op
+
+        monkeypatch.setattr(embeddings, "lambda_q", mutant)
+        got = check_tensor_character(n, m)
+        assert got["status"] == "fail" and got["witness"] == witness
+        assert got == ref_check_tensor_character(n, m)
 
 
 def test_explain_output():
@@ -503,6 +527,23 @@ def test_corrupted_table_entry_fails_above_the_old_wall(monkeypatch, name):
         assert all(len(c["witness"]) == 25 and set(c["witness"]) <= {"0", "1"} for c in failed)
 
 
+def test_relation_suites_compile_only_generator_words(monkeypatch):
+    # products compose their operands' compiled words: at 2x7 the relation
+    # and Serre suites compile each generator word once and no product word
+    rep = rho_rep(2, 7)
+    words = {word for op in [*rep.mats.values(), rep.identity] for _, word in op.terms}
+    calls = []
+    compile_word = qclifford._CompiledWord.compile.__func__
+
+    def counted(cls, word):
+        calls.append(word)
+        return compile_word(cls, word)
+
+    monkeypatch.setattr(qclifford._CompiledWord, "compile", classmethod(counted))
+    assert check_relations(rep)["status"] == check_serre(rep)["status"] == "pass"
+    assert set(calls) <= words and len(calls) <= len(words)
+
+
 # -- the word path of the operator checks against their matrix path ------------
 #
 # The ref_* oracles are the matrix versions of check_composition,
@@ -595,24 +636,70 @@ def ref_check_dequantization(n, m):
     return report.finish(checks, n=n, m=m)
 
 
-def ref_check_tensor_character(n, m):
-    grid_exps = []
-    for i in range(1, n + 1):
-        exps = ref_diag_exponents(embeddings.lambda_q(n, m, "L", i).to_matrix())
-        assert None not in exps
-        grid_exps.append(exps)
-    grid_multiset = sorted(zip(*grid_exps))
-    tensor_exps = []
-    for i in range(1, n + 1):
-        factor = tensor = embeddings.phi_q(n, "L", i).to_matrix()
-        for _ in range(m - 1):
+def ref_weight_counts(torus, copies):
+    """{joint weight: number of states} of the torus words on copies tensor
+    copies of their module, read off the diagonal matrices."""
+    exps = []
+    for op in torus:
+        factor = tensor = op.to_matrix()
+        for _ in range(copies - 1):
             tensor = tensor.kron(factor)
-        exps = ref_diag_exponents(tensor)
-        assert None not in exps
-        tensor_exps.append(exps)
-    tensor_multiset = sorted(zip(*tensor_exps))
-    return report.check("joint weight multisets agree", grid_multiset == tensor_multiset,
-                        n=n, m=m, distinct_weights=len(set(grid_multiset)))
+        exps.append(ref_diag_exponents(tensor))
+        assert None not in exps[-1]
+    return Counter(zip(*exps))
+
+
+def ref_weight_witness(grid, tensor):
+    """The first weight whose grid and tensor counts differ, as the check
+    names it; None when the multisets agree."""
+    first = min((w for w in grid.keys() | tensor.keys() if grid[w] != tensor[w]), default=None)
+    return first and f"weight {list(first)}: grid {grid[first]}, tensor {tensor[first]}"
+
+
+def ref_check_tensor_character(n, m):
+    grid = ref_weight_counts([embeddings.lambda_q(n, m, "L", i) for i in range(1, n + 1)], 1)
+    tensor = ref_weight_counts([embeddings.phi_q(n, "L", i) for i in range(1, n + 1)], m)
+    return report.check("joint weight multisets agree", grid == tensor,
+                        ref_weight_witness(grid, tensor), n=n, m=m, distinct_weights=len(grid))
+
+
+@st.composite
+def torus_sides(draw):
+    """(grid torus, tensor torus, positions p, copies): rank words q^e times
+    w and w^-1 factors on p positions for the tensor side; the grid side on
+    p * copies positions is their layout over the copies, that layout with
+    one more factor, or drawn on its own."""
+    rank = draw(st.integers(1, 3))
+    p, copies = draw(st.sampled_from([(1, 4), (2, 2), (4, 1), (3, 2), (2, 3)]))
+    factors = st.tuples(st.sampled_from([OMEGA, OMEGA_INV]), st.integers(1, p))
+    spec = [(draw(st.integers(-1, 1)), draw(st.lists(factors, max_size=4))) for _ in range(rank)]
+    tensor = [OperatorExpr.word(p, word, coeff=QLaurent.q_power(e)) for e, word in spec]
+    form = draw(st.sampled_from(["layout", "layout plus one", "independent"]))
+    if form == "independent":
+        factors = st.tuples(st.sampled_from([OMEGA, OMEGA_INV]), st.integers(1, p * copies))
+        spec = [(draw(st.integers(-2, 2)), draw(st.lists(factors, max_size=6)))
+                for _ in range(rank)]
+    else:
+        spec = [(copies * e, [(kind, k + c * p) for c in range(copies) for kind, k in word])
+                for e, word in spec]
+        if form == "layout plus one":
+            i = draw(st.integers(0, rank - 1))
+            spec[i][1].append((draw(st.sampled_from([OMEGA, OMEGA_INV])),
+                               draw(st.integers(1, p * copies))))
+    grid = [OperatorExpr.word(p * copies, word, coeff=QLaurent.q_power(e)) for e, word in spec]
+    return grid, tensor, p, copies
+
+
+@given(torus_sides())
+def test_first_weight_difference_matches_the_multisets(sides):
+    # the factored comparison and its witness against the enumerated multisets
+    grid_torus, tensor_torus, p, copies = sides
+    grid = embeddings._weight_polynomial(grid_torus, p * copies, 1)
+    tensor = embeddings._weight_polynomial(tensor_torus, p, copies)
+    g, t = ref_weight_counts(grid_torus, 1), ref_weight_counts(tensor_torus, copies)
+    assert (grid == tensor) == (g == t)
+    assert (embeddings._first_weight_difference(grid, tensor, len(grid_torus))
+            == ref_weight_witness(g, t))
 
 
 OPERATOR_CHECKS = {

@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from qhowe import fockspace, qclifford, report
+from qhowe import embeddings, fockspace, qclifford, report
 from qhowe.fockspace import QVector, state_to_string, string_to_state
 from qhowe.qclifford import (
     OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, _sign_rule_witness, check_clifford,
@@ -615,3 +615,140 @@ def grid_generators():
                          ids=lambda x: getattr(x, "__name__", str(x)))
 def test_grid_generators_match_interpreter(builder, n, m, kind, index):
     assert_compiled_matches(builder(n, m, kind, index))
+
+
+# -- products composed on the masks against compiling the concatenation ---------
+
+
+def compiled_product(a, b):
+    """[(coefficient, compile(wa + wb))] over the term pairs of a and b whose
+    concatenated word keeps a state: the product's words, compiled from
+    the concatenated tuples."""
+    compile_word = qclifford._CompiledWord.compile
+    return [(ca * cb, cw) for ca, wa in a.terms for cb, wb in b.terms
+            if (cw := compile_word(wa + wb)) is not None]
+
+
+@given(operators(), st.data())
+def test_compose_matches_compiling_the_concatenation(a, data):
+    b = data.draw(operators(a.length))
+    compile_word = qclifford._CompiledWord.compile
+    for _, wa in a.terms:
+        for _, wb in b.terms:
+            ca, cb = compile_word(wa), compile_word(wb)
+            want = compile_word(wa + wb)
+            if ca is None or cb is None:
+                assert want is None
+            else:
+                assert ca.compose(cb) == want
+    assert (a * b)._compiled() == compiled_product(a, b)
+
+
+@pytest.mark.parametrize("wa, wb", [
+    ([("psi", 2)], [("psi", 2)]),                           # dead: a needs bit 2, b clears it
+    ([("psid", 1), ("psi", 3)], [("psi", 3), ("psid", 1)]),  # dead: a needs bit 1 clear, b sets it
+    ([("w", 2), ("psid", 2), ("winv", 3)], [("winv", 2), ("psi", 2), ("w", 3)]),  # both touch 2
+    ([("winv", 2), ("psi", 2)], [("w", 2), ("psid", 2), ("winv", 4)]),
+    ([("w", 1), ("psi", 3)], [("psid", 1)]),                 # a's weight on b's final bit
+    ([("winv", 1), ("w", 4)], [("psid", 1), ("winv", 4)]),   # weights on bit 4 sum to 0
+    ([("w", 3), ("psi", 1)], [("w", 3), ("psid", 2)]),       # weights on bit 3 sum to -2
+    ([("psi", 3)], [("psid", 1), ("psi", 2)]),               # a's sign mask across b's bits
+    ([("psid", 4), ("psi", 3)], [("psid", 3), ("psi", 1)]),
+    ([("psi", 2), ("psi", 2)], [("psid", 1)]),               # dead operand a
+    ([("psid", 1)], [("psid", 3), ("psid", 3)]),             # dead operand b
+])
+def test_compose_cases(wa, wb):
+    a = OperatorExpr.word(4, wa, coeff=QLaurent({0: 2, 1: -1}))
+    b = OperatorExpr.word(4, wb, coeff=QLaurent.q_power(-1))
+    (_, word), = (a * b).terms
+    want = qclifford._CompiledWord.compile(word)
+    assert (a * b)._compiled() == compiled_product(a, b) == (
+        [] if want is None else [(QLaurent({-1: 2, 0: -1}), want)])
+    assert_compiled_matches(a * b)
+
+
+def eager(kind, *args):
+    """The term list of an operator built by the algebra (kind: "+", "neg",
+    "*" or "scale"), concatenating the words of the operands' term lists
+    args at once."""
+    if kind == "+":
+        return args[0] + args[1]
+    if kind == "neg":
+        return [(-c, w) for c, w in args[0]]
+    if kind == "*":
+        return [(ca * cb, wa + wb) for ca, wa in args[0] for cb, wb in args[1]]
+    coeff = args[1]
+    return [(c * coeff, w) for c, w in args[0]] if coeff else []
+
+
+@st.composite
+def algebra_expressions(draw):
+    """(operator, its term list by eager concatenation): three drawn
+    operators combined by up to six of +, -, *, unary - and scale, each
+    step's operands drawn from everything built so far."""
+    n = draw(st.integers(1, 5))
+    built = [(op, list(op.terms)) for op in (draw(operators(n)) for _ in range(3))]
+    for _ in range(draw(st.integers(1, 6))):
+        (a, ta), (b, tb) = draw(st.sampled_from(built)), draw(st.sampled_from(built))
+        how = draw(st.sampled_from(["+", "-", "*", "neg", "scale"]))
+        if how == "+":
+            built.append((a + b, eager("+", ta, tb)))
+        elif how == "-":
+            built.append((a - b, eager("+", ta, eager("neg", tb))))
+        elif how == "*":
+            built.append((a * b, eager("*", ta, tb)))
+        elif how == "neg":
+            built.append((-a, eager("neg", ta)))
+        else:
+            coeff = QLaurent(draw(st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
+                                                  max_size=2)))
+            built.append((a.scale(coeff), eager("scale", ta, coeff)))
+    return built[-1]
+
+
+@given(algebra_expressions())
+def test_algebra_lists_the_eager_terms(expr):
+    # terms are built from the operands on first read: the same list, text
+    # and compiled words as concatenating the words at every step
+    op, terms = expr
+    want = OperatorExpr(op.length, terms)
+    assert op._compiled() == want._compiled()
+    assert op.terms == terms and str(op) == str(want)
+
+
+def test_sum_built_in_a_loop_lists_the_eager_terms():
+    # compose_phi_theta sums its phi_q words in a loop of products
+    n, m = 2, 3
+    N = n * m
+    for kind, index in (("E", 1), ("F", 1), ("L", 2), ("K", 1)):
+        terms = []
+        for coeff, word in embeddings.theta(n, m, kind, index):
+            product = [(QLaurent.one(), ())]
+            for gen in word:
+                product = eager("*", product, embeddings.phi_q(N, gen.kind, gen.index).terms)
+            terms = eager("+", terms, eager("scale", product, coeff))
+        op = compose_phi_theta(n, m, kind, index)
+        want = OperatorExpr(N, terms)
+        assert op._compiled() == want._compiled()
+        assert op.terms == terms and str(op) == str(want)
+
+
+def test_long_chains_list_their_terms():
+    # a sum of 3000 operators built one at a time lists its terms, with no
+    # recursion through the chain of operands
+    op = OperatorExpr.zero(3)
+    for k in range(3000):
+        op = op + OperatorExpr.psi(k % 3 + 1, 3).scale(k + 1)
+    assert len(op.terms) == 3000
+    assert op.terms[-1] == (QLaurent.from_rational(3000), (qclifford.CliffordGen(PSI, 3),))
+
+
+@pytest.mark.parametrize("map_name", ["lambda_q", "rho_q", "phi_q", "classical_lambda"])
+def test_explain_reads_the_same_terms_through_the_algebra(map_name):
+    # an image built through the algebra prints what explain prints for it
+    for kind, index in (("E", 1), ("F", 1), ("L", 1)):
+        text = embeddings.explain(map_name, 2, 2, kind, index)
+        op = embeddings._MAPS[map_name](2, 2, kind, index)
+        ident = OperatorExpr.identity(op.length, op.classical)
+        for built in (ident * op * ident, op + OperatorExpr.zero(op.length), -(-op), op.scale(1)):
+            assert text == f"{map_name}({kind}{index}) = {built}"

@@ -155,7 +155,9 @@ def _grid_diagram(bits, n, m):
 
 
 def _scalar_section(cfg):
-    """Randomized ring self-checks; deterministic for a fixed seed."""
+    """Randomized ring self-checks; deterministic for a fixed seed.  A failed
+    check names its first failure: the round and law, the (a, b) of q-Pascal
+    or the k of a q-integer."""
     rng = random.Random(cfg["seed"])
 
     def rand_poly(max_terms=6):
@@ -164,27 +166,36 @@ def _scalar_section(cfg):
             terms[rng.randint(-6, 6)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return QLaurent(terms)
 
-    ok = True
-    for _ in range(50):
+    # each check's witness: None while it holds, else its first failure
+    ring = None
+    for round_ in range(1, 51):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
-        ok = ok and (a + b) + c == a + (b + c)
-        ok = ok and a * b == b * a
-        ok = ok and a * (b + c) == a * b + a * c
-        if b:
-            ok = ok and exact_div(a * b, b) == a
-    pascal = True
+        if (a + b) + c != a + (b + c):
+            law = "(a + b) + c = a + (b + c)"
+        elif a * b != b * a:
+            law = "a * b = b * a"
+        elif a * (b + c) != a * b + a * c:
+            law = "a * (b + c) = a * b + a * c"
+        elif b and exact_div(a * b, b) != a:
+            law = "exact_div(a * b, b) = a"
+        else:
+            continue
+        ring = f"round {round_}: {law}"
+        break
+    pascal = None
     for a in range(1, 9):
         for b in range(1, a + 1):
             left = q_binomial(a, b)
             right = q_binomial(a - 1, b - 1) * QLaurent.q_power(a - b)
             if b <= a - 1:
                 right = right + q_binomial(a - 1, b) * QLaurent.q_power(-b)
-            pascal = pascal and left == right
-    dequant = all(q_int(k).specialize(1) == k for k in range(13))
+            if pascal is None and left != right:
+                pascal = f"a={a} b={b}"
+    dequant = next((f"k={k}" for k in range(13) if q_int(k).specialize(1) != k), None)
     checks = [
-        report.check("ring axioms + exact division roundtrip", ok),
-        report.check("q-Pascal recursion", pascal),
-        report.check("q-integers at q=1", dequant),
+        report.check("ring axioms + exact division roundtrip", ring is None, ring),
+        report.check("q-Pascal recursion", pascal is None, pascal),
+        report.check("q-integers at q=1", dequant is None, dequant),
     ]
     return report.finish(checks, section="scalars")
 

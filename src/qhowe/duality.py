@@ -9,8 +9,10 @@ independent combinatorial shadow.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from . import report
 from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
@@ -448,7 +450,7 @@ class MultiPoly:
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 s = out.get(key, 0) + ca * cb
                 if s:
                     out[key] = s
@@ -509,12 +511,70 @@ def schur_poly(mu, p):
     return out
 
 
+def _weight_enumeration(n, m):
+    """The joint weight generating function of the 2^nm basis states: the
+    MultiPoly whose coefficient at rows + cols counts the states with those
+    row and column occupancies.
+
+    Every state is counted once, without one row_col_weights call per state.
+    A state's weight is the sum of its positions' unit weights, each read
+    from row_col_weights of the one-position state and packed into one int
+    in a base above the sum of all unit weights' exponents (max(n, m) + 1 on
+    a grid), so packed sums never carry.  The sums over the low and the high
+    half of the positions are listed by doubling (2^(nm/2) ints each), every
+    (high, low) pair is one state, and each distinct packed key is unpacked
+    once.
+    """
+    shape = GridShape(n, m)
+    nv = n + m
+    unit_weights = [sum(row_col_weights(shape, 1 << k), ()) for k in range(n * m)]
+    base = max(map(sum, zip(*unit_weights))) + 1
+    units = []
+    for weight in unit_weights:
+        packed = 0
+        for e in reversed(weight):
+            packed = packed * base + e
+        units.append(packed)
+
+    def subset_sums(part):
+        sums = [0]
+        for unit in part:
+            sums += list(map(unit.__add__, sums))  # list first: sums grows
+        return sums
+
+    half = n * m // 2
+    low = subset_sums(units[:half])
+    counts = Counter()
+    for high in subset_sums(units[half:]):
+        counts.update(map(high.__add__, low))
+    weights = MultiPoly(nv)
+    for packed, count in counts.items():
+        exps = []
+        for _ in range(nv):
+            packed, e = divmod(packed, base)
+            exps.append(e)
+        weights.terms[tuple(exps)] = count
+    return weights
+
+
+def _cauchy_witness(name, product, other, label):
+    """The witness of a failed identity product == other: its name, the
+    smallest exponent tuple where the coefficients differ, and both."""
+    key = min(k for k in product.terms.keys() | other.terms.keys()
+              if product.terms.get(k, 0) != other.terms.get(k, 0))
+    return (f"{name} at exponents {list(key)}: product {product.terms.get(key, 0)}, "
+            f"{label} {other.terms.get(key, 0)}")
+
+
 def dual_cauchy_check(n, m):
     """The three-way character identity on n + m variables.
 
     prod (1 + a_i b_j) equals both the conjugate-paired Schur sum over the
-    box and the joint weight generating function of the basis states, whose
-    enumeration stops at ``fockspace.check_enumerable``'s wall.
+    box and the joint weight generating function of the basis states
+    (``_weight_enumeration``: every state, listed by doubling over the
+    positions), whose enumeration stops at ``fockspace.check_enumerable``'s
+    wall.  A failed report names the first identity that fails, with its
+    smallest differing exponent tuple and both coefficients.
     """
     check_enumerable(n * m)
     nv = n + m
@@ -532,16 +592,11 @@ def dual_cauchy_check(n, m):
         right = schur_poly(mu.conjugate(), m).embed(nv, n)
         schur_sum = schur_sum + left * right
 
-    weights = MultiPoly(nv)
-    shape = GridShape(n, m)
-    for bits in range(1 << (n * m)):
-        rows, cols = row_col_weights(shape, bits)
-        key = rows + cols
-        weights.terms[key] = weights.terms.get(key, 0) + 1
+    weights = _weight_enumeration(n, m)
 
     ok_schur = product == schur_sum
     ok_weights = product == weights
-    return {
+    out = {
         "n": n,
         "m": m,
         "status": report.status(ok_schur and ok_weights),
@@ -549,6 +604,13 @@ def dual_cauchy_check(n, m):
         "product_equals_weight_enumeration": ok_weights,
         "monomials": len(product.terms),
     }
+    if not ok_schur:
+        out["witness"] = _cauchy_witness(
+            "prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)", product, schur_sum, "Schur sum")
+    elif not ok_weights:
+        out["witness"] = _cauchy_witness(
+            "prod (1 + a_i b_j) = state weight count", product, weights, "states")
+    return out
 
 
 def joint_kernel_count(n, m, value=Fraction(2)):

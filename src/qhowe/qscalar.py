@@ -1,10 +1,13 @@
 """Exact arithmetic in the ring of Laurent polynomials in q over the rationals.
 
 Every scalar in this package is a :class:`QLaurent`: a finite sum of terms
-``c * q^e`` with exact rational ``c`` and integer ``e``.  The ring is enough
-for all operator matrices produced here; the only division ever needed is
-exact, and :func:`exact_div` raises :class:`NonExactDivision` when a remainder
-is left, which doubles as a correctness tripwire.
+``c * q^e`` with exact rational ``c`` and integer ``e``; a coefficient that
+is an integer is stored as an int.  The ring is enough for all operator
+matrices produced here; the only division ever needed is exact, and
+:func:`exact_div` raises :class:`NonExactDivision` when a remainder is left,
+which doubles as a correctness tripwire.  Division stays in ints wherever it
+is exact in Z, so integer polynomials (q-integers, q-binomials) never pay for
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -324,8 +327,12 @@ def q_binomial(a, b):
 def exact_div(num, den):
     """Exact quotient num/den in the Laurent ring.
 
-    Raises :class:`NonExactDivision` when den does not divide num; never
-    truncates silently.
+    Long division from the top.  A step whose leading coefficients are ints
+    and divide exactly takes an int factor, so a quotient that is exact in
+    Z (a q-binomial, or an integer polynomial over one led by +-1) never
+    builds a Fraction; any other step divides as Fractions.  Raises
+    :class:`NonExactDivision` when den does not divide num; never truncates
+    silently.
     """
     if not den.terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -334,8 +341,8 @@ def exact_div(num, den):
     # Shift both to honest polynomials with valuation 0, long-divide from the
     # top, and shift the quotient back.
     vn, vd = min(num.terms), min(den.terms)
-    rem = {e - vn: Fraction(c) for e, c in num.terms.items()}
-    dpoly = {e - vd: Fraction(c) for e, c in den.terms.items()}
+    rem = {e - vn: c for e, c in num.terms.items()}
+    dpoly = {e - vd: c for e, c in den.terms.items()}
     ddeg = max(dpoly)
     dlead = dpoly[ddeg]
     quot = {}
@@ -344,7 +351,11 @@ def exact_div(num, den):
         if rdeg < ddeg:
             raise NonExactDivision(f"remainder of degree {rdeg} is nonzero")
         shift_by = rdeg - ddeg
-        factor = rem[rdeg] / dlead
+        lead = rem[rdeg]
+        if type(lead) is int and type(dlead) is int and not lead % dlead:
+            factor = lead // dlead
+        else:
+            factor = Fraction(lead) / dlead
         quot[shift_by] = factor
         for e, c in dpoly.items():
             k = e + shift_by

@@ -239,6 +239,54 @@ def test_all_2x5_passes(capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+# Negative controls for the scalars section: each perturbed ring function
+# fails its check, and the witness names the first failure.
+def _scalar_checks(seed=0):
+    section = cli._scalar_section({"seed": seed})
+    return section["status"], [(c["status"], c.get("witness")) for c in section["checks"]]
+
+
+def test_scalars_pass_without_witnesses():
+    assert _scalar_checks() == ("pass", [("pass", None)] * 3)
+
+
+def test_perturbed_q_binomial_fails_q_pascal(monkeypatch, capsys):
+    original = cli.q_binomial
+
+    def perturbed(a, b):
+        value = original(a, b)
+        return value + value if (a, b) == (5, 2) else value
+
+    monkeypatch.setattr(cli, "q_binomial", perturbed)
+    assert _scalar_checks() == ("fail", [("pass", None), ("fail", "a=5 b=2"), ("pass", None)])
+    assert main(["--n", "1", "--m", "1", "all"]) == 1
+    assert "  FAIL q-Pascal recursion a=5 b=2" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("shifted_call,witness", [
+    (1, "round 1: exact_div(a * b, b) = a"),
+    # one of the first ten rounds draws b = 0 and divides nothing
+    (10, "round 11: exact_div(a * b, b) = a"),
+])
+def test_shifted_quotient_fails_the_ring_axioms(monkeypatch, shifted_call, witness):
+    original = cli.exact_div
+    calls = []
+
+    def shifted(num, den):
+        calls.append(den)
+        quotient = original(num, den)
+        return quotient.shift(1) if len(calls) == shifted_call else quotient
+
+    monkeypatch.setattr(cli, "exact_div", shifted)
+    assert _scalar_checks() == ("fail", [("fail", witness), ("pass", None), ("pass", None)])
+
+
+def test_wrong_q_integer_fails_the_classical_limit(monkeypatch):
+    original = cli.q_int
+    monkeypatch.setattr(cli, "q_int", lambda k: original(k + 1) if k == 4 else original(k))
+    assert _scalar_checks() == ("fail", [("pass", None), ("pass", None), ("fail", "k=4")])
+
+
 # Injected failures covering every key a FAIL line reads: a relation with
 # indices and a witness, a pair, a generator as the only description, a
 # path as the only description (tensor_character), an empty description

@@ -425,6 +425,50 @@ class TestDualCauchy:
         assert report["status"] == "fail"
         assert report["product_equals_schur_sum"] is False
         assert report["product_equals_weight_enumeration"] is True
+        assert report["witness"] == ("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b) at exponents "
+                                     "[0, 1, 0, 0, 1]: product 1, Schur sum 0")
+
+    @pytest.mark.parametrize("n,m,witness", [
+        (2, 2, "[0, 1, 1, 0]: product 1, states 2"),
+        (2, 3, "[0, 1, 1, 0, 0]: product 1, states 2"),
+        (3, 3, "[0, 1, 0, 1, 0, 0]: product 1, states 2"),
+    ])
+    def test_position_in_the_wrong_row_fails(self, monkeypatch, capsys, n, m, witness):
+        # negative control: position 1 counted in row 2 instead of row 1
+        def misplaced(shape, bits):
+            rows, cols = row_col_weights(shape, bits)
+            if bits & 1:
+                rows = (rows[0] - 1, rows[1] + 1) + rows[2:]
+            return rows, cols
+
+        monkeypatch.setattr(duality, "row_col_weights", misplaced)
+        report = dual_cauchy_check(n, m)
+        assert report["status"] == "fail"
+        assert report["product_equals_schur_sum"] is True
+        assert report["product_equals_weight_enumeration"] is False
+        assert report["witness"] == f"prod (1 + a_i b_j) = state weight count at exponents {witness}"
+        assert duality._weight_enumeration(n, m) == ref_weight_enumeration(n, m, misplaced)
+        assert cli.main(["--n", str(n), "--m", str(m), "cauchy"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "[FAIL] cauchy  (0 checks pass, 1 fail)", f"  FAIL {report['witness']}"]
+
+
+def ref_weight_enumeration(n, m, weights=row_col_weights):
+    """The joint weight generating function, one weights call per state."""
+    shape = GridShape(n, m)
+    out = MultiPoly(n + m)
+    for bits in range(1 << (n * m)):
+        rows, cols = weights(shape, bits)
+        out.terms[rows + cols] = out.terms.get(rows + cols, 0) + 1
+    return out
+
+
+SHAPES_UP_TO_12 = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
+def test_weight_enumeration_matches_the_state_loop(n, m):
+    assert duality._weight_enumeration(n, m) == ref_weight_enumeration(n, m)
 
 
 class TestWeightBounds:

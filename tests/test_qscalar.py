@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qhowe import qscalar
 from qhowe.qscalar import (
     MAX_EXPONENT,
     NonExactDivision,
@@ -96,6 +97,96 @@ class TestExactDiv:
     @given(polys, nonzero_polys)
     def test_roundtrip(self, a, b):
         assert exact_div(a * b, b) == a
+
+
+def ref_exact_div(num, den):
+    """Long division with every coefficient a Fraction: the oracle for the
+    int steps of exact_div."""
+    if not den.terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not num.terms:
+        return QLaurent.zero()
+    vn, vd = min(num.terms), min(den.terms)
+    rem = {e - vn: Fraction(c) for e, c in num.terms.items()}
+    dpoly = {e - vd: Fraction(c) for e, c in den.terms.items()}
+    ddeg = max(dpoly)
+    quot = {}
+    while rem:
+        rdeg = max(rem)
+        if rdeg < ddeg:
+            raise NonExactDivision(f"remainder of degree {rdeg} is nonzero")
+        factor = rem[rdeg] / dpoly[ddeg]
+        quot[rdeg - ddeg] = factor
+        for e, c in dpoly.items():
+            k = e + rdeg - ddeg
+            rem[k] = rem.get(k, 0) - factor * c
+            if not rem[k]:
+                del rem[k]
+    return QLaurent({e + vn - vd: c for e, c in quot.items()})
+
+
+# int, Fraction and mixed coefficients; divisors led by 1, by -1, by another
+# int (2q + 1 is one) and by a Fraction
+int_polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(QLaurent)
+mixed_polys = st.dictionaries(
+    st.integers(-6, 6), st.one_of(st.integers(-9, 9), coeffs), max_size=6).map(QLaurent)
+dividends = st.one_of(int_polys, polys, mixed_polys)
+leads = st.one_of(st.sampled_from([1, -1, 2, -3]), coeffs.filter(bool))
+divisors = st.builds(
+    lambda body, top, lead: body + QLaurent.q_power(top, lead),
+    st.one_of(int_polys, mixed_polys).map(
+        lambda p: QLaurent({e: c for e, c in p.terms.items() if e < 3})),
+    st.integers(3, 5), leads)
+
+
+class TestExactDivMatchesFractionDivision:
+    @given(dividends, divisors)
+    def test_products_divide_back(self, a, d):
+        assert exact_div(a * d, d).terms == ref_exact_div(a * d, d).terms == a.terms
+
+    @given(dividends, divisors)
+    def test_any_pair_divides_or_raises_on_both_sides(self, a, d):
+        try:
+            want = ref_exact_div(a, d)
+        except NonExactDivision:
+            with pytest.raises(NonExactDivision):
+                exact_div(a, d)
+        else:
+            assert exact_div(a, d).terms == want.terms
+
+    @pytest.mark.parametrize("num,den", [
+        ({1: 4, 0: 4, -1: 1}, {1: 2, 0: 1}),                     # (2q + 1)^2 / (2q + 1)
+        ({1: 2, 0: 3, -1: 1}, {1: 2, 0: 1}),                     # (2q + 1)(q + 1) q^-1
+        ({2: -1, 1: 1, 0: -1, -1: 1}, {1: -1, -1: -1}),          # -(q + q^-1) leads
+        ({1: Fraction(1, 2), 0: 1}, {0: 1, -1: 2}),              # a Fraction dividend
+        ({1: 1, 0: 1}, {0: Fraction(1, 3), -1: Fraction(1, 3)}),  # a Fraction divisor
+    ])
+    def test_pinned_pairs(self, num, den):
+        assert exact_div(L(num), L(den)).terms == ref_exact_div(L(num), L(den)).terms
+
+    @pytest.mark.parametrize("num,den", [({1: 1, 0: 1}, {1: 2, 0: 1}), ({2: 1}, {1: 1, 0: 1})])
+    def test_pinned_remainders(self, num, den):
+        with pytest.raises(NonExactDivision):
+            ref_exact_div(L(num), L(den))
+        with pytest.raises(NonExactDivision):
+            exact_div(L(num), L(den))
+
+
+class _NoFraction(Fraction):
+    """Fraction for isinstance checks; building one is an error."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("exact division built a Fraction")
+
+
+def test_integer_divisions_build_no_fraction(monkeypatch):
+    # q-binomials divide by monic integer polynomials: every step is an int
+    want = q_binomial(8, 4)
+    monkeypatch.setattr(qscalar, "Fraction", _NoFraction)
+    assert q_binomial(8, 4) == want
+    assert exact_div(q_factorial(8), q_factorial(4) * q_factorial(4)) == want
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        exact_div(L({1: 1, 0: 1}), L({1: 2, 0: 2}))
 
 
 def ref_mul(a, b):

@@ -19,7 +19,6 @@ from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
 from .fockspace import (
     GridShape, QVector, check_enumerable, grid_to_linear, row_col_weights, state_to_string,
 )
-from .qscalar import QLaurent
 from .sparsemat import RationalEchelon
 
 __all__ = [
@@ -134,68 +133,114 @@ def verify_hwv(mu, shape, flavor="quantum"):
 
     Quantum: lambda_q(E_i) v = rho_q(E_j) v = 0, K-weights
     q^(mu_i - mu_{i+1}) and q^(mu'_j - mu'_{j+1}).  Classical: same shape
-    with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.  A failed check's
-    witness is the smallest state where the image differs from the
-    expected vector.
+    with lambda/rho and Lbar-eigenvalues mu_i and mu'_j.  Each condition is
+    decided on the generator's compiled words applied to the one basis
+    state (``_hwv_core``).  A failed check's witness is the smallest state
+    where the image differs from the expected vector.
     """
     return _hwv_verifier(shape, flavor)(mu)
 
 
-def _hwv_verifier(shape, flavor):
-    """verify_hwv for one shape and flavor as a function of mu; its generator
-    expressions are built once, so each is compiled once for every mu."""
-    if flavor not in ("quantum", "classical"):
+# The conditions verify_hwv checks, per flavor and in report order:
+# (relation, action, kind, indices(n, m), eigenvalue(mu, mu', index) as its
+# {q-exponent: coefficient} terms, or None for "kills hwv").
+_HWV_CONDITIONS = {
+    "quantum": (
+        ("lambda_q(E) kills hwv", lambda_q, "E", lambda n, m: range(1, n), None),
+        ("rho_q(E) kills hwv", rho_q, "E", lambda n, m: range(1, m), None),
+        ("lambda_q(K) weight", lambda_q, "K", lambda n, m: range(1, n),
+         lambda mu, conj, i: {mu.part(i) - mu.part(i + 1): 1}),
+        ("rho_q(K) weight", rho_q, "K", lambda n, m: range(1, m),
+         lambda mu, conj, j: {conj.part(j) - conj.part(j + 1): 1}),
+        ("lambda_q(L) weight", lambda_q, "L", lambda n, m: range(1, n + 1),
+         lambda mu, conj, i: {mu.part(i): 1}),
+        ("rho_q(L) weight", rho_q, "L", lambda n, m: range(1, m + 1),
+         lambda mu, conj, j: {conj.part(j): 1}),
+    ),
+    "classical": (
+        ("lambda(E) kills hwv", classical_lambda, "E", lambda n, m: range(1, n), None),
+        ("rho(E) kills hwv", classical_rho, "E", lambda n, m: range(1, m), None),
+        ("lambda(Lbar) eigenvalue", classical_lambda, "L", lambda n, m: range(1, n + 1),
+         lambda mu, conj, i: {0: mu.part(i)}),
+        ("rho(Lbar) eigenvalue", classical_rho, "L", lambda n, m: range(1, m + 1),
+         lambda mu, conj, j: {0: conj.part(j)}),
+    ),
+}
+
+
+def _hwv_core(shape, flavor):
+    """The hwv decision for one shape and flavor: (labels, firsts).
+
+    Every condition of ``_HWV_CONDITIONS`` is built and compiled once.
+    labels lists each one's (relation, index) in report order; firsts(mu)
+    returns mu's state (read through the module's ``hwv_state``) and, per
+    condition, the smallest state where the generator's image of that state
+    differs from the expected vector (zero, or the eigenvalue times the
+    state), or None where they agree.  The image is read off the compiled
+    words: a mask test drops each word that kills the state, and each kept
+    word's image (``_CompiledWord.image``) adds its coefficient's terms,
+    signed and shifted by its q-exponent, at its row of a small
+    ``{(row, q-exponent): coefficient}`` sum; the eigenvalue's terms are
+    subtracted at the state's own row.  No vector or scalar object is built
+    per condition."""
+    if flavor not in _HWV_CONDITIONS:
         raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
     n, m = shape
-    # (relation, action, kind, indices, eigenvalue(mu, mu', index) or None
-    # for "kills hwv")
-    q_power, rational = QLaurent.q_power, QLaurent.from_rational
-    if flavor == "quantum":
-        conditions = [
-            ("lambda_q(E) kills hwv", lambda_q, "E", range(1, n), None),
-            ("rho_q(E) kills hwv", rho_q, "E", range(1, m), None),
-            ("lambda_q(K) weight", lambda_q, "K", range(1, n),
-             lambda mu, conj, i: q_power(mu.part(i) - mu.part(i + 1))),
-            ("rho_q(K) weight", rho_q, "K", range(1, m),
-             lambda mu, conj, j: q_power(conj.part(j) - conj.part(j + 1))),
-            ("lambda_q(L) weight", lambda_q, "L", range(1, n + 1),
-             lambda mu, conj, i: q_power(mu.part(i))),
-            ("rho_q(L) weight", rho_q, "L", range(1, m + 1),
-             lambda mu, conj, j: q_power(conj.part(j))),
-        ]
-    else:
-        conditions = [
-            ("lambda(E) kills hwv", classical_lambda, "E", range(1, n), None),
-            ("rho(E) kills hwv", classical_rho, "E", range(1, m), None),
-            ("lambda(Lbar) eigenvalue", classical_lambda, "L", range(1, n + 1),
-             lambda mu, conj, i: rational(mu.part(i))),
-            ("rho(Lbar) eigenvalue", classical_rho, "L", range(1, m + 1),
-             lambda mu, conj, j: rational(conj.part(j))),
-        ]
-    generators = [(relation, [(i, action(n, m, kind, i)) for i in indices], eigenvalue)
-                  for relation, action, kind, indices, eigenvalue in conditions]
+    labels, conditions = [], []
+    for relation, action, kind, indices, eigenvalue in _HWV_CONDITIONS[flavor]:
+        for i in indices(n, m):
+            words = [(cw.require_set | cw.require_clear, cw.require_set, cw,
+                      tuple(coeff.terms.items()))
+                     for coeff, cw in action(n, m, kind, i)._compiled()]
+            labels.append((relation, i))
+            conditions.append((i, words, eigenvalue))
 
-    zero = QVector.zero(shape.positions)
+    def firsts(mu):
+        conj = mu.conjugate()
+        state = hwv_state(mu, shape)
+        found = []
+        for i, words, eigenvalue in conditions:
+            diff = {}  # (row, q-exponent) -> coefficient of image minus want
+            for touched, required, cw, terms in words:
+                if state & touched != required:
+                    continue  # the word kills the state
+                row, negative, qexp = cw.image(state)
+                for e, c in terms:
+                    key = row, e + qexp
+                    diff[key] = diff.get(key, 0) + (-c if negative else c)
+            if eigenvalue is not None:
+                for e, c in eigenvalue(mu, conj, i).items():
+                    key = state, e
+                    diff[key] = diff.get(key, 0) - c
+            rows = [row for (row, _), c in diff.items() if c]
+            found.append(min(rows) if rows else None)
+        return state, found
+
+    return labels, firsts
+
+
+def _hwv_verifier(shape, flavor):
+    """verify_hwv for one shape and flavor as a function of mu: the records
+    of ``_hwv_core``'s decisions, made on the compiled words of generators
+    built once for every mu."""
+    labels, firsts = _hwv_core(shape, flavor)
+    length = GridShape(*shape).positions
 
     def verify(mu):
         mu = Partition(mu)
-        conj = mu.conjugate()
-        vec = hwv(mu, shape)
-        checks = []
-        for relation, gens, eigenvalue in generators:
-            for i, gen in gens:
-                image = gen.apply(vec)
-                want = zero if eigenvalue is None else vec.scale(eigenvalue(mu, conj, i))
-                ok = image == want
-                witness = None if ok else state_to_string(min((image - want).entries),
-                                                          shape.positions)
-                checks.append(report.check(relation, ok, witness, indices=[i]))
+        state, found = firsts(mu)
+        checks = [
+            report.check(relation, first is None,
+                         None if first is None else state_to_string(first, length),
+                         indices=[i])
+            for (relation, i), first in zip(labels, found)
+        ]
         return report.finish(
             checks,
             mu=str(mu),
-            mu_conj=str(conj),
-            state=state_to_string(hwv_state(mu, shape), shape.positions),
+            mu_conj=str(mu.conjugate()),
+            state=state_to_string(state, length),
             flavor=flavor,
         )
 
@@ -364,11 +409,12 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     rows = []
     degree_sums = [0] * (shape.positions + 1)
     all_ok = True
-    verify = _hwv_verifier(shape, "quantum")
+    _, hwv_firsts = _hwv_core(shape, "quantum")
     for mu, (dim_n, dim_m), want, measured in zip(partitions, weyl, expected, base["dims"]):
         ok = measured == want
-        hw_report = verify(mu)
-        all_ok = all_ok and ok and report.passed([hw_report])
+        state, found = hwv_firsts(mu)
+        hwv_ok = all(first is None for first in found)
+        all_ok = all_ok and ok and hwv_ok
         degree_sums[mu.size] += measured
         rows.append(
             {
@@ -377,10 +423,10 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
                 "dim_n": dim_n,
                 "dim_m": dim_m,
                 "span_dim": measured,
-                "hwv_state": state_to_string(hwv_state(mu, shape), shape.positions),
+                "hwv_state": state_to_string(state, shape.positions),
                 "checks": {
                     "span_matches_weyl_product": ok,
-                    "hwv": hw_report["status"],
+                    "hwv": report.status(hwv_ok),
                 },
             }
         )

@@ -332,7 +332,10 @@ def exact_div(num, den):
     Z (a q-binomial, or an integer polynomial over one led by +-1) never
     builds a Fraction; any other step divides as Fractions.  Raises
     :class:`NonExactDivision` when den does not divide num; never truncates
-    silently.
+    silently.  The loop runs at most one step per quotient exponent,
+    deg(num) - deg(den) + 1 steps once both are shifted to valuation 0, and
+    raises RuntimeError past them, so a step that fails to cancel the
+    remainder's top term is an error, not a hang.
     """
     if not den.terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -346,10 +349,16 @@ def exact_div(num, den):
     ddeg = max(dpoly)
     dlead = dpoly[ddeg]
     quot = {}
+    # every step cancels the remainder's top term, so at most this many
+    # steps run; one more means a step failed to, and would loop forever
+    steps = max(rem) - ddeg + 1
     while rem:
         rdeg = max(rem)
         if rdeg < ddeg:
             raise NonExactDivision(f"remainder of degree {rdeg} is nonzero")
+        if not steps:
+            raise RuntimeError(f"long division step did not cancel the q^{rdeg} term")
+        steps -= 1
         shift_by = rdeg - ddeg
         lead = rem[rdeg]
         if type(lead) is int and type(dlead) is int and not lead % dlead:

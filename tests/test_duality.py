@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from qhowe import cli, duality, embeddings
+from qhowe import cli, duality, embeddings, report
 from qhowe.duality import (
     MultiPoly,
     Partition,
@@ -29,6 +29,8 @@ from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import RationalEchelon
 from test_embeddings import SHAPES_UP_TO_9, TABLE_MUTANTS, mutate
 
+
+SHAPES_UP_TO_12 = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
 
 partition_lists = st.lists(st.integers(0, 6), max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -147,6 +149,182 @@ class TestHwv:
         column = op.to_matrix().cols[string_to_state(report["state"]).bits]
         assert state_to_string(min(column), 9) == raising["witness"]
         assert all("witness" not in c for c in report["checks"] if c["status"] == "pass")
+
+
+# -- the word kernel against the QVector verifier --------------------------------
+
+
+def ref_verify_hwv(mu, shape, flavor="quantum"):
+    """verify_hwv through QVector: each generator is applied to the hwv
+    (``duality.hwv``, so a patched ``hwv_state`` shows) with
+    ``OperatorExpr.apply``, and the image is compared with the expected
+    vector; the witness is the smallest state of their difference."""
+    shape = GridShape(*shape).check()
+    n, m = shape
+    q_power, rational = QLaurent.q_power, QLaurent.from_rational
+    if flavor == "quantum":
+        conditions = [
+            ("lambda_q(E) kills hwv", embeddings.lambda_q, "E", range(1, n), None),
+            ("rho_q(E) kills hwv", embeddings.rho_q, "E", range(1, m), None),
+            ("lambda_q(K) weight", embeddings.lambda_q, "K", range(1, n),
+             lambda mu, conj, i: q_power(mu.part(i) - mu.part(i + 1))),
+            ("rho_q(K) weight", embeddings.rho_q, "K", range(1, m),
+             lambda mu, conj, j: q_power(conj.part(j) - conj.part(j + 1))),
+            ("lambda_q(L) weight", embeddings.lambda_q, "L", range(1, n + 1),
+             lambda mu, conj, i: q_power(mu.part(i))),
+            ("rho_q(L) weight", embeddings.rho_q, "L", range(1, m + 1),
+             lambda mu, conj, j: q_power(conj.part(j))),
+        ]
+    else:
+        conditions = [
+            ("lambda(E) kills hwv", embeddings.classical_lambda, "E", range(1, n), None),
+            ("rho(E) kills hwv", embeddings.classical_rho, "E", range(1, m), None),
+            ("lambda(Lbar) eigenvalue", embeddings.classical_lambda, "L", range(1, n + 1),
+             lambda mu, conj, i: rational(mu.part(i))),
+            ("rho(Lbar) eigenvalue", embeddings.classical_rho, "L", range(1, m + 1),
+             lambda mu, conj, j: rational(conj.part(j))),
+        ]
+    mu = Partition(mu)
+    conj = mu.conjugate()
+    vec = duality.hwv(mu, shape)
+    zero = QVector.zero(shape.positions)
+    checks = []
+    for relation, action, kind, indices, eigenvalue in conditions:
+        for i in indices:
+            image = action(n, m, kind, i).apply(vec)
+            want = zero if eigenvalue is None else vec.scale(eigenvalue(mu, conj, i))
+            ok = image == want
+            witness = None if ok else state_to_string(min((image - want).entries),
+                                                      shape.positions)
+            checks.append(report.check(relation, ok, witness, indices=[i]))
+    return report.finish(
+        checks,
+        mu=str(mu),
+        mu_conj=str(conj),
+        state=state_to_string(duality.hwv_state(mu, shape), shape.positions),
+        flavor=flavor,
+    )
+
+
+def assert_kernel_matches_the_qvector_verifier(n, m, fits=lambda state: True):
+    """The word kernel's reports equal ref_verify_hwv's, witnesses included,
+    at every partition of the n x m box whose state passes fits, both
+    flavors; returns how many of those reports fail."""
+    failed = 0
+    for flavor in ("quantum", "classical"):
+        verify = duality._hwv_verifier((n, m), flavor)
+        for mu in partitions_in_box(n, m):
+            if fits(duality.hwv_state(mu, (n, m))):
+                got = verify(mu)
+                assert got == ref_verify_hwv(mu, (n, m), flavor), (str(mu), flavor)
+                failed += got["status"] == "fail"
+    return failed
+
+
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
+def test_word_kernel_matches_the_qvector_verifier(n, m):
+    assert assert_kernel_matches_the_qvector_verifier(n, m) == 0
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_word_kernel_matches_the_qvector_verifier_under_a_mutant(monkeypatch, name, n, m):
+    # each mutant changes the words of some generator, yet every raising
+    # operator still kills each diagram's state and the torus weights are
+    # untouched: the failing reports are compared under the other patches
+    mutate(monkeypatch, name)
+    assert assert_kernel_matches_the_qvector_verifier(n, m) == 0
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+def test_word_kernel_matches_the_qvector_verifier_on_a_shifted_diagram(monkeypatch, n, m):
+    # every diagram moved one position on, where it still fits the grid
+    state = duality.hwv_state
+    monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(mu, shape) << 1)
+    failed = assert_kernel_matches_the_qvector_verifier(n, m, lambda s: s < 1 << (n * m))
+    assert failed > 0
+
+
+def patch_condition(monkeypatch, flavor, relation, field, value):
+    """Set one field of one _HWV_CONDITIONS entry: 1 the action, 4 the
+    eigenvalue."""
+    table = duality._HWV_CONDITIONS[flavor]
+    assert relation in [row[0] for row in table]
+    monkeypatch.setitem(duality._HWV_CONDITIONS, flavor, tuple(
+        row[:field] + (value,) + row[field + 1:] if row[0] == relation else row
+        for row in table))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3)])
+def test_words_on_one_row_are_summed(monkeypatch, n, m):
+    def psi_pair(n, m, kind, i):
+        # zero on the module: where both words keep a state they land on
+        # one row with opposite signs
+        a, b = OperatorExpr.psi(i, n * m), OperatorExpr.psi(i + 1, n * m)
+        return a * b + b * a
+
+    def number_sum(n, m, kind, i):
+        # the identity: exactly one of the two words keeps each state
+        a, b = OperatorExpr.psi(i, n * m), OperatorExpr.psi_dag(i, n * m)
+        return a * b + b * a
+
+    patch_condition(monkeypatch, "quantum", "rho_q(E) kills hwv", 1, psi_pair)
+    patch_condition(monkeypatch, "quantum", "lambda_q(E) kills hwv", 1, number_sum)
+    for mu in partitions_in_box(n, m):
+        got = verify_hwv(mu, (n, m))
+        failed = [c for c in got["checks"] if c["status"] == "fail"]
+        assert [(c["relation"], c["indices"]) for c in failed] == [
+            ("lambda_q(E) kills hwv", [i]) for i in range(1, n)]
+        assert {c["witness"] for c in failed} == {got["state"]}
+
+
+class TestHwvControls:
+    """Negative controls: a wrong weight convention must be caught."""
+
+    def test_weyl_vector_convention_fails(self, monkeypatch, capsys):
+        # the K weight of mu + rho, q^(mu_i - mu_{i+1} + 1), is off by q on
+        # every hwv, at the hwv state itself
+        patch_condition(monkeypatch, "quantum", "lambda_q(K) weight", 4,
+                        lambda mu, conj, i: {mu.part(i) - mu.part(i + 1) + 1: 1})
+        for n, m in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for mu in partitions_in_box(n, m):
+                got = verify_hwv(mu, (n, m))
+                assert got["status"] == "fail"
+                failed = [c for c in got["checks"] if c["status"] == "fail"]
+                assert [(c["relation"], c["indices"]) for c in failed] == [
+                    ("lambda_q(K) weight", [i]) for i in range(1, n)]
+                assert {c["witness"] for c in failed} == {got["state"]}
+                assert verify_hwv(mu, (n, m), "classical")["status"] == "pass"
+        spans = cyclic_span_dims(2, 3)
+        assert spans["status"] == "fail"
+        assert all(r["checks"] == {"span_matches_weyl_product": True, "hwv": "fail"}
+                   for r in spans["partitions"])
+        assert cli.main(["--n", "2", "--m", "3", "decompose"]) == 1
+        assert "overall: fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flavor,relation,eigenvalue", [
+        ("quantum", "rho_q(L) weight", lambda mu, conj, j: {mu.part(j): 1}),
+        ("classical", "rho(Lbar) eigenvalue", lambda mu, conj, j: {0: mu.part(j)}),
+    ])
+    def test_conjugate_dropped_fails_off_the_self_conjugate(self, monkeypatch, flavor, relation,
+                                                            eigenvalue):
+        # column weights read from mu, not mu': right exactly where mu = mu'
+        patch_condition(monkeypatch, flavor, relation, 4, eigenvalue)
+        self_conjugate = 0
+        for n, m in [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
+            for mu in partitions_in_box(n, m):
+                got = verify_hwv(mu, (n, m), flavor)
+                failed = [c for c in got["checks"] if c["status"] == "fail"]
+                if mu == mu.conjugate():
+                    self_conjugate += 1
+                    assert got["status"] == "pass"
+                else:
+                    assert got["status"] == "fail"
+                    assert {c["relation"] for c in failed} == {relation}
+                    assert [c["indices"] for c in failed] == [
+                        [j] for j in range(1, m + 1) if mu.part(j) != mu.conjugate().part(j)]
+                    assert {c["witness"] for c in failed} == {got["state"]}
+        assert self_conjugate == 28
 
 
 class TestWeylDim:
@@ -461,9 +639,6 @@ def ref_weight_enumeration(n, m, weights=row_col_weights):
         rows, cols = weights(shape, bits)
         out.terms[rows + cols] = out.terms.get(rows + cols, 0) + 1
     return out
-
-
-SHAPES_UP_TO_12 = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
 
 
 @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)

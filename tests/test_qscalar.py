@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,32 @@ def test_integer_divisions_build_no_fraction(monkeypatch):
     assert exact_div(q_factorial(8), q_factorial(4) * q_factorial(4)) == want
     with pytest.raises(AssertionError, match="built a Fraction"):
         exact_div(L({1: 1, 0: 1}), L({1: 2, 0: 2}))
+
+
+class _OffByOne(Fraction):
+    """A Fraction whose quotients come out one too large."""
+
+    def __truediv__(self, other):
+        return Fraction.__truediv__(self, other) + 1
+
+
+def test_a_step_that_does_not_cancel_raises(monkeypatch):
+    # 1 / 2 is a Fraction step; its factor 3/2 leaves -2 q^2, whose step
+    # factor 0 cancels nothing again and again
+    num, den = L({2: 1, 0: 1}), L({1: 2, 0: 1})
+    monkeypatch.setattr(qscalar, "Fraction", _OffByOne)
+
+    def hung(signum, frame):
+        raise TimeoutError("exact_div did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(RuntimeError, match="did not cancel the q\\^2 term"):
+            exact_div(num, den)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def ref_mul(a, b):

@@ -31,10 +31,11 @@ class UsageError(Exception):
 
 # The sections of all, in report order: each name maps to the name of its
 # runner, a function of the config looked up when it runs (so a rebound one
-# is called), and to the number of positions, from n and m, whose 2^p basis
-# states it lists.  The other sections decide on Clifford words or on small
-# matrices at any shape.  decompose and cauchy are commands of their own,
-# verify runs any other section but scalars.
+# is called), and to the number of positions p, from n and m, that bounds its
+# work at 2^p: module-algebra and decompose list 2^p basis states, cauchy
+# expands polynomials of up to 2^nm monomials.  The other sections decide on
+# Clifford words or on small matrices at any shape.  decompose and cauchy are
+# commands of their own, verify runs any other section but scalars.
 SECTIONS = {
     "scalars": ("_scalar_section", None),
     "clifford": ("_clifford_section", None),

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
-from operator import add
 
 from . import report
-from .embeddings import classical_lambda, classical_rho, lambda_q, rho_q
+from .embeddings import (
+    _block_polynomial, _expand, _weight_polynomial, classical_lambda, classical_rho, lambda_q, rho_q,
+)
 from .fockspace import (
     GridShape, QVector, check_enumerable, grid_to_linear, row_col_weights, state_to_string,
 )
@@ -31,7 +33,6 @@ __all__ = [
     "weyl_dim",
     "dimension_identity",
     "cyclic_span_dims",
-    "MultiPoly",
     "schur_poly",
     "dual_cauchy_check",
     "joint_kernel_count",
@@ -453,209 +454,102 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
 # -- characters -----------------------------------------------------------------
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> exact coefficient."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError("exponent tuple has wrong arity")
-                if c:
-                    self.terms[tuple(exps)] = c
-
-    @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, nvars, exps, coeff=1):
-        return cls(nvars, {tuple(exps): coeff})
-
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return p
-
-    def __mul__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(map(add, ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        p = MultiPoly(self.nvars)
-        p.terms = out
-        return p
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def embed(self, total, offset):
-        """View in a larger variable ring, shifting variables by offset."""
-        out = MultiPoly(total)
-        for e, c in self.terms.items():
-            key = (0,) * offset + e + (0,) * (total - offset - self.nvars)
-            out.terms[key] = c
-        return out
-
-
-def _ssyt_fill(shape, p):
-    """Yield all semistandard fillings of the given row lengths with 1..p."""
-    rows = [list(row) for row in ([0] * r for r in shape)]
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-
-    def backtrack(pos):
-        if pos == len(cells):
-            yield rows
-            return
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])  # weakly increasing along rows
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)  # strictly increasing down columns
-        for val in range(lo, p + 1):
-            rows[i][j] = val
-            yield from backtrack(pos + 1)
-        rows[i][j] = 0
-
-    yield from backtrack(0)
-
-
 def schur_poly(mu, p):
-    """Schur polynomial in p variables: sum of SSYT content monomials."""
-    mu = Partition(mu)
+    """The Schur polynomial s_mu(x_1..x_p) as a Counter {exponents:
+    coefficient}, by the branching rule s_mu(x_1..x_p) = sum of
+    s_nu(x_1..x_{p-1}) x_p^(|mu| - |nu|) over the nu with mu/nu a horizontal
+    strip, mu_1 >= nu_1 >= mu_2 >= nu_2 >= ... (Macdonald, Symmetric
+    Functions, I.5).  Each (nu, number of variables) is expanded once per
+    call; no tableau is listed.  Zero when mu has more than p parts."""
+    return _branch(tuple(Partition(mu)), p, {})
+
+
+def _branch(mu, p, memo):
+    """schur_poly of the trimmed tuple mu, memoized in memo by (mu, p)."""
     if len(mu) > p:
-        return MultiPoly(p)  # no column-strict filling exists
-    out = MultiPoly(p)
-    for rows in _ssyt_fill(tuple(mu), p):
-        exps = [0] * p
-        for row in rows:
-            for val in row:
-                exps[val - 1] += 1
-        key = tuple(exps)
-        out.terms[key] = out.terms.get(key, 0) + 1
+        return Counter()
+    if p == 0:
+        return Counter({(): 1})
+    if (mu, p) not in memo:
+        out = Counter()
+        lows = mu[1:] + (0,)
+        for nu in product(*(range(low, high + 1) for low, high in zip(lows, mu))):
+            k = sum(mu) - sum(nu)
+            while nu and not nu[-1]:
+                nu = nu[:-1]
+            for e, c in _branch(nu, p - 1, memo).items():
+                out[e + (k,)] += c
+        memo[mu, p] = out
+    return memo[mu, p]
+
+
+def _state_weights(n, m):
+    """The joint weight generating function of the grid's basis states: the
+    Counter whose coefficient at rows + cols counts the states with those row
+    and column weights.  Read off the lambda_q L_i and rho_q L_j torus words
+    (``_weight_polynomial``), so it checks the operators, with no state
+    listed."""
+    torus = ([lambda_q(n, m, "L", i) for i in range(1, n + 1)]
+             + [rho_q(n, m, "L", j) for j in range(1, m + 1)])
+    zeros, polys = _weight_polynomial(torus, n * m, 1)
+    weights = _block_polynomial(polys, set(range(n + m)))
+    return Counter({e: c << zeros for e, c in weights.items()})
+
+
+def _schur_sum(n, m):
+    """sum over the box of s_mu(a_1..a_n) s_mu'(b_1..b_m), as a Counter."""
+    out = Counter()
+    for mu in partitions_in_box(n, m):
+        right = schur_poly(mu.conjugate(), m)
+        for e, c in schur_poly(mu, n).items():
+            for f, d in right.items():
+                out[e + f] += c * d
     return out
 
 
-def _weight_enumeration(n, m):
-    """The joint weight generating function of the 2^nm basis states: the
-    MultiPoly whose coefficient at rows + cols counts the states with those
-    row and column occupancies.
-
-    Every state is counted once, without one row_col_weights call per state.
-    A state's weight is the sum of its positions' unit weights, each read
-    from row_col_weights of the one-position state and packed into one int
-    in a base above the sum of all unit weights' exponents (max(n, m) + 1 on
-    a grid), so packed sums never carry.  The sums over the low and the high
-    half of the positions are listed by doubling (2^(nm/2) ints each), every
-    (high, low) pair is one state, and each distinct packed key is unpacked
-    once.
-    """
-    shape = GridShape(n, m)
-    nv = n + m
-    unit_weights = [sum(row_col_weights(shape, 1 << k), ()) for k in range(n * m)]
-    base = max(map(sum, zip(*unit_weights))) + 1
-    units = []
-    for weight in unit_weights:
-        packed = 0
-        for e in reversed(weight):
-            packed = packed * base + e
-        units.append(packed)
-
-    def subset_sums(part):
-        sums = [0]
-        for unit in part:
-            sums += list(map(unit.__add__, sums))  # list first: sums grows
-        return sums
-
-    half = n * m // 2
-    low = subset_sums(units[:half])
-    counts = Counter()
-    for high in subset_sums(units[half:]):
-        counts.update(map(high.__add__, low))
-    weights = MultiPoly(nv)
-    for packed, count in counts.items():
-        exps = []
-        for _ in range(nv):
-            packed, e = divmod(packed, base)
-            exps.append(e)
-        weights.terms[tuple(exps)] = count
-    return weights
-
-
-def _cauchy_witness(name, product, other, label):
-    """The witness of a failed identity product == other: its name, the
-    smallest exponent tuple where the coefficients differ, and both."""
-    key = min(k for k in product.terms.keys() | other.terms.keys()
-              if product.terms.get(k, 0) != other.terms.get(k, 0))
-    return (f"{name} at exponents {list(key)}: product {product.terms.get(key, 0)}, "
-            f"{label} {other.terms.get(key, 0)}")
+def _cauchy_witness(name, product_side, other, label):
+    """None when the identity product_side == other holds, else its witness:
+    its name, the smallest exponent tuple where the coefficients differ, and
+    both.  No side holds a zero coefficient, so the identity holds exactly
+    when the two term sets are equal."""
+    if product_side.items() == other.items():
+        return None
+    key = min(k for k in product_side.keys() | other.keys() if product_side[k] != other[k])
+    return (f"{name} at exponents {list(key)}: product {product_side[key]}, "
+            f"{label} {other[key]}")
 
 
 def dual_cauchy_check(n, m):
     """The three-way character identity on n + m variables.
 
-    prod (1 + a_i b_j) equals both the conjugate-paired Schur sum over the
-    box and the joint weight generating function of the basis states
-    (``_weight_enumeration``: every state, listed by doubling over the
-    positions), whose enumeration stops at ``fockspace.check_enumerable``'s
-    wall.  A failed report names the first identity that fails, with its
-    smallest differing exponent tuple and both coefficients.
+    prod (1 + a_i b_j), expanded by ``_expand``, equals both the
+    conjugate-paired Schur sum over the box and the joint weight generating
+    function of the basis states, read off the torus words
+    (``_state_weights``).  Each side is a Counter of up to 2^nm monomials, so
+    the check stops at ``fockspace.check_enumerable``'s wall; the sides are
+    built and compared one at a time.  A failed report names the first
+    identity that fails, with its smallest differing exponent tuple and both
+    coefficients.
     """
     check_enumerable(n * m)
     nv = n + m
-    product = MultiPoly.one(nv)
-    for i in range(n):
-        for j in range(m):
-            exps = [0] * nv
-            exps[i] = 1
-            exps[n + j] = 1
-            product = product * (MultiPoly.one(nv) + MultiPoly.monomial(nv, exps))
-
-    schur_sum = MultiPoly(nv)
-    for mu in partitions_in_box(n, m):
-        left = schur_poly(mu, n).embed(nv, 0)
-        right = schur_poly(mu.conjugate(), m).embed(nv, n)
-        schur_sum = schur_sum + left * right
-
-    weights = _weight_enumeration(n, m)
-
-    ok_schur = product == schur_sum
-    ok_weights = product == weights
+    units = [tuple(int(k in (i, n + j)) for k in range(nv)) for i in range(n) for j in range(m)]
+    product_side = _expand((0,) * nv, units)
+    schur_witness = _cauchy_witness("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)",
+                                    product_side, _schur_sum(n, m), "Schur sum")
+    weights_witness = _cauchy_witness("prod (1 + a_i b_j) = state weight count",
+                                      product_side, _state_weights(n, m), "states")
+    witness = schur_witness or weights_witness
     out = {
         "n": n,
         "m": m,
-        "status": report.status(ok_schur and ok_weights),
-        "product_equals_schur_sum": ok_schur,
-        "product_equals_weight_enumeration": ok_weights,
-        "monomials": len(product.terms),
+        "status": report.status(witness is None),
+        "product_equals_schur_sum": schur_witness is None,
+        "product_equals_weight_enumeration": weights_witness is None,
+        "monomials": len(product_side),
     }
-    if not ok_schur:
-        out["witness"] = _cauchy_witness(
-            "prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)", product, schur_sum, "Schur sum")
-    elif not ok_weights:
-        out["witness"] = _cauchy_witness(
-            "prod (1 + a_i b_j) = state weight count", product, weights, "states")
+    if witness:
+        out["witness"] = witness
     return out
 
 

@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import prod
+from operator import add
 
 from . import report
 from .fockspace import GridShape, grid_to_linear, state_to_string
@@ -82,6 +83,19 @@ ROW_RIGHT = "row-right"    # columns p > j on rows i, i+1
 COL_ABOVE = "col-above"    # rows p < i on columns j, j+1
 COL_BELOW = "col-below"    # rows p > i on columns j, j+1
 
+ROW = "row"      # root pairs a -> a + 1 of one grid row pair (rank n)
+COL = "col"      # root pairs a -> a + n of one grid column pair (rank m)
+
+# Kappa segments by orientation: the axis of their root pairs, and whether
+# the free coordinate p runs before the anchor cell (1 .. anchor - 1) or
+# after it (anchor + 1 .. the line's length).
+_KAPPA_SEGMENTS = {
+    ROW_LEFT: (ROW, True),
+    ROW_RIGHT: (ROW, False),
+    COL_ABOVE: (COL, True),
+    COL_BELOW: (COL, False),
+}
+
 
 @dataclass(frozen=True)
 class KappaFactor:
@@ -99,32 +113,15 @@ class KappaFactor:
 
     def _pairs(self):
         """Linear index pairs (a, b) with the factor w_a^{-1} w_b per segment."""
+        if self.orientation not in _KAPPA_SEGMENTS:
+            raise ValueError(f"unknown orientation {self.orientation!r}")
+        axis, before = _KAPPA_SEGMENTS[self.orientation]
         n, m = self.shape
-        if self.orientation == ROW_LEFT:
-            cols = range(1, self.j)
-            return [
-                (grid_to_linear(self.shape, self.i, p), grid_to_linear(self.shape, self.i + 1, p))
-                for p in cols
-            ]
-        if self.orientation == ROW_RIGHT:
-            cols = range(self.j + 1, m + 1)
-            return [
-                (grid_to_linear(self.shape, self.i, p), grid_to_linear(self.shape, self.i + 1, p))
-                for p in cols
-            ]
-        if self.orientation == COL_ABOVE:
-            rows = range(1, self.i)
-            return [
-                (grid_to_linear(self.shape, p, self.j), grid_to_linear(self.shape, p, self.j + 1))
-                for p in rows
-            ]
-        if self.orientation == COL_BELOW:
-            rows = range(self.i + 1, self.shape.n + 1)
-            return [
-                (grid_to_linear(self.shape, p, self.j), grid_to_linear(self.shape, p, self.j + 1))
-                for p in rows
-            ]
-        raise ValueError(f"unknown orientation {self.orientation!r}")
+        anchor, length, di, dj = (self.j, m, 1, 0) if axis == ROW else (self.i, n, 0, 1)
+        free = range(1, anchor) if before else range(anchor + 1, length + 1)
+        cells = [(self.i, p) if axis == ROW else (p, self.j) for p in free]
+        return [(grid_to_linear(self.shape, i, j), grid_to_linear(self.shape, i + di, j + dj))
+                for i, j in cells]
 
     def omega_gens(self, invert=False):
         """The segment as Clifford w generators, in display order."""
@@ -212,12 +209,8 @@ def theta(n, m, kind, index):
             left_inv = KappaFactor(shape, ROW_LEFT, i, j).k_gens(invert=True)
             terms.append((one, left_inv + (QGroupGen("F", a),)))
         return terms
-    if kind in ("L", "Linv"):
-        _check_torus_index(i, n)
-        word = tuple(QGroupGen(kind, grid_to_linear(shape, i, j)) for j in range(1, m + 1))
-        return [(one, word)]
-    if kind in ("K", "Kinv"):
-        _check_root_index(i, n)
+    if kind in ("L", "Linv", "K", "Kinv"):
+        (_check_torus_index if kind in ("L", "Linv") else _check_root_index)(i, n)
         word = tuple(QGroupGen(kind, grid_to_linear(shape, i, j)) for j in range(1, m + 1))
         return [(one, word)]
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -239,9 +232,6 @@ def compose_phi_theta(n, m, kind, index):
         total = total + phi_word(N, word).scale(coeff)
     return total
 
-
-ROW = "row"      # root pairs a -> a + 1 of one grid row pair (rank n)
-COL = "col"      # root pairs a -> a + n of one grid column pair (rank m)
 
 # Quantum E/F images, keyed by (axis, kind): the q-exponent of the
 # coefficient, the generators before the kappa segment, the segment's
@@ -450,13 +440,22 @@ def check_dequantization(n, m):
     return report.finish(checks, n=n, m=m)
 
 
+def _expand(start, vectors):
+    """x^start times prod_v (1 + x^v) over the exponent vectors v, as a
+    Counter {exponents: coefficient}: one binomial convolution per vector."""
+    poly = Counter({start: 1})
+    for v in vectors:
+        poly += Counter({tuple(map(add, e, v)): c for e, c in poly.items()})
+    return poly
+
+
 def _weight_polynomial(torus, positions, copies):
     """The joint weight multiset of the torus words torus[i] = L_i on
     ``positions`` positions, over ``copies`` tensor copies of their module:
     x^shift times one binomial 1 + x^(v_k) per position k, v_k its weight
     vector.  Returned as (number of v_k = 0, {variables: {exponents: count}})
     with one polynomial per group of variables that some v_k link, multiplied
-    out by convolution; two products are equal exactly when these are."""
+    out by ``_expand``; two products are equal exactly when these are."""
     weights = [op.torus_weights() if len(op.terms) == 1 else None for op in torus]
     if None in weights:
         raise AssertionError("torus action is not a monomial diagonal")
@@ -467,13 +466,9 @@ def _weight_polynomial(torus, positions, copies):
         linked = [g for g in groups if any(v[i] for i in g)]
         if linked:
             groups[tuple(sorted(sum(linked, ())))] = sum(map(groups.pop, linked), [v])
-    polys = {}
-    for variables, vs in groups.items():
-        poly = Counter({tuple(copies * weights[i][0] for i in variables): 1})
-        for v in vs:
-            poly += Counter({tuple(x + v[i] for x, i in zip(e, variables)): count
-                             for e, count in poly.items()})
-        polys[variables] = poly
+    polys = {variables: _expand(tuple(copies * weights[i][0] for i in variables),
+                                [tuple(v[i] for i in variables) for v in vs])
+             for variables, vs in groups.items()}
     return vectors.count((0,) * len(weights)), polys
 
 
@@ -485,6 +480,8 @@ def _block_polynomial(polys, block):
         if block.issuperset(variables):
             out = Counter({e + f: c * d for e, c in out.items() for f, d in poly.items()})
             order += variables
+    if list(order) == sorted(order):
+        return out
     perm = sorted(range(len(order)), key=order.__getitem__)
     return Counter({tuple(e[i] for i in perm): c for e, c in out.items()})
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from qhowe import cli, duality, embeddings, report
 from qhowe.duality import (
-    MultiPoly,
     Partition,
     SpecializationAnomaly,
     cyclic_span_dims,
@@ -24,7 +24,7 @@ from qhowe.duality import (
 from qhowe.embeddings import rho_q
 from qhowe.fockspace import GridShape, QVector, row_col_weights, state_to_string, string_to_state
 from qhowe.braided_ext import normalize
-from qhowe.qclifford import OperatorExpr
+from qhowe.qclifford import OMEGA, OMEGA_INV, CliffordGen, OperatorExpr
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import RationalEchelon
 from test_embeddings import SHAPES_UP_TO_9, TABLE_MUTANTS, mutate
@@ -558,22 +558,62 @@ def test_noncommuting_families_close_under_every_operator(monkeypatch, name, n, 
     assert cyclic_span_dims(n, m) != report
 
 
+def ref_schur_poly(mu, p):
+    """The Schur polynomial as the content monomials of every semistandard
+    tableau of shape mu with entries 1..p, listed by backtracking."""
+    mu = Partition(mu)
+    rows = [[0] * r for r in mu]
+    cells = [(i, j) for i, r in enumerate(mu) for j in range(r)]
+    out = Counter()
+
+    def backtrack(pos):
+        if pos == len(cells):
+            exps = [0] * p
+            for row in rows:
+                for val in row:
+                    exps[val - 1] += 1
+            out[tuple(exps)] += 1
+            return
+        i, j = cells[pos]
+        lo = 1
+        if j > 0:
+            lo = max(lo, rows[i][j - 1])  # weakly increasing along rows
+        if i > 0:
+            lo = max(lo, rows[i - 1][j] + 1)  # strictly increasing down columns
+        for val in range(lo, p + 1):
+            rows[i][j] = val
+            backtrack(pos + 1)
+        rows[i][j] = 0
+
+    backtrack(0)
+    return out
+
+
 class TestSchur:
     def test_examples(self):
-        assert schur_poly((1,), 2).terms == {(1, 0): 1, (0, 1): 1}
-        assert schur_poly((1, 1), 2).terms == {(1, 1): 1}
-        assert schur_poly((2, 1), 2).terms == {(2, 1): 1, (1, 2): 1}
+        assert schur_poly((1,), 2) == Counter({(1, 0): 1, (0, 1): 1})
+        assert schur_poly((1, 1), 2) == Counter({(1, 1): 1})
+        assert schur_poly((2, 1), 2) == Counter({(2, 1): 1, (1, 2): 1})
+        assert schur_poly((), 3) == Counter({(0, 0, 0): 1})
+        assert schur_poly((), 0) == Counter({(): 1})
 
     def test_dimension_from_character(self):
         # number of SSYT = Weyl dimension
         for mu in [(2,), (2, 1), (3, 1), (2, 2)]:
             for p in (2, 3, 4):
                 if len(mu) <= p:
-                    total = sum(schur_poly(mu, p).terms.values())
+                    total = sum(schur_poly(mu, p).values())
                     assert total == weyl_dim(mu, p)
 
     def test_too_long_shape_is_zero(self):
-        assert schur_poly((1, 1, 1), 2).terms == {}
+        assert schur_poly((1, 1, 1), 2) == Counter()
+
+    @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12 + [(4, 4), (2, 8), (8, 2)])
+    def test_branching_rule_matches_the_tableau_listing(self, n, m):
+        # every Schur polynomial of the dual Cauchy sum, at both ranks
+        for mu in partitions_in_box(n, m):
+            assert schur_poly(mu, n) == ref_schur_poly(mu, n)
+            assert schur_poly(mu.conjugate(), m) == ref_schur_poly(mu.conjugate(), m)
 
 
 class TestDualCauchy:
@@ -595,7 +635,7 @@ class TestDualCauchy:
         def perturbed(mu, p):
             poly = schur(mu, p)
             if tuple(mu) == (1,):
-                del poly.terms[min(poly.terms)]
+                del poly[min(poly)]
             return poly
 
         monkeypatch.setattr(duality, "schur_poly", perturbed)
@@ -606,26 +646,52 @@ class TestDualCauchy:
         assert report["witness"] == ("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b) at exponents "
                                      "[0, 1, 0, 0, 1]: product 1, Schur sum 0")
 
+    @pytest.mark.parametrize("n,m,differing", [(2, 2, 4), (2, 3, 111), (3, 3, 468)])
+    def test_dropped_conjugate_fails(self, monkeypatch, n, m, differing):
+        # negative control: s_mu(a) paired with s_mu(b) instead of s_mu'(b)
+        product = dual_cauchy_check(n, m)["monomials"]
+        monkeypatch.setattr(Partition, "conjugate", lambda self: self)
+        report = dual_cauchy_check(n, m)
+        assert report["status"] == "fail"
+        assert report["product_equals_schur_sum"] is False
+        assert report["product_equals_weight_enumeration"] is True
+        assert report["monomials"] == product
+        unpaired, full = duality._schur_sum(n, m), ref_weight_enumeration(n, m)
+        assert sum(unpaired[k] != full[k] for k in unpaired.keys() | full.keys()) == differing
+        if (n, m) == (2, 2):
+            assert report["witness"] == ("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b) at exponents "
+                                         "[0, 2, 0, 2]: product 0, Schur sum 1")
+
     @pytest.mark.parametrize("n,m,witness", [
         (2, 2, "[0, 1, 1, 0]: product 1, states 2"),
         (2, 3, "[0, 1, 1, 0, 0]: product 1, states 2"),
         (3, 3, "[0, 1, 0, 1, 0, 0]: product 1, states 2"),
     ])
     def test_position_in_the_wrong_row_fails(self, monkeypatch, capsys, n, m, witness):
-        # negative control: position 1 counted in row 2 instead of row 1
+        # negative control: the lambda_q that dual_cauchy_check reads counts
+        # position 1 in row 2, as L_1 w_1 and L_2 w_1^-1
+        original = duality.lambda_q
+
+        def patched(n, m, kind, index):
+            op = original(n, m, kind, index)
+            if kind == "L" and index in (1, 2):
+                gen = CliffordGen(OMEGA if index == 1 else OMEGA_INV, 1)
+                op = op * OperatorExpr.word(n * m, (gen,))
+            return op
+
         def misplaced(shape, bits):
             rows, cols = row_col_weights(shape, bits)
             if bits & 1:
                 rows = (rows[0] - 1, rows[1] + 1) + rows[2:]
             return rows, cols
 
-        monkeypatch.setattr(duality, "row_col_weights", misplaced)
+        monkeypatch.setattr(duality, "lambda_q", patched)
         report = dual_cauchy_check(n, m)
         assert report["status"] == "fail"
         assert report["product_equals_schur_sum"] is True
         assert report["product_equals_weight_enumeration"] is False
         assert report["witness"] == f"prod (1 + a_i b_j) = state weight count at exponents {witness}"
-        assert duality._weight_enumeration(n, m) == ref_weight_enumeration(n, m, misplaced)
+        assert duality._state_weights(n, m) == ref_weight_enumeration(n, m, misplaced)
         assert cli.main(["--n", str(n), "--m", str(m), "cauchy"]) == 1
         assert capsys.readouterr().out.splitlines()[1:3] == [
             "[FAIL] cauchy  (0 checks pass, 1 fail)", f"  FAIL {report['witness']}"]
@@ -634,16 +700,29 @@ class TestDualCauchy:
 def ref_weight_enumeration(n, m, weights=row_col_weights):
     """The joint weight generating function, one weights call per state."""
     shape = GridShape(n, m)
-    out = MultiPoly(n + m)
-    for bits in range(1 << (n * m)):
-        rows, cols = weights(shape, bits)
-        out.terms[rows + cols] = out.terms.get(rows + cols, 0) + 1
-    return out
+    return Counter(sum(weights(shape, bits), ()) for bits in range(1 << (n * m)))
 
 
 @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
-def test_weight_enumeration_matches_the_state_loop(n, m):
-    assert duality._weight_enumeration(n, m) == ref_weight_enumeration(n, m)
+def test_state_weights_match_the_state_loop(n, m):
+    assert duality._state_weights(n, m) == ref_weight_enumeration(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3)])
+def test_state_weights_count_an_unweighted_position_twice(monkeypatch, n, m):
+    # L_1 w_1 in both actions: position 1 is in no row and no column
+    for action in ("lambda_q", "rho_q"):
+        def patched(n, m, kind, index, original=getattr(duality, action)):
+            op = original(n, m, kind, index)
+            if kind == "L" and index == 1:
+                op = op * OperatorExpr.word(n * m, (CliffordGen(OMEGA, 1),))
+            return op
+
+        monkeypatch.setattr(duality, action, patched)
+
+    unweighted = ref_weight_enumeration(n, m, lambda shape, bits: row_col_weights(shape, bits & ~1))
+    assert duality._state_weights(n, m) == unweighted
+    assert dual_cauchy_check(n, m)["product_equals_weight_enumeration"] is False
 
 
 class TestWeightBounds:
@@ -660,10 +739,3 @@ class TestJointKernel:
     def test_kernel_counts_partitions(self, n, m):
         assert joint_kernel_count(n, m) == comb(n + m, n)
         assert joint_kernel_count(n, m, Fraction(3)) == comb(n + m, n)
-
-
-def test_multipoly_ring():
-    a = MultiPoly.monomial(2, (1, 0)) + MultiPoly.monomial(2, (0, 1))
-    b = MultiPoly.monomial(2, (1, 0)) + MultiPoly.monomial(2, (0, 1), -1)
-    assert a * b == MultiPoly.monomial(2, (2, 0)) + MultiPoly.monomial(2, (0, 2), -1)
-    assert (a + b).terms == {(1, 0): 2}

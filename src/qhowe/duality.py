@@ -313,15 +313,16 @@ def _value_ranks(shape, partitions, lowering, commute, value):
     """(span dimension per partition, joint rank) at q = value.
 
     lowering: the lambda_q F_i then the rho_q F_j as word expressions;
-    commute: whether every pair of them commutes.  Each span is closed
-    under the larger family first and then, from all of that closure's
-    pivots, under the other family, or under every operator when the
-    families do not commute.  A closure pivot whose lead no joint pivot
-    holds is kept as it is, being primitive already; only the others are
-    reduced by ``insert_ints``, so the joint pivots are those that
-    inserting every closure pivot gives.  The integer operators and
-    echelons live only for this call, so one value's are freed before the
-    next value's are built."""
+    commute: whether every pair of them commutes.  Each highest-weight state
+    v is closed under the larger family first, which gives B.  When the
+    families commute, v is also closed under the smaller family in a scratch
+    echelon, which gives A and its creation record, and the joint echelon
+    replays that record from every pivot of B (``RationalEchelon.replay``).
+    A replay that adds dim A * dim B pivots gives the span's dimension, by
+    the argument in ``cyclic_span_dims``.  Any other span, and every span
+    when the families do not commute, takes ``_second_phase``.  The integer
+    operators and echelons live only for this call, so one value's are
+    freed before the next value's are built."""
     n, m = shape
     ops = _integer_ops(lowering, value)
     rows, cols = ops[:n - 1], ops[n - 1:]
@@ -333,20 +334,36 @@ def _value_ranks(shape, partitions, lowering, commute, value):
     # larger than its Weyl product stops below it and is reported as a fail
     cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
-    held = joint.pivots
     dims = []
     for mu in partitions:
+        state = {hwv_state(mu, shape): 1}
         closure = RationalEchelon()
-        seed = closure.insert({hwv_state(mu, shape): 1})
-        closure.close([seed], first, cap)
-        closure.close(list(closure.pivots.values()), second, cap)
-        dims.append(closure.rank)
-        for lead, vec in closure.pivots.items():
-            if lead in held:
-                joint.insert_ints(vec)
-            else:
-                held[lead] = vec
+        closure.close([closure.insert(state)], first, cap)
+        if commute:
+            words = RationalEchelon()
+            tree = words.close([words.insert(state)], second, cap)
+            span = words.rank * closure.rank
+            if joint.replay(closure.pivots.values(), tree, second) == span:
+                dims.append(span)
+                continue
+        dims.append(_second_phase(joint, closure, second, cap))
     return dims, joint.rank
+
+
+def _second_phase(joint, closure, ops, cap):
+    """Close every pivot of closure under ops, insert the closure's pivots
+    into joint and return its rank.  A pivot whose lead no joint pivot holds
+    is kept as it is, being primitive already; only the others are reduced
+    by ``insert_ints``, so the joint pivots are those that inserting every
+    closure pivot gives."""
+    closure.close(list(closure.pivots.values()), ops, cap)
+    held = joint.pivots
+    for lead, vec in closure.pivots.items():
+        if lead in held:
+            joint.insert_ints(vec)
+        else:
+            held[lead] = vec
+    return closure.rank
 
 
 def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
@@ -359,19 +376,26 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     dimensions against Weyl products, their sum against 2^(nm), and the
     joint span against the full space.
 
-    The closure runs in two phases: v is closed under the family with more
-    generators (the rho_q F_j when m >= n, else the lambda_q F_i), then all
-    of that closure's pivots are closed under the other family.  When every
-    lambda_q F_i commutes with every rho_q F_j, this is the joint closure:
-    for a word a in the row F's and a word b in the column F's,
-    rho_q(F_j) a b v = a rho_q(F_j) b v, so the span of the vectors a b v is
-    closed under both families (the factorization U-(gl_n) U-(gl_m) v of
-    Howe duality).  The commutation is decided once per shape, on the word
-    expressions that the integer operators are built from: the word identity
-    is exact in q, and each integer operator is its specialization times a
-    nonzero constant, so the integer operators commute too.  When some pair
-    does not commute, the second phase closes under every operator, which
-    gives the joint closure again.
+    Each span is built from two closures of v, one per family of lowering
+    operators.  The commutation of every lambda_q F_i with every rho_q F_j
+    is decided once per shape, on the word expressions that the integer
+    operators are built from: the word identity is exact in q, and each
+    integer operator is its specialization times a nonzero constant, so the
+    integer operators commute too.  When they do, v is closed under the
+    family with more generators (the rho_q F_j when m >= n, else the
+    lambda_q F_i), which gives B, and under the other family, which gives A
+    and a breadth-first record whose words w_k span A.  For a word a in the
+    row F's and b in the column F's, rho_q(F_j) a b v = a rho_q(F_j) b v, so
+    the joint span is S = U-(gl_n) U-(gl_m) v (the factorization of Howe
+    duality), and the vectors w_k b_l, b_l the pivots of B, span it:
+    dim S <= dim A * dim B.  The joint echelon J, a sum of earlier spans, is
+    closed under every operator, so the replay of the words from every b_l
+    into J adds at most dim S pivots; when it adds dim A * dim B, that is
+    dim S, and J + S is the new joint span.  Any other span falls back to the second phase of
+    the two-phase closure: every pivot of B is closed under the other
+    family and inserted into J, which gives S again.  When some pair does
+    not commute, that second phase closes under every operator, which gives
+    the joint closure.
 
     Ranks are computed over the integers: each specialized operator is
     scaled by one nonzero constant of its own to integer entries, which

@@ -12,11 +12,12 @@ behind every span dimension and rank at specialized q, and behind the span
 sweep that ``wordzero`` runs over Clifford words.  Its pivots are
 primitive integer vectors keyed by their largest key, and one integer-only
 reducer serves ``insert`` (any exact vector, made a primitive integer vector
-first), ``insert_ints`` (a vector that already is one) and ``close``, which
+first), ``insert_ints`` (a vector that already is one), ``close``, which
 closes a span under the integer operators ``specialize_ints`` returns: it
 applies every operator to every new pivot and reduces each image as it
 arises, round by round, until a round adds no pivot or a round cap is
-passed.
+passed, and ``replay``, which applies the words that one closure recorded
+to other vectors.
 """
 
 from __future__ import annotations
@@ -267,6 +268,63 @@ def _reduce_ints(pivots, vec):
     return vec
 
 
+def _apply(op, vec):
+    """An integer operator applied to an integer vector, without zero
+    entries: {} when the image is zero.  The image of a one-entry vector
+    {c: x} is column c times x, without the accumulation loop."""
+    if len(vec) == 1:
+        (c, x), = vec.items()
+        col = op.get(c)
+        return {r: v * x for r, v in col.items()} if col else {}
+    image = {}
+    for c, x in vec.items():
+        col = op.get(c)
+        if col:
+            for r, v in col.items():
+                s = image.get(r, 0) + v * x
+                if s:
+                    image[r] = s
+                else:
+                    del image[r]
+    return image
+
+
+def _keep(pivots, image):
+    """Reduce a nonzero integer image against pivots ``{lead: vector}`` and
+    keep a nonzero remainder as a new pivot; returns it, or None when the
+    image lies in their span.
+
+    The images of a lowering closure are nearly monomial, so two shortcuts
+    skip the general reducer, each giving the pivot it would give: a
+    one-entry image {r: w} becomes the pivot {r: sign(w)} when no pivot
+    leads at r and is dropped when the pivot at r has one entry too; and an
+    image whose lead no pivot holds is only divided by its gcd.  So the
+    pivots, their entries and their order are those of reducing every image
+    with ``_reduce_ints``.
+    """
+    if len(image) == 1:
+        (lead, w), = image.items()
+        pivot = pivots.get(lead)
+        if pivot is None:
+            image = {lead: 1 if w > 0 else -1}
+        elif len(pivot) == 1:
+            return None  # a multiple of that one-entry pivot
+    else:
+        lead = max(image)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = gcd(*image.values())
+            if g > 1:
+                image = {r: v // g for r, v in image.items()}
+    if pivot is not None:
+        image = _reduce_ints(pivots, image)
+        if not image:
+            return None
+        lead = max(image)
+    pivots[lead] = image
+    return image
+
+
 class RationalEchelon:
     """Incremental echelon basis for sparse vectors with exact entries.
 
@@ -308,7 +366,7 @@ class RationalEchelon:
         return rem
 
     def close(self, frontier, ops, max_rounds):
-        """Close the span under integer operators.
+        """Close the span under integer operators; returns the creation record.
 
         frontier: integer vectors of the span whose images are still to be
         taken: typically the pivots just inserted, or every pivot of an
@@ -318,68 +376,86 @@ class RationalEchelon:
         may hold an explicit zero entry.
 
         Each round applies every operator to every vector of the frontier and
-        inserts each nonzero image; the pivots it adds are the next round's
-        frontier, and the span is closed after a round that adds none.
-        Raises RuntimeError when that takes more than max_rounds rounds.
+        inserts each nonzero image (``_apply`` and ``_keep``, with their
+        shortcuts); the pivots it adds are the next round's frontier, and the
+        span is closed after a round that adds none.  Raises RuntimeError
+        when that takes more than max_rounds rounds.
 
-        The vectors of a lowering closure are nearly monomial, so three
-        shortcuts skip the general reducer, each giving the pivot it would
-        give: the image of a one-entry vector {c: x} is column c times x; a
-        one-entry image {r: w} becomes the pivot {r: sign(w)} when no pivot
-        leads at r and is skipped when the pivot at r has one entry too; and
-        an image whose lead no pivot holds is only divided by its gcd.  The
-        pivots, their entries and their order are those of reducing every
-        image with ``_reduce_ints``.
+        The creation record lists one (parent, op) pair per pivot added, in
+        the order added: the pivot came from the image under ``ops[op]`` of
+        the vector at index parent, counting the frontier first and then the
+        added pivots in order, so a parent comes before its pivot.  Read as
+        words, it spans the closure: breadth-first order has inserted every
+        image of each earlier vector before the image that gives the pivot
+        at index k, so that pivot is a nonzero multiple of its word, the
+        image of its parent's word, plus earlier pivots.  When the echelon
+        held only the frontier's span at the start, the frontier and the
+        record's words applied raw are a basis of the closure.
         """
         pivots = self.pivots
+        record = []
+        base = 0
         rounds = 0
         while frontier:
             rounds += 1
             if rounds > max_rounds:
                 raise RuntimeError("lowering closure failed to stabilize within the round cap")
             fresh = []
-            for vec in frontier:
+            for parent, vec in enumerate(frontier, base):
+                # most frontier vectors have one entry: _apply's monomial
+                # case, taken once per vector instead of once per op
                 monomial = len(vec) == 1
                 if monomial:
                     (c, x), = vec.items()
-                for op in ops:
+                for k, op in enumerate(ops):
                     if monomial:
                         col = op.get(c)
                         if not col:
                             continue
                         image = {r: v * x for r, v in col.items()}
                     else:
-                        image = {}
-                        for c, x in vec.items():
-                            col = op.get(c)
-                            if col:
-                                for r, v in col.items():
-                                    s = image.get(r, 0) + v * x
-                                    if s:
-                                        image[r] = s
-                                    else:
-                                        del image[r]
+                        image = _apply(op, vec)
                         if not image:
                             continue
-                    if len(image) == 1:
-                        (lead, w), = image.items()
-                        pivot = pivots.get(lead)
-                        if pivot is None:
-                            image = {lead: 1 if w > 0 else -1}
-                        elif len(pivot) == 1:
-                            continue  # a multiple of that one-entry pivot
-                    else:
-                        lead = max(image)
-                        pivot = pivots.get(lead)
-                        if pivot is None:
-                            g = gcd(*image.values())
-                            if g > 1:
-                                image = {k: v // g for k, v in image.items()}
+                    pivot = _keep(pivots, image)
                     if pivot is not None:
-                        image = _reduce_ints(pivots, image)
-                        if not image:
-                            continue
-                        lead = max(image)
-                    pivots[lead] = image
-                    fresh.append(image)
+                        fresh.append(pivot)
+                        record.append((parent, k))
+            base += len(frontier)
             frontier = fresh
+        return record
+
+    def replay(self, vectors, tree, ops):
+        """Insert each vector, then the images of a creation record replayed
+        from it; returns the number of pivots added.
+
+        tree: the record that ``close`` returned for a one-vector frontier,
+        and ops the operators it was recorded with.  Each vector is inserted
+        as ``insert_ints`` would; then the tree is walked from it: a node's
+        image is its operator applied to the pivot that this echelon kept
+        for the node's parent (index 0 the vector, index k the tree's k-th
+        node), reduced and kept by ``_keep``.  A node whose parent was
+        kept no pivot is skipped.  The pivots are those that ``insert_ints``
+        of each image, in the same order, gives.
+
+        Let S be the span of the words w b, for b a vector and w one of the
+        tree's words, the empty word included.  When ops keep both S and the
+        span held before closed, every pivot added lies in their sum, so the
+        count is at most dim S, itself at most len(vectors) * (len(tree) +
+        1); ``duality._value_ranks`` reads the span's dimension off that
+        bound.
+        """
+        pivots = self.pivots
+        before = len(pivots)
+        for vec in vectors:
+            lead = max(vec)
+            if lead in pivots:
+                root = self.insert_ints(vec)
+            else:
+                pivots[lead] = root = vec  # its own remainder, being primitive
+            kept = [root]
+            for parent, k in tree:
+                source = kept[parent]
+                image = None if source is None else _apply(ops[k], source)
+                kept.append(_keep(pivots, image) if image else None)
+        return len(pivots) - before

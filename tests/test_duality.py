@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from qhowe import cli, duality, embeddings, report
 from qhowe.duality import (
+    DEFAULT_SPEC_VALUES,
     Partition,
     SpecializationAnomaly,
     cyclic_span_dims,
@@ -485,11 +486,24 @@ class TestCyclicSpanControls:
         state = duality.hwv_state
         monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(
             (1,) if Partition(mu) == (2,) else mu, shape))
+        calls = spy_second_phase(monkeypatch)
         report = cyclic_span_dims(2, 3)
         # partition 2's span adds nothing to the joint one: 64 - 9
         assert report["joint_rank"] == 55 < 64
         assert report["status"] == "fail"
+        # its replay adds no pivot, so it falls back to the second phase
+        assert calls
         assert report == ref_cyclic_span_dims(monkeypatch, 2, 3)
+        assert report == ref_cyclic_span_dims(monkeypatch, 2, 3, ref_two_phase_value_ranks)
+
+    @pytest.mark.parametrize("n,m", [(2, 3), (3, 3)])
+    def test_row_family_holding_a_column_operator_fails(self, monkeypatch, n, m):
+        # without lambda_q F_1, rho_q F_1 is taken for a row operator: the
+        # families stop commuting behind the word check, so the premise of
+        # both the replay and the second phase is broken, and the spans no
+        # longer match their Weyl products
+        self.patch_ops(monkeypatch, lambda ops, value: ops[1:])
+        assert cyclic_span_dims(n, m)["status"] == "fail"
 
 
 # -- the two-phase closure against the single-phase one -------------------------
@@ -516,10 +530,71 @@ def ref_value_ranks(shape, partitions, lowering, commute, value):
     return dims, joint.rank
 
 
-def ref_cyclic_span_dims(monkeypatch, n, m):
+def ref_two_phase_value_ranks(shape, partitions, lowering, commute, value):
+    """The two-phase closure in place of duality._value_ranks, with no
+    replay: each span is closed under the larger family, then every pivot of
+    that closure under the smaller family (under every operator when the
+    families do not commute), and the closure pivots are inserted into the
+    joint echelon."""
+    n, m = shape
+    ops = duality._integer_ops(lowering, value)
+    rows, cols = ops[:n - 1], ops[n - 1:]
+    first, second = (cols, rows) if m >= n else (rows, cols)
+    if not commute:
+        second = ops
+    cap = (1 << shape.positions) + 1
+    joint = RationalEchelon()
+    dims = []
+    for mu in partitions:
+        closure = RationalEchelon()
+        seed = closure.insert({duality.hwv_state(mu, shape): 1})
+        closure.close([seed], first, cap)
+        closure.close(list(closure.pivots.values()), second, cap)
+        dims.append(closure.rank)
+        for vec in closure.pivots.values():
+            joint.insert_ints(vec)
+    return dims, joint.rank
+
+
+def ref_cyclic_span_dims(monkeypatch, n, m, ref=ref_value_ranks, spec_values=DEFAULT_SPEC_VALUES):
     with monkeypatch.context() as patch:
-        patch.setattr(duality, "_value_ranks", ref_value_ranks)
-        return cyclic_span_dims(n, m)
+        patch.setattr(duality, "_value_ranks", ref)
+        return cyclic_span_dims(n, m, spec_values)
+
+
+def spy_second_phase(monkeypatch):
+    """Record a call of duality._second_phase per span that takes it."""
+    calls = []
+    original = duality._second_phase
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(duality, "_second_phase", spy)
+    return calls
+
+
+# -- the replayed closure against the two-phase one ------------------------------
+
+
+@pytest.mark.parametrize("spec_values", [(Fraction(2), Fraction(3)), (Fraction(5, 3), Fraction(-2))])
+@pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
+def test_replay_matches_the_two_phase_closure(monkeypatch, n, m, spec_values):
+    calls = spy_second_phase(monkeypatch)
+    report = cyclic_span_dims(n, m, spec_values)
+    assert report["status"] == "pass"
+    # every span is certified by its replay; none falls back
+    assert calls == []
+    assert report == ref_cyclic_span_dims(monkeypatch, n, m, ref_two_phase_value_ranks, spec_values)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+def test_replay_matches_the_two_phase_closure_under_a_mutant(monkeypatch, name, n, m):
+    mutate(monkeypatch, name)
+    report = cyclic_span_dims(n, m)
+    assert report == ref_cyclic_span_dims(monkeypatch, n, m, ref_two_phase_value_ranks)
 
 
 # the two table entries whose lambda_q F and rho_q F words do not commute

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
-from qhowe.sparsemat import RationalEchelon, SparseMatrix, _reduce_ints
+from qhowe.sparsemat import RationalEchelon, SparseMatrix, _reduce_ints, primitive_int_vector
 
 # -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
 
@@ -656,3 +656,118 @@ def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert pivot_items(echelon) == pivot_items(ref)
+
+
+# -- the creation record of close, and its replay -------------------------------
+
+
+def record_words(frontier, ops, record):
+    """The frontier, then each recorded word applied raw: the image under its
+    operator of its parent's word, not of its parent's pivot."""
+    words = [dict(v) for v in frontier]
+    for parent, k in record:
+        words.append(ref_apply_ints(ops[k], words[parent]))
+    return words
+
+
+def assert_record_spans(echelon, frontier, ops, record):
+    """The record's words are rank independent vectors spanning the closure."""
+    assert all(0 <= parent < len(frontier) + k and 0 <= op < len(ops)
+               for k, (parent, op) in enumerate(record))
+    words = record_words(frontier, ops, record)
+    assert len(words) == echelon.rank
+    assert ref_rank(words) == echelon.rank
+    assert all(echelon.reduce(w) == {} for w in words)
+
+
+@settings(max_examples=300)
+@given(st.lists(close_vectors, min_size=1, max_size=3), operator_lists(close_operators))
+def test_close_records_words_that_span_the_closure(seeds, ops):
+    echelon = RationalEchelon()
+    frontier = [p for p in map(echelon.insert, seeds) if p is not None]
+    record = echelon.close(frontier, ops, CLOSE_DIM + 1)
+    assert len(record) == echelon.rank - len(frontier)
+    assert_record_spans(echelon, frontier, ops, record)
+
+
+def test_close_records_the_shortcut_pivots():
+    # op 0 takes the monomial {0: 1} to its column {2: 2}, a one-entry image
+    # at a fresh lead: the pivot {2: 1}; op 1 takes it to {2: -3}, a multiple
+    # of that one-entry pivot, which adds nothing and is not recorded; op 0
+    # takes {2: 1} to {1: 2, 3: 4}, a fresh lead divided by its gcd
+    ops = [{0: {2: 2}, 2: {1: 2, 3: 4}}, {0: {2: -3}}]
+    echelon = RationalEchelon()
+    frontier = [echelon.insert({0: 1})]
+    record = echelon.close(frontier, ops, 4)
+    assert record == [(0, 0), (1, 0)]
+    assert echelon.pivots == {0: {0: 1}, 2: {2: 1}, 3: {1: 1, 3: 2}}
+    assert_record_spans(echelon, frontier, ops, record)
+
+
+def test_close_records_parents_past_the_frontier():
+    # two frontier vectors at indices 0 and 1; the pivots they give are 2
+    # and 3, and pivot 2 is the parent of the last one
+    ops = [{0: {1: 1}, 1: {2: 1}, 5: {6: 1}}]
+    echelon = RationalEchelon()
+    frontier = [echelon.insert({0: 1}), echelon.insert({5: 1})]
+    record = echelon.close(frontier, ops, 4)
+    assert record == [(0, 0), (1, 0), (2, 0)]
+    assert echelon.pivots == {0: {0: 1}, 5: {5: 1}, 1: {1: 1}, 6: {6: 1}, 2: {2: 1}}
+    assert_record_spans(echelon, frontier, ops, record)
+
+
+def ref_replay(echelon, vectors, tree, ops):
+    """replay by insert_ints of each image in the same order: a node's image
+    is its operator applied to the pivot kept for its parent."""
+    before = echelon.rank
+    for vec in vectors:
+        kept = [echelon.insert_ints(vec)]
+        for parent, k in tree:
+            image = {} if kept[parent] is None else ref_apply_ints(ops[k], kept[parent])
+            kept.append(echelon.insert_ints(image) if image else None)
+    return echelon.rank - before
+
+
+@settings(max_examples=300)
+@given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
+       close_vectors, operator_lists(close_operators))
+def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
+    scratch = RationalEchelon()
+    tree = scratch.close([scratch.insert(seed)], ops, CLOSE_DIM + 1)
+    echelon = RationalEchelon()
+    for vec in held:
+        echelon.insert(vec)
+    ref = RationalEchelon()
+    ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
+    vectors = [primitive_int_vector(v) for v in vectors]
+    copies = [dict(v) for v in vectors]
+    assert echelon.replay(vectors, tree, ops) == ref_replay(ref, vectors, tree, ops)
+    assert pivot_items(echelon) == pivot_items(ref)
+    assert vectors == copies  # left unchanged
+    assert_echelon_form(echelon)
+
+
+def test_replay_counts_a_full_product():
+    # two chains, 0 -> 1 -> 2 and 4 -> 5 -> 6: the closure of {0: 1} records
+    # two nodes, and replayed from {0: 1} and {4: 1} it adds 2 * 3 pivots
+    chains = [{k: {k + 1: 1} for k in (0, 1, 4, 5)}]
+    scratch = RationalEchelon()
+    tree = scratch.close([scratch.insert({0: 1})], chains, 4)
+    assert tree == [(0, 0), (1, 0)]
+    echelon = RationalEchelon()
+    assert echelon.replay([{0: 1}, {4: 1}], tree, chains) == 6
+    assert sorted(echelon.pivots) == [0, 1, 2, 4, 5, 6]
+
+
+def test_replay_of_a_tree_inside_the_span_adds_fewer_pivots():
+    # the echelon holds {3: 1}: the chain replayed from {0: 1} stops there,
+    # and the nodes below it are skipped; {1: 1} is held by then, so its
+    # whole tree is skipped
+    shift = {k: {k + 1: 1} for k in range(7)}
+    scratch = RationalEchelon()
+    tree = scratch.close([scratch.insert({0: 1})], [shift], 10)
+    assert tree == [(k, 0) for k in range(7)]
+    echelon = RationalEchelon()
+    echelon.insert({3: 1})
+    assert echelon.replay([{0: 1}, {1: 1}], tree, [shift]) == 3 < 2 * (len(tree) + 1)
+    assert sorted(echelon.pivots) == [0, 1, 2, 3]

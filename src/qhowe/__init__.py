@@ -7,16 +7,8 @@ rational coefficients; every check is an exact identity, never a numerical
 approximation.
 """
 
-from .qscalar import NonExactDivision, QLaurent, exact_div, q_binomial, q_factorial, q_int, specialize
-from .fockspace import (
-    BasisState,
-    GridShape,
-    QVector,
-    grid_to_linear,
-    linear_to_grid,
-    prefix_parity,
-    row_col_weights,
-)
+from .qscalar import NonExactDivision, QLaurent, exact_div, q_binomial, q_factorial, q_int
+from .fockspace import GridShape, QVector, grid_to_linear, prefix_parity, row_col_weights
 from .qclifford import CliffordGen, OperatorExpr, q_commutator
 from .duality import Partition, SpecializationAnomaly
 
@@ -29,12 +21,9 @@ __all__ = [
     "q_binomial",
     "q_factorial",
     "q_int",
-    "specialize",
-    "BasisState",
     "GridShape",
     "QVector",
     "grid_to_linear",
-    "linear_to_grid",
     "prefix_parity",
     "row_col_weights",
     "CliffordGen",

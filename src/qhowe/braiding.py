@@ -11,6 +11,7 @@ braiding degenerates to the flip map.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import report
 from .qgroup import coproduct_rep, natural_rep, DELTA
@@ -167,22 +168,37 @@ def _is_eigenvector(mat, vec, eig):
     return image == scaled
 
 
+def _tensor_label(n, factors, c):
+    """Column c of the factors-fold tensor power of the rank-n natural
+    module as its basis vector, v_i(x)v_j..., the names ``coproduct_rep``
+    gives."""
+    names = []
+    for _ in range(factors):
+        c, k = divmod(c, n)
+        names.append(f"v{k + 1}")
+    return "(x)".join(reversed(names))
+
+
 def check_hecke(n, rhat=None):
-    """(Rhat - q)(Rhat + q^{-1}) = 0 on the tensor square."""
+    """(Rhat - q)(Rhat + q^{-1}) = 0 on the tensor square; a failure names
+    its first nonzero column."""
     rhat = build_rhat(n) if rhat is None else rhat
     dim = rhat.dim
     ident = SparseMatrix.identity(dim)
     lhs = (rhat - ident.scale(QLaurent.q_power(1))) * (rhat + ident.scale(QLaurent.q_power(-1)))
-    return report.check("(R - q)(R + q^-1) = 0", lhs.is_zero(), n=n)
+    return report.match("(R - q)(R + q^-1) = 0", lhs, SparseMatrix(dim),
+                        partial(_tensor_label, n, 2), n=n)
 
 
 def check_yang_baxter(n, rhat=None):
-    """R_1 R_2 R_1 = R_2 R_1 R_2 on the tensor cube."""
+    """R_1 R_2 R_1 = R_2 R_1 R_2 on the tensor cube; a failure names the
+    first column where the two sides differ."""
     rhat = build_rhat(n) if rhat is None else rhat
     idn = SparseMatrix.identity(n)
     r1 = rhat.kron(idn)
     r2 = idn.kron(rhat)
-    return report.check("R1 R2 R1 = R2 R1 R2", r1 * r2 * r1 == r2 * r1 * r2, n=n)
+    return report.match("R1 R2 R1 = R2 R1 R2", r1 * r2 * r1, r2 * r1 * r2,
+                        partial(_tensor_label, n, 3), n=n)
 
 
 def check_intertwiner(n, rhat=None):
@@ -196,15 +212,13 @@ def check_intertwiner(n, rhat=None):
 
 
 def check_classical_limit(n, rhat=None):
-    """At q = 1 the braiding degenerates to the flip permutation."""
+    """At q = 1 the braiding degenerates to the flip permutation; a failure
+    names the first column that is not v_j(x)v_i for v_i(x)v_j."""
     rhat = build_rhat(n) if rhat is None else rhat
     spec = rhat.specialize(Fraction(1))
-    ok = all(
-        spec.get(tensor_index(i, j, n), {}) == {tensor_index(j, i, n): Fraction(1)}
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return report.check("R|_{q=1} = flip", ok, n=n)
+    first = next((c for c in range(n * n)
+                  if spec.get(c, {}) != {tensor_index(c % n + 1, c // n + 1, n): 1}), None)
+    return report.column("R|_{q=1} = flip", first, partial(_tensor_label, n, 2), n=n)
 
 
 def sym2q_dims(n, rhat=None):

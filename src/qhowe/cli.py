@@ -209,14 +209,11 @@ def _clifford_section(cfg):
 def _qgroup_section(cfg):
     checks = []
     top = max(2, cfg["n"], cfg["m"])
-    for p in range(1, top + 1):
-        rep = qgroup.natural_rep(p)
-        checks.append({"target": f"natural rank {p}", "relations": qgroup.check_relations(rep),
-                       "serre": qgroup.check_serre(rep)})
-    for p in range(1, top + 1):
-        rep = embeddings.phi_rep(p)
-        checks.append({"target": f"exterior-module rank {p}", "relations": qgroup.check_relations(rep),
-                       "serre": qgroup.check_serre(rep)})
+    for target, build in (("natural", qgroup.natural_rep), ("exterior-module", embeddings.phi_rep)):
+        for p in range(1, top + 1):
+            rep = build(p)
+            checks.append({"target": f"{target} rank {p}", "relations": qgroup.check_relations(rep),
+                           "serre": qgroup.check_serre(rep)})
     ok = report.passed([c[part] for c in checks for part in ("relations", "serre")])
     return {"section": "qgroup", "status": report.status(ok), "targets": checks}
 
@@ -375,6 +372,8 @@ def render_text(report):
                 lines.append(f"    {row}")
         if section["section"] == "explain":
             lines.append(f"  {section['terms']}")
+        if "detail" in section:  # a specialization anomaly's message
+            lines.append(f"  {section['detail']}")
         if section["section"] == "decompose" and "partitions" in section:
             for row in section["partitions"]:
                 ok = row["checks"]["span_matches_weyl_product"] and row["checks"]["hwv"] == "pass"

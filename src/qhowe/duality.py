@@ -18,16 +18,13 @@ from . import report
 from .embeddings import (
     _block_polynomial, _expand, _weight_polynomial, classical_lambda, classical_rho, lambda_q, rho_q,
 )
-from .fockspace import (
-    GridShape, QVector, check_enumerable, grid_to_linear, row_col_weights, state_to_string,
-)
+from .fockspace import GridShape, check_enumerable, grid_to_linear, row_col_weights, state_to_string
 from .sparsemat import RationalEchelon
 
 __all__ = [
     "Partition",
     "SpecializationAnomaly",
     "partitions_in_box",
-    "hwv",
     "hwv_state",
     "verify_hwv",
     "weyl_dim",
@@ -116,17 +113,6 @@ def hwv_state(mu, shape):
         for j in range(1, row + 1):
             bits |= 1 << (grid_to_linear(shape, i, j) - 1)
     return bits
-
-
-def hwv(mu, shape):
-    """The joint highest-weight vector for mu: the diagram's basis state.
-
-    The monic bitmask state represents the class; the ordered product of row
-    words differs from it by a unit scalar that normalize() recovers.  It is
-    the same vector for both flavors of verify_hwv.
-    """
-    shape = GridShape(*shape).check()
-    return QVector.basis(hwv_state(mu, shape), shape.positions)
 
 
 def verify_hwv(mu, shape, flavor="quantum"):
@@ -267,21 +253,23 @@ def dimension_identity(n, m):
     sums = [0] * (n * m + 1)
     for mu in partitions_in_box(n, m):
         sums[mu.size] += weyl_dim(mu, n) * weyl_dim(mu.conjugate(), m)
-    degrees = []
-    ok = True
-    for k, measured in enumerate(sums):
-        want = comb(n * m, k)
-        ok = ok and measured == want
-        degrees.append({"degree": k, "sum": measured, "binomial": want})
     total = sum(sums)
-    ok = ok and total == 1 << (n * m)
+    ok, degrees = _degree_profile(sums)
     return {
         "n": n,
         "m": m,
-        "status": report.status(ok),
+        "status": report.status(ok and total == 1 << (n * m)),
         "total": total,
         "degrees": degrees,
     }
+
+
+def _degree_profile(sums):
+    """(ok, rows): each degree k's sum against binomial(N, k), N the top
+    degree, and whether every one matches."""
+    top = len(sums) - 1
+    rows = [{"degree": k, "sum": s, "binomial": comb(top, k)} for k, s in enumerate(sums)]
+    return all(row["sum"] == row["binomial"] for row in rows), rows
 
 
 def _generators(n, m, kind):
@@ -352,17 +340,10 @@ def _value_ranks(shape, partitions, lowering, commute, value):
 
 def _second_phase(joint, closure, ops, cap):
     """Close every pivot of closure under ops, insert the closure's pivots
-    into joint and return its rank.  A pivot whose lead no joint pivot holds
-    is kept as it is, being primitive already; only the others are reduced
-    by ``insert_ints``, so the joint pivots are those that inserting every
-    closure pivot gives."""
+    into joint (``insert_ints``) and return its rank."""
     closure.close(list(closure.pivots.values()), ops, cap)
-    held = joint.pivots
-    for lead, vec in closure.pivots.items():
-        if lead in held:
-            joint.insert_ints(vec)
-        else:
-            held[lead] = vec
+    for vec in closure.pivots.values():
+        joint.insert_ints(vec)
     return closure.rank
 
 
@@ -455,13 +436,9 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
                 },
             }
         )
-    degree_profile = []
-    for k, s in enumerate(degree_sums):
-        want = comb(shape.positions, k)
-        all_ok = all_ok and s == want
-        degree_profile.append({"degree": k, "sum": s, "binomial": want})
+    degrees_ok, degree_profile = _degree_profile(degree_sums)
     total = sum(base["dims"])
-    all_ok = all_ok and total == total_dim and base["joint_rank"] == total_dim
+    all_ok = all_ok and degrees_ok and total == total_dim and base["joint_rank"] == total_dim
     return {
         "n": n,
         "m": m,

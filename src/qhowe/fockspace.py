@@ -19,15 +19,12 @@ __all__ = [
     "MAX_POSITIONS",
     "MAX_ENUMERATED_POSITIONS",
     "GridShape",
-    "BasisState",
     "QVector",
     "check_enumerable",
     "grid_to_linear",
-    "linear_to_grid",
     "prefix_parity",
     "row_col_weights",
     "state_to_string",
-    "string_to_state",
 ]
 
 MAX_POSITIONS = 64
@@ -66,43 +63,12 @@ class GridShape(NamedTuple):
         return self
 
 
-class BasisState(NamedTuple):
-    """An occupancy word of a fixed length (bit k-1 <-> position k)."""
-
-    bits: int
-    length: int
-
-    def check(self):
-        if not 0 <= self.length <= MAX_POSITIONS:
-            raise ValueError(f"state length {self.length} out of range")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("occupancy bits extend past the state length")
-        return self
-
-    @property
-    def degree(self):
-        return self.bits.bit_count()
-
-    def __str__(self):
-        return state_to_string(self.bits, self.length)
-
-
 def grid_to_linear(shape, i, j):
     """Linear position of grid cell (i, j): i + (j-1)n, one-based."""
     n, m = shape
     if not (1 <= i <= n and 1 <= j <= m):
         raise ValueError(f"cell ({i}, {j}) outside {n}x{m} grid")
     return i + (j - 1) * n
-
-
-def linear_to_grid(shape, k):
-    """Inverse of :func:`grid_to_linear`."""
-    n, m = shape
-    if not 1 <= k <= n * m:
-        raise ValueError(f"linear index {k} outside 1..{n * m}")
-    i = (k - 1) % n + 1
-    j = (k - 1) // n + 1
-    return i, j
 
 
 def prefix_parity(bits, k):
@@ -131,17 +97,6 @@ def row_col_weights(shape, bits):
 def state_to_string(bits, length):
     """Render as "l_1 l_2 ... l_N" with position 1 leftmost."""
     return "".join("1" if (bits >> k) & 1 else "0" for k in range(length))
-
-
-def string_to_state(text):
-    """Parse the rendering produced by :func:`state_to_string`."""
-    if not all(ch in "01" for ch in text):
-        raise ValueError(f"not a bitstring: {text!r}")
-    bits = 0
-    for k, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << k
-    return BasisState(bits, len(text)).check()
 
 
 class QVector:
@@ -224,21 +179,6 @@ class QVector:
 
     def __bool__(self):
         return bool(self.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def coefficient(self, state):
-        return self.entries.get(state, QLaurent.zero())
-
-    def to_json(self):
-        """JSON array of {state, coeff} pairs sorted by rendered state."""
-        rows = [
-            {"state": state_to_string(s, self.length), "coeff": c.to_json()}
-            for s, c in self.entries.items()
-        ]
-        rows.sort(key=lambda row: row["state"])
-        return rows
 
     def __str__(self):
         if not self.entries:

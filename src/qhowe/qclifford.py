@@ -23,8 +23,11 @@ abstract algebra (the module is not a faithful representation of it).
 decide them on the compiled words (``wordzero``), naming the witness state
 the matrices would, at up to 64 positions; so is the classical sign rule,
 against one reference Jordan-Wigner word per generator.  ``specialize_ints``
-and ``to_matrix`` (the tests' oracle) read those lists of 2^N states, so
-they stop at ``fockspace.check_enumerable``'s wall of 16 positions.
+and ``to_matrix`` (the tests' oracle) differ only in each word's table of
+entries per key (``_table``: exact integers over one denominator, or
+Laurent polynomials); one column assembler (``OperatorExpr._assemble``)
+reads those tables along the lists of 2^N states, so both stop at
+``fockspace.check_enumerable``'s wall of 16 positions.
 """
 
 from __future__ import annotations
@@ -212,12 +215,6 @@ class _CompiledWord(NamedTuple):
                 high += c * mask.bit_count()
         return low, high
 
-    def entries(self, coeff):
-        """The entry of each key of ``columns``: coeff times -q^e or q^e,
-        from the low end of ``exponent_range`` up."""
-        low, high = self.exponent_range()
-        return [x for e in range(low, high + 1) for x in (coeff.shift(e), -coeff.shift(e))]
-
     def columns(self, length):
         """(states, keys) for the states of the given length that survive,
         in increasing order: ``keys[i]`` is ``2 * (e - emin) + negative`` for
@@ -247,6 +244,14 @@ class _CompiledWord(NamedTuple):
             moved = map(step.__add__, keys) if step else keys
             keys += list(map((1).__xor__, moved) if sign_mask & bit else moved)
         return states, keys
+
+
+def _table(cw, entry):
+    """The entry of each key of ``cw.columns``, key 2 * (e - emin) +
+    negative: entry(e) and -entry(e), e from the low end emin of
+    ``exponent_range`` up."""
+    low, high = cw.exponent_range()
+    return [x for e in range(low, high + 1) for v in (entry(e),) for x in (v, -v)]
 
 
 def _listed(terms):
@@ -451,49 +456,42 @@ class OperatorExpr:
 
     def to_matrix(self):
         """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),
-        the oracle the tests hold the word decisions to.
-
-        Each word's kept states and keys (``_CompiledWord.columns``) index the
-        table of its entries (``_CompiledWord.entries``); a state s goes to
-        row s ^ (require_set ^ final_set).  Columns are in ascending order."""
-        check_enumerable(self.length)
-        cols = {}
-        for coeff, cw in self._compiled():
-            move = cw.require_set ^ cw.final_set
-            states, keys = cw.columns(self.length)
-            for s, v in zip(states, map(cw.entries(coeff).__getitem__, keys)):
-                col = cols.setdefault(s, {})
-                prev = col.pop(s ^ move, None)
-                v = v if prev is None else prev + v
-                if v:
-                    col[s ^ move] = v
-        return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols) if cols[c]})
+        the oracle the tests hold the word decisions to; columns in ascending
+        order."""
+        tables = [_table(cw, coeff.shift) for coeff, cw in self._compiled()]
+        cols = self._assemble(tables)
+        return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols)})
 
     def specialize_ints(self, value):
         """(cols, scale) as ``to_matrix().specialize_ints(value)`` returns,
-        up to one constant factor between the two cols, built from each
-        word's states and keys (``_CompiledWord.columns``) and a table of its
-        entries per key, all over one common denominator."""
-        check_enumerable(self.length)
+        up to one constant factor between the two cols: the words' tables at
+        q = value, all over one common denominator."""
         value = Fraction(value)
-        words = []
+        tables = []
         for coeff, cw in self._compiled():
             c = coeff.specialize(value)
-            emin, emax = cw.exponent_range()
-            # the entry at key 2 * (e - emin) + negative
-            table = [x for e in range(emin, emax + 1) for x in (c * value**e, -c * value**e)]
-            words.append((cw, table))
-        den = lcm(*(x.denominator for _, table in words for x in table))
+            tables.append(_table(cw, lambda e: c * value**e))
+        den = lcm(*(x.denominator for table in tables for x in table))
+        tables = [[int(x * den) for x in table] for table in tables]
+        return self._assemble(tables), Fraction(1, den)
+
+    def _assemble(self, tables):
+        """The columns {col: {row: entry}}, without empty ones, of the sum of
+        the compiled words, tables[k] holding the entry of each key of word
+        k (``_table``).  Each state s that the word keeps, with its key
+        (``_CompiledWord.columns``), adds that entry at row s ^ (require_set
+        ^ final_set) of column s."""
+        check_enumerable(self.length)
         cols = {}
-        for cw, table in words:
-            table = [int(x * den) for x in table]
+        for (_, cw), table in zip(self._compiled(), tables):
             move = cw.require_set ^ cw.final_set
             for s, key in zip(*cw.columns(self.length)):
                 col = cols.setdefault(s, {})
-                v = col.pop(s ^ move, 0) + table[key]
+                prev = col.pop(s ^ move, None)
+                v = table[key] if prev is None else prev + table[key]
                 if v:
                     col[s ^ move] = v
-        return {c: col for c, col in cols.items() if col}, Fraction(1, den)
+        return {c: col for c, col in cols.items() if col}
 
     # -- identities -----------------------------------------------------------
 

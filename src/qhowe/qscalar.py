@@ -21,7 +21,6 @@ __all__ = [
     "q_factorial",
     "q_binomial",
     "exact_div",
-    "specialize",
 ]
 
 # q-exponents stay tiny in practice (|e| <= nm); this guard catches runaway
@@ -164,18 +163,6 @@ class QLaurent:
             raise OverflowError("q-exponent out of range")
         return QLaurent._raw(out)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def shift(self, e):
         """Multiply by ``q^e`` (exponent translation)."""
         if not self.terms:
@@ -199,9 +186,6 @@ class QLaurent:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if isinstance(other, QLaurent):
             return self.terms == other.terms
@@ -216,12 +200,6 @@ class QLaurent:
         if len(self.terms) == 1 and 0 in self.terms:
             return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
-
-    def degree(self):
-        return max(self.terms) if self.terms else None
-
-    def valuation(self):
-        return min(self.terms) if self.terms else None
 
     def constant_value(self):
         """The rational value if this is a constant, else None."""
@@ -238,7 +216,7 @@ class QLaurent:
             return e, c
         return None
 
-    # -- evaluation / serialization ----------------------------------------
+    # -- evaluation / rendering ---------------------------------------------
 
     def specialize(self, value):
         """Evaluate at ``q = value`` exactly (value a nonzero int or Fraction)."""
@@ -251,22 +229,6 @@ class QLaurent:
         for e, c in self.terms.items():
             total += Fraction(c) * value**e
         return total
-
-    def to_json(self):
-        """Map exponent strings to "num/den" strings, e.g. {"-1":"1/1","1":"1/1"}."""
-        out = {}
-        for e in sorted(self.terms):
-            c = Fraction(self.terms[e])
-            out[str(e)] = f"{c.numerator}/{c.denominator}"
-        return out
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for es, cs in data.items():
-            num, _, den = cs.partition("/")
-            terms[int(es)] = Fraction(int(num), int(den) if den else 1)
-        return cls(terms)
 
     def __str__(self):
         if not self.terms:
@@ -376,7 +338,3 @@ def exact_div(num, den):
     offset = vn - vd
     return QLaurent({e + offset: c for e, c in quot.items()})
 
-
-def specialize(p, value):
-    """Evaluate the Laurent polynomial p at q = value (nonzero rational)."""
-    return p.specialize(value)

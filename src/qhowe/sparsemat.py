@@ -10,14 +10,14 @@ natural module, coproducts, the braiding) and, through
 The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q, and behind the span
 sweep that ``wordzero`` runs over Clifford words.  Its pivots are
-primitive integer vectors keyed by their largest key, and one integer-only
-reducer serves ``insert`` (any exact vector, made a primitive integer vector
-first), ``insert_ints`` (a vector that already is one), ``close``, which
-closes a span under the integer operators ``specialize_ints`` returns: it
-applies every operator to every new pivot and reduces each image as it
-arises, round by round, until a round adds no pivot or a round cap is
-passed, and ``replay``, which applies the words that one closure recorded
-to other vectors.
+primitive integer vectors keyed by their largest key, and one
+reduce-and-keep step, ``_keep``, adds every pivot: for ``insert`` (any
+exact vector, made a primitive integer vector first), ``insert_ints`` (an
+integer vector), ``close``, which closes a span under the integer operators
+``specialize_ints`` returns: it applies every operator to every new pivot
+and keeps each image as it arises, round by round, until a round adds no
+pivot or a round cap is passed, and ``replay``, which applies the words
+that one closure recorded to other vectors.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class SparseMatrix:
 
     def nnz(self):
         return sum(map(len, self._cols.values()))
-
-    def is_zero(self):
-        return not self._cols
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -290,9 +287,11 @@ def _apply(op, vec):
 
 
 def _keep(pivots, image):
-    """Reduce a nonzero integer image against pivots ``{lead: vector}`` and
-    keep a nonzero remainder as a new pivot; returns it, or None when the
-    image lies in their span.
+    """The one reduce-and-keep step of ``RationalEchelon``: reduce a nonzero
+    integer vector against pivots ``{lead: vector}`` and keep a nonzero
+    remainder as a new pivot; returns it, or None when the vector lies in
+    their span.  image must be a fresh dict: it becomes the pivot or is
+    consumed by ``_reduce_ints``.
 
     The images of a lowering closure are nearly monomial, so two shortcuts
     skip the general reducer, each giving the pivot it would give: a
@@ -333,7 +332,7 @@ class RationalEchelon:
     ``insert`` rescales a vector to a primitive integer one and reduces it
     against the pivots; a nonzero remainder becomes a new pivot.  ``close``
     inserts the images of integer vectors under integer operators until the
-    span is closed under them.  Both share one integer-only reducer.
+    span is closed under them.  Every pivot is added by ``_keep``.
     """
 
     __slots__ = ("pivots",)
@@ -350,20 +349,16 @@ class RationalEchelon:
         return _reduce_ints(self.pivots, primitive_int_vector(vec))
 
     def insert(self, vec):
-        """Reduce and insert; returns the new pivot vector or None."""
-        return self._keep(self.reduce(vec))
+        """Reduce and insert (``_keep``) the primitive integer vector of vec;
+        returns the new pivot vector, or None."""
+        ints = primitive_int_vector(vec)
+        return _keep(self.pivots, ints) if ints else None
 
     def insert_ints(self, vec):
-        """insert for a primitive integer vector without zero entries, such
-        as another echelon's pivot: reduced as it is, without the rescaling;
-        vec itself is left unchanged."""
-        return self._keep(_reduce_ints(self.pivots, dict(vec)))
-
-    def _keep(self, rem):
-        if not rem:
-            return None
-        self.pivots[max(rem)] = rem
-        return rem
+        """insert for an integer vector without zero entries, such as another
+        echelon's pivot: kept without the rescaling; vec itself is left
+        unchanged."""
+        return _keep(self.pivots, dict(vec)) if vec else None
 
     def close(self, frontier, ops, max_rounds):
         """Close the span under integer operators; returns the creation record.
@@ -431,12 +426,12 @@ class RationalEchelon:
 
         tree: the record that ``close`` returned for a one-vector frontier,
         and ops the operators it was recorded with.  Each vector is inserted
-        as ``insert_ints`` would; then the tree is walked from it: a node's
-        image is its operator applied to the pivot that this echelon kept
-        for the node's parent (index 0 the vector, index k the tree's k-th
-        node), reduced and kept by ``_keep``.  A node whose parent was
-        kept no pivot is skipped.  The pivots are those that ``insert_ints``
-        of each image, in the same order, gives.
+        by ``insert_ints``; then the tree is walked from it: a node's image
+        is its operator applied to the pivot that this echelon kept for the
+        node's parent (index 0 the vector, index k the tree's k-th node),
+        reduced and kept by ``_keep``.  A node whose parent was kept no
+        pivot is skipped.  The pivots are those that ``insert_ints`` of each
+        image, in the same order, gives.
 
         Let S be the span of the words w b, for b a vector and w one of the
         tree's words, the empty word included.  When ops keep both S and the
@@ -448,12 +443,7 @@ class RationalEchelon:
         pivots = self.pivots
         before = len(pivots)
         for vec in vectors:
-            lead = max(vec)
-            if lead in pivots:
-                root = self.insert_ints(vec)
-            else:
-                pivots[lead] = root = vec  # its own remainder, being primitive
-            kept = [root]
+            kept = [self.insert_ints(vec)]
             for parent, k in tree:
                 source = kept[parent]
                 image = None if source is None else _apply(ops[k], source)

@@ -93,10 +93,13 @@ class TestRhat:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hecke_yang_baxter_intertwiner(self, n):
         R = build_rhat(n)
-        assert check_hecke(n, R)["status"] == "pass"
-        assert check_yang_baxter(n, R)["status"] == "pass"
+        # a passing record has no witness key
+        assert check_hecke(n, R) == {"relation": "(R - q)(R + q^-1) = 0", "n": n, "status": "pass"}
+        assert check_yang_baxter(n, R) == {"relation": "R1 R2 R1 = R2 R1 R2", "n": n,
+                                           "status": "pass"}
         assert check_intertwiner(n, R)["status"] == "pass"
-        assert check_classical_limit(n, R)["status"] == "pass"
+        assert check_classical_limit(n, R) == {"relation": "R|_{q=1} = flip", "n": n,
+                                               "status": "pass"}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_entry_times_q_fails_hecke_and_yang_baxter(self, n):
@@ -111,6 +114,36 @@ class TestRhat:
                 assert check_hecke(n, bad)["status"] == "fail", (r, c)
                 assert check_yang_baxter(n, bad)["status"] == "fail", (r, c)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tensor_labels_are_the_coproduct_labels(self, n):
+        rep = coproduct_rep([natural_rep(n), natural_rep(n)], DELTA)
+        assert [braiding._tensor_label(n, 2, c) for c in range(n * n)] == \
+            [rep.label(c) for c in range(n * n)]
+        cube = coproduct_rep([natural_rep(n)] * 3, DELTA)
+        assert [braiding._tensor_label(n, 3, c) for c in range(n ** 3)] == \
+            [cube.label(c) for c in range(n ** 3)]
+
+    @pytest.mark.parametrize("i,cube", [(1, "v2(x)v1(x)v1"), (2, "v2(x)v2(x)v1"),
+                                        (3, "v3(x)v3(x)v1")])
+    def test_doubled_diagonal_entry_names_its_column(self, i, cube):
+        # negative control: the entry of R at v_i(x)v_i, times 2, breaks the
+        # Hecke relation and the flip at that column; on the cube, v1(x)v1(x)v1
+        # is an eigenvector of both sides whatever that entry is
+        n = 3
+        R = build_rhat(n)
+        c = tensor_index(i, i, n)
+        cols = R.cols
+        cols[c][c] = cols[c][c].scale(2)
+        bad = SparseMatrix(R.dim, cols)
+        ident = SparseMatrix.identity(R.dim)
+        lhs = (bad - ident.scale(QLaurent.q_power(1))) * (bad + ident.scale(QLaurent.q_power(-1)))
+        assert min(lhs.cols) == c
+        diagonal = f"v{i}(x)v{i}"
+        for check, witness in ((check_hecke, diagonal), (check_yang_baxter, cube),
+                               (check_classical_limit, diagonal)):
+            record = check(n, bad)
+            assert (record["status"], record["witness"]) == ("fail", witness), check.__name__
+
     @pytest.mark.parametrize("n,dims", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
     def test_sym2q_dims(self, n, dims):
         assert sym2q_dims(n) == dims
@@ -123,7 +156,8 @@ class TestRhat:
         swapped = _assemble_rhat(n, QLaurent({-1: -1}), QLaurent({1: 1}))
         assert check_hecke(n, swapped)["status"] == "pass"
         assert check_intertwiner(n, swapped)["status"] == "pass"
-        assert check_classical_limit(n, swapped)["status"] == "fail"
+        limit = check_classical_limit(n, swapped)
+        assert (limit["status"], limit["witness"]) == ("fail", "v1(x)v1")
 
     def test_other_comultiplication_fails_intertwiner(self, monkeypatch):
         # negative control: the braiding intertwines Delta, not Delta-tilde;

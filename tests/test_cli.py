@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qhowe import cli
+from qhowe import cli, duality
 from qhowe.cli import UsageError, _config, build_parser, main, render_text
 
 
@@ -337,8 +337,21 @@ def test_render_text_fail_lines():
         "[FAIL] cauchy  (0 checks pass, 1 fail)",
         "  FAIL v(0101)",
         "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)",
+        "  ranks differ between q = 2 and q = 3",
         "overall: fail",
     ]
+
+
+def test_specialization_anomaly_prints_its_detail(monkeypatch, capsys):
+    # a lowering operator dropped at q = 3 only: the ranks disagree between
+    # the two values, and the text report says how
+    original = duality._integer_ops
+    monkeypatch.setattr(duality, "_integer_ops", lambda exprs, value: (
+        original(exprs, value)[:-1] if value == 3 else original(exprs, value)))
+    assert main(["--n", "2", "--m", "3", "decompose"]) == cli.CHECK_FAILURE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)"
+    assert lines[2].startswith("  span ranks differ between q=2 and q=3: ")
 
 
 def test_render_text_spells_nested_paths():

@@ -5,7 +5,8 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from qhowe import embeddings, qclifford, report
+from qhowe import cli, embeddings, qclifford, report
+from qhowe.duality import cyclic_span_dims
 from qhowe.embeddings import (
     COL,
     COL_ABOVE,
@@ -30,19 +31,20 @@ from qhowe.embeddings import (
     rho_rep,
     theta,
 )
-from qhowe.fockspace import GridShape, QVector, grid_to_linear, state_to_string, string_to_state
+from qhowe.fockspace import GridShape, QVector, grid_to_linear, state_to_string
 from qhowe.qclifford import OMEGA, OMEGA_INV, OperatorExpr
 from qhowe.qgroup import Representation, check_relations, check_serre, generator_keys
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
 
 
-def V(text):
-    return QVector.basis(string_to_state(text).bits, len(text))
-
-
 def S(text):
-    return string_to_state(text).bits
+    """The occupancy word rendered as text, position 1 leftmost."""
+    return int(text[::-1], 2)
+
+
+def V(text):
+    return QVector.basis(S(text), len(text))
 
 
 class TestPhi:
@@ -168,7 +170,7 @@ class TestClassical:
         assert out == self.figure_state().scale(QLaurent.from_rational(2))
 
     def test_vacuum_killed(self):
-        assert classical_lambda(2, 2, "E", 1).apply(V("0000")).is_zero()
+        assert not classical_lambda(2, 2, "E", 1).apply(V("0000"))
 
 
 def at_one(op):
@@ -315,10 +317,10 @@ def test_explain_pins_display_order(map_name, gen):
 
 # One corrupted line-pair table entry each: (key, field, new value, suites
 # that must report fail).  Fields: 0 q-exponent, 1 generators before the
-# kappa segment, 2 segment orientation, 3 generators after it.  Two measured
-# mutants are left out because no check can see them: dropping w_a from
-# lambda F changes no matrix (psi_a has already emptied position a), and
-# removing every kappa segment still passes check_commutant.
+# kappa segment, 2 segment orientation, 3 generators after it.  One measured
+# mutant is left out because no check can see it: dropping w_a from lambda F
+# changes no matrix (psi_a has already emptied position a).  Removing every
+# kappa segment is no table entry; test_kappa_less_mutant_* hold it.
 TABLE_MUTANTS = {
     "lambda E kappa right -> left": ((ROW, "E"), 2, ROW_LEFT,
                                      ("composition", "commutant", "lambda_relations")),
@@ -366,6 +368,35 @@ def test_failed_matrix_check_names_a_state(monkeypatch, mutant, check, first):
     assert failed and all(isinstance(c.get("witness"), str) for c in failed)
     assert all(len(c["witness"]) == 6 and set(c["witness"]) <= {"0", "1"} for c in failed)
     assert (failed[0].get("pair") or failed[0]["generator"], failed[0]["witness"]) == first
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+def test_kappa_less_mutant_fails_composition_and_relations(monkeypatch, n, m):
+    # negative control: every kappa segment dropped from lambda_q and rho_q.
+    # The segments are products of w's: the q = 1 limit drops them, the torus
+    # words hold none, and the commutant and the span dimensions were
+    # measured blind to them; composition and the relation suites see them
+    monkeypatch.setattr(KappaFactor, "omega_gens", lambda self, invert=False: ())
+    failing = {
+        "composition": check_composition(n, m),
+        "lambda_relations": check_relations(lambda_rep(n, m)),
+        "rho_relations": check_relations(rho_rep(n, m)),
+    }
+    for suite, result in failing.items():
+        assert result["status"] == "fail", suite
+        witness = next(c for c in result["checks"] if c["status"] == "fail")["witness"]
+        assert len(witness) == n * m and set(witness) <= {"0", "1"}, suite
+    for check in (check_commutant, check_dequantization, check_tensor_character,
+                  cyclic_span_dims):
+        assert check(n, m)["status"] == "pass", check.__name__
+
+
+def test_kappa_less_mutant_fails_qhowe_all(monkeypatch, capsys):
+    monkeypatch.setattr(KappaFactor, "omega_gens", lambda self, invert=False: ())
+    assert cli.main(["--n", "2", "--m", "3", "all"]) == cli.CHECK_FAILURE
+    lines = capsys.readouterr().out.splitlines()
+    assert "  FAIL lambda_q = phi_q o theta E1 011000" in lines
+    assert lines[-1] == "overall: fail"
 
 
 def test_commutant_fails_through_the_diagonal_route(monkeypatch):

@@ -13,7 +13,6 @@ from qhowe.qscalar import (
     q_binomial,
     q_factorial,
     q_int,
-    specialize,
 )
 
 
@@ -48,7 +47,7 @@ class TestQInt:
 
     @pytest.mark.parametrize("k", range(13))
     def test_specialize_at_one(self, k):
-        assert specialize(q_int(k), 1) == k
+        assert q_int(k).specialize(1) == k
 
 
 class TestQBinomial:
@@ -76,8 +75,8 @@ class TestQBinomial:
     def test_specialization_oracle(self, a, b):
         # independent route: evaluate the factorial quotient at rational points
         for v in (Fraction(2), Fraction(3), Fraction(5, 2)):
-            direct = specialize(q_binomial(a, b), v)
-            fact = lambda k: specialize(q_factorial(k), v)
+            direct = q_binomial(a, b).specialize(v)
+            fact = lambda k: q_factorial(k).specialize(v)
             assert direct == fact(a) / (fact(b) * fact(a - b))
 
 
@@ -263,30 +262,21 @@ class TestRingAxioms:
     def test_no_zero_terms_stored(self, a):
         assert all(c != 0 for c in a.terms.values())
         assert all(c != 0 for c in (a - a).terms.values())
-        assert (a - a).is_zero()
+        assert not (a - a)
 
 
 class TestSpecialize:
     def test_examples(self):
-        assert specialize(L({1: 1, -1: 1}), 1) == 2
-        assert specialize(L({2: 1, 0: 1, -2: 1}), 2) == Fraction(21, 4)
-        assert specialize(L({1: 1, -1: -1}), 1) == 0
+        assert L({1: 1, -1: 1}).specialize(1) == 2
+        assert L({2: 1, 0: 1, -2: 1}).specialize(2) == Fraction(21, 4)
+        assert L({1: 1, -1: -1}).specialize(1) == 0
 
     def test_zero_point_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            specialize(L({-1: 1}), 0)
+            L({-1: 1}).specialize(0)
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
-        p = L({-1: 1, 1: 1})
-        assert p.to_json() == {"-1": "1/1", "1": "1/1"}
-        assert QLaurent.from_json(p.to_json()) == p
-
-    @given(polys)
-    def test_roundtrip_random(self, p):
-        assert QLaurent.from_json(p.to_json()) == p
-
     def test_str(self):
         assert str(L({2: 1, 0: 1, -2: 1})) == "q^2 + 1 + q^-2"
         assert str(QLaurent.zero()) == "0"
@@ -321,8 +311,6 @@ class TestScalarContract:
 
     @pytest.mark.parametrize("value", [0.1, 2.0, True, "2"])
     def test_specialize_needs_exact_value(self, value):
-        with pytest.raises(TypeError):
-            specialize(L({1: 1}), value)
         with pytest.raises(TypeError):
             L({1: 1}).specialize(value)
 

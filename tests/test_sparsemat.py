@@ -187,7 +187,7 @@ def test_sum_and_difference(a, b):
     assert_matches(sparse(a) + sparse(b), ref_add(a, b))
     assert_matches(sparse(a) - sparse(b), ref_add(a, b, -1))
     assert_matches(-sparse(a), ref_scale(a, QLaurent.from_rational(-1)))
-    assert (sparse(a) - sparse(a)).is_zero()
+    assert (sparse(a) - sparse(a)).nnz() == 0
 
 
 @given(operands(), scalars)
@@ -393,7 +393,7 @@ def test_product_cancellation_leaves_no_zeros():
     a = SparseMatrix(2, {0: {0: one, 1: q}, 1: {0: q, 1: q * q}})
     b = SparseMatrix(2, {0: {0: q, 1: -one}})
     prod = a * b
-    assert prod.is_zero() and prod.nnz() == 0 and prod.cols == {}
+    assert prod.nnz() == 0 and prod.cols == {}
     assert prod == SparseMatrix(2)
 
 

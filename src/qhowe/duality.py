@@ -159,17 +159,16 @@ def _hwv_core(shape, flavor):
     """The hwv decision for one shape and flavor: (labels, firsts).
 
     Every condition of ``_HWV_CONDITIONS`` is built and compiled once.
-    labels lists each one's (relation, index) in report order; firsts(mu)
-    returns mu's state (read through the module's ``hwv_state``) and, per
-    condition, the smallest state where the generator's image of that state
-    differs from the expected vector (zero, or the eigenvalue times the
-    state), or None where they agree.  The image is read off the compiled
-    words: a mask test drops each word that kills the state, and each kept
-    word's image (``_CompiledWord.image``) adds its coefficient's terms,
-    signed and shifted by its q-exponent, at its row of a small
-    ``{(row, q-exponent): coefficient}`` sum; the eigenvalue's terms are
-    subtracted at the state's own row.  No vector or scalar object is built
-    per condition."""
+    labels lists each one's (relation, index) in report order; firsts(mu,
+    state), state mu's (``hwv_state``), returns per condition the smallest
+    state where the generator's image of that state differs from the
+    expected vector (zero, or the eigenvalue times the state), or None where
+    they agree.  The image is read off the compiled words: a mask test drops
+    each word that kills the state, and each kept word's image
+    (``_CompiledWord.image``) adds its coefficient's terms, signed and
+    shifted by its q-exponent, at its row of a small ``{(row, q-exponent):
+    coefficient}`` sum; the eigenvalue's terms are subtracted at the state's
+    own row.  No vector or scalar object is built per condition."""
     if flavor not in _HWV_CONDITIONS:
         raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
@@ -183,9 +182,8 @@ def _hwv_core(shape, flavor):
             labels.append((relation, i))
             conditions.append((i, words, eigenvalue))
 
-    def firsts(mu):
+    def firsts(mu, state):
         conj = mu.conjugate()
-        state = hwv_state(mu, shape)
         found = []
         for i, words, eigenvalue in conditions:
             diff = {}  # (row, q-exponent) -> coefficient of image minus want
@@ -202,7 +200,7 @@ def _hwv_core(shape, flavor):
                     diff[key] = diff.get(key, 0) - c
             rows = [row for (row, _), c in diff.items() if c]
             found.append(min(rows) if rows else None)
-        return state, found
+        return found
 
     return labels, firsts
 
@@ -216,7 +214,8 @@ def _hwv_verifier(shape, flavor):
 
     def verify(mu):
         mu = Partition(mu)
-        state, found = firsts(mu)
+        state = hwv_state(mu, shape)
+        found = firsts(mu, state)
         checks = [
             report.check(relation, first is None,
                          None if first is None else state_to_string(first, length),
@@ -286,6 +285,15 @@ def _integer_ops(exprs, value):
     return [expr.specialize_ints(value)[0] for expr in exprs]
 
 
+def _commuting_pairs(family):
+    """The pairs (k, j), k < j, of one family's word expressions that
+    commute, decided on the words as ``_noncommuting_pair`` decides the
+    pairs across families: the table of ``RationalEchelon.close``'s
+    ordered-word rule, valid at every specialization value."""
+    return {(k, j) for j, b in enumerate(family) for k, a in enumerate(family[:j])
+            if a.first_noncommuting(b) is None}
+
+
 def _noncommuting_pair(rows, cols):
     """(i, j) for the first lambda_q F_i and rho_q F_j, given as word
     expressions, that do not commute, or None when every pair does.  The word
@@ -297,24 +305,27 @@ def _noncommuting_pair(rows, cols):
     return None
 
 
-def _value_ranks(shape, partitions, lowering, commute, value):
-    """(span dimension per partition, joint rank) at q = value.
+def _value_ranks(shape, states, lowering, commute, commuting, value):
+    """(span dimension per highest-weight state, joint rank) at q = value.
 
     lowering: the lambda_q F_i then the rho_q F_j as word expressions;
-    commute: whether every pair of them commutes.  Each highest-weight state
-    v is closed under the larger family first, which gives B.  When the
-    families commute, v is also closed under the smaller family in a scratch
-    echelon, which gives A and its creation record, and the joint echelon
-    replays that record from every pivot of B (``RationalEchelon.replay``).
-    A replay that adds dim A * dim B pivots gives the span's dimension, by
-    the argument in ``cyclic_span_dims``.  Any other span, and every span
-    when the families do not commute, takes ``_second_phase``.  The integer
-    operators and echelons live only for this call, so one value's are
-    freed before the next value's are built."""
+    commute: whether every lambda_q F_i commutes with every rho_q F_j;
+    commuting: the two families' tables of commuting pairs
+    (``_commuting_pairs``), which both closures of each state take.  Each
+    highest-weight state v is closed under the larger family first, which
+    gives B.  When the families commute, v is also closed under the smaller
+    family in a scratch echelon, which gives A and its creation record, and
+    the joint echelon replays that record from every pivot of B
+    (``RationalEchelon.replay``).  A replay that adds dim A * dim B pivots
+    gives the span's dimension, by the argument in ``cyclic_span_dims``.
+    Any other span, and every span when the families do not commute, takes
+    ``_second_phase``.  The integer operators and echelons live only for
+    this call, so one value's are freed before the next value's are
+    built."""
     n, m = shape
     ops = _integer_ops(lowering, value)
-    rows, cols = ops[:n - 1], ops[n - 1:]
-    first, second = (cols, rows) if m >= n else (rows, cols)
+    families = [(ops[:n - 1], commuting[0]), (ops[n - 1:], commuting[1])]
+    (first, first_pairs), (second, second_pairs) = families[::-1] if m >= n else families
     if not commute:
         second = ops
     # every round but the last adds a pivot and no span exceeds the whole
@@ -323,13 +334,13 @@ def _value_ranks(shape, partitions, lowering, commute, value):
     cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
     dims = []
-    for mu in partitions:
-        state = {hwv_state(mu, shape): 1}
+    for state in states:
+        seed = {state: 1}
         closure = RationalEchelon()
-        closure.close([closure.insert(state)], first, cap)
+        closure.close([closure.insert(seed)], first, cap, first_pairs)
         if commute:
             words = RationalEchelon()
-            tree = words.close([words.insert(state)], second, cap)
+            tree = words.close([words.insert(seed)], second, cap, second_pairs)
             span = words.rank * closure.rank
             if joint.replay(closure.pivots.values(), tree, second) == span:
                 dims.append(span)
@@ -376,7 +387,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     the two-phase closure: every pivot of B is closed under the other
     family and inserted into J, which gives S again.  When some pair does
     not commute, that second phase closes under every operator, which gives
-    the joint closure.
+    the joint closure.  Within each family, F_k F_j = F_j F_k when
+    |k - j| >= 2; the pairs that commute are decided once per shape on the
+    words too (``_commuting_pairs``), and both closures of v take them
+    (``RationalEchelon.close``'s ordered-word rule), so a pivot made by an
+    operator is not given an earlier one that commutes with it.
 
     Ranks are computed over the integers: each specialized operator is
     scaled by one nonzero constant of its own to integer entries, which
@@ -398,9 +413,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     expected = [dim_n * dim_m for dim_n, dim_m in weyl]
     rows, cols = _generators(n, m, "F")
     commute = _noncommuting_pair(rows, cols) is None
+    commuting = _commuting_pairs(rows), _commuting_pairs(cols)
+    states = [hwv_state(mu, shape) for mu in partitions]
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, partitions, rows + cols, commute, value)
+        dims, joint_rank = _value_ranks(shape, states, rows + cols, commute, commuting, value)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]
@@ -416,9 +433,10 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     degree_sums = [0] * (shape.positions + 1)
     all_ok = True
     _, hwv_firsts = _hwv_core(shape, "quantum")
-    for mu, (dim_n, dim_m), want, measured in zip(partitions, weyl, expected, base["dims"]):
+    for mu, state, (dim_n, dim_m), want, measured in zip(partitions, states, weyl, expected,
+                                                        base["dims"]):
         ok = measured == want
-        state, found = hwv_firsts(mu)
+        found = hwv_firsts(mu, state)
         hwv_ok = all(first is None for first in found)
         all_ok = all_ok and ok and hwv_ok
         degree_sums[mu.size] += measured

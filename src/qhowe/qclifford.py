@@ -480,11 +480,22 @@ class OperatorExpr:
         the compiled words, tables[k] holding the entry of each key of word
         k (``_table``).  Each state s that the word keeps, with its key
         (``_CompiledWord.columns``), adds that entry at row s ^ (require_set
-        ^ final_set) of column s."""
+        ^ final_set) of column s.  When no two words share that move, as for
+        the lowering operators, no two meet at one entry: each entry is set
+        without the pop-and-sum step, and an entry that vanishes (a
+        coefficient zero at the value) is still dropped."""
         check_enumerable(self.length)
+        words = self._compiled()
+        moves = [cw.require_set ^ cw.final_set for _, cw in words]
         cols = {}
-        for (_, cw), table in zip(self._compiled(), tables):
-            move = cw.require_set ^ cw.final_set
+        if len(set(moves)) == len(moves):
+            for (_, cw), table, move in zip(words, tables, moves):
+                for s, key in zip(*cw.columns(self.length)):
+                    v = table[key]
+                    if v:
+                        cols.setdefault(s, {})[s ^ move] = v
+            return cols
+        for (_, cw), table, move in zip(words, tables, moves):
             for s, key in zip(*cw.columns(self.length)):
                 col = cols.setdefault(s, {})
                 prev = col.pop(s ^ move, None)

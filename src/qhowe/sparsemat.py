@@ -11,13 +11,16 @@ The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q, and behind the span
 sweep that ``wordzero`` runs over Clifford words.  Its pivots are
 primitive integer vectors keyed by their largest key, and one
-reduce-and-keep step, ``_keep``, adds every pivot: for ``insert`` (any
+reduce-and-keep step, ``_keep``, decides every pivot: for ``insert`` (any
 exact vector, made a primitive integer vector first), ``insert_ints`` (an
 integer vector), ``close``, which closes a span under the integer operators
-``specialize_ints`` returns: it applies every operator to every new pivot
+``specialize_ints`` returns: it applies the operators to every new pivot
 and keeps each image as it arises, round by round, until a round adds no
 pivot or a round cap is passed, and ``replay``, which applies the words
-that one closure recorded to other vectors.
+that one closure recorded to other vectors.  ``close`` skips the images
+that an operator commuting with the one that made a pivot would repeat
+(its ordered-word rule), and ``close`` and ``replay`` decide a one-entry
+image of a one-entry vector inline, as ``_keep`` would.
 """
 
 from __future__ import annotations
@@ -332,7 +335,7 @@ class RationalEchelon:
     ``insert`` rescales a vector to a primitive integer one and reduces it
     against the pivots; a nonzero remainder becomes a new pivot.  ``close``
     inserts the images of integer vectors under integer operators until the
-    span is closed under them.  Every pivot is added by ``_keep``.
+    span is closed under them.  Every pivot is the one ``_keep`` gives.
     """
 
     __slots__ = ("pivots",)
@@ -360,7 +363,7 @@ class RationalEchelon:
         unchanged."""
         return _keep(self.pivots, dict(vec)) if vec else None
 
-    def close(self, frontier, ops, max_rounds):
+    def close(self, frontier, ops, max_rounds, commuting=()):
         """Close the span under integer operators; returns the creation record.
 
         frontier: integer vectors of the span whose images are still to be
@@ -370,25 +373,49 @@ class RationalEchelon:
         ``{col: {row: int}}``, the form ``specialize_ints`` returns.  Neither
         may hold an explicit zero entry.
 
-        Each round applies every operator to every vector of the frontier and
+        Each round applies operators to the vectors of the frontier and
         inserts each nonzero image (``_apply`` and ``_keep``, with their
         shortcuts); the pivots it adds are the next round's frontier, and the
         span is closed after a round that adds none.  Raises RuntimeError
-        when that takes more than max_rounds rounds.
+        when that takes more than max_rounds rounds.  A one-entry image of a
+        one-entry vector is decided inline, as ``_keep`` decides it: dropped
+        at a one-entry pivot's lead, kept as a +-1 pivot at a free lead.
+
+        commuting: pairs (j, c), j < c, of operators with F_j F_c = F_c F_j,
+        the ordered-word rule: a pivot made by operator c does not take the
+        operators j of its pairs, and a frontier vector takes every
+        operator.  The span is still the closure, when the echelon held only
+        the frontier's span at the start.  Let P be the final span; by
+        descending induction on j, F_j P lies in P, once every F_c with
+        c > j maps P into P, by ascending induction on the pivot index.  An
+        image F_j x that is taken lies in P.  If the rule denies it, x was
+        made by an op c > j from its parent y, x = a F_c y + earlier pivots
+        with a != 0, so F_j x = a F_c (F_j y) + F_j (earlier pivots); F_j y
+        and F_j of the earlier pivots lie in P by the induction on the
+        index, and F_c maps P into P by the induction on j, as c > j.
 
         The creation record lists one (parent, op) pair per pivot added, in
         the order added: the pivot came from the image under ``ops[op]`` of
         the vector at index parent, counting the frontier first and then the
         added pivots in order, so a parent comes before its pivot.  Read as
-        words, it spans the closure: breadth-first order has inserted every
-        image of each earlier vector before the image that gives the pivot
-        at index k, so that pivot is a nonzero multiple of its word, the
-        image of its parent's word, plus earlier pivots.  When the echelon
-        held only the frontier's span at the start, the frontier and the
-        record's words applied raw are a basis of the closure.
+        words, it spans the closure.  By ascending induction on the index of
+        x, each image F_j x lies in the span held just after x's turn
+        reaches op j: a denied one is a F_c (F_j y) + F_j (earlier pivots)
+        as above, F_j y lies in the span held before x was made, as j < c,
+        and the images of the pivots held then lie in the span held when
+        x's turn began.  So when the pivot at index k is made from its
+        parent p by op c, the images under op c of the vectors before p lie
+        in the span held, and the pivot is a nonzero multiple of its word,
+        the image of its parent's word, plus earlier pivots.  When the
+        echelon held only the frontier's span at the start, the frontier
+        and the record's words applied raw are a basis of the closure.
         """
         pivots = self.pivots
         record = []
+        every = list(enumerate(ops))
+        # menus[c]: the operators that a pivot made by operator c takes
+        menus = [[(j, op) for j, op in every if (j, c) not in commuting] for c in range(len(ops))]
+        frontier = [(vec, every) for vec in frontier]
         base = 0
         rounds = 0
         while frontier:
@@ -396,17 +423,27 @@ class RationalEchelon:
             if rounds > max_rounds:
                 raise RuntimeError("lowering closure failed to stabilize within the round cap")
             fresh = []
-            for parent, vec in enumerate(frontier, base):
+            for parent, (vec, menu) in enumerate(frontier, base):
                 # most frontier vectors have one entry: _apply's monomial
                 # case, taken once per vector instead of once per op
                 monomial = len(vec) == 1
                 if monomial:
                     (c, x), = vec.items()
-                for k, op in enumerate(ops):
+                for k, op in menu:
                     if monomial:
                         col = op.get(c)
                         if not col:
                             continue
+                        if len(col) == 1:
+                            (r, v), = col.items()
+                            pivot = pivots.get(r)
+                            if pivot is None:
+                                pivot = pivots[r] = {r: 1 if v * x > 0 else -1}
+                                fresh.append((pivot, menus[k]))
+                                record.append((parent, k))
+                                continue
+                            if len(pivot) == 1:
+                                continue
                         image = {r: v * x for r, v in col.items()}
                     else:
                         image = _apply(op, vec)
@@ -414,7 +451,7 @@ class RationalEchelon:
                             continue
                     pivot = _keep(pivots, image)
                     if pivot is not None:
-                        fresh.append(pivot)
+                        fresh.append((pivot, menus[k]))
                         record.append((parent, k))
             base += len(frontier)
             frontier = fresh
@@ -446,6 +483,26 @@ class RationalEchelon:
             kept = [self.insert_ints(vec)]
             for parent, k in tree:
                 source = kept[parent]
-                image = None if source is None else _apply(ops[k], source)
-                kept.append(_keep(pivots, image) if image else None)
+                if source is None:
+                    kept.append(None)
+                    continue
+                pivot = None
+                if len(source) == 1:
+                    # close's monomial case and inline one-entry decision
+                    (c, x), = source.items()
+                    col = ops[k].get(c)
+                    if col and len(col) == 1:
+                        (r, v), = col.items()
+                        held = pivots.get(r)
+                        if held is None:
+                            pivot = pivots[r] = {r: 1 if v * x > 0 else -1}
+                        elif len(held) > 1:
+                            pivot = _keep(pivots, {r: v * x})
+                    elif col:
+                        pivot = _keep(pivots, {r: v * x for r, v in col.items()})
+                else:
+                    image = _apply(ops[k], source)
+                    if image:
+                        pivot = _keep(pivots, image)
+                kept.append(pivot)
         return len(pivots) - before

@@ -505,23 +505,49 @@ class TestCyclicSpanControls:
         assert cyclic_span_dims(n, m)["status"] == "fail"
 
 
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 1), (1, 4), (2, 3), (3, 2), (3, 3), (2, 4),
+                                     (1, 6)])
+    def test_table_listing_noncommuting_pairs_fails(self, monkeypatch, n, m):
+        # the ordered-word rule carries the certificate: a table that also
+        # lists the adjacent pairs, which do not commute, stops each closure
+        # short of its span
+        monkeypatch.setattr(duality, "_commuting_pairs", lambda family: {
+            (k, j) for j in range(len(family)) for k in range(j)})
+        report = cyclic_span_dims(n, m)
+        assert report["status"] == "fail"
+        assert report["joint_rank"] < report["space_dim"]
+        if n * m == 3:
+            # on three cells, the two-cell diagram spans 2 against a Weyl
+            # product of 3: the word F_1 F_2 is never taken
+            mu = "2" if n == 1 else "1,1"
+            row = next(r for r in report["partitions"] if r["mu"] == mu)
+            assert (row["span_dim"], row["dim_n"] * row["dim_m"]) == (2, 3)
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (2, 6), (6, 2), (1, 12)])
+    def test_commuting_pairs_are_the_distant_ones(self, n, m):
+        # F_k F_j = F_j F_k exactly when |k - j| >= 2, in both families
+        for family in duality._generators(n, m, "F"):
+            assert duality._commuting_pairs(family) == {
+                (k, j) for j in range(len(family)) for k in range(j - 1)}
+
+
 # -- the two-phase closure against the single-phase one -------------------------
 
 
-def ref_value_ranks(shape, partitions, lowering, commute, value):
+def ref_value_ranks(shape, states, lowering, commute, commuting, value):
     """The single-phase closure in place of duality._value_ranks: each span is
     closed under every lowering operator of both actions at once, and every
     closure pivot goes through insert_ints.  It builds its own operators and
-    ignores lowering and commute."""
+    ignores lowering, commute and commuting."""
     n, m = shape
     exprs = ([embeddings.lambda_q(n, m, "F", i) for i in range(1, n)]
              + [embeddings.rho_q(n, m, "F", j) for j in range(1, m)])
     ops = [expr.specialize_ints(value)[0] for expr in exprs]
     joint = RationalEchelon()
     dims = []
-    for mu in partitions:
+    for state in states:
         closure = RationalEchelon()
-        seed = closure.insert({duality.hwv_state(mu, shape): 1})
+        seed = closure.insert({state: 1})
         closure.close([seed], ops, (1 << shape.positions) + 1)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
@@ -529,12 +555,12 @@ def ref_value_ranks(shape, partitions, lowering, commute, value):
     return dims, joint.rank
 
 
-def ref_two_phase_value_ranks(shape, partitions, lowering, commute, value):
+def ref_two_phase_value_ranks(shape, states, lowering, commute, commuting, value):
     """The two-phase closure in place of duality._value_ranks, with no
-    replay: each span is closed under the larger family, then every pivot of
-    that closure under the smaller family (under every operator when the
-    families do not commute), and the closure pivots are inserted into the
-    joint echelon."""
+    replay and no ordered-word rule (commuting is ignored): each span is
+    closed under the larger family, then every pivot of that closure under
+    the smaller family (under every operator when the families do not
+    commute), and the closure pivots are inserted into the joint echelon."""
     n, m = shape
     ops = duality._integer_ops(lowering, value)
     rows, cols = ops[:n - 1], ops[n - 1:]
@@ -544,9 +570,9 @@ def ref_two_phase_value_ranks(shape, partitions, lowering, commute, value):
     cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
     dims = []
-    for mu in partitions:
+    for state in states:
         closure = RationalEchelon()
-        seed = closure.insert({duality.hwv_state(mu, shape): 1})
+        seed = closure.insert({state: 1})
         closure.close([seed], first, cap)
         closure.close(list(closure.pivots.values()), second, cap)
         dims.append(closure.rank)

@@ -2,12 +2,12 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qhowe import embeddings, fockspace, qclifford, report
 from qhowe.fockspace import QVector, state_to_string
 from qhowe.qclifford import (
-    OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, _sign_rule_witness, check_clifford,
+    OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, _sign_rule_witness, _table, check_clifford,
     q_commutator,
 )
 from qhowe.embeddings import (
@@ -441,6 +441,34 @@ def test_word_integer_columns_match_the_matrix(op, value):
         assert col.keys() == want[c].keys() and 0 not in col.values()
         assert ({r: v * scale for r, v in col.items()}
                 == {r: v * want_scale for r, v in want[c].items()})
+
+
+def ref_assemble(op, tables):
+    """The summing path of ``OperatorExpr._assemble`` for any operator: each
+    word adds its table's entry at every state it keeps, and the entries
+    that cancel or vanish are dropped afterwards."""
+    cols = {}
+    for (_, cw), table in zip(op._compiled(), tables):
+        move = cw.require_set ^ cw.final_set
+        for s, key in zip(*cw.columns(op.length)):
+            col = cols.setdefault(s, {})
+            col[s ^ move] = col.get(s ^ move, 0) + table[key]
+    return {c: kept for c, col in cols.items() if (kept := {r: v for r, v in col.items() if v})}
+
+
+@given(operators(), st.sampled_from([2, 3, Fraction(5, 3), -2]))
+# the words have distinct moves, and the first one's coefficient q - 2
+# vanishes at 2: its columns must not hold that zero
+@example(OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
+                          (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])]), 2)
+def test_assembled_columns_match_the_summing_path(op, value):
+    # words with pairwise distinct moves take the path without the sum
+    value = Fraction(value)
+    tables = [_table(cw, lambda e, c=coeff.specialize(value): c * value**e)
+              for coeff, cw in op._compiled()]
+    cols = op._assemble(tables)
+    assert cols == ref_assemble(op, tables)
+    assert all(col and 0 not in col.values() for col in cols.values())
 
 
 def deformed_relation(k, n, e):

@@ -577,18 +577,24 @@ def test_close_round_cap(length):
 # -- RationalEchelon.close against the general reducer on every image -----------
 
 
-def ref_close(echelon, frontier, ops, max_rounds):
+def ref_close(echelon, frontier, ops, max_rounds, commuting=()):
     """close without its shortcuts: every image is built by the accumulation
-    loop and reduced by _reduce_ints."""
+    loop and reduced by _reduce_ints, and a pivot made by op c skips each op
+    j with (j, c) in commuting; returns the creation record."""
     pivots = echelon.pivots
+    record = []
+    frontier = [(vec, None) for vec in frontier]
+    base = 0
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("lowering closure failed to stabilize within the round cap")
         fresh = []
-        for vec in frontier:
-            for op in ops:
+        for parent, (vec, made) in enumerate(frontier, base):
+            for k, op in enumerate(ops):
+                if (k, made) in commuting:
+                    continue
                 image = {}
                 for c, x in vec.items():
                     col = op.get(c)
@@ -603,8 +609,11 @@ def ref_close(echelon, frontier, ops, max_rounds):
                     rem = _reduce_ints(pivots, image)
                     if rem:
                         pivots[max(rem)] = rem
-                        fresh.append(rem)
+                        fresh.append((rem, k))
+                        record.append((parent, k))
+        base += len(frontier)
         frontier = fresh
+    return record
 
 
 # one-entry vectors and columns are the shortcuts' inputs, so they are drawn
@@ -623,21 +632,31 @@ def pivot_items(echelon):
     return [(lead, list(pivot.items())) for lead, pivot in echelon.pivots.items()]
 
 
+# tables of the ordered-word rule: any pairs j < c, commuting or not, since
+# the two closures must take the same images whatever the table says
+rule_tables = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda pair: pair[0] < pair[1]), max_size=4)
+
+
 @settings(max_examples=300)
 @given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
-       operator_lists(close_operators), st.integers(0, CLOSE_DIM + 1))
+       operator_lists(close_operators), st.integers(0, CLOSE_DIM + 1), rule_tables)
 # a negative one-entry image at a fresh lead: the new pivot is {1: -1}
-@example([], [{0: 1}], [{0: {1: -2}}], 3)
+@example([], [{0: 1}], [{0: {1: -2}}], 3, set())
 # a one-entry image at a one-entry pivot's lead lies in the span
-@example([{3: -1}], [{0: 1}], [{0: {3: 2}}], 3)
+@example([{3: -1}], [{0: 1}], [{0: {3: 2}}], 3, set())
 # a one-entry image at a several-entry pivot's lead leaves the remainder {1: -1}
-@example([{1: 1, 3: 1}], [{0: 1}], [{0: {3: 1}}], 3)
+@example([{1: 1, 3: 1}], [{0: 1}], [{0: {3: 1}}], 3, set())
+# a negative one-entry vector's one-entry image at a several-entry pivot's lead
+@example([{1: 1, 3: 2}], [{0: -1}], [{0: {3: 1}}], 3, set())
 # an image with a fresh lead and gcd 2 becomes {1: 1, 2: 1}
-@example([], [{0: 1}], [{0: {1: 2, 2: 2}}], 3)
-@example([], [{0: 1, 1: 1}], [{0: {2: 3}, 1: {2: 3, 4: -3}}], 3)
+@example([], [{0: 1}], [{0: {1: 2, 2: 2}}], 3, set())
+@example([], [{0: 1, 1: 1}], [{0: {2: 3}, 1: {2: 3, 4: -3}}], 3, set())
 # the round cap
-@example([], [{0: 1}], [{0: {1: 1}, 1: {2: 1}}], 1)
-def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds):
+@example([], [{0: 1}], [{0: {1: 1}, 1: {2: 1}}], 1, set())
+# the pivot {2: 1} made by op 1 does not take op 0, so {3: 1} is never made
+@example([], [{0: 1}], [{2: {3: 1}}, {0: {2: 1}}], 3, {(0, 1)})
+def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds, commuting):
     # held: pivots inserted before the closure that are not on its frontier,
     # so that images meet one-entry and several-entry pivots at their leads
     echelon = RationalEchelon()
@@ -650,8 +669,7 @@ def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds):
     for close, target, vectors in ((RationalEchelon.close, echelon, frontier),
                                    (ref_close, ref, [dict(p) for p in frontier])):
         try:
-            close(target, vectors, ops, max_rounds)
-            outcomes.append(None)
+            outcomes.append(close(target, vectors, ops, max_rounds, commuting))
         except RuntimeError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -716,6 +734,76 @@ def test_close_records_parents_past_the_frontier():
     assert_record_spans(echelon, frontier, ops, record)
 
 
+# -- the ordered-word rule of close against the closure without it ---------------
+
+
+GRID = 3  # the keys i * GRID + j of a GRID x GRID grid
+
+
+def ref_compose(a, b):
+    """The integer operator a after b."""
+    return {c: image for c, col in b.items() if (image := ref_apply_ints(a, col))}
+
+
+def commuting_pairs(ops):
+    """The pairs (j, c), j < c, of operators whose products agree exactly."""
+    return {(j, c) for c in range(len(ops)) for j in range(c)
+            if ref_compose(ops[j], ops[c]) == ref_compose(ops[c], ops[j])}
+
+
+grid_keys = st.integers(0, GRID * GRID - 1)
+grid_columns = st.dictionaries(st.integers(0, GRID - 1), nonzero_ints, min_size=1, max_size=2)
+
+
+@st.composite
+def grid_operators(draw):
+    """An operator on the grid's keys acting on the row index alone (A x 1),
+    on the column index alone (1 x B), or on every key: any row operator
+    commutes with any column operator, other pairs need not."""
+    kind = draw(st.sampled_from(["row", "column", "any"]))
+    if kind == "any":
+        return draw(st.dictionaries(grid_keys, st.dictionaries(grid_keys, nonzero_ints,
+                                                               min_size=1, max_size=2),
+                                    max_size=3))
+    small = draw(st.dictionaries(st.integers(0, GRID - 1), grid_columns,
+                                 min_size=1, max_size=GRID))
+    if kind == "row":
+        return {i * GRID + j: {r * GRID + j: v for r, v in col.items()}
+                for i, col in small.items() for j in range(GRID)}
+    return {j * GRID + i: {j * GRID + r: v for r, v in col.items()}
+            for i, col in small.items() for j in range(GRID)}
+
+
+grid_vectors = st.one_of(
+    st.dictionaries(grid_keys, nonzero_ints, min_size=1, max_size=1),
+    st.dictionaries(grid_keys, nonzero_ints, min_size=1, max_size=3))
+
+
+@settings(max_examples=300)
+@given(st.lists(grid_vectors, min_size=1, max_size=3),
+       operator_lists(grid_operators()).filter(commuting_pairs))
+# a row shift and a column shift from the corner: the closure is the whole
+# grid, and the pivots the column shift makes never take the row shift
+@example([{0: 1}], [{k: {k + GRID: 1} for k in range(GRID * (GRID - 1))},
+                    {k: {k + 1: 1} for k in range(GRID * GRID) if (k + 1) % GRID}])
+def test_ordered_word_rule_keeps_the_closure(seeds, ops):
+    # the table is decided by exact products; with it and without it close
+    # must give one span, and the record's words must still span it
+    echelons = []
+    for table in (commuting_pairs(ops), ()):
+        echelon = RationalEchelon()
+        frontier = [p for p in map(echelon.insert, seeds) if p is not None]
+        record = echelon.close(frontier, ops, GRID * GRID + 1, table)
+        assert_record_spans(echelon, frontier, ops, record)
+        echelons.append(echelon)
+    ruled, full = echelons
+    assert ruled.rank == full.rank == len(ref_closure(seeds, ops))
+    assert all(full.reduce(p) == {} for p in ruled.pivots.values())
+    assert all(ruled.reduce(p) == {} for p in full.pivots.values())
+    assert all(ruled.reduce(ref_apply_ints(op, p)) == {}
+               for op in ops for p in ruled.pivots.values())
+
+
 def ref_replay(echelon, vectors, tree, ops):
     """replay by insert_ints of each image in the same order: a node's image
     is its operator applied to the pivot kept for its parent."""
@@ -731,6 +819,12 @@ def ref_replay(echelon, vectors, tree, ops):
 @settings(max_examples=300)
 @given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
        close_vectors, operator_lists(close_operators))
+# the one-entry image {1: -2} of a one-entry pivot at a free lead: {1: -1}
+@example([], [{0: 1}], {0: 1}, [{0: {1: -2}}])
+# the one-entry image {1: -2} at a one-entry pivot's lead is dropped
+@example([{1: 3}], [{0: -1}], {0: 1}, [{0: {1: 2}}])
+# the one-entry image {2: -1} at a several-entry pivot's lead leaves {1: 1}
+@example([{1: 1, 2: 1}], [{0: 1}], {0: 1}, [{0: {2: -1}}])
 def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
     scratch = RationalEchelon()
     tree = scratch.close([scratch.insert(seed)], ops, CLOSE_DIM + 1)

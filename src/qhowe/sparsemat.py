@@ -11,7 +11,7 @@ The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q, and behind the span
 sweep that ``wordzero`` runs over Clifford words.  Its pivots are
 primitive integer vectors keyed by their largest key, and one
-reduce-and-keep step, ``_keep``, decides every pivot: for ``insert`` (any
+reduce-and-keep step, ``_keep``, adds every pivot: for ``insert`` (any
 exact vector, made a primitive integer vector first), ``insert_ints`` (an
 integer vector), ``close``, which closes a span under the integer operators
 ``specialize_ints`` returns: it applies the operators to every new pivot
@@ -19,8 +19,7 @@ and keeps each image as it arises, round by round, until a round adds no
 pivot or a round cap is passed, and ``replay``, which applies the words
 that one closure recorded to other vectors.  ``close`` skips the images
 that an operator commuting with the one that made a pivot would repeat
-(its ordered-word rule), and ``close`` and ``replay`` decide a one-entry
-image of a one-entry vector inline, as ``_keep`` would.
+(its ordered-word rule).
 """
 
 from __future__ import annotations
@@ -335,7 +334,7 @@ class RationalEchelon:
     ``insert`` rescales a vector to a primitive integer one and reduces it
     against the pivots; a nonzero remainder becomes a new pivot.  ``close``
     inserts the images of integer vectors under integer operators until the
-    span is closed under them.  Every pivot is the one ``_keep`` gives.
+    span is closed under them.  Every pivot is added by ``_keep``.
     """
 
     __slots__ = ("pivots",)
@@ -377,9 +376,7 @@ class RationalEchelon:
         inserts each nonzero image (``_apply`` and ``_keep``, with their
         shortcuts); the pivots it adds are the next round's frontier, and the
         span is closed after a round that adds none.  Raises RuntimeError
-        when that takes more than max_rounds rounds.  A one-entry image of a
-        one-entry vector is decided inline, as ``_keep`` decides it: dropped
-        at a one-entry pivot's lead, kept as a +-1 pivot at a free lead.
+        when that takes more than max_rounds rounds.
 
         commuting: pairs (j, c), j < c, of operators with F_j F_c = F_c F_j,
         the ordered-word rule: a pivot made by operator c does not take the
@@ -434,16 +431,6 @@ class RationalEchelon:
                         col = op.get(c)
                         if not col:
                             continue
-                        if len(col) == 1:
-                            (r, v), = col.items()
-                            pivot = pivots.get(r)
-                            if pivot is None:
-                                pivot = pivots[r] = {r: 1 if v * x > 0 else -1}
-                                fresh.append((pivot, menus[k]))
-                                record.append((parent, k))
-                                continue
-                            if len(pivot) == 1:
-                                continue
                         image = {r: v * x for r, v in col.items()}
                     else:
                         image = _apply(op, vec)
@@ -483,26 +470,6 @@ class RationalEchelon:
             kept = [self.insert_ints(vec)]
             for parent, k in tree:
                 source = kept[parent]
-                if source is None:
-                    kept.append(None)
-                    continue
-                pivot = None
-                if len(source) == 1:
-                    # close's monomial case and inline one-entry decision
-                    (c, x), = source.items()
-                    col = ops[k].get(c)
-                    if col and len(col) == 1:
-                        (r, v), = col.items()
-                        held = pivots.get(r)
-                        if held is None:
-                            pivot = pivots[r] = {r: 1 if v * x > 0 else -1}
-                        elif len(held) > 1:
-                            pivot = _keep(pivots, {r: v * x})
-                    elif col:
-                        pivot = _keep(pivots, {r: v * x for r, v in col.items()})
-                else:
-                    image = _apply(ops[k], source)
-                    if image:
-                        pivot = _keep(pivots, image)
-                kept.append(pivot)
+                image = None if source is None else _apply(ops[k], source)
+                kept.append(_keep(pivots, image) if image else None)
         return len(pivots) - before

@@ -8,7 +8,7 @@ approximation.
 """
 
 from .qscalar import NonExactDivision, QLaurent, exact_div, q_binomial, q_factorial, q_int
-from .fockspace import GridShape, QVector, grid_to_linear, prefix_parity, row_col_weights
+from .fockspace import GridShape, grid_to_linear, prefix_parity, row_col_weights
 from .qclifford import CliffordGen, OperatorExpr, q_commutator
 from .duality import Partition, SpecializationAnomaly
 
@@ -22,7 +22,6 @@ __all__ = [
     "q_factorial",
     "q_int",
     "GridShape",
-    "QVector",
     "grid_to_linear",
     "prefix_parity",
     "row_col_weights",

@@ -2,7 +2,8 @@
 
 Generators v_1, ..., v_n with relations v_i^2 = 0 and v_i v_j = -q v_j v_i
 for i < j.  Ordered products over increasing indices form the occupancy-word
-basis, so elements live in :class:`~qhowe.fockspace.QVector`.  This module
+basis, so an element is a sparse vector ``{state: QLaurent}`` without zero
+entries, the form ``OperatorExpr.apply`` takes and returns.  This module
 supplies word normalization, the algebra product, the quantized inner and
 exterior multiplication operators, and the coproduct-driven module-algebra
 action used to cross-check the Clifford realization.
@@ -11,7 +12,7 @@ action used to cross-check the Clifford realization.
 from __future__ import annotations
 
 from . import report
-from .fockspace import QVector, check_enumerable, state_to_string
+from .fockspace import check_enumerable, state_to_string
 from .qclifford import OMEGA, OMEGA_INV, PSI, PSI_DAG, CliffordGen, OperatorExpr
 from .qscalar import QLaurent
 
@@ -64,27 +65,21 @@ def state_letters(bits):
     return tuple(letters)
 
 
-def mul(a, b):
-    """Algebra product: bilinear extension of concatenate-then-normalize."""
-    if a.length != b.length:
-        raise ValueError(f"rank mismatch: {a.length} vs {b.length}")
-    n = a.length
+def mul(a, b, n):
+    """Algebra product of two elements of the rank-n algebra: bilinear
+    extension of concatenate-then-normalize."""
     out = {}
-    for sa, ca in a.entries.items():
+    for sa, ca in a.items():
         letters_a = state_letters(sa)
-        for sb, cb in b.entries.items():
+        for sb, cb in b.items():
             norm = normalize(letters_a + state_letters(sb), n)
             if norm is None:
                 continue
             scalar, state = norm
             value = ca * cb * scalar
             prev = out.get(state)
-            value = value if prev is None else prev + value
-            if value:
-                out[state] = value
-            else:
-                out.pop(state, None)
-    return QVector._raw(n, out)
+            out[state] = value if prev is None else prev + value
+    return {s: v for s, v in out.items() if v}
 
 
 def iota_q(i, n):
@@ -117,26 +112,26 @@ def apply_iota_q(i, vec):
     """Direct evaluation of the quantized inner multiplication."""
     bit = 1 << (i - 1)
     entries = {}
-    for state, coeff in vec.entries.items():
+    for state, coeff in vec.items():
         if not state & bit:
             continue
         p = (state & (bit - 1)).bit_count()
         scalar = QLaurent.q_power(p, 1 if p % 2 == 0 else -1)
         entries[state ^ bit] = coeff * scalar
-    return QVector._raw(vec.length, entries)
+    return entries
 
 
 def apply_eps_q(i, vec):
     """Direct evaluation of the quantized exterior multiplication."""
     bit = 1 << (i - 1)
     entries = {}
-    for state, coeff in vec.entries.items():
+    for state, coeff in vec.items():
         if state & bit:
             continue
         p = (state & (bit - 1)).bit_count()
         scalar = QLaurent.q_power(-p, 1 if p % 2 == 0 else -1)
         entries[state | bit] = coeff * scalar
-    return QVector._raw(vec.length, entries)
+    return entries
 
 
 # Natural-module data for a single tensor factor: images of E_i, F_i, and the
@@ -158,7 +153,8 @@ def module_algebra_action(kind, index, vec, n):
 
     kind is one of "E", "F", "L", "Linv"; the coproduct conventions are
     Delta(E) = E (x) K + 1 (x) E and Delta(F) = F (x) 1 + K^{-1} (x) F,
-    with L group-like.
+    with L group-like.  Raises ValueError for a state outside the 2^n of
+    the algebra.
     """
     if kind in ("E", "F"):
         if not 1 <= index <= n - 1:
@@ -168,21 +164,19 @@ def module_algebra_action(kind, index, vec, n):
             raise ValueError(f"index {index} outside 1..{n}")
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    if vec.length != n:
-        raise ValueError(f"rank mismatch: {vec.length} vs {n}")
+    limit = 1 << n
+    for state in vec:
+        if not 0 <= state < limit:
+            raise ValueError(f"state {state} does not fit in {n} positions")
 
     i = index
     out = {}
 
     def accumulate(state, value):
         prev = out.get(state)
-        value = value if prev is None else prev + value
-        if value:
-            out[state] = value
-        else:
-            out.pop(state, None)
+        out[state] = value if prev is None else prev + value
 
-    for state, coeff in vec.entries.items():
+    for state, coeff in vec.items():
         letters = state_letters(state)
         if kind == "L" or kind == "Linv":
             e = sum(1 for j in letters if j == i)
@@ -208,7 +202,7 @@ def module_algebra_action(kind, index, vec, n):
                 continue
             scalar, new_state = norm
             accumulate(new_state, coeff * scalar.shift(kexp))
-    return QVector._raw(n, out)
+    return {s: v for s, v in out.items() if v}
 
 
 def check_module_algebra(n):
@@ -221,6 +215,7 @@ def check_module_algebra(n):
     from .embeddings import phi_q
 
     check_enumerable(n)
+    one = QLaurent.one()
     checks = []
     kinds = [("E", range(1, n)), ("F", range(1, n)), ("L", range(1, n + 1)),
              ("Linv", range(1, n + 1))]
@@ -229,7 +224,7 @@ def check_module_algebra(n):
             op = phi_q(n, kind, i)
             witness = None
             for state in range(1 << n):
-                v = QVector.basis(state, n)
+                v = {state: one}
                 if module_algebra_action(kind, i, v, n) != op.apply(v):
                     witness = state_to_string(state, n)
                     break

@@ -163,7 +163,7 @@ def wedge_span_vectors(n):
 
 
 def _is_eigenvector(mat, vec, eig):
-    image = mat.apply_terms(vec)
+    image = mat.apply(vec)
     scaled = {k: v * eig for k, v in vec.items() if v * eig}
     return image == scaled
 

@@ -1,9 +1,12 @@
-"""Occupancy bitstrings, sparse vectors, and column-major grid indexing.
+"""Occupancy bitstrings and column-major grid indexing.
 
 Basis states of the N-position exterior module are occupancy words
 ``l in {0,1}^N``.  Internally a state is a single machine word: bit ``k-1``
 of the int holds position ``k`` (one-based positions throughout the API).
-Rendered strings put position 1 on the left.
+Rendered strings put position 1 on the left.  A vector of the module is a
+plain dict ``{state: QLaurent}`` without zero entries, the form of a
+``SparseMatrix`` column; ``OperatorExpr.apply`` and ``SparseMatrix.apply``
+take and return it.
 
 An n-by-m grid is laid out column-major: cell ``(i, j)`` sits at linear
 position ``i + (j-1)n``.
@@ -13,13 +16,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qscalar import QLaurent
-
 __all__ = [
     "MAX_POSITIONS",
     "MAX_ENUMERATED_POSITIONS",
     "GridShape",
-    "QVector",
     "check_enumerable",
     "grid_to_linear",
     "prefix_parity",
@@ -97,103 +97,3 @@ def row_col_weights(shape, bits):
 def state_to_string(bits, length):
     """Render as "l_1 l_2 ... l_N" with position 1 leftmost."""
     return "".join("1" if (bits >> k) & 1 else "0" for k in range(length))
-
-
-class QVector:
-    """A sparse vector over QLaurent, keyed by occupancy words.
-
-    ``entries`` maps int states to nonzero coefficients; all states share the
-    vector's length.  Treated as immutable.
-    """
-
-    __slots__ = ("length", "entries")
-
-    def __init__(self, length, entries=None):
-        if not 0 <= length <= MAX_POSITIONS:
-            raise ValueError(f"vector length {length} out of range")
-        self.length = length
-        cleaned = {}
-        if entries:
-            limit = 1 << length
-            for state, coeff in entries.items():
-                if not 0 <= state < limit:
-                    raise ValueError(f"state {state} does not fit in {length} positions")
-                if not isinstance(coeff, QLaurent):
-                    coeff = QLaurent.from_rational(coeff)
-                if coeff:
-                    cleaned[state] = coeff
-        self.entries = cleaned
-
-    @classmethod
-    def _raw(cls, length, entries):
-        obj = cls.__new__(cls)
-        obj.length = length
-        obj.entries = entries
-        return obj
-
-    @classmethod
-    def basis(cls, state, length):
-        return cls._raw(length, {state: QLaurent.one()})
-
-    @classmethod
-    def zero(cls, length):
-        return cls._raw(length, {})
-
-    def _check_length(self, other):
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-
-    def __add__(self, other):
-        if not isinstance(other, QVector):
-            return NotImplemented
-        self._check_length(other)
-        out = dict(self.entries)
-        for state, coeff in other.entries.items():
-            s = out.get(state)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[state] = s
-            else:
-                out.pop(state, None)
-        return QVector._raw(self.length, out)
-
-    def __neg__(self):
-        return QVector._raw(self.length, {s: -c for s, c in self.entries.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QVector):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.from_rational(coeff)
-        if not coeff:
-            return QVector.zero(self.length)
-        return QVector._raw(self.length, {s: c * coeff for s, c in self.entries.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, QVector):
-            return NotImplemented
-        return self.length == other.length and self.entries == other.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        parts = []
-        for s in sorted(self.entries, key=lambda s: state_to_string(s, self.length)):
-            coeff = self.entries[s]
-            text = str(coeff)
-            if text == "1":
-                parts.append(f"v({state_to_string(s, self.length)})")
-            else:
-                if "+" in text or "- " in text:
-                    text = f"({text})"
-                parts.append(f"{text} v({state_to_string(s, self.length)})")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"QVector({self})"

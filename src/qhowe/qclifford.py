@@ -39,7 +39,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import fockspace, report
-from .fockspace import QVector, check_enumerable, state_to_string
+from .fockspace import check_enumerable, state_to_string
 from .qscalar import QLaurent
 from .sparsemat import SparseMatrix
 from .wordzero import first_nonzero_state
@@ -431,12 +431,17 @@ class OperatorExpr:
         return self._words
 
     def apply(self, vec):
-        """Apply to a QVector; linear, words right-to-left."""
-        if vec.length != self.length:
-            raise ValueError(f"length mismatch: {self.length} vs {vec.length}")
+        """Apply to a sparse vector ``{state: QLaurent}`` without zero
+        entries; returns one in the same form, as ``SparseMatrix.apply``
+        does.  Linear, words right-to-left.  Raises ValueError for a state
+        outside the 2^N of the module."""
+        limit = 1 << self.length
+        for state in vec:
+            if not 0 <= state < limit:
+                raise ValueError(f"state {state} does not fit in {self.length} positions")
         out = {}
         for coeff, cw in self._compiled():
-            for state, value in vec.entries.items():
+            for state, value in vec.items():
                 image = cw.image(state)
                 if image is None:
                     continue
@@ -447,12 +452,8 @@ class OperatorExpr:
                 if negative:
                     scalar = -scalar
                 prev = out.get(row)
-                scalar = scalar if prev is None else prev + scalar
-                if scalar:
-                    out[row] = scalar
-                else:
-                    out.pop(row, None)
-        return QVector._raw(self.length, out)
+                out[row] = scalar if prev is None else prev + scalar
+        return {r: v for r, v in out.items() if v}
 
     def to_matrix(self):
         """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),

@@ -10,6 +10,7 @@ failure.  Each relation is one ``report.match`` or ``report.commute`` call,
 the torus conjugations as shifted commutations D X = q^a X D, so the checks
 use only ``*``, ``+``, ``-``, ``scale`` (zero is ``identity.scale(0)``),
 ``first_difference`` and ``first_noncommuting``, which both types provide.
+Both also ``apply`` to the same sparse vector ``{state: QLaurent}``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Sparse matrices over the Laurent ring and exact rational elimination.
 
 A ``SparseMatrix`` is stored column-major, ``{col: {row: QLaurent}}`` with no
-zero entries retained, and every operation works on those entries.  The
+zero entries retained, and every operation works on those entries.  A column
+is the one sparse vector of the package, ``{state: QLaurent}``: ``apply``
+maps such a vector to its image, as ``OperatorExpr.apply`` does, and the
+matrix product ``*`` is ``apply`` on each column of its right factor.  The
 checks on the grid module decide their identities on Clifford words
 (``wordzero``); matrices serve the small quantum-group representations (the
 natural module, coproducts, the braiding) and, through
@@ -146,27 +149,36 @@ class SparseMatrix:
         return SparseMatrix._raw(
             self.dim, {c: {r: v * coeff for r, v in col.items()} for c, col in self._cols.items()})
 
+    def apply(self, vec):
+        """Apply to a sparse vector ``{state: QLaurent}`` without zero
+        entries; returns one in the same form, as ``OperatorExpr.apply``
+        does.  The image is the sum of vec's columns, each weighted by its
+        coefficient."""
+        get = self._cols.get
+        out = {}
+        for k, x in vec.items():
+            col = get(k)
+            if col:
+                unit = x.terms == _UNIT  # the torus generators hold mostly 1
+                for r, v in col.items():
+                    p = v if unit else v * x
+                    s = out.get(r)
+                    out[r] = p if s is None else s + p
+        # a single product of nonzero entries is nonzero; sums may cancel
+        if len(vec) > 1:
+            out = {r: v for r, v in out.items() if v}
+        return out
+
     def __mul__(self, other):
-        """Matrix product self @ other (columns of the product via other's)."""
+        """Matrix product self @ other: ``apply`` on each of other's columns."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        get = self._cols.get
+        apply = self.apply
         cols = {}
         for c, bcol in other._cols.items():
-            out = {}
-            for k, bv in bcol.items():
-                acol = get(k)
-                if acol:
-                    unit = bv.terms == _UNIT  # the torus generators hold mostly 1
-                    for r, av in acol.items():
-                        p = av if unit else av * bv
-                        s = out.get(r)
-                        out[r] = p if s is None else s + p
-            # a single product of nonzero entries is nonzero; sums may cancel
-            if len(bcol) > 1:
-                out = {r: v for r, v in out.items() if v}
+            out = apply(bcol)
             if out:
                 cols[c] = out
         return SparseMatrix._raw(self.dim, cols)
@@ -203,20 +215,6 @@ class SparseMatrix:
         cols = {c: {r: x.numerator * (den // x.denominator) for r, x in col.items()}
                 for c, col in values.items()}
         return cols, Fraction(1, den)
-
-    def apply_terms(self, entries):
-        """Apply to a sparse vector {state: QLaurent}; returns the same shape."""
-        out = {}
-        for c, coeff in entries.items():
-            for r, v in self._cols.get(c, {}).items():
-                s = out.get(r)
-                p = v * coeff
-                s = p if s is None else s + p
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
 
 
 def primitive_int_vector(vec):

@@ -127,9 +127,9 @@ def test_criterion_09_braiding():
         sym_eig = braiding.braiding_eigenvalue(eps1, two_eps1, n)
         wedge_eig = braiding.braiding_eigenvalue(eps1, eps12, n)
         for vec in braiding.sym_span_vectors(n):
-            ok = ok and rhat.apply_terms(vec) == {k: v * sym_eig for k, v in vec.items()}
+            ok = ok and rhat.apply(vec) == {k: v * sym_eig for k, v in vec.items()}
         for vec in braiding.wedge_span_vectors(n):
-            ok = ok and rhat.apply_terms(vec) == {k: v * wedge_eig for k, v in vec.items()}
+            ok = ok and rhat.apply(vec) == {k: v * wedge_eig for k, v in vec.items()}
     announce(9, "braiding: Yang-Baxter, Hecke, intertwiner, eigenvalues, q -> 1", ok, time.time() - t0)
 
 

@@ -13,7 +13,6 @@ from qhowe.braided_ext import (
     normalize,
 )
 from qhowe.embeddings import phi_q
-from qhowe.fockspace import QVector
 from qhowe.qscalar import QLaurent
 
 
@@ -22,8 +21,9 @@ def S(text):
     return int(text[::-1], 2)
 
 
-def V(text):
-    return QVector.basis(S(text), len(text))
+def V(text, coeff=QLaurent.one()):
+    """The basis vector of an occupancy word, as a sparse vector."""
+    return {S(text): coeff}
 
 
 class TestNormalize:
@@ -50,31 +50,29 @@ class TestNormalize:
 
 class TestMul:
     def test_examples(self):
-        assert mul(V("10"), V("01")) == V("11")
-        assert mul(V("01"), V("10")) == V("11").scale(QLaurent({-1: -1}))
-        assert not mul(V("10"), V("10"))
+        assert mul(V("10"), V("01"), 2) == V("11")
+        assert mul(V("01"), V("10"), 2) == V("11", QLaurent({-1: -1}))
+        assert not mul(V("10"), V("10"), 2)
 
     @given(st.integers(2, 6), st.data())
     def test_associative_on_basis(self, n, data):
         states = st.integers(0, (1 << n) - 1)
-        a = QVector.basis(data.draw(states), n)
-        b = QVector.basis(data.draw(states), n)
-        c = QVector.basis(data.draw(states), n)
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        a, b, c = ({data.draw(states): QLaurent.one()} for _ in range(3))
+        assert mul(mul(a, b, n), c, n) == mul(a, mul(b, c, n), n)
 
     @given(st.integers(2, 6), st.data())
     def test_degree_adds_or_zero(self, n, data):
         states = st.integers(0, (1 << n) - 1)
         sa, sb = data.draw(states), data.draw(states)
-        prod = mul(QVector.basis(sa, n), QVector.basis(sb, n))
+        prod = mul({sa: QLaurent.one()}, {sb: QLaurent.one()}, n)
         if prod:
-            (state,) = prod.entries
+            (state,) = prod
             assert state.bit_count() == sa.bit_count() + sb.bit_count()
 
 
 class TestQuantizedMultOps:
     def test_examples(self):
-        assert iota_q(2, 2).apply(V("11")) == QVector(2, {S("10"): QLaurent({1: -1})})
+        assert iota_q(2, 2).apply(V("11")) == V("10", QLaurent({1: -1}))
         assert eps_q(1, 2).apply(V("01")) == V("11")
         lhs = (eps_q(2, 3) * iota_q(3, 3)).apply(V("101"))
         assert lhs == phi_q(3, "E", 2).apply(V("101"))
@@ -84,7 +82,7 @@ class TestQuantizedMultOps:
         for i in range(1, n + 1):
             word_i, word_e = iota_q(i, n), eps_q(i, n)
             for bits in range(1 << n):
-                v = QVector.basis(bits, n)
+                v = {bits: QLaurent.one()}
                 assert word_i.apply(v) == apply_iota_q(i, v)
                 assert word_e.apply(v) == apply_eps_q(i, v)
 
@@ -100,13 +98,21 @@ class TestQuantizedMultOps:
 class TestModuleAlgebraAction:
     def test_examples(self):
         assert module_algebra_action("E", 1, V("01"), 2) == V("10")
-        assert module_algebra_action("L", 1, V("11"), 2) == V("11").scale(QLaurent({1: 1}))
+        assert module_algebra_action("L", 1, V("11"), 2) == V("11", QLaurent({1: 1}))
         for n in (2, 3):
             for bits in range(1 << n):
-                v = QVector.basis(bits, n)
+                v = {bits: QLaurent.one()}
                 for i in range(1, n):
                     if not (bits >> i) & 1:  # position i+1 vacant
                         assert not module_algebra_action("E", i, v, n)
+
+    def test_state_out_of_range(self):
+        one = QLaurent.one()
+        for kind, i in [("E", 1), ("F", 1), ("L", 2), ("Linv", 1)]:
+            with pytest.raises(ValueError, match="state 8 does not fit in 3 positions"):
+                module_algebra_action(kind, i, {1 << 3: one}, 3)
+        with pytest.raises(ValueError):
+            module_algebra_action("L", 1, {-1: one}, 3)
 
     def test_counit_on_vacuum(self):
         vac = V("000")

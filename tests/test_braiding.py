@@ -77,10 +77,10 @@ class TestRhat:
         q = QLaurent({1: 1})
         neg_qinv = QLaurent({-1: -1})
         for vec in sym_span_vectors(3):
-            image = R.apply_terms(vec)
+            image = R.apply(vec)
             assert image == {k: v * q for k, v in vec.items()}
         for vec in wedge_span_vectors(3):
-            image = R.apply_terms(vec)
+            image = R.apply(vec)
             assert image == {k: v * neg_qinv for k, v in vec.items()}
 
     def test_change_of_basis_on_ordered_pair(self):
@@ -179,13 +179,13 @@ class TestHighestWeightVectorsOfSquare:
                     tensor_index(2, 1, n): QLaurent({-1: -1})}
         sym_hw = {tensor_index(1, 1, n): QLaurent.one()}
         for i in range(1, n):
-            assert rep.E(i).apply_terms(wedge_hw) == {}
-            assert rep.E(i).apply_terms(sym_hw) == {}
+            assert rep.E(i).apply(wedge_hw) == {}
+            assert rep.E(i).apply(sym_hw) == {}
         for i in range(1, n):
             # K-weight exponents <alpha_i, eps_1 + eps_2> and <alpha_i, 2 eps_1>
             w_wedge = 1 if i == 2 else 0
             w_sym = 2 if i == 1 else 0
-            got = rep.K(i).apply_terms(wedge_hw)
+            got = rep.K(i).apply(wedge_hw)
             assert got == {k: v * QLaurent.q_power(w_wedge) for k, v in wedge_hw.items()}
-            got = rep.K(i).apply_terms(sym_hw)
+            got = rep.K(i).apply(sym_hw)
             assert got == {k: v * QLaurent.q_power(w_sym) for k, v in sym_hw.items()}

@@ -22,7 +22,7 @@ from qhowe.duality import (
     weyl_dim,
 )
 from qhowe.embeddings import rho_q
-from qhowe.fockspace import GridShape, QVector, row_col_weights, state_to_string
+from qhowe.fockspace import GridShape, row_col_weights, state_to_string
 from qhowe.braided_ext import normalize
 from qhowe.qclifford import OMEGA, OMEGA_INV, CliffordGen, OperatorExpr
 from qhowe.qscalar import QLaurent
@@ -112,7 +112,7 @@ class TestHwv:
 
     def test_non_partition_state_is_not_highest(self):
         # occupied cell (1,2) alone: column raising moves it to column 1
-        vec = QVector.basis(0b0100, 4)  # 0010
+        vec = {0b0100: QLaurent.one()}  # 0010
         assert rho_q(2, 2, "E", 1).apply(vec)
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (1, 4)])
@@ -151,14 +151,14 @@ class TestHwv:
         assert all("witness" not in c for c in report["checks"] if c["status"] == "pass")
 
 
-# -- the word kernel against the QVector verifier --------------------------------
+# -- the word kernel against the apply verifier ----------------------------------
 
 
 def ref_verify_hwv(mu, shape, flavor="quantum"):
-    """verify_hwv through QVector: each generator is applied to the hwv
-    (the basis vector of ``duality.hwv_state``, so a patched one shows) with
-    ``OperatorExpr.apply``, and the image is compared with the expected
-    vector; the witness is the smallest state of their difference."""
+    """verify_hwv through ``OperatorExpr.apply``: each generator is applied
+    to the hwv (the basis vector of ``duality.hwv_state``, so a patched one
+    shows), and the image is compared with the expected vector; the witness
+    is the smallest state where the two differ."""
     shape = GridShape(*shape).check()
     n, m = shape
     q_power, rational = QLaurent.q_power, QLaurent.from_rational
@@ -186,27 +186,28 @@ def ref_verify_hwv(mu, shape, flavor="quantum"):
         ]
     mu = Partition(mu)
     conj = mu.conjugate()
-    vec = QVector.basis(duality.hwv_state(mu, shape), shape.positions)
-    zero = QVector.zero(shape.positions)
+    state = duality.hwv_state(mu, shape)
     checks = []
     for relation, action, kind, indices, eigenvalue in conditions:
         for i in indices:
-            image = action(n, m, kind, i).apply(vec)
-            want = zero if eigenvalue is None else vec.scale(eigenvalue(mu, conj, i))
+            image = action(n, m, kind, i).apply({state: QLaurent.one()})
+            value = None if eigenvalue is None else eigenvalue(mu, conj, i)
+            want = {state: value} if value else {}
             ok = image == want
-            witness = None if ok else state_to_string(min((image - want).entries),
-                                                      shape.positions)
+            witness = None if ok else state_to_string(
+                min(s for s in image.keys() | want.keys() if image.get(s) != want.get(s)),
+                shape.positions)
             checks.append(report.check(relation, ok, witness, indices=[i]))
     return report.finish(
         checks,
         mu=str(mu),
         mu_conj=str(conj),
-        state=state_to_string(duality.hwv_state(mu, shape), shape.positions),
+        state=state_to_string(state, shape.positions),
         flavor=flavor,
     )
 
 
-def assert_kernel_matches_the_qvector_verifier(n, m, fits=lambda state: True):
+def assert_kernel_matches_the_apply_verifier(n, m, fits=lambda state: True):
     """The word kernel's reports equal ref_verify_hwv's, witnesses included,
     at every partition of the n x m box whose state passes fits, both
     flavors; returns how many of those reports fail."""
@@ -222,26 +223,26 @@ def assert_kernel_matches_the_qvector_verifier(n, m, fits=lambda state: True):
 
 
 @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
-def test_word_kernel_matches_the_qvector_verifier(n, m):
-    assert assert_kernel_matches_the_qvector_verifier(n, m) == 0
+def test_word_kernel_matches_the_apply_verifier(n, m):
+    assert assert_kernel_matches_the_apply_verifier(n, m) == 0
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
-def test_word_kernel_matches_the_qvector_verifier_under_a_mutant(monkeypatch, name, n, m):
+def test_word_kernel_matches_the_apply_verifier_under_a_mutant(monkeypatch, name, n, m):
     # each mutant changes the words of some generator, yet every raising
     # operator still kills each diagram's state and the torus weights are
     # untouched: the failing reports are compared under the other patches
     mutate(monkeypatch, name)
-    assert assert_kernel_matches_the_qvector_verifier(n, m) == 0
+    assert assert_kernel_matches_the_apply_verifier(n, m) == 0
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
-def test_word_kernel_matches_the_qvector_verifier_on_a_shifted_diagram(monkeypatch, n, m):
+def test_word_kernel_matches_the_apply_verifier_on_a_shifted_diagram(monkeypatch, n, m):
     # every diagram moved one position on, where it still fits the grid
     state = duality.hwv_state
     monkeypatch.setattr(duality, "hwv_state", lambda mu, shape: state(mu, shape) << 1)
-    failed = assert_kernel_matches_the_qvector_verifier(n, m, lambda s: s < 1 << (n * m))
+    failed = assert_kernel_matches_the_apply_verifier(n, m, lambda s: s < 1 << (n * m))
     assert failed > 0
 
 

@@ -3,14 +3,12 @@ from hypothesis import given, strategies as st
 
 from qhowe.fockspace import (
     GridShape,
-    QVector,
     check_enumerable,
     grid_to_linear,
     prefix_parity,
     row_col_weights,
     state_to_string,
 )
-from qhowe.qscalar import QLaurent
 
 
 def bits(text):
@@ -84,29 +82,3 @@ def test_state_rendering():
     assert state_to_string(0b1010, 6) == "010100"
     assert state_to_string(0, 0) == ""
     assert bits(state_to_string(0b1011, 4)) == 0b1011
-
-
-small_scalars = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=3).map(QLaurent)
-
-
-def vectors(length):
-    return st.dictionaries(st.integers(0, (1 << length) - 1), small_scalars, max_size=5).map(
-        lambda d: QVector(length, d)
-    )
-
-
-@given(vectors(4), vectors(4), vectors(4))
-def test_vector_addition_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-
-
-@given(vectors(4), vectors(4), small_scalars)
-def test_scalar_action_distributes(a, b, s):
-    assert (a + b).scale(s) == a.scale(s) + b.scale(s)
-
-
-def test_vector_length_mismatch():
-    with pytest.raises(ValueError):
-        QVector.basis(0, 2) + QVector.basis(0, 3)
-

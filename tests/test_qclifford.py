@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qhowe import embeddings, fockspace, qclifford, report
-from qhowe.fockspace import QVector, state_to_string
+from qhowe.fockspace import state_to_string
 from qhowe.qclifford import (
     OMEGA, OMEGA_INV, PSI, PSI_DAG, OperatorExpr, _sign_rule_witness, _table, check_clifford,
     q_commutator,
@@ -22,13 +22,14 @@ def S(text):
     return int(text[::-1], 2)
 
 
-def V(text):
-    return QVector.basis(S(text), len(text))
+def V(text, coeff=QLaurent.one()):
+    """The basis vector of an occupancy word, as a sparse vector."""
+    return {S(text): coeff}
 
 
 def test_action_examples():
-    assert OperatorExpr.psi_dag(2, 2).apply(V("10")) == V("11").scale(QLaurent({0: -1}))
-    assert OperatorExpr.omega(1, 2).apply(V("10")) == V("10").scale(QLaurent({-1: 1}))
+    assert OperatorExpr.psi_dag(2, 2).apply(V("10")) == V("11", QLaurent({0: -1}))
+    assert OperatorExpr.omega(1, 2).apply(V("10")) == V("10", QLaurent({-1: 1}))
     assert not OperatorExpr.psi(1, 2).apply(V("00"))
 
 
@@ -320,9 +321,13 @@ def test_classical_flag_rejects_omega():
         OperatorExpr.word(2, [("psi", 1)], coeff=QLaurent.q_power(1), classical=True)
 
 
-def test_length_mismatch():
+def test_state_out_of_range():
+    # 2 positions hold the states 0..3; state 4 (001) needs a third
+    with pytest.raises(ValueError, match="state 4 does not fit in 2 positions"):
+        OperatorExpr.psi(1, 2).apply({1 << 2: QLaurent.one()})
     with pytest.raises(ValueError):
-        OperatorExpr.psi(1, 2).apply(V("100"))
+        OperatorExpr.psi(1, 2).apply({-1: QLaurent.one()})
+    assert OperatorExpr.psi(1, 2).apply(V("100")) == V("000")
 
 
 def test_pretty_printer():
@@ -340,7 +345,7 @@ def reference_apply(op, vec):
     """Apply op generator by generator, right to left, one state at a time."""
     out = {}
     for coeff, word in op.terms:
-        for state, value in vec.entries.items():
+        for state, value in vec.items():
             bits = state
             sign = 1
             qexp = 0
@@ -380,12 +385,12 @@ def reference_apply(op, vec):
                 out[bits] = scalar
             else:
                 out.pop(bits, None)
-    return QVector._raw(op.length, out)
+    return out
 
 
 def reference_matrix(op):
     dim = 1 << op.length
-    cols = {s: reference_apply(op, QVector.basis(s, op.length)).entries for s in range(dim)}
+    cols = {s: reference_apply(op, {s: QLaurent.one()}) for s in range(dim)}
     return {c: col for c, col in cols.items() if col}
 
 
@@ -397,7 +402,7 @@ def assert_compiled_matches(op):
     # every column is present in increasing order, as the interpreter built them
     assert list(mat.cols) == sorted(ref)
     for state in range(1 << op.length):
-        v = QVector.basis(state, op.length)
+        v = {state: QLaurent.one()}
         assert op.apply(v) == reference_apply(op, v)
 
 
@@ -550,8 +555,39 @@ def test_deformed_relations_are_zero_on_the_words(N):
 @given(operators(), st.dictionaries(st.integers(0, 15), st.integers(-2, 2), max_size=5))
 def test_apply_matches_interpreter_on_vectors(op, entries):
     limit = 1 << op.length
-    vec = QVector(op.length, {s % limit: c for s, c in entries.items()})
+    vec = {s % limit: QLaurent.from_rational(c) for s, c in entries.items()}
+    vec = {s: c for s, c in vec.items() if c}
     assert op.apply(vec) == reference_apply(op, vec)
+
+
+@st.composite
+def word_sums_and_cancelling_vectors(draw):
+    """A sum of two word sums on up to 5 positions and a vector of several entries; when
+    the images of two basis states share a row, the vector holds two such
+    states with the coefficients that cancel that row."""
+    n = draw(st.integers(1, 5))
+    op = draw(operators(n)) + draw(operators(n))
+    states = st.integers(0, (1 << n) - 1)
+    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(
+        QLaurent).filter(bool)
+    vec = draw(st.dictionaries(states, coeffs, min_size=2, max_size=4))
+    cols = [op.apply({s: QLaurent.one()}) for s in range(1 << op.length)]
+    shared = [(s1, s2, r) for s1 in range(len(cols)) for s2 in range(s1 + 1, len(cols))
+              for r in sorted(cols[s1].keys() & cols[s2].keys())]
+    if shared:
+        s1, s2, r = draw(st.sampled_from(shared))
+        vec[s1], vec[s2] = cols[s2][r], -cols[s1][r]
+    return op, vec
+
+
+@given(word_sums_and_cancelling_vectors())
+def test_apply_matches_the_matrix_apply(pair):
+    # the two apply paths: the compiled words state by state, and the
+    # matrix's columns summed with the zero filter deferred to the end
+    op, vec = pair
+    image = op.apply(vec)
+    assert image == op.to_matrix().apply(vec)
+    assert all(image.values())
 
 
 @pytest.mark.parametrize("word", [

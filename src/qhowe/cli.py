@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import braided_ext, braiding, duality, embeddings, qclifford, qgroup, report
-from .fockspace import GridShape, check_enumerable
+from .fockspace import GridShape, check_enumerable, state_to_string
 from .qscalar import QLaurent, exact_div, q_binomial, q_int
 
 USAGE_ERROR = 2
@@ -122,9 +122,12 @@ def _config(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     values = tuple(_parse_rational(v) for v in (args.spec_q or ["2", "3"]))
-    for v in values:
+    for k, v in enumerate(values):
         if v in (0, 1, -1):
             raise UsageError(f"specialization value {v} is degenerate for rank checks")
+        # a value compared with itself can never disagree
+        if v in values[:k]:
+            raise UsageError(f"specialization value {v} is given twice")
     return {
         "n": n,
         "m": m,
@@ -212,27 +215,27 @@ def _qgroup_section(cfg):
     for target, build in (("natural", qgroup.natural_rep), ("exterior-module", embeddings.phi_rep)):
         for p in range(1, top + 1):
             rep = build(p)
-            checks.append({"target": f"{target} rank {p}", "relations": qgroup.check_relations(rep),
-                           "serre": qgroup.check_serre(rep)})
-    ok = report.passed([c[part] for c in checks for part in ("relations", "serre")])
-    return {"section": "qgroup", "status": report.status(ok), "targets": checks}
+            for suite in (qgroup.check_relations(rep), qgroup.check_serre(rep)):
+                checks += report.tagged(suite, target=f"{target} rank {p}")
+    return report.finish(checks, section="qgroup")
 
 
 def _embeddings_section(cfg):
     n, m = cfg["n"], cfg["m"]
     lam = embeddings.lambda_rep(n, m)
     rho = embeddings.rho_rep(n, m)
-    parts = {
+    suites = {
         "lambda_relations": qgroup.check_relations(lam),
         "lambda_serre": qgroup.check_serre(lam),
         "rho_relations": qgroup.check_relations(rho),
         "rho_serre": qgroup.check_serre(rho),
         "composition": embeddings.check_composition(n, m),
         "dequantization": embeddings.check_dequantization(n, m),
-        "tensor_character": embeddings.check_tensor_character(n, m),
     }
-    return {"section": "embeddings", "status": report.status(report.passed(parts.values())),
-            **parts}
+    checks = [record for name, suite in suites.items()
+              for record in report.tagged(suite, suite=name)]
+    checks.append(embeddings.check_tensor_character(n, m))
+    return report.finish(checks, section="embeddings")
 
 
 def _commutant_section(cfg):
@@ -244,20 +247,11 @@ def _braiding_section(cfg):
     p = max(2, cfg["n"])
     rhat = braiding.build_rhat(p)
     sym_dim, wedge_dim = braiding.sym2q_dims(p, rhat)
-    parts = {
-        "hecke": braiding.check_hecke(p, rhat),
-        "yang_baxter": braiding.check_yang_baxter(p, rhat),
-        "intertwiner": braiding.check_intertwiner(p, rhat),
-        "classical_limit": braiding.check_classical_limit(p, rhat),
-    }
-    return {
-        "section": "braiding",
-        "rank": p,
-        "status": report.status(report.passed(parts.values())),
-        "sym2q_dim": sym_dim,
-        "degree2_quotient_dim": wedge_dim,
-        **parts,
-    }
+    checks = [braiding.check_hecke(p, rhat), braiding.check_yang_baxter(p, rhat),
+              *braiding.check_intertwiner(p, rhat)["checks"],
+              braiding.check_classical_limit(p, rhat)]
+    return report.finish(checks, section="braiding", rank=p, sym2q_dim=sym_dim,
+                         degree2_quotient_dim=wedge_dim)
 
 
 def _module_algebra_section(cfg):
@@ -269,11 +263,10 @@ def _decompose_section(cfg):
     try:
         spans = duality.cyclic_span_dims(cfg["n"], cfg["m"], cfg["spec_values"])
     except duality.SpecializationAnomaly as exc:
-        return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc)}
-    spans["section"] = "decompose"
-    spans["dimension_identity"] = duality.dimension_identity(cfg["n"], cfg["m"])
-    spans["status"] = report.status(report.passed([spans, spans["dimension_identity"]]))
-    return spans
+        return {"section": "decompose", "status": "specialization-anomaly", "detail": str(exc),
+                "checks": []}
+    checks = spans.pop("checks") + [duality.dimension_identity(cfg["n"], cfg["m"])]
+    return report.finish(checks, **spans, section="decompose")
 
 
 def _cauchy_section(cfg):
@@ -288,19 +281,12 @@ def _hwv_section(cfg, partition_text):
     shape = GridShape(cfg["n"], cfg["m"])
     if not mu.fits_in_box(shape.n, shape.m):
         raise UsageError(f"partition {mu} does not fit in a {shape.n}x{shape.m} box")
-    quantum = duality.verify_hwv(mu, shape, "quantum")
-    classical = duality.verify_hwv(mu, shape, "classical")
+    checks = [record for flavor in ("quantum", "classical")
+              for record in report.tagged(duality.verify_hwv(mu, shape, flavor), flavor=flavor)]
     bits = duality.hwv_state(mu, shape)
-    return {
-        "section": "hwv",
-        "mu": str(mu),
-        "mu_conj": str(mu.conjugate()),
-        "state": quantum["state"],
-        "grid": _grid_diagram(bits, shape.n, shape.m),
-        "quantum": quantum,
-        "classical": classical,
-        "status": report.status(report.passed([quantum, classical])),
-    }
+    return report.finish(checks, section="hwv", mu=str(mu), mu_conj=str(mu.conjugate()),
+                         state=state_to_string(bits, shape.positions),
+                         grid=_grid_diagram(bits, shape.n, shape.m))
 
 
 def _explain_section(cfg, map_name, gen_text):
@@ -309,8 +295,7 @@ def _explain_section(cfg, map_name, gen_text):
         text = embeddings.explain(map_name, cfg["n"], cfg["m"], kind, index)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return {"section": "explain", "status": "pass", "map": map_name, "generator": gen_text,
-            "terms": text}
+    return report.finish([], section="explain", map=map_name, generator=gen_text, terms=text)
 
 
 # -- driver ----------------------------------------------------------------------
@@ -328,43 +313,19 @@ def run(args):
             "status": report.status(report.passed(sections)), "sections": sections}
 
 
-def _tally(node, path, failed):
-    """The number of leaves under the dict or list node: the deepest dicts
-    whose status is pass or fail.  Appends (path, leaf) to failed for each
-    failing leaf; path is a chain (parent path, key) from the root None."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    count = sum(_tally(value, (path, key), failed) for key, value in items
-                if isinstance(value, (dict, list)))
-    if count or not isinstance(node, dict) or node.get("status") not in ("pass", "fail"):
-        return count
-    if node["status"] == "fail":
-        failed.append((path, node))
-    return 1
-
-
-def _spell(path):
-    """A _tally path as text: keys joined by dots, list indices in brackets."""
-    parts = []
-    while path is not None:
-        path, key = path
-        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
-    return "".join(reversed(parts)).lstrip(".")
-
-
-def render_text(report):
+def render_text(result):
     lines = []
-    cfg = report["config"]
+    cfg = result["config"]
     lines.append(
-        f"qhowe {report['command']}  n={cfg['n']} m={cfg['m']} "
+        f"qhowe {result['command']}  n={cfg['n']} m={cfg['m']} "
         f"spec-q={','.join(cfg['spec_values'])} seed={cfg['seed']}"
     )
-    for section in report["sections"]:
+    for section in result["sections"]:
         mark = "PASS" if section["status"] == "pass" else section["status"].upper()
-        # explain only displays a generator image: it verifies nothing
-        failed = []
-        leaves = 0 if section["section"] == "explain" else _tally(section, None, failed)
+        checks = section["checks"]
+        failed = [record for record in checks if record["status"] == "fail"]
         lines.append(f"[{mark}] {section['section']}  "
-                     f"({leaves - len(failed)} checks pass, {len(failed)} fail)")
+                     f"({len(checks) - len(failed)} checks pass, {len(failed)} fail)")
         if section["section"] == "hwv":
             lines.append(f"  mu = {section['mu']}   conjugate = {section['mu_conj']}")
             lines.append(f"  state = v({section['state']})")
@@ -375,21 +336,17 @@ def render_text(report):
         if "detail" in section:  # a specialization anomaly's message
             lines.append(f"  {section['detail']}")
         if section["section"] == "decompose" and "partitions" in section:
+            bad = {record.get("mu") for record in failed}
             for row in section["partitions"]:
-                ok = row["checks"]["span_matches_weyl_product"] and row["checks"]["hwv"] == "pass"
                 lines.append(
-                    f"  {'ok ' if ok else 'BAD'} mu={row['mu']:<12} mu'={row['mu_conj']:<12} "
+                    f"  {'BAD' if row['mu'] in bad else 'ok '} mu={row['mu']:<12} "
+                    f"mu'={row['mu_conj']:<12} "
                     f"dim {row['dim_n']}x{row['dim_m']} span={row['span_dim']} "
                     f"hwv=v({row['hwv_state']})"
                 )
             lines.append(f"  total {section['total']} of {section['space_dim']}")
-        if section["status"] == "fail":
-            for path, x in failed:
-                desc = x.get("relation") or x.get("generator") or _spell(path)
-                extra = [str(x[k]) for k in ("indices", "pair", "generator", "witness") if k in x]
-                text = f"{desc} {' '.join(extra)}".strip()
-                lines.append(f"  FAIL {text}")
-    lines.append(f"overall: {report['status']}")
+        lines.extend(f"  FAIL {report.describe(record)}" for record in failed)
+    lines.append(f"overall: {result['status']}")
     return "\n".join(lines) + "\n"
 
 

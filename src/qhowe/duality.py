@@ -248,27 +248,26 @@ def weyl_dim(mu, p):
 
 
 def dimension_identity(n, m):
-    """Per-degree Weyl-dimension sums against binomial(nm, k), totalling 2^nm."""
+    """The record of the per-degree Weyl-dimension sums against
+    binomial(nm, k), so totalling 2^nm; a failed one names the first degree
+    whose sum differs."""
     sums = [0] * (n * m + 1)
     for mu in partitions_in_box(n, m):
         sums[mu.size] += weyl_dim(mu, n) * weyl_dim(mu.conjugate(), m)
-    total = sum(sums)
-    ok, degrees = _degree_profile(sums)
-    return {
-        "n": n,
-        "m": m,
-        "status": report.status(ok and total == 1 << (n * m)),
-        "total": total,
-        "degrees": degrees,
-    }
+    witness = _degree_profile(sums)[1]
+    return report.check("sum of dim(mu) dim(mu') by degree = binomial(nm, k)", witness is None,
+                        witness, total=sum(sums))
 
 
 def _degree_profile(sums):
-    """(ok, rows): each degree k's sum against binomial(N, k), N the top
-    degree, and whether every one matches."""
+    """(rows, witness): each degree k's sum against binomial(N, k), N the
+    top degree, and the first degree whose sum differs (None: every one
+    matches)."""
     top = len(sums) - 1
     rows = [{"degree": k, "sum": s, "binomial": comb(top, k)} for k, s in enumerate(sums)]
-    return all(row["sum"] == row["binomial"] for row in rows), rows
+    witness = next((f"degree {row['degree']}: sum {row['sum']}, binomial {row['binomial']}"
+                    for row in rows if row["sum"] != row["binomial"]), None)
+    return rows, witness
 
 
 def _generators(n, m, kind):
@@ -366,7 +365,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     value, integer columns built from the Clifford words), measures the span
     by exact integer-preserving Gaussian elimination, and checks the
     dimensions against Weyl products, their sum against 2^(nm), and the
-    joint span against the full space.
+    joint span against the full space.  The report holds two records per
+    partition, each with its mu: the span against its Weyl product and the
+    joint highest-weight conditions (``_hwv_core``), whose witness is the
+    first state where one fails; then one each for the degree profile, the
+    total and the joint rank.
 
     Each span is built from two closures of v, one per family of lowering
     operators.  The commutation of every lambda_q F_i with every rho_q F_j
@@ -429,45 +432,33 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
             )
 
     total_dim = 1 << shape.positions
-    rows = []
+    rows, checks = [], []
     degree_sums = [0] * (shape.positions + 1)
-    all_ok = True
     _, hwv_firsts = _hwv_core(shape, "quantum")
     for mu, state, (dim_n, dim_m), want, measured in zip(partitions, states, weyl, expected,
                                                         base["dims"]):
-        ok = measured == want
-        found = hwv_firsts(mu, state)
-        hwv_ok = all(first is None for first in found)
-        all_ok = all_ok and ok and hwv_ok
+        first = next((f for f in hwv_firsts(mu, state) if f is not None), None)
         degree_sums[mu.size] += measured
-        rows.append(
-            {
-                "mu": str(mu),
-                "mu_conj": str(mu.conjugate()),
-                "dim_n": dim_n,
-                "dim_m": dim_m,
-                "span_dim": measured,
-                "hwv_state": state_to_string(state, shape.positions),
-                "checks": {
-                    "span_matches_weyl_product": ok,
-                    "hwv": report.status(hwv_ok),
-                },
-            }
-        )
-    degrees_ok, degree_profile = _degree_profile(degree_sums)
-    total = sum(base["dims"])
-    all_ok = all_ok and degrees_ok and total == total_dim and base["joint_rank"] == total_dim
-    return {
-        "n": n,
-        "m": m,
-        "spec_values": [str(v) for v in spec_values],
-        "partitions": rows,
-        "total": total,
-        "space_dim": total_dim,
-        "joint_rank": base["joint_rank"],
-        "degree_profile": degree_profile,
-        "status": report.status(all_ok),
-    }
+        rows.append({"mu": str(mu), "mu_conj": str(mu.conjugate()), "dim_n": dim_n,
+                     "dim_m": dim_m, "span_dim": measured,
+                     "hwv_state": state_to_string(state, shape.positions)})
+        checks += [
+            report.check("span = Weyl product", measured == want,
+                         f"span {measured}, Weyl product {want}", mu=str(mu)),
+            report.check("hwv", first is None,
+                         None if first is None else state_to_string(first, shape.positions),
+                         mu=str(mu)),
+        ]
+    degree_profile, degree_witness = _degree_profile(degree_sums)
+    total, joint_rank = sum(base["dims"]), base["joint_rank"]
+    checks += [
+        report.check("degree profile = binomial(nm, k)", degree_witness is None, degree_witness),
+        report.check("total = 2^nm", total == total_dim, total),
+        report.check("joint rank = 2^nm", joint_rank == total_dim, joint_rank),
+    ]
+    return report.finish(checks, n=n, m=m, spec_values=[str(v) for v in spec_values],
+                         partitions=rows, total=total, space_dim=total_dim,
+                         joint_rank=joint_rank, degree_profile=degree_profile)
 
 
 # -- characters -----------------------------------------------------------------
@@ -526,16 +517,16 @@ def _schur_sum(n, m):
     return out
 
 
-def _cauchy_witness(name, product_side, other, label):
-    """None when the identity product_side == other holds, else its witness:
-    its name, the smallest exponent tuple where the coefficients differ, and
-    both.  No side holds a zero coefficient, so the identity holds exactly
-    when the two term sets are equal."""
+def _cauchy_record(relation, product_side, other, label):
+    """The record of the identity product_side == other; a failed one names
+    the smallest exponent tuple where the coefficients differ, and both.  No
+    side holds a zero coefficient, so the identity holds exactly when the two
+    term sets are equal."""
     if product_side.items() == other.items():
-        return None
+        return report.check(relation, True)
     key = min(k for k in product_side.keys() | other.keys() if product_side[k] != other[k])
-    return (f"{name} at exponents {list(key)}: product {product_side[key]}, "
-            f"{label} {other[key]}")
+    return report.check(relation, False, f"exponents {list(key)}: product {product_side[key]}, "
+                                         f"{label} {other[key]}")
 
 
 def dual_cauchy_check(n, m):
@@ -546,30 +537,21 @@ def dual_cauchy_check(n, m):
     function of the basis states, read off the torus words
     (``_state_weights``).  Each side is a Counter of up to 2^nm monomials, so
     the check stops at ``fockspace.check_enumerable``'s wall; the sides are
-    built and compared one at a time.  A failed report names the first
-    identity that fails, with its smallest differing exponent tuple and both
-    coefficients.
+    built and compared one at a time.  The report holds one record per
+    identity; a failed one names its smallest differing exponent tuple and
+    both coefficients.
     """
     check_enumerable(n * m)
     nv = n + m
     units = [tuple(int(k in (i, n + j)) for k in range(nv)) for i in range(n) for j in range(m)]
     product_side = _expand((0,) * nv, units)
-    schur_witness = _cauchy_witness("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)",
-                                    product_side, _schur_sum(n, m), "Schur sum")
-    weights_witness = _cauchy_witness("prod (1 + a_i b_j) = state weight count",
-                                      product_side, _state_weights(n, m), "states")
-    witness = schur_witness or weights_witness
-    out = {
-        "n": n,
-        "m": m,
-        "status": report.status(witness is None),
-        "product_equals_schur_sum": schur_witness is None,
-        "product_equals_weight_enumeration": weights_witness is None,
-        "monomials": len(product_side),
-    }
-    if witness:
-        out["witness"] = witness
-    return out
+    checks = [
+        _cauchy_record("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)",
+                       product_side, _schur_sum(n, m), "Schur sum"),
+        _cauchy_record("prod (1 + a_i b_j) = state weight count",
+                       product_side, _state_weights(n, m), "states"),
+    ]
+    return report.finish(checks, n=n, m=m, monomials=len(product_side))
 
 
 def joint_kernel_count(n, m, value=Fraction(2)):

@@ -4,7 +4,9 @@ becomes a status.
 A check record is a plain dict: the ``relation`` it verifies, the caller's
 identifying fields (``indices``, ``pair``, ``generator``, ...) and a
 ``status`` of "pass" or "fail".  A ``witness`` is attached only to a failed
-check.  A report is a header dict whose status folds its checks.
+check.  A report is a header dict whose status folds its ``checks``, one flat
+list of records: a function that decides one identity returns one record, a
+function that decides several returns a report.
 """
 
 from __future__ import annotations
@@ -49,3 +51,21 @@ def passed(parts):
 def finish(checks, **header):
     """The report {**header, status, checks} with the status of all checks."""
     return {**header, "status": status(passed(checks)), "checks": checks}
+
+
+def tagged(suite, /, **fields):
+    """The records of the report suite, each with fields added: the target,
+    suite or flavor that tells it apart in a section that joins suites."""
+    return [{**record, **fields} for record in suite["checks"]]
+
+
+# The identifying fields a record's line names, in this order, between its
+# relation and its witness.
+_NAMED = ("target", "suite", "flavor", "mu", "indices", "pair", "generator")
+
+
+def describe(record):
+    """A record as one line: its relation, its identifying fields in the
+    order of _NAMED, then its witness."""
+    return " ".join([record["relation"]]
+                    + [str(record[key]) for key in (*_NAMED, "witness") if key in record])

@@ -225,6 +225,18 @@ def test_spec_q_flag(capsys):
     assert main(["--n", "1", "--m", "2", "--spec-q", "1", "decompose"]) == 2
 
 
+@pytest.mark.parametrize("values", [["2", "2"], ["2", "4/2"], ["3", "5", "6/2"]])
+def test_repeated_spec_q_is_refused(capsys, values):
+    # values are compared as rationals; a value checked against itself can
+    # never show an anomaly
+    spec = [arg for value in values for arg in ("--spec-q", value)]
+    assert main(["--n", "2", "--m", "3", *spec, "decompose"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: specialization value ")
+    assert captured.err.endswith(" is given twice\n")
+
+
 def test_seed_changes_nothing_but_is_recorded(capsys):
     code = main(["--n", "1", "--m", "1", "--json", "--seed", "42", "all"])
     assert code == 0
@@ -287,38 +299,54 @@ def test_wrong_q_integer_fails_the_classical_limit(monkeypatch):
     assert _scalar_checks() == ("fail", [("pass", None), ("pass", None), ("fail", "k=4")])
 
 
-# Injected failures covering every key a FAIL line reads: a relation with
-# indices and a witness, a pair, a generator as the only description, a
-# path as the only description (tensor_character), an empty description
-# (the section itself is the leaf), a leaf that passes with an empty checks
-# list (serre), and a status that is neither pass nor fail.
+# Injected failures covering every field a FAIL line reads, in its fixed
+# order (target, suite, flavor, mu, indices, pair, generator, then the
+# witness), a record with none of them, a field no line names
+# (distinct_weights), the ok/BAD column read from the failing records' mu,
+# and a status that is neither pass nor fail.
 _FAILING_REPORT = {
     "config": {"n": 2, "m": 3, "spec_values": ["2", "3"], "seed": 0},
     "command": "all",
     "status": "fail",
     "sections": [
-        {"section": "qgroup", "status": "fail", "targets": [
-            {"target": "natural rank 2",
-             "relations": {"status": "fail", "checks": [
-                 {"relation": "L L^-1 = 1", "indices": [1], "status": "pass"},
-                 {"relation": "K E K^-1 = q^a E", "indices": [1, 1], "status": "fail",
-                  "witness": "v2"},
-             ]},
-             "serre": {"status": "pass", "checks": []}},
+        {"section": "qgroup", "status": "fail", "checks": [
+            {"relation": "L L^-1 = 1", "indices": [1], "target": "natural rank 2",
+             "status": "pass"},
+            {"relation": "K E K^-1 = q^a E", "indices": [1, 1], "target": "natural rank 2",
+             "status": "fail", "witness": "v2"},
         ]},
         {"section": "commutant", "n": 2, "m": 3, "status": "fail", "checks": [
             {"relation": "[lambda_q, rho_q] = 0", "pair": ["E1", "F2"], "status": "fail"},
             {"relation": "[lambda_q, rho_q] = 0", "pair": ["E1", "L1"], "status": "pass"},
         ]},
-        {"section": "embeddings", "status": "fail",
-         "composition": {"n": 2, "m": 3, "status": "fail", "checks": [
-             {"relation": "lambda_q = phi_q o theta", "generator": "F1", "status": "fail"},
+        {"section": "embeddings", "status": "fail", "checks": [
+            {"relation": "lambda_q = phi_q o theta", "generator": "F1", "suite": "composition",
+             "status": "fail"},
+            {"relation": "joint weight multisets agree", "n": 2, "m": 3, "distinct_weights": 3,
+             "status": "fail", "witness": "weight [1, 0]: grid 3, tensor 2"},
+        ]},
+        {"section": "hwv", "mu": "1", "mu_conj": "1", "state": "100000",
+         "grid": ["# . .", ". . ."], "status": "fail", "checks": [
+             {"relation": "rho_q(L) weight", "indices": [2], "flavor": "quantum",
+              "status": "fail", "witness": "100000"},
          ]},
-         "dequantization": {"status": "fail", "checks": [{"generator": "L2", "status": "fail"}]},
-         "tensor_character": {"status": "fail", "distinct_weights": 3}},
-        {"section": "cauchy", "status": "fail", "witness": "v(0101)"},
+        {"section": "cauchy", "status": "fail", "checks": [
+            {"relation": "prod (1 + a_i b_j) = state weight count", "status": "fail",
+             "witness": "exponents [0, 1, 1, 0, 0]: product 1, states 2"},
+        ]},
+        {"section": "decompose", "status": "fail", "total": 3, "space_dim": 4, "partitions": [
+            {"mu": "-", "mu_conj": "-", "dim_n": 1, "dim_m": 1, "span_dim": 1,
+             "hwv_state": "00"},
+            {"mu": "1", "mu_conj": "1", "dim_n": 1, "dim_m": 2, "span_dim": 1,
+             "hwv_state": "10"},
+        ], "checks": [
+            {"relation": "span = Weyl product", "mu": "-", "status": "pass"},
+            {"relation": "span = Weyl product", "mu": "1", "status": "fail",
+             "witness": "span 1, Weyl product 2"},
+            {"relation": "total = 2^nm", "status": "fail", "witness": 3},
+        ]},
         {"section": "decompose", "status": "specialization-anomaly",
-         "detail": "ranks differ between q = 2 and q = 3"},
+         "detail": "ranks differ between q = 2 and q = 3", "checks": []},
     ],
 }
 
@@ -326,16 +354,28 @@ _FAILING_REPORT = {
 def test_render_text_fail_lines():
     assert render_text(_FAILING_REPORT).splitlines() == [
         "qhowe all  n=2 m=3 spec-q=2,3 seed=0",
-        "[FAIL] qgroup  (2 checks pass, 1 fail)",
-        "  FAIL K E K^-1 = q^a E [1, 1] v2",
+        "[FAIL] qgroup  (1 checks pass, 1 fail)",
+        "  FAIL K E K^-1 = q^a E natural rank 2 [1, 1] v2",
         "[FAIL] commutant  (1 checks pass, 1 fail)",
         "  FAIL [lambda_q, rho_q] = 0 ['E1', 'F2']",
-        "[FAIL] embeddings  (0 checks pass, 3 fail)",
-        "  FAIL lambda_q = phi_q o theta F1",
-        "  FAIL L2 L2",
-        "  FAIL tensor_character",
+        "[FAIL] embeddings  (0 checks pass, 2 fail)",
+        "  FAIL lambda_q = phi_q o theta composition F1",
+        "  FAIL joint weight multisets agree weight [1, 0]: grid 3, tensor 2",
+        "[FAIL] hwv  (0 checks pass, 1 fail)",
+        "  mu = 1   conjugate = 1",
+        "  state = v(100000)",
+        "    # . .",
+        "    . . .",
+        "  FAIL rho_q(L) weight quantum [2] 100000",
         "[FAIL] cauchy  (0 checks pass, 1 fail)",
-        "  FAIL v(0101)",
+        "  FAIL prod (1 + a_i b_j) = state weight count exponents [0, 1, 1, 0, 0]: product 1, "
+        "states 2",
+        "[FAIL] decompose  (1 checks pass, 2 fail)",
+        "  ok  mu=-            mu'=-            dim 1x1 span=1 hwv=v(00)",
+        "  BAD mu=1            mu'=1            dim 1x2 span=1 hwv=v(10)",
+        "  total 3 of 4",
+        "  FAIL span = Weyl product 1 span 1, Weyl product 2",
+        "  FAIL total = 2^nm 3",
         "[SPECIALIZATION-ANOMALY] decompose  (0 checks pass, 0 fail)",
         "  ranks differ between q = 2 and q = 3",
         "overall: fail",
@@ -354,16 +394,36 @@ def test_specialization_anomaly_prints_its_detail(monkeypatch, capsys):
     assert lines[2].startswith("  span ranks differ between q=2 and q=3: ")
 
 
-def test_render_text_spells_nested_paths():
-    # a failing leaf with neither a relation nor a generator prints its path,
-    # list indices in brackets
-    report = {"config": _FAILING_REPORT["config"], "command": "all", "status": "fail",
-              "sections": [{"section": "qgroup", "status": "fail", "targets": [
-                  {"target": "natural rank 1", "serre": {"status": "pass", "checks": []}},
-                  {"target": "natural rank 2", "serre": {"status": "fail", "checks": []}},
-              ]}]}
-    assert render_text(report).splitlines()[1:3] == [
-        "[FAIL] qgroup  (1 checks pass, 1 fail)", "  FAIL targets[1].serre"]
+_STRUCTURE_RUNS = [
+    *(["--n", str(n), "--m", str(m), "all"] for n, m in [(1, 1), (2, 3), (3, 2)]),
+    *(["--n", "2", "--m", "3", "verify", suite]
+      for suite in ("clifford", "qgroup", "embeddings", "commutant", "braiding", "module-algebra")),
+    ["--n", "2", "--m", "3", "hwv", "--partition", "2,1"],
+    ["--n", "2", "--m", "3", "explain", "--map", "rho_q", "--gen", "E1"],
+    ["--n", "2", "--m", "3", "decompose"],
+]
+
+
+@pytest.mark.parametrize("args", _STRUCTURE_RUNS, ids=" ".join)
+def test_every_section_is_one_flat_list_of_records(capsys, args):
+    assert main(["--json", *args]) == 0
+    sections = json.loads(capsys.readouterr().out)["sections"]
+    assert main(args) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(headers) == len(sections)
+    for section, header in zip(sections, headers):
+        checks = section["checks"]
+        assert isinstance(checks, list)
+        for record in checks:
+            assert isinstance(record["relation"], str)
+            assert record["status"] in ("pass", "fail")
+            assert ("witness" in record) <= (record["status"] == "fail")
+        # no suite nests below the section
+        assert not any(isinstance(value, dict) for value in section.values())
+        failed = sum(record["status"] == "fail" for record in checks)
+        assert section["status"] == ("fail" if failed else "pass")
+        assert header == (f"[{section['status'].upper()}] {section['section']}  "
+                          f"({len(checks) - failed} checks pass, {failed} fail)")
 
 
 # sha256 of three canonical reports.  A change to report building must keep
@@ -371,11 +431,11 @@ def test_render_text_spells_nested_paths():
 # CHANGES.md.
 _PINNED_REPORTS = [
     pytest.param(["--n", "2", "--m", "3", "--json", "all"],
-                 "03b6500105df7acd5474bce4687e5b7787cf4178f264b0bd113e3e6191c96304", id="all-json"),
+                 "a94ee34024abd3e3dc1cc56dc7fdce1e58437828c4ab8e77fd4c7ef20a9faea2", id="all-json"),
     pytest.param(["--n", "2", "--m", "3", "all"],
-                 "8d08129a3d156aff447528e05387833fe7512ea9ba2b18f700d6421d71e19cb6", id="all-text"),
+                 "55afdcebb8aa4a895ba1abc939ffeb7e50affe455064adbd9df1ca732494d003", id="all-text"),
     pytest.param(["--n", "2", "--m", "3", "--json", "hwv", "--partition", "2,1"],
-                 "5a2c7fe0cde38c67415f8326720e1557efc98e14637cf0b32f76877c0ab94b70", id="hwv-json"),
+                 "7db078e8afe7912d6c5307cc5e74b85596e87884475eff29864f3a87d6d00c05", id="hwv-json"),
 ]
 
 

@@ -298,8 +298,9 @@ class TestHwvControls:
                 assert verify_hwv(mu, (n, m), "classical")["status"] == "pass"
         spans = cyclic_span_dims(2, 3)
         assert spans["status"] == "fail"
-        assert all(r["checks"] == {"span_matches_weyl_product": True, "hwv": "fail"}
-                   for r in spans["partitions"])
+        failed = [c for c in spans["checks"] if c["status"] == "fail"]
+        assert [(c["relation"], c["mu"], c["witness"]) for c in failed] == [
+            ("hwv", r["mu"], r["hwv_state"]) for r in spans["partitions"]]
         assert cli.main(["--n", "2", "--m", "3", "decompose"]) == 1
         assert "overall: fail" in capsys.readouterr().out
 
@@ -346,10 +347,9 @@ class TestWeylDim:
 
 class TestDimensionIdentity:
     def test_two_by_two(self):
-        report = dimension_identity(2, 2)
-        assert report["status"] == "pass"
-        assert report["total"] == 16
-        assert [d["sum"] for d in report["degrees"]] == [1, 4, 6, 4, 1]
+        record = dimension_identity(2, 2)
+        assert record == {"relation": "sum of dim(mu) dim(mu') by degree = binomial(nm, k)",
+                          "total": 16, "status": "pass"}
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_single_row(self, m):
@@ -364,15 +364,16 @@ class TestDimensionIdentity:
         weyl = duality.weyl_dim
         monkeypatch.setattr(duality, "weyl_dim",
                             lambda mu, p: weyl(mu, p) + ((mu, p) == ((2, 1), 2)))
-        report = dimension_identity(2, 3)
-        assert report["status"] == "fail"
-        assert report["total"] == 72
-        assert [d for d in report["degrees"] if d["sum"] != d["binomial"]] == [
-            {"degree": 3, "sum": 28, "binomial": 20}]
+        record = dimension_identity(2, 3)
+        assert (record["status"], record["total"]) == ("fail", 72)
+        assert record["witness"] == "degree 3: sum 28, binomial 20"
         assert cli.main(["--n", "2", "--m", "3", "--json", "decompose"]) == 1
         (section,) = json.loads(capsys.readouterr().out)["sections"]
         assert section["status"] == "fail"
-        assert section["dimension_identity"]["status"] == "fail"
+        # the span of (2,1) is measured against the same wrong Weyl product
+        assert [c for c in section["checks"] if c["status"] == "fail"] == [
+            {"relation": "span = Weyl product", "mu": "2,1", "status": "fail",
+             "witness": "span 16, Weyl product 24"}, record]
 
 
 class TestCyclicSpans:
@@ -401,7 +402,12 @@ class TestCyclicSpans:
         assert report["status"] == "pass"
         rows = report["partitions"]
         assert [r["hwv_state"] for r in rows] == ["1" * j + "0" * (n - j) for j in range(n + 1)]
-        assert all(r["checks"]["hwv"] == "pass" for r in rows)
+        # a span and an hwv record per partition, then the degree profile,
+        # the total and the joint rank
+        assert [(c["relation"], c.get("mu")) for c in report["checks"]] == [
+            (relation, r["mu"]) for r in rows for relation in ("span = Weyl product", "hwv")] + [
+            ("degree profile = binomial(nm, k)", None), ("total = 2^nm", None),
+            ("joint rank = 2^nm", None)]
         assert [r["span_dim"] for r in rows] == [comb(n, j) for j in range(n + 1)]
         assert [d["sum"] for d in report["degree_profile"]] == [comb(n, j) for j in range(n + 1)]
 
@@ -450,7 +456,10 @@ class TestCyclicSpanControls:
         assert report["joint_rank"] == 29 < report["space_dim"] == 64
         row = next(r for r in report["partitions"] if r["mu"] == "1")
         assert (row["span_dim"], row["dim_n"] * row["dim_m"]) == (4, 6)
-        assert row["checks"]["span_matches_weyl_product"] is False
+        failed = {(c["relation"], c.get("mu")): c["witness"]
+                  for c in report["checks"] if c["status"] == "fail"}
+        assert failed[("span = Weyl product", "1")] == "span 4, Weyl product 6"
+        assert failed[("joint rank = 2^nm", None)] == 29
 
     def test_operator_dropped_at_one_value_is_an_anomaly(self, monkeypatch):
         self.patch_ops(monkeypatch, lambda ops, value: ops[:-1] if value == 3 else ops)
@@ -478,7 +487,16 @@ class TestCyclicSpanControls:
         assert (row["span_dim"], row["dim_n"] * row["dim_m"]) == (64, 1)
         assert (report["total"], report["joint_rank"]) == (471, 64)
         assert cli.main(["--n", "2", "--m", "3", "decompose"]) == 1
-        assert "overall: fail" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # every check counts: 9 spans, the degree profile and the total fail
+        assert lines[1] == "[FAIL] decompose  (13 checks pass, 11 fail)"
+        bad = [line.split()[1] for line in lines if line.startswith("  BAD ")]
+        assert bad == [f"mu={r['mu']}" for r in report["partitions"] if r["mu"] != "3,3"]
+        assert [line for line in lines if line.startswith("  FAIL span = Weyl product ")] == [
+            f"  FAIL span = Weyl product {r['mu']} span {r['span_dim']}, "
+            f"Weyl product {r['dim_n'] * r['dim_m']}"
+            for r in report["partitions"] if r["mu"] != "3,3"]
+        assert lines[-1] == "overall: fail"
 
     def test_every_joint_lead_collides(self, monkeypatch):
         # partition 2 seeds from partition 1's state, so every pivot of its
@@ -717,13 +735,20 @@ class TestSchur:
             assert schur_poly(mu.conjugate(), m) == ref_schur_poly(mu.conjugate(), m)
 
 
+SCHUR = "prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b)"
+STATES = "prod (1 + a_i b_j) = state weight count"
+
+
+def cauchy_outcome(report):
+    """A dual_cauchy_check report's status and each record's (relation,
+    witness), the witness None where the identity holds."""
+    return report["status"], [(c["relation"], c.get("witness")) for c in report["checks"]]
+
+
 class TestDualCauchy:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3), (2, 5), (5, 2), (4, 4)])
     def test_three_way_identity(self, n, m):
-        report = dual_cauchy_check(n, m)
-        assert report["status"] == "pass"
-        assert report["product_equals_schur_sum"]
-        assert report["product_equals_weight_enumeration"]
+        assert cauchy_outcome(dual_cauchy_check(n, m)) == ("pass", [(SCHUR, None), (STATES, None)])
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -740,12 +765,8 @@ class TestDualCauchy:
             return poly
 
         monkeypatch.setattr(duality, "schur_poly", perturbed)
-        report = dual_cauchy_check(2, 3)
-        assert report["status"] == "fail"
-        assert report["product_equals_schur_sum"] is False
-        assert report["product_equals_weight_enumeration"] is True
-        assert report["witness"] == ("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b) at exponents "
-                                     "[0, 1, 0, 0, 1]: product 1, Schur sum 0")
+        assert cauchy_outcome(dual_cauchy_check(2, 3)) == ("fail", [
+            (SCHUR, "exponents [0, 1, 0, 0, 1]: product 1, Schur sum 0"), (STATES, None)])
 
     @pytest.mark.parametrize("n,m,differing", [(2, 2, 4), (2, 3, 111), (3, 3, 468)])
     def test_dropped_conjugate_fails(self, monkeypatch, n, m, differing):
@@ -754,19 +775,18 @@ class TestDualCauchy:
         monkeypatch.setattr(Partition, "conjugate", lambda self: self)
         report = dual_cauchy_check(n, m)
         assert report["status"] == "fail"
-        assert report["product_equals_schur_sum"] is False
-        assert report["product_equals_weight_enumeration"] is True
+        assert [c["status"] for c in report["checks"]] == ["fail", "pass"]
         assert report["monomials"] == product
         unpaired, full = duality._schur_sum(n, m), ref_weight_enumeration(n, m)
         assert sum(unpaired[k] != full[k] for k in unpaired.keys() | full.keys()) == differing
         if (n, m) == (2, 2):
-            assert report["witness"] == ("prod (1 + a_i b_j) = sum s_mu(a) s_mu'(b) at exponents "
-                                         "[0, 2, 0, 2]: product 0, Schur sum 1")
+            assert cauchy_outcome(report)[1][0] == (
+                SCHUR, "exponents [0, 2, 0, 2]: product 0, Schur sum 1")
 
     @pytest.mark.parametrize("n,m,witness", [
-        (2, 2, "[0, 1, 1, 0]: product 1, states 2"),
-        (2, 3, "[0, 1, 1, 0, 0]: product 1, states 2"),
-        (3, 3, "[0, 1, 0, 1, 0, 0]: product 1, states 2"),
+        (2, 2, "exponents [0, 1, 1, 0]: product 1, states 2"),
+        (2, 3, "exponents [0, 1, 1, 0, 0]: product 1, states 2"),
+        (3, 3, "exponents [0, 1, 0, 1, 0, 0]: product 1, states 2"),
     ])
     def test_position_in_the_wrong_row_fails(self, monkeypatch, capsys, n, m, witness):
         # negative control: the lambda_q that dual_cauchy_check reads counts
@@ -787,15 +807,12 @@ class TestDualCauchy:
             return rows, cols
 
         monkeypatch.setattr(duality, "lambda_q", patched)
-        report = dual_cauchy_check(n, m)
-        assert report["status"] == "fail"
-        assert report["product_equals_schur_sum"] is True
-        assert report["product_equals_weight_enumeration"] is False
-        assert report["witness"] == f"prod (1 + a_i b_j) = state weight count at exponents {witness}"
+        assert cauchy_outcome(dual_cauchy_check(n, m)) == ("fail", [(SCHUR, None),
+                                                                    (STATES, witness)])
         assert duality._state_weights(n, m) == ref_weight_enumeration(n, m, misplaced)
         assert cli.main(["--n", str(n), "--m", str(m), "cauchy"]) == 1
         assert capsys.readouterr().out.splitlines()[1:3] == [
-            "[FAIL] cauchy  (0 checks pass, 1 fail)", f"  FAIL {report['witness']}"]
+            "[FAIL] cauchy  (1 checks pass, 1 fail)", f"  FAIL {STATES} {witness}"]
 
 
 def ref_weight_enumeration(n, m, weights=row_col_weights):
@@ -823,7 +840,7 @@ def test_state_weights_count_an_unweighted_position_twice(monkeypatch, n, m):
 
     unweighted = ref_weight_enumeration(n, m, lambda shape, bits: row_col_weights(shape, bits & ~1))
     assert duality._state_weights(n, m) == unweighted
-    assert dual_cauchy_check(n, m)["product_equals_weight_enumeration"] is False
+    assert cauchy_outcome(dual_cauchy_check(n, m))[1][1][1] is not None
 
 
 class TestWeightBounds:

@@ -397,7 +397,7 @@ def test_kappa_less_mutant_fails_qhowe_all(monkeypatch, capsys):
     monkeypatch.setattr(KappaFactor, "omega_gens", lambda self, invert=False: ())
     assert cli.main(["--n", "2", "--m", "3", "all"]) == cli.CHECK_FAILURE
     lines = capsys.readouterr().out.splitlines()
-    assert "  FAIL lambda_q = phi_q o theta E1 011000" in lines
+    assert "  FAIL lambda_q = phi_q o theta composition E1 011000" in lines
     assert lines[-1] == "overall: fail"
 
 

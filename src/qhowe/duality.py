@@ -165,10 +165,11 @@ def _hwv_core(shape, flavor):
     expected vector (zero, or the eigenvalue times the state), or None where
     they agree.  The image is read off the compiled words: a mask test drops
     each word that kills the state, and each kept word's image
-    (``_CompiledWord.image``) adds its coefficient's terms, signed and
-    shifted by its q-exponent, at its row of a small ``{(row, q-exponent):
-    coefficient}`` sum; the eigenvalue's terms are subtracted at the state's
-    own row.  No vector or scalar object is built per condition."""
+    (``_CompiledWord.image``, its q-exponent holding the coefficient's
+    q-power) adds its rational coefficient, signed, at its (row, q-exponent)
+    of a small ``{(row, q-exponent): coefficient}`` sum; the eigenvalue's
+    terms are subtracted at the state's own row.  No vector or scalar object
+    is built per condition."""
     if flavor not in _HWV_CONDITIONS:
         raise ValueError(f"unknown flavor {flavor!r}")
     shape = GridShape(*shape).check()
@@ -176,9 +177,8 @@ def _hwv_core(shape, flavor):
     labels, conditions = [], []
     for relation, action, kind, indices, eigenvalue in _HWV_CONDITIONS[flavor]:
         for i in indices(n, m):
-            words = [(cw.require_set | cw.require_clear, cw.require_set, cw,
-                      tuple(coeff.terms.items()))
-                     for coeff, cw in action(n, m, kind, i)._compiled()]
+            words = [(cw.require_set | cw.require_clear, cw.require_set, cw, c)
+                     for c, cw in action(n, m, kind, i)._compiled()]
             labels.append((relation, i))
             conditions.append((i, words, eigenvalue))
 
@@ -187,13 +187,12 @@ def _hwv_core(shape, flavor):
         found = []
         for i, words, eigenvalue in conditions:
             diff = {}  # (row, q-exponent) -> coefficient of image minus want
-            for touched, required, cw, terms in words:
+            for touched, required, cw, c in words:
                 if state & touched != required:
                     continue  # the word kills the state
                 row, negative, qexp = cw.image(state)
-                for e, c in terms:
-                    key = row, e + qexp
-                    diff[key] = diff.get(key, 0) + (-c if negative else c)
+                key = row, qexp
+                diff[key] = diff.get(key, 0) + (-c if negative else c)
             if eigenvalue is not None:
                 for e, c in eigenvalue(mu, conj, i).items():
                     key = state, e

@@ -10,10 +10,15 @@ Operator expressions are scalar-weighted words in these generators.  Words
 apply right to left, matching the usual composition convention for displayed
 products.  Each generator word is compiled once into bit masks over the input
 state (:class:`_CompiledWord`).  A compiled word is a monomial matrix, a
-partial permutation times a diagonal of +-q^e (the Jordan-Wigner form), so a
-product of operators composes its operands' compiled words on their masks
-(``_CompiledWord.compose``) and never walks a concatenated word; it lists its
-word tuples (``terms``) only when something reads them, such as ``str``.
+partial permutation times a diagonal of +-q^e (the Jordan-Wigner form), and
+it carries its coefficient's q-power in ``exp0``: a compiled term is a
+rational coefficient (int or Fraction) and one word, and a coefficient with
+several terms c q^e becomes one word per term.  So a product of operators
+composes its operands' compiled words on their masks
+(``_CompiledWord.compose``, which adds the exp0 values) and multiplies
+native numbers, never walks a concatenated word, and lists its word tuples
+(``terms``, with their Laurent coefficients) only when something reads
+them, such as ``str``.
 ``apply`` evaluates the compiled form state by state, and
 ``_CompiledWord.columns`` lists the states a word keeps and a sign and
 q-exponent key for each by doubling over the word's free bits.  Identities
@@ -32,6 +37,7 @@ reads those tables along the lists of 2^N states, so both stop at
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -95,6 +101,8 @@ class _CompiledWord(NamedTuple):
     ``(-1)^(sign_odd + |state & sign_mask|) q^e`` times the output state,
     with ``e = exp0 + sum(c * |state & mask| for c, mask in exp_masks)``.
     ``sign_mask`` and the exponent masks cover untouched positions only.
+    In an operator's compiled terms, ``exp0`` also holds the q-power of the
+    word's coefficient term, and the coefficient beside it is rational.
     """
 
     require_set: int
@@ -167,31 +175,32 @@ class _CompiledWord(NamedTuple):
         sign_odd = (a_odd + b_odd + (a_sign & b_final).bit_count()
                     + (sign_mask & a_set).bit_count()) & 1
         exp0 = a_exp0 + b_exp0
-        exp_masks = ()
-        if a_masks or b_masks:
-            weights = {}  # q-exponent per input bit -> its bits
-            for c, mask in b_masks:
-                if mask & a_touched:
-                    exp0 += c * (mask & a_set).bit_count()
-                    mask &= ~a_touched
-                weights[c] = mask
-            for c, mask in a_masks:
-                if mask & b_touched:
-                    exp0 += c * (mask & b_final).bit_count()
-                    mask &= ~b_touched
-                # a bit in both words' masks carries the sum of its weights
-                for cb, mb in list(weights.items()):
-                    both = mask & mb
-                    if both:
-                        weights[cb] ^= both
-                        weights[c + cb] = weights.get(c + cb, 0) | both
-                        mask ^= both
-                weights[c] = weights.get(c, 0) | mask
-            exp_masks = tuple(sorted([(c, mask) for c, mask in weights.items() if c and mask]))
-        return _CompiledWord(
+        tail = []  # first's masks off the bits self touches
+        for c, mask in b_masks:
+            if mask & a_touched:
+                exp0 += c * (mask & a_set).bit_count()
+                mask &= ~a_touched
+            if mask:
+                tail.append((c, mask))
+        head = []  # self's masks off the bits first touches
+        for c, mask in a_masks:
+            if mask & b_touched:
+                exp0 += c * (mask & b_final).bit_count()
+                mask &= ~b_touched
+            if mask:
+                head.append((c, mask))
+        return _new_word((
             b_set | a_set & ~b_touched, b_clear | a_clear & ~b_touched,
             a_final | b_final & ~a_touched, sign_mask & ~(a_touched | b_touched), sign_odd,
-            exp0, exp_masks)
+            exp0, _merged(head, tail) if head and tail else tuple(head or tail)))
+
+    def shifted(self, e):
+        """The word times q^e: exp0 moved by e."""
+        if not e:
+            return self
+        require_set, require_clear, final_set, sign_mask, sign_odd, exp0, exp_masks = self
+        return _new_word((require_set, require_clear, final_set, sign_mask, sign_odd,
+                          exp0 + e, exp_masks))
 
     def image(self, state):
         """(output state, negative, q-exponent), or None if the word kills state."""
@@ -246,6 +255,39 @@ class _CompiledWord(NamedTuple):
         return states, keys
 
 
+def _new_word(fields):
+    """A _CompiledWord from its seven fields, without the keyword-handling
+    constructor (products build one per word pair)."""
+    return tuple.__new__(_CompiledWord, fields)
+
+
+def _merged(head, tail):
+    """The exponent masks of a product from both words' masks off the
+    other's touched bits, each list sorted by weight: a bit in both carries
+    the sum of its weights."""
+    weights = dict(tail)  # q-exponent per input bit -> its bits
+    bits = 0
+    for _, mask in tail:
+        bits |= mask
+    for c, mask in head:
+        if mask & bits:
+            for cb, mb in list(weights.items()):
+                both = mask & mb
+                if both:
+                    weights[cb] ^= both
+                    weights[c + cb] = weights.get(c + cb, 0) | both
+                    mask ^= both
+        weights[c] = weights.get(c, 0) | mask
+    return tuple(sorted([(c, mask) for c, mask in weights.items() if c and mask]))
+
+
+def _composed(left, right):
+    """The compiled words of the product of two operators from theirs: each
+    pair composed, the dead pairs dropped, the coefficients multiplied."""
+    return [(ca * cb, cw) for ca, a in left for cb, b in right
+            if (cw := a.compose(b)) is not None]
+
+
 def _table(cw, entry):
     """The entry of each key of ``cw.columns``, key 2 * (e - emin) +
     negative: entry(e) and -entry(e), e from the low end emin of
@@ -293,10 +335,10 @@ class OperatorExpr:
     ``terms`` is a list of (QLaurent coefficient, word tuple).  The classical
     flag forbids w generators and restricts coefficients to constants (the
     q = 1 picture).  An operator built from generator tuples compiles its
-    words once, on first use; one built by ``+``, ``-``, ``*`` and ``scale``
-    is born with its compiled words (a product composes its operands', see
-    ``_CompiledWord.compose``) and lists its word tuples only when ``terms``
-    is first read.
+    words once, on first use, each term into one word per coefficient term;
+    one built by ``+``, ``-``, ``*`` and ``scale`` is born with its compiled
+    words (a product composes its operands', see ``_CompiledWord.compose``)
+    and lists its word tuples only when ``terms`` is first read.
     """
 
     __slots__ = ("length", "_terms", "classical", "_words")
@@ -400,13 +442,9 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         self._check_space(other)
-        words = [
-            (ca * cb, cw) for ca, a in self._compiled() for cb, b in other._compiled()
-            if (cw := a.compose(b)) is not None
-        ]
         return OperatorExpr._raw(
             self.length, (_products, self._terms, other._terms),
-            self.classical and other.classical, words,
+            self.classical and other.classical, _composed(self._compiled(), other._compiled()),
         )
 
     def scale(self, coeff):
@@ -416,17 +454,20 @@ class OperatorExpr:
             return OperatorExpr.zero(self.length, self.classical)
         return OperatorExpr._raw(
             self.length, (_scaled, self._terms, coeff), self.classical,
-            [(c * coeff, cw) for c, cw in self._compiled()],
+            [(c * x, cw.shifted(e)) for c, cw in self._compiled()
+             for e, x in coeff.terms.items()],
         )
 
     # -- action ----------------------------------------------------------------
 
     def _compiled(self):
-        """[(coeff, _CompiledWord)] for the terms whose word is not dead."""
+        """[(rational c, _CompiledWord)] for the terms whose word is not
+        dead: one per term c q^e of each coefficient, e added to exp0."""
         if self._words is None:
             self._words = [
-                (coeff, cw) for coeff, word in self.terms
+                (c, cw.shifted(e)) for coeff, word in self.terms
                 if (cw := _CompiledWord.compile(word)) is not None
+                for e, c in coeff.terms.items()
             ]
         return self._words
 
@@ -440,17 +481,15 @@ class OperatorExpr:
             if not 0 <= state < limit:
                 raise ValueError(f"state {state} does not fit in {self.length} positions")
         out = {}
-        for coeff, cw in self._compiled():
+        for c, cw in self._compiled():
             for state, value in vec.items():
                 image = cw.image(state)
                 if image is None:
                     continue
                 row, negative, qexp = image
-                scalar = coeff * value
+                scalar = value.scale(-c if negative else c)
                 if qexp:
                     scalar = scalar.shift(qexp)
-                if negative:
-                    scalar = -scalar
                 prev = out.get(row)
                 out[row] = scalar if prev is None else prev + scalar
         return {r: v for r, v in out.items() if v}
@@ -459,7 +498,7 @@ class OperatorExpr:
         """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),
         the oracle the tests hold the word decisions to; columns in ascending
         order."""
-        tables = [_table(cw, coeff.shift) for coeff, cw in self._compiled()]
+        tables = [_table(cw, partial(QLaurent.q_power, coeff=c)) for c, cw in self._compiled()]
         cols = self._assemble(tables)
         return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols)})
 
@@ -468,10 +507,7 @@ class OperatorExpr:
         up to one constant factor between the two cols: the words' tables at
         q = value, all over one common denominator."""
         value = Fraction(value)
-        tables = []
-        for coeff, cw in self._compiled():
-            c = coeff.specialize(value)
-            tables.append(_table(cw, lambda e: c * value**e))
+        tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in self._compiled()]
         den = lcm(*(x.denominator for table in tables for x in table))
         tables = [[int(x * den) for x in table] for table in tables]
         return self._assemble(tables), Fraction(1, den)
@@ -516,24 +552,33 @@ class OperatorExpr:
 
     def first_noncommuting(self, other, shift=0):
         """The first column where self * other and q^shift other * self
-        differ, or None; as ``SparseMatrix.first_noncommuting``."""
-        return first_nonzero_state(q_commutator(self, other, shift)._compiled())
+        differ, or None; as ``SparseMatrix.first_noncommuting``.  The words
+        of ``q_commutator(self, other, shift)`` are composed straight from
+        the operands' words, with no operator built."""
+        self._check_space(other)
+        a, b = self._compiled(), other._compiled()
+        return first_nonzero_state(
+            _composed(a, b) + [(-c, cw.shifted(shift)) for c, cw in _composed(b, a)])
 
     def first_difference_at_one(self, other):
         """first_difference at q = 1: each word's coefficient is taken at 1
         and its q-exponents are dropped before the words are decided."""
         return first_nonzero_state([
-            (QLaurent.from_rational(coeff.specialize(1)), cw._replace(exp0=0, exp_masks=()))
-            for coeff, cw in (self - other)._compiled()])
+            (c, cw._replace(exp0=0, exp_masks=())) for c, cw in (self - other)._compiled()])
 
     def torus_weights(self):
-        """(e0, exp_masks) of the first word that touches no position and has
-        a coefficient q^e0: it scales each state s by q^(e0 + sum(c * |s &
-        mask|) for c, mask in exp_masks).  None when no word does."""
-        for coeff, cw in self._compiled():
-            term = coeff.single_term()
-            if not cw.require_set | cw.require_clear and term and term[1] == 1:
-                return term[0], cw.exp_masks
+        """(e0, exp_masks) of the first word that touches no position and
+        whose whole coefficient is q^e0: it scales each state s by q^(e0 +
+        sum(c * |s & mask|) for c, mask in exp_masks).  A compiled word with
+        coefficient 1 qualifies only when no other word has its masks, so
+        that it is not one term of a coefficient with several.  None when no
+        word does."""
+        words = self._compiled()
+        masks = Counter(cw._replace(exp0=0) for _, cw in words)
+        for c, cw in words:
+            if (c == 1 and not cw.require_set | cw.require_clear
+                    and masks[cw._replace(exp0=0)] == 1):
+                return cw.exp0, cw.exp_masks
         return None
 
     # -- rendering ----------------------------------------------------------
@@ -614,7 +659,6 @@ def _sign_rule_witness(N):
     one-bit neighbours.  Each generator is decided against that word on the
     words (``wordzero``), naming the state ``first_difference`` names on the
     two matrices, at any N."""
-    minus_one = -QLaurent.one()
     for k in range(1, N + 1):
         bit = 1 << (k - 1)
         firsts = []
@@ -624,7 +668,7 @@ def _sign_rule_witness(N):
             sign_mask = sum(1 << j for j in range(N) if 1 << j != bit and
                             fockspace.prefix_parity(base | 1 << j, k) & 1 != odd)
             reference = _CompiledWord(base, base ^ bit, base ^ bit, sign_mask, odd, 0, ())
-            first = first_nonzero_state(op._compiled() + [(minus_one, reference)])
+            first = first_nonzero_state(op._compiled() + [(-1, reference)])
             if first is not None:
                 firsts.append(first)
         if firsts:

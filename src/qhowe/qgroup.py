@@ -227,12 +227,24 @@ def check_relations(rep):
     return report.finish(checks)
 
 
+def _adjacent_products(x):
+    """{(i, j): x[i] * x[j]} for the generators x[1:] and each |i - j| = 1,
+    every product composed once."""
+    return {(i, j): x[i] * x[j]
+            for i in range(1, len(x)) for j in (i - 1, i + 1) if 0 < j < len(x)}
+
+
 def check_serre(rep):
     """Verify the q-Serre relations in both displayed forms.
 
     For |i-j| > 1 the generators commute; for |i-j| = 1 both the q-binomial
     sum X_i^2 X_j - [2]_q X_i X_j X_i + X_j X_i^2 and the nested form
     [X_i, [X_i, X_j]_q]_{q^-1} must vanish, X in {E, F}.
+
+    Each pair product X_i X_j is composed once per kind, and for each (i, j)
+    the four triple products a = X_i (X_i X_j), b = X_i (X_j X_i),
+    c = (X_i X_j) X_i and d = (X_j X_i) X_i once.  The q-binomial form is
+    a - [2]_q b + d and the nested form, multiplied out, a - q b - q^-1 c + d.
     """
     p = rep.rank
     checks = []
@@ -241,25 +253,25 @@ def check_serre(rep):
     two_q = q1 + qm1  # [2]_q
 
     for kind in ("E", "F"):
+        x = [None] + [rep.gen(kind, i) for i in range(1, p)]
+        near = _adjacent_products(x)
         for i in range(1, p):
             for j in range(1, p):
                 if i == j:
                     continue
-                xi = rep.gen(kind, i)
-                xj = rep.gen(kind, j)
                 if abs(i - j) > 1:
                     if i < j:
-                        checks.append(report.commute(f"[{kind},{kind}] = 0 (far)", xi, xj,
+                        checks.append(report.commute(f"[{kind},{kind}] = 0 (far)", x[i], x[j],
                                                      rep.label, indices=[i, j]))
                     continue
-                xixj = xi * xj
-                xjxi = xj * xi
-                lhs = xi * xixj - (xi * xjxi).scale(two_q) + xjxi * xi
-                checks.append(report.match(f"{kind}-Serre (q-binomial form)", lhs, zero,
-                                           rep.label, indices=[i, j]))
-                inner = xixj - xjxi.scale(q1)  # [X_i, X_j]_q
-                nested = xi * inner - (inner * xi).scale(qm1)
-                checks.append(report.match(f"{kind}-Serre (nested form)", nested, zero,
-                                           rep.label, indices=[i, j]))
+                xixj, xjxi = near[i, j], near[j, i]
+                a, b = x[i] * xixj, x[i] * xjxi
+                c, d = xixj * x[i], xjxi * x[i]
+                checks.append(report.match(f"{kind}-Serre (q-binomial form)",
+                                           a - b.scale(two_q) + d, zero, rep.label,
+                                           indices=[i, j]))
+                checks.append(report.match(f"{kind}-Serre (nested form)",
+                                           a - b.scale(q1) - c.scale(qm1) + d, zero, rep.label,
+                                           indices=[i, j]))
 
     return report.finish(checks)

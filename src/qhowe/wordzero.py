@@ -11,9 +11,11 @@ the words with that mask of coefficient times product of position values
 vanishes at s.  The decision runs in three steps:
 
 1. **Merge** the words whose key (``require_set``, ``require_clear``,
-   ``final_set``, ``sign_mask``, ``exp_masks``) is equal, with ``sign_odd``
-   and ``exp0`` folded into the coefficient.  Equal keys are equal matrices
-   up to that coefficient, so a sum that merges to nothing is zero.
+   ``final_set``, ``sign_mask``, ``exp_masks``) is equal into one Laurent
+   polynomial per key: each word adds its rational coefficient, signed by
+   ``sign_odd``, at the power ``exp0`` (which holds the coefficient's
+   q-power too).  Equal keys are equal matrices up to that polynomial, so a
+   sum that merges to nothing is zero.
 2. **Group** the merged words by move mask; different masks reach different
    rows of every column, so each group is decided on its own.
 3. **Sweep** each group left to right over its positions (the span test of
@@ -53,20 +55,16 @@ def first_nonzero_state(compiled):
     """The smallest basis state whose column of sum(coeff * word) is
     nonzero, or None when the sum is the zero operator.
 
-    compiled: [(QLaurent coeff, _CompiledWord)], the words that keep at
-    least one state."""
+    compiled: [(rational coeff, _CompiledWord)], the words that keep at
+    least one state, each coefficient's q-power in the word's exp0."""
     merged = {}
-    for coeff, cw in compiled:
-        key = (cw.require_set, cw.require_clear, cw.final_set, cw.sign_mask, cw.exp_masks)
-        terms = merged.setdefault(key, {})
-        sign = -1 if cw.sign_odd else 1
-        for e, c in coeff.terms.items():
-            e += cw.exp0
-            s = terms.get(e, 0) + sign * c
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
+    for c, (require_set, require_clear, final_set, sign_mask, sign_odd, e, exp_masks) in compiled:
+        terms = merged.setdefault((require_set, require_clear, final_set, sign_mask, exp_masks), {})
+        s = terms.get(e, 0) + (-c if sign_odd else c)
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
     groups = {}
     for key, terms in merged.items():
         if terms:

@@ -459,6 +459,25 @@ def test_dequantization_names_the_first_differing_state(monkeypatch, builder, ge
     assert failed == [(relation, f"{gen[0]}{gen[1]}", "0100")]
 
 
+def test_split_torus_coefficient_is_no_torus_word(monkeypatch):
+    # negative control: lambda_q L1 times q + q^-1 compiles to two words of
+    # coefficient 1, q L1 and q^-1 L1; neither is the torus word of L1
+    original = embeddings.lambda_q
+
+    def mutant(n, m, kind, index):
+        op = original(n, m, kind, index)
+        return op.scale(QLaurent({1: 1, -1: 1})) if (kind, index) == ("L", 1) else op
+
+    monkeypatch.setattr(embeddings, "lambda_q", mutant)
+    assert original(2, 3, "L", 1).torus_weights() == (0, ((1, 0b10101),))
+    assert embeddings.lambda_q(2, 3, "L", 1).torus_weights() is None
+    result = check_dequantization(2, 3)
+    failed = [(c["relation"], c["generator"], c.get("witness"))
+              for c in result["checks"] if c["status"] == "fail"]
+    assert failed == [("lambda_q(L) = q^(classical degree)", "L1", "000000")]
+    assert result == ref_check_dequantization(2, 3)
+
+
 def matrix_rep(rep):
     """rep with every generator realized as its matrix: the matrix path of
     the relation checks, against the word path of rep itself."""

@@ -448,6 +448,26 @@ def test_word_integer_columns_match_the_matrix(op, value):
                 == {r: v * want_scale for r, v in want[c].items()})
 
 
+def ref_fold(pairs):
+    """The compiled form of [(QLaurent coefficient, _CompiledWord)]: one
+    (rational, word) per coefficient term c q^e, with e added to the word's
+    exp0, in the order of the list and of each coefficient's terms."""
+    return [(c, cw._replace(exp0=cw.exp0 + e)) for coeff, cw in pairs
+            for e, c in coeff.terms.items()]
+
+
+def ref_split(terms):
+    """A term list with each coefficient split into its terms: one
+    (monomial, word) per term, in the order ``ref_fold`` takes them."""
+    return [(QLaurent.q_power(e, c), w) for coeff, w in terms for e, c in coeff.terms.items()]
+
+
+def ref_compiled(terms):
+    """[(coefficient, compile(word))] over the terms whose word keeps a state."""
+    compile_word = qclifford._CompiledWord.compile
+    return [(c, cw) for c, w in terms if (cw := compile_word(w)) is not None]
+
+
 def ref_assemble(op, tables):
     """The summing path of ``OperatorExpr._assemble`` for any operator: each
     word adds its table's entry at every state it keeps, and the entries
@@ -462,18 +482,44 @@ def ref_assemble(op, tables):
 
 
 @given(operators(), st.sampled_from([2, 3, Fraction(5, 3), -2]))
-# the words have distinct moves, and the first one's coefficient q - 2
-# vanishes at 2: its columns must not hold that zero
+# the first term's coefficient q - 2 is two words of one move, which cancel
+# at 2: its columns must not hold that zero
 @example(OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
                           (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])]), 2)
 def test_assembled_columns_match_the_summing_path(op, value):
     # words with pairwise distinct moves take the path without the sum
     value = Fraction(value)
-    tables = [_table(cw, lambda e, c=coeff.specialize(value): c * value**e)
-              for coeff, cw in op._compiled()]
+    tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in op._compiled()]
     cols = op._assemble(tables)
     assert cols == ref_assemble(op, tables)
     assert all(col and 0 not in col.values() for col in cols.values())
+
+
+def test_split_coefficient_takes_the_summing_path():
+    # q - 2 is two words of one move, which cancel at q = 2: the summing
+    # path drops their entries, and only the other word's columns are left
+    op = OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
+                          (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])])
+    moves = [cw.require_set ^ cw.final_set for _, cw in op._compiled()]
+    assert moves == [0b1, 0b1, 0b10]
+    cols, scale = op.specialize_ints(2)
+    tables = [_table(cw, lambda e, c=c: c * Fraction(2)**e) for c, cw in op._compiled()]
+    assert op._assemble(tables) == ref_assemble(op, tables) == {
+        c: {r: v * scale for r, v in col.items()} for c, col in cols.items()}
+    assert cols == {s: {s | 0b10: (-1) ** (s & 1) * (1 if s & 0b100 else 2)}
+                    for s in range(8) if not s & 0b10}
+    assert scale == Fraction(1, 2)
+
+
+def test_split_terms_that_cancel_are_zero():
+    # (q - 1) w + w - q w: four compiled words, two per power of q, that
+    # merge to nothing
+    w = [(PSI_DAG, 1), (OMEGA, 3), (PSI, 2)]
+    op = OperatorExpr(3, [(QLaurent({1: 1, 0: -1}), w), (1, w), (QLaurent.q_power(1, -1), w)])
+    assert len(op._compiled()) == 4
+    assert op.first_difference(OperatorExpr.zero(3)) is None
+    assert op.first_difference_at_one(OperatorExpr.zero(3)) is None
+    assert op.to_matrix().nnz() == 0
 
 
 def deformed_relation(k, n, e):
@@ -690,12 +736,11 @@ def test_grid_generators_match_interpreter(builder, n, m, kind, index):
 
 
 def compiled_product(a, b):
-    """[(coefficient, compile(wa + wb))] over the term pairs of a and b whose
-    concatenated word keeps a state: the product's words, compiled from
-    the concatenated tuples."""
-    compile_word = qclifford._CompiledWord.compile
-    return [(ca * cb, cw) for ca, wa in a.terms for cb, wb in b.terms
-            if (cw := compile_word(wa + wb)) is not None]
+    """The folded [(coefficient, compile(wa + wb))] over the pairs of
+    coefficient terms of a and b whose concatenated word keeps a state: the
+    product's words, compiled from the concatenated tuples."""
+    return ref_fold(ref_compiled([(ca * cb, wa + wb) for ca, wa in ref_split(a.terms)
+                                  for cb, wb in ref_split(b.terms)]))
 
 
 @given(operators(), st.data())
@@ -732,7 +777,7 @@ def test_compose_cases(wa, wb):
     (_, word), = (a * b).terms
     want = qclifford._CompiledWord.compile(word)
     assert (a * b)._compiled() == compiled_product(a, b) == (
-        [] if want is None else [(QLaurent({-1: 2, 0: -1}), want)])
+        [] if want is None else ref_fold([(QLaurent({-1: 2, 0: -1}), want)]))
     assert_compiled_matches(a * b)
 
 
@@ -750,38 +795,52 @@ def eager(kind, *args):
     return [(c * coeff, w) for c, w in args[0]] if coeff else []
 
 
+def eager_split(kind, *args):
+    """``eager`` on split term lists (``ref_split``), keeping them split: a
+    scale splits each term again over the factor's terms."""
+    if kind == "scale":
+        return eager("*", args[0], ref_split([(args[1], ())]))
+    return eager(kind, *args)
+
+
 @st.composite
 def algebra_expressions(draw):
-    """(operator, its term list by eager concatenation): three drawn
-    operators combined by up to six of +, -, *, unary - and scale, each
-    step's operands drawn from everything built so far."""
+    """(operator, its term list by eager concatenation, the same with its
+    coefficients split by ``eager_split``): three drawn operators combined
+    by up to six of +, -, *, unary - and scale, each step's operands drawn
+    from everything built so far."""
     n = draw(st.integers(1, 5))
-    built = [(op, list(op.terms)) for op in (draw(operators(n)) for _ in range(3))]
+    built = [(op, list(op.terms), ref_split(op.terms))
+             for op in (draw(operators(n)) for _ in range(3))]
     for _ in range(draw(st.integers(1, 6))):
-        (a, ta), (b, tb) = draw(st.sampled_from(built)), draw(st.sampled_from(built))
+        (a, ta, sa), (b, tb, sb) = draw(st.sampled_from(built)), draw(st.sampled_from(built))
         how = draw(st.sampled_from(["+", "-", "*", "neg", "scale"]))
-        if how == "+":
-            built.append((a + b, eager("+", ta, tb)))
-        elif how == "-":
-            built.append((a - b, eager("+", ta, eager("neg", tb))))
-        elif how == "*":
-            built.append((a * b, eager("*", ta, tb)))
-        elif how == "neg":
-            built.append((-a, eager("neg", ta)))
-        else:
+        coeff = None
+        if how == "scale":
             coeff = QLaurent(draw(st.dictionaries(st.integers(-2, 2), st.integers(-2, 2),
                                                   max_size=2)))
-            built.append((a.scale(coeff), eager("scale", ta, coeff)))
+        op = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+              "neg": lambda: -a, "scale": lambda: a.scale(coeff)}[how]()
+        built.append((op, algebra_step(eager, how, ta, tb, coeff),
+                      algebra_step(eager_split, how, sa, sb, coeff)))
     return built[-1]
+
+
+def algebra_step(build, how, ta, tb, coeff):
+    """One step of algebra_expressions on term lists, by build (``eager`` or
+    ``eager_split``)."""
+    if how == "-":
+        return build("+", ta, build("neg", tb))
+    return build(how, ta, coeff if how == "scale" else tb)
 
 
 @given(algebra_expressions())
 def test_algebra_lists_the_eager_terms(expr):
     # terms are built from the operands on first read: the same list, text
     # and compiled words as concatenating the words at every step
-    op, terms = expr
+    op, terms, split = expr
     want = OperatorExpr(op.length, terms)
-    assert op._compiled() == want._compiled()
+    assert op._compiled() == ref_fold(ref_compiled(split))
     assert op.terms == terms and str(op) == str(want)
 
 

@@ -1,5 +1,7 @@
 import pytest
 
+from qhowe import qgroup, report
+from qhowe.embeddings import lambda_rep, phi_rep, rho_rep
 from qhowe.qgroup import (
     DELTA,
     DELTA_TILDE,
@@ -11,6 +13,7 @@ from qhowe.qgroup import (
 )
 from qhowe.sparsemat import SparseMatrix
 from qhowe.qscalar import QLaurent
+from test_embeddings import TABLE_MUTANTS, mutate
 
 
 def basis_vec(rep, j):
@@ -148,3 +151,80 @@ def test_perturbed_K_fails_EF_target(entry):
         ([1, 1], rep.label(1))]
     assert [(b["indices"], b["witness"])
             for b in failures(report, "L F L^-1 = q^-<eps,alpha> F")] == [([1, 1], rep.label(0))]
+
+
+# -- the Serre suite's shared products against composing each form apart ---------
+
+
+def ref_check_serre(rep):
+    """check_serre composing every product of each form on its own: seven
+    triple products per (kind, i, j), x_i x_j again for (j, i)."""
+    p = rep.rank
+    checks = []
+    zero = rep.identity.scale(0)
+    q1, qm1 = QLaurent.q_power(1), QLaurent.q_power(-1)
+    two_q = q1 + qm1  # [2]_q
+
+    for kind in ("E", "F"):
+        for i in range(1, p):
+            for j in range(1, p):
+                if i == j:
+                    continue
+                xi = rep.gen(kind, i)
+                xj = rep.gen(kind, j)
+                if abs(i - j) > 1:
+                    if i < j:
+                        checks.append(report.commute(f"[{kind},{kind}] = 0 (far)", xi, xj,
+                                                     rep.label, indices=[i, j]))
+                    continue
+                xixj = xi * xj
+                xjxi = xj * xi
+                lhs = xi * xixj - (xi * xjxi).scale(two_q) + xjxi * xi
+                checks.append(report.match(f"{kind}-Serre (q-binomial form)", lhs, zero,
+                                           rep.label, indices=[i, j]))
+                inner = xixj - xjxi.scale(q1)  # [X_i, X_j]_q
+                nested = xi * inner - (inner * xi).scale(qm1)
+                checks.append(report.match(f"{kind}-Serre (nested form)", nested, zero,
+                                           rep.label, indices=[i, j]))
+
+    return report.finish(checks)
+
+
+SERRE_REPS = (
+    [(f"natural_rep({p})", lambda p=p: natural_rep(p)) for p in range(2, 7)]
+    + [(f"phi_rep({p})", lambda p=p: phi_rep(p)) for p in range(2, 7)]
+    + [(f"{build.__name__}({n}, {m})", lambda build=build, n=n, m=m: build(n, m))
+       for n, m in ((2, 3), (3, 2), (2, 7), (3, 4)) for build in (lambda_rep, rho_rep)]
+)
+
+
+@pytest.mark.parametrize("name, build", SERRE_REPS, ids=[name for name, _ in SERRE_REPS])
+def test_shared_serre_products_match_the_reference(name, build):
+    rep = build()
+    assert check_serre(rep) == ref_check_serre(rep)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MUTANTS))
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (3, 3)])
+def test_shared_serre_products_match_the_reference_under_mutants(monkeypatch, name, n, m):
+    mutate(monkeypatch, name)
+    for rep in (lambda_rep(n, m), rho_rep(n, m)):
+        assert check_serre(rep) == ref_check_serre(rep)
+
+
+@pytest.mark.parametrize("build", [lambda: lambda_rep(3, 2), lambda: rho_rep(2, 3),
+                                   lambda: rho_rep(3, 4)])
+def test_swapped_shared_product_fails_both_forms(monkeypatch, build):
+    # negative control: x_j x_i shared in for x_i x_j fails every Serre
+    # record of both forms, where composing each form apart passes
+    rep = build()
+    assert ref_check_serre(rep)["status"] == "pass"
+    shared = qgroup._adjacent_products
+    monkeypatch.setattr(qgroup, "_adjacent_products",
+                        lambda x: {(j, i): xy for (i, j), xy in shared(x).items()})
+    checks = check_serre(rep)["checks"]
+    forms = [c for c in checks if "Serre" in c["relation"]]
+    assert {c["relation"].split(" ", 1)[1] for c in forms} == {"(q-binomial form)",
+                                                               "(nested form)"}
+    assert all(c["status"] == "fail" and "witness" in c for c in forms)
+    assert all(c["status"] == "pass" for c in checks if c not in forms)

@@ -4,7 +4,10 @@ Ties everything together: joint highest-weight vectors indexed by partitions
 in the n x m box, Weyl dimension bookkeeping, cyclic lowering closures whose
 exact ranks (at specialized q) certify the decomposition into
 dim(mu) x dim(mu') blocks, and the dual Cauchy character identity as an
-independent combinatorial shadow.
+independent combinatorial shadow.  Each span closes under the larger family
+of lowering operators directly in the joint echelon, its seeds taken in an
+order of weights that keeps that closure clear of the earlier spans, and
+the closure's record is replayed from the smaller family's closure.
 """
 
 from __future__ import annotations
@@ -303,47 +306,87 @@ def _noncommuting_pair(rows, cols):
     return None
 
 
-def _value_ranks(shape, states, lowering, commute, commuting, value):
+def _graded(shape, rows, cols):
+    """Whether every word of each lambda_q F_i moves one particle from row i
+    to row i + 1 in one column, and every word of each rho_q F_j moves one
+    from column j to column j + 1 in one row, decided on the compiled words:
+    each requires exactly its source bit set and its target bit clear, and
+    leaves exactly the target set.  Then rho_q keeps every state's row
+    weight and lambda_q its column weight, and each F of the other family
+    lowers that weight in dominance order, the premise of the seed order
+    (``_seed_order``)."""
+    n, m = shape
+
+    def bit(i, j):
+        return 1 << (grid_to_linear(shape, i, j) - 1)
+
+    def moves(expr, steps):
+        allowed = {(bit(*source), bit(*target)) for source, target in steps}
+        return all((cw.require_set, cw.require_clear) in allowed
+                   and cw.final_set == cw.require_clear for _, cw in expr._compiled())
+
+    return (all(moves(expr, [((i, j), (i + 1, j)) for j in range(1, m + 1)])
+                for i, expr in enumerate(rows, start=1))
+            and all(moves(expr, [((i, j), (i, j + 1)) for i in range(1, n + 1)])
+                    for j, expr in enumerate(cols, start=1)))
+
+
+def _seed_order(shape, states):
+    """The indices of states in increasing lexicographic order of the weight
+    that the larger family fixes (the row weight when m >= n, as rho_q is
+    the larger family, else the column weight), or None when two states
+    share that weight."""
+    fixed = 0 if shape.m >= shape.n else 1
+    weights = [row_col_weights(shape, state)[fixed] for state in states]
+    if len(set(weights)) < len(weights):
+        return None
+    return sorted(range(len(states)), key=weights.__getitem__)
+
+
+def _value_ranks(shape, states, lowering, commute, commuting, value, order):
     """(span dimension per highest-weight state, joint rank) at q = value.
 
     lowering: the lambda_q F_i then the rho_q F_j as word expressions;
     commute: whether every lambda_q F_i commutes with every rho_q F_j;
     commuting: the two families' tables of commuting pairs
-    (``_commuting_pairs``), which both closures of each state take.  Each
-    highest-weight state v is closed under the larger family first, which
-    gives B.  When the families commute, v is also closed under the smaller
-    family in a scratch echelon, which gives A and its creation record, and
-    the joint echelon replays that record from every pivot of B
-    (``RationalEchelon.replay``).  A replay that adds dim A * dim B pivots
-    gives the span's dimension, by the argument in ``cyclic_span_dims``.
-    Any other span, and every span when the families do not commute, takes
-    ``_second_phase``.  The integer operators and echelons live only for
-    this call, so one value's are freed before the next value's are
-    built."""
+    (``_commuting_pairs``), which both closures of each state take; order:
+    the indices of states in the order of ``_seed_order``, or None when a
+    premise of the joint closure fails.  With an order, each highest-weight
+    state v is closed under the smaller family in a scratch echelon, which
+    gives B, whose first pivot is v, and under the larger family directly in
+    the joint echelon J, which gives A's pivots and its creation record;
+    the record is replayed from the other pivots of B
+    (``RationalEchelon.replay``).  When the two add dim A * dim B pivots,
+    with dim A the pivots of A's closure, that is the span's dimension, by
+    the weight argument in ``cyclic_span_dims``.  Any other span, and every
+    span without an order, takes ``_second_phase``.  The integer operators
+    and echelons live only for this call, so one value's are freed before
+    the next value's are built."""
     n, m = shape
     ops = _integer_ops(lowering, value)
     families = [(ops[:n - 1], commuting[0]), (ops[n - 1:], commuting[1])]
-    (first, first_pairs), (second, second_pairs) = families[::-1] if m >= n else families
-    if not commute:
-        second = ops
+    (smaller, smaller_pairs), (larger, larger_pairs) = families if m >= n else families[::-1]
     # every round but the last adds a pivot and no span exceeds the whole
     # space, so only a closure that never stops reaches this cap; a span
     # larger than its Weyl product stops below it and is reported as a fail
     cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
-    dims = []
-    for state in states:
-        seed = {state: 1}
+    dims = [None] * len(states)
+    for index in range(len(states)) if order is None else order:
+        seed = {states[index]: 1}
         closure = RationalEchelon()
-        closure.close([closure.insert(seed)], first, cap, first_pairs)
-        if commute:
-            words = RationalEchelon()
-            tree = words.close([words.insert(seed)], second, cap, second_pairs)
-            span = words.rank * closure.rank
-            if joint.replay(closure.pivots.values(), tree, second) == span:
-                dims.append(span)
+        closure.close([closure.insert(seed)], smaller, cap, smaller_pairs)
+        # None when v already lies in J, which the premises rule out for the
+        # operators of the words they were decided on
+        pivot = None if order is None else joint.insert_ints(seed)
+        if pivot is not None:
+            tree = joint.close([pivot], larger, cap, larger_pairs)
+            closed = len(tree) + 1  # v's pivot and one per record entry
+            others = list(closure.pivots.values())[1:]
+            if closed + joint.replay(others, tree, larger) == closed * closure.rank:
+                dims[index] = closed * closure.rank
                 continue
-        dims.append(_second_phase(joint, closure, second, cap))
+        dims[index] = _second_phase(joint, closure, larger if commute else ops, cap)
     return dims, joint.rank
 
 
@@ -376,19 +419,37 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     operators are built from: the word identity is exact in q, and each
     integer operator is its specialization times a nonzero constant, so the
     integer operators commute too.  When they do, v is closed under the
-    family with more generators (the rho_q F_j when m >= n, else the
-    lambda_q F_i), which gives B, and under the other family, which gives A
-    and a breadth-first record whose words w_k span A.  For a word a in the
-    row F's and b in the column F's, rho_q(F_j) a b v = a rho_q(F_j) b v, so
-    the joint span is S = U-(gl_n) U-(gl_m) v (the factorization of Howe
-    duality), and the vectors w_k b_l, b_l the pivots of B, span it:
-    dim S <= dim A * dim B.  The joint echelon J, a sum of earlier spans, is
-    closed under every operator, so the replay of the words from every b_l
-    into J adds at most dim S pivots; when it adds dim A * dim B, that is
-    dim S, and J + S is the new joint span.  Any other span falls back to the second phase of
-    the two-phase closure: every pivot of B is closed under the other
-    family and inserted into J, which gives S again.  When some pair does
-    not commute, that second phase closes under every operator, which gives
+    family with fewer generators (the lambda_q F_i when m >= n, else the
+    rho_q F_j) in a scratch echelon, which gives B with pivots b_l, b_0 = v,
+    and under the other family directly in the joint echelon J, a sum of
+    earlier spans, which gives A and a breadth-first record whose words w_k
+    (the empty word first) applied to v span A modulo J
+    (``RationalEchelon.close``).  For a word a in the row F's and b in the
+    column F's, rho_q(F_j) a b v = a rho_q(F_j) b v, so the joint span is
+    S = U-(gl_n) U-(gl_m) v (the factorization of Howe duality), and when
+    the w_k v are a basis of A, the vectors w_k b_l span it:
+    dim S <= dim A * dim B.  J is closed under every operator, so the
+    closure and the replay of the words from every b_l but b_0 into J add
+    at most dim S pivots; when they add dim A * dim B, that is dim S, and
+    J + S is the new joint span.
+
+    The w_k v are a basis of A when A meets J only in 0, so that the
+    closure adds dim A pivots; that follows from weights.  Two premises are
+    decided once per shape: every word of each F moves one particle, a
+    lambda_q F_i from row i to row i + 1 in one column and a rho_q F_j from
+    column j to column j + 1 in one row (``_graded``), and the seeds'
+    weights below are distinct.  Then A lies in the one weight that the
+    larger family fixes, the row weight of v when m >= n (the rho_q F_j
+    keep each row's count) and its column weight otherwise.  The other
+    family lowers that weight in dominance order, so an earlier span only
+    reaches weights that its own seed's weight dominates.  Lexicographic
+    order extends dominance, so seeds taken in increasing lexicographic
+    order of that weight (``_seed_order``) leave no earlier span at A's
+    weight, and A meets J in 0.  When a premise fails, and for any other
+    count, the span falls back to the second phase of the two-phase
+    closure: every pivot of B is closed under the other family and
+    inserted into J, which gives S again.  When some pair does not commute,
+    every span takes that second phase, under every operator, which gives
     the joint closure.  Within each family, F_k F_j = F_j F_k when
     |k - j| >= 2; the pairs that commute are decided once per shape on the
     words too (``_commuting_pairs``), and both closures of v take them
@@ -417,9 +478,11 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
     commute = _noncommuting_pair(rows, cols) is None
     commuting = _commuting_pairs(rows), _commuting_pairs(cols)
     states = [hwv_state(mu, shape) for mu in partitions]
+    order = _seed_order(shape, states) if commute and _graded(shape, rows, cols) else None
     per_value = []
     for value in spec_values:
-        dims, joint_rank = _value_ranks(shape, states, rows + cols, commute, commuting, value)
+        dims, joint_rank = _value_ranks(shape, states, rows + cols, commute, commuting, value,
+                                        order)
         per_value.append({"value": value, "dims": dims, "joint_rank": joint_rank})
 
     base = per_value[0]

@@ -22,7 +22,10 @@ and keeps each image as it arises, round by round, until a round adds no
 pivot or a round cap is passed, and ``replay``, which applies the words
 that one closure recorded to other vectors.  ``close`` skips the images
 that an operator commuting with the one that made a pivot would repeat
-(its ordered-word rule).
+(its ordered-word rule), and may run in an echelon that already holds a
+span the operators keep closed: its rule and its record then work modulo
+that span, and its words are a basis of the new closure when the two
+meet only in 0.
 """
 
 from __future__ import annotations
@@ -379,31 +382,38 @@ class RationalEchelon:
         commuting: pairs (j, c), j < c, of operators with F_j F_c = F_c F_j,
         the ordered-word rule: a pivot made by operator c does not take the
         operators j of its pairs, and a frontier vector takes every
-        operator.  The span is still the closure, when the echelon held only
-        the frontier's span at the start.  Let P be the final span; by
-        descending induction on j, F_j P lies in P, once every F_c with
-        c > j maps P into P, by ascending induction on the pivot index.  An
-        image F_j x that is taken lies in P.  If the rule denies it, x was
-        made by an op c > j from its parent y, x = a F_c y + earlier pivots
-        with a != 0, so F_j x = a F_c (F_j y) + F_j (earlier pivots); F_j y
-        and F_j of the earlier pivots lie in P by the induction on the
-        index, and F_c maps P into P by the induction on j, as c > j.
+        operator.  The span is still the closure when the echelon held, at
+        the start, the frontier and a span H that the ops keep closed (H = 0
+        included): the final span is H + C, C the closure of the frontier.
+        Let P be the final span; by descending induction on j, F_j P lies in
+        P, once every F_c with c > j maps P into P, by ascending induction on
+        the pivot index, H's pivots first, whose images lie in H.  An image
+        F_j x that is taken lies in P.  If the rule denies it, x was made by
+        an op c > j from its parent y, x = a F_c y + earlier pivots with
+        a != 0, H's among them, so F_j x = a F_c (F_j y) + F_j (earlier
+        pivots); F_j y and F_j of the earlier pivots lie in P by the
+        induction on the index, and F_c maps P into P by the induction on
+        j, as c > j.
 
         The creation record lists one (parent, op) pair per pivot added, in
         the order added: the pivot came from the image under ``ops[op]`` of
         the vector at index parent, counting the frontier first and then the
         added pivots in order, so a parent comes before its pivot.  Read as
-        words, it spans the closure.  By ascending induction on the index of
+        words, it spans C modulo H.  By ascending induction on the index of
         x, each image F_j x lies in the span held just after x's turn
         reaches op j: a denied one is a F_c (F_j y) + F_j (earlier pivots)
         as above, F_j y lies in the span held before x was made, as j < c,
-        and the images of the pivots held then lie in the span held when
-        x's turn began.  So when the pivot at index k is made from its
-        parent p by op c, the images under op c of the vectors before p lie
-        in the span held, and the pivot is a nonzero multiple of its word,
-        the image of its parent's word, plus earlier pivots.  When the
-        echelon held only the frontier's span at the start, the frontier
-        and the record's words applied raw are a basis of the closure.
+        and the images of the pivots held then, H's included, lie in the
+        span held when x's turn began.  So when the pivot at index k is made
+        from its parent p by op c, the images under op c of the vectors
+        before p lie in the span held, and the pivot is a nonzero multiple
+        of its word, the image of its parent's word, plus earlier pivots,
+        H's among them.  So the frontier and the record's words applied
+        raw, all in C, span C modulo H; when the frontier's vectors were
+        just kept as pivots, there are dim (H + C) - dim H of them, and the
+        rank has grown by as many since H.  When C meets H only in 0, that
+        is dim C, and they are a basis of C; when C meets H, it is less,
+        and they are no basis of C.
         """
         pivots = self.pivots
         record = []
@@ -447,7 +457,9 @@ class RationalEchelon:
         from it; returns the number of pivots added.
 
         tree: the record that ``close`` returned for a one-vector frontier,
-        and ops the operators it was recorded with.  Each vector is inserted
+        and ops the operators it was recorded with; ``duality._value_ranks``
+        records it in this echelon itself, and replays it from every vector
+        but that frontier's.  Each vector is inserted
         by ``insert_ints``; then the tree is walked from it: a node's image
         is its operator applied to the pivot that this echelon kept for the
         node's parent (index 0 the vector, index k the tree's k-th node),
@@ -460,7 +472,7 @@ class RationalEchelon:
         span held before closed, every pivot added lies in their sum, so the
         count is at most dim S, itself at most len(vectors) * (len(tree) +
         1); ``duality._value_ranks`` reads the span's dimension off that
-        bound.
+        bound, with the tree's own closure counted as one more vector.
         """
         pivots = self.pivots
         before = len(pivots)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
@@ -811,6 +811,55 @@ def test_ordered_word_rule_keeps_the_closure(seeds, ops):
     assert all(ruled.reduce(p) == {} for p in full.pivots.values())
     assert all(ruled.reduce(ref_apply_ints(op, p)) == {}
                for op in ops for p in ruled.pivots.values())
+
+
+# -- close in an echelon that already holds a closed span ------------------------
+
+
+@settings(max_examples=300)
+@given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
+       operator_lists(close_operators))
+# a chain 0 -> 1 -> 2 beside a held chain 3 -> 4: the pivot {2: 1} is made
+# without meeting the held span, and {4: 1} lies in it
+@example([{3: 1}], [{0: 1}], [{0: {1: 1}, 1: {2: 1}, 3: {4: 1}}])
+# the image {1: 1, 3: 1} reduces against the held {3: 1}: the pivot is
+# {1: 1}, its raw word is not
+@example([{3: 1}], [{0: 1}], [{0: {1: 1, 3: 1}, 3: {3: 2}}])
+def test_close_on_a_held_closed_span(held, seeds, ops):
+    # P, the closure of held, is a span the ops keep closed; when the seeds'
+    # closure C meets it only in 0, close adds dim C pivots, and the record's
+    # words applied raw to the seeds are a basis of C, under the exact table
+    # of commuting pairs too
+    held = ref_closure(held, ops)
+    closure = ref_closure(seeds, ops)
+    assume(ref_rank(held + closure) == len(held) + len(closure))
+    for table in (commuting_pairs(ops), ()):
+        echelon = RationalEchelon()
+        for vec in held:
+            echelon.insert(vec)
+        assert echelon.rank == len(held)
+        kept = [(seed, pivot) for seed in seeds if (pivot := echelon.insert(seed)) is not None]
+        record = echelon.close([pivot for _, pivot in kept], ops, CLOSE_DIM + 1, table)
+        assert echelon.rank == len(held) + len(closure)
+        words = record_words([seed for seed, _ in kept], ops, record)
+        assert len(words) == ref_rank(words) == len(closure)
+        assert ref_rank(closure + words) == len(closure)
+
+
+def test_close_meeting_the_held_span_grows_by_less():
+    # the chain 0 -> 1 -> 2 -> 3 with {2: 1} held: the seed's closure C has
+    # dimension 4 but meets the held span in {2, 3}, so the rank grows by 2
+    # and the raw words {0: 1}, {1: 1} are no basis of C
+    shift = {k: {k + 1: 1} for k in range(3)}
+    echelon = RationalEchelon()
+    echelon.close([echelon.insert({2: 1})], [shift], 4)
+    assert sorted(echelon.pivots) == [2, 3]
+    seeds = [{0: 1}]
+    record = echelon.close([echelon.insert(seeds[0])], [shift], 4)
+    closure = ref_closure(seeds, [shift])
+    assert len(closure) == 4
+    assert echelon.rank - 2 == 1 + len(record) == 2 < len(closure)
+    assert ref_rank(record_words(seeds, [shift], record)) == 2
 
 
 def ref_replay(echelon, vectors, tree, ops):

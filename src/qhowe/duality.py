@@ -280,7 +280,7 @@ def _generators(n, m, kind):
 
 
 def _integer_ops(exprs, value):
-    """Word expressions at q = value as integer columns {col: {row: int}}
+    """Word expressions at q = value as integer operators in move form
     (``OperatorExpr.specialize_ints``).  Each is the specialized operator
     times its own nonzero constant, which changes no span or rank."""
     return [expr.specialize_ints(value)[0] for expr in exprs]
@@ -404,7 +404,7 @@ def cyclic_span_dims(n, m, spec_values=DEFAULT_SPEC_VALUES):
 
     For each partition in the box, closes its highest-weight state v under
     all lowering operators of both actions (coefficients specialized at each
-    value, integer columns built from the Clifford words), measures the span
+    value, integer operators built from the Clifford words), measures the span
     by exact integer-preserving Gaussian elimination, and checks the
     dimensions against Weyl products, their sum against 2^(nm), and the
     joint span against the full space.  The report holds two records per
@@ -640,10 +640,9 @@ def joint_kernel_count(n, m, value=Fraction(2)):
         for s in states:
             image = {}
             for t, op in enumerate(ops):
-                col = op.get(s)
-                if col:
-                    for r, v in col.items():
-                        image[(t, r)] = v
+                for move, weights in op:
+                    if v := weights.get(s):
+                        image[(t, s ^ move)] = v
             if echelon.insert(image) is not None:
                 rank += 1
         total += len(states) - rank

@@ -30,9 +30,10 @@ the matrices would, at up to 64 positions; so is the classical sign rule,
 against one reference Jordan-Wigner word per generator.  ``specialize_ints``
 and ``to_matrix`` (the tests' oracle) differ only in each word's table of
 entries per key (``_table``: exact integers over one denominator, or
-Laurent polynomials); one column assembler (``OperatorExpr._assemble``)
-reads those tables along the lists of 2^N states, so both stop at
-``fockspace.check_enumerable``'s wall of 16 positions.
+Laurent polynomials).  One builder (``OperatorExpr._moves``) reads them
+along the lists of 2^N states into move form, one flat ``{col: entry}`` per
+move ``require_set ^ final_set`` (row = col ^ move), which ``to_matrix``
+files by column; both stop at ``fockspace.check_enumerable``'s wall.
 """
 
 from __future__ import annotations
@@ -496,50 +497,44 @@ class OperatorExpr:
 
     def to_matrix(self):
         """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),
-        the oracle the tests hold the word decisions to; columns in ascending
-        order."""
+        the oracle the tests hold the word decisions to: ``_moves`` with
+        Laurent tables, filed by column in ascending order."""
         tables = [_table(cw, partial(QLaurent.q_power, coeff=c)) for c, cw in self._compiled()]
-        cols = self._assemble(tables)
+        cols = {}
+        for move, weights in self._moves(tables):
+            for c, v in weights.items():
+                cols.setdefault(c, {})[c ^ move] = v
         return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols)})
 
     def specialize_ints(self, value):
-        """(cols, scale) as ``to_matrix().specialize_ints(value)`` returns,
-        up to one constant factor between the two cols: the words' tables at
-        q = value, all over one common denominator."""
+        """(moves, scale): ``_moves`` of the words' tables at q = value, all
+        over one common denominator, so that scale times a move's weight at
+        col is the entry at (col ^ move, col)."""
         value = Fraction(value)
         tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in self._compiled()]
         den = lcm(*(x.denominator for table in tables for x in table))
         tables = [[int(x * den) for x in table] for table in tables]
-        return self._assemble(tables), Fraction(1, den)
+        return self._moves(tables), Fraction(1, den)
 
-    def _assemble(self, tables):
-        """The columns {col: {row: entry}}, without empty ones, of the sum of
-        the compiled words, tables[k] holding the entry of each key of word
-        k (``_table``).  Each state s that the word keeps, with its key
-        (``_CompiledWord.columns``), adds that entry at row s ^ (require_set
-        ^ final_set) of column s.  When no two words share that move, as for
-        the lowering operators, no two meet at one entry: each entry is set
-        without the pop-and-sum step, and an entry that vanishes (a
-        coefficient zero at the value) is still dropped."""
+    def _moves(self, tables):
+        """The sum of the compiled words in move form, [(move, weights)],
+        tables[k] holding the entry of each key of word k (``_table``): a
+        word sends each state s it keeps (``_CompiledWord.columns``) to s ^
+        move, move = require_set ^ final_set, so ``weights[s]`` is the entry
+        at (s ^ move, s).  The words of one move sum into one weights dict;
+        zero entries and empty moves are dropped."""
         check_enumerable(self.length)
-        words = self._compiled()
-        moves = [cw.require_set ^ cw.final_set for _, cw in words]
-        cols = {}
-        if len(set(moves)) == len(moves):
-            for (_, cw), table, move in zip(words, tables, moves):
-                for s, key in zip(*cw.columns(self.length)):
-                    v = table[key]
-                    if v:
-                        cols.setdefault(s, {})[s ^ move] = v
-            return cols
-        for (_, cw), table, move in zip(words, tables, moves):
-            for s, key in zip(*cw.columns(self.length)):
-                col = cols.setdefault(s, {})
-                prev = col.pop(s ^ move, None)
-                v = table[key] if prev is None else prev + table[key]
-                if v:
-                    col[s ^ move] = v
-        return {c: col for c, col in cols.items() if col}
+        summed = {}
+        for (_, cw), table in zip(self._compiled(), tables):
+            states, keys = cw.columns(self.length)
+            weights = summed.setdefault(cw.require_set ^ cw.final_set, {})
+            if not weights:
+                weights.update(zip(states, map(table.__getitem__, keys)))
+                continue
+            for s, key in zip(states, keys):
+                weights[s] = weights[s] + table[key] if s in weights else table[key]
+        return [(move, w if all(w.values()) else {s: v for s, v in w.items() if v})
+                for move, w in summed.items() if any(w.values())]
 
     # -- identities -----------------------------------------------------------
 

@@ -17,10 +17,12 @@ primitive integer vectors keyed by their largest key, and one
 reduce-and-keep step, ``_keep``, adds every pivot: for ``insert`` (any
 exact vector, made a primitive integer vector first), ``insert_ints`` (an
 integer vector), ``close``, which closes a span under the integer operators
-``specialize_ints`` returns: it applies the operators to every new pivot
-and keeps each image as it arises, round by round, until a round adds no
-pivot or a round cap is passed, and ``replay``, which applies the words
-that one closure recorded to other vectors.  ``close`` skips the images
+``OperatorExpr.specialize_ints`` returns: it applies the operators to every
+new pivot and keeps each image as it arises, round by round, until a round
+adds no pivot or a round cap is passed, and ``replay``, which applies the
+words that one closure recorded to other vectors.  Those operators are in
+move form, [(move, weights)], each weights a flat ``{col: int}`` holding
+the operator's entry at (col ^ move, col).  ``close`` skips the images
 that an operator commuting with the one that made a pivot would repeat
 (its ordered-word rule), and may run in an echelon that already holds a
 span the operators keep closed: its rule and its record then work modulo
@@ -269,19 +271,18 @@ def _reduce_ints(pivots, vec):
 
 
 def _apply(op, vec):
-    """An integer operator applied to an integer vector, without zero
-    entries: {} when the image is zero.  The image of a one-entry vector
-    {c: x} is column c times x, without the accumulation loop."""
+    """An integer operator in move form applied to an integer vector,
+    without zero entries: {} when the image is zero.  A one-entry vector's
+    image has one row per move, so it skips the accumulation loop."""
     if len(vec) == 1:
         (c, x), = vec.items()
-        col = op.get(c)
-        return {r: v * x for r, v in col.items()} if col else {}
+        return {c ^ move: w * x for move, weights in op if (w := weights.get(c))}
     image = {}
-    for c, x in vec.items():
-        col = op.get(c)
-        if col:
-            for r, v in col.items():
-                s = image.get(r, 0) + v * x
+    for move, weights in op:
+        for c, x in vec.items():
+            if w := weights.get(c):
+                r = c ^ move
+                s = image.get(r, 0) + w * x
                 if s:
                     image[r] = s
                 else:
@@ -369,9 +370,9 @@ class RationalEchelon:
         frontier: integer vectors of the span whose images are still to be
         taken: typically the pivots just inserted, or every pivot of an
         earlier closure under other operators, to close that span under
-        these ones too.  ops: operators as integer columns
-        ``{col: {row: int}}``, the form ``specialize_ints`` returns.  Neither
-        may hold an explicit zero entry.
+        these ones too.  ops: integer operators in move form (the module
+        docstring), as ``OperatorExpr.specialize_ints`` returns them.
+        Neither may hold an explicit zero entry.
 
         Each round applies operators to the vectors of the frontier and
         inserts each nonzero image (``_apply`` and ``_keep``, with their
@@ -436,14 +437,14 @@ class RationalEchelon:
                     (c, x), = vec.items()
                 for k, op in menu:
                     if monomial:
-                        col = op.get(c)
-                        if not col:
-                            continue
-                        image = {r: v * x for r, v in col.items()}
+                        image = {}
+                        for move, weights in op:
+                            if w := weights.get(c):
+                                image[c ^ move] = w * x
                     else:
                         image = _apply(op, vec)
-                        if not image:
-                            continue
+                    if not image:
+                        continue
                     pivot = _keep(pivots, image)
                     if pivot is not None:
                         fresh.append((pivot, menus[k]))
@@ -457,14 +458,15 @@ class RationalEchelon:
         from it; returns the number of pivots added.
 
         tree: the record that ``close`` returned for a one-vector frontier,
-        and ops the operators it was recorded with; ``duality._value_ranks``
-        records it in this echelon itself, and replays it from every vector
-        but that frontier's.  Each vector is inserted
-        by ``insert_ints``; then the tree is walked from it: a node's image
-        is its operator applied to the pivot that this echelon kept for the
-        node's parent (index 0 the vector, index k the tree's k-th node),
-        reduced and kept by ``_keep``.  A node whose parent was kept no
-        pivot is skipped.  The pivots are those that ``insert_ints`` of each
+        and ops the operators, in move form, it was recorded with;
+        ``duality._value_ranks`` records it in this echelon itself, and
+        replays it from every vector but that frontier's.  Each vector is
+        inserted by ``insert_ints``; then the tree is walked from it: a
+        node's image is its operator applied (``_apply``, one lookup per
+        move and entry) to the pivot that this echelon kept for the node's
+        parent (index 0 the vector, index k the tree's k-th node), reduced
+        and kept by ``_keep``.  A node whose parent was kept no pivot is
+        skipped.  The pivots are those that ``insert_ints`` of each
         image, in the same order, gives.
 
         Let S be the span of the words w b, for b a vector and w one of the

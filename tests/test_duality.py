@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -29,6 +30,7 @@ from qhowe.qclifford import OMEGA, OMEGA_INV, CliffordGen, OperatorExpr
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import RationalEchelon
 from test_embeddings import SHAPES_UP_TO_9, TABLE_MUTANTS, mutate
+from test_sparsemat import move_form
 
 
 SHAPES_UP_TO_12 = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
@@ -469,7 +471,8 @@ class TestCyclicSpanControls:
 
     def test_scaled_operators_still_pass(self, monkeypatch):
         def scale(ops, value):
-            return [{c: {r: 5 * v for r, v in col.items()} for c, col in op.items()} for op in ops]
+            return [[(move, {c: 5 * w for c, w in weights.items()}) for move, weights in op]
+                    for op in ops]
 
         self.patch_ops(monkeypatch, scale)
         report = cyclic_span_dims(2, 3)
@@ -480,7 +483,7 @@ class TestCyclicSpanControls:
         # a shift s -> s + 1 among the lowering operators takes the empty
         # diagram's span from 1 to all 64 states in 64 rounds: the span is
         # reported against its Weyl product, not stopped by the round cap
-        shift = {s: {s + 1: 1} for s in range(63)}
+        shift = move_form({s: {s + 1: 1} for s in range(63)})
         self.patch_ops(monkeypatch, lambda ops, value: ops + [shift])
         report = cyclic_span_dims(2, 3)
         assert report["status"] == "fail"
@@ -558,15 +561,23 @@ class TestCyclicSpanControls:
 # -- the two-phase closure against the single-phase one -------------------------
 
 
+def matrix_ops(exprs, value):
+    """The word expressions' matrices (``to_matrix``) at q = value as integer
+    columns (``SparseMatrix.specialize_ints``), each turned into move form:
+    the reference for duality._integer_ops."""
+    return [move_form(expr.to_matrix().specialize_ints(value)[0]) for expr in exprs]
+
+
 def ref_value_ranks(shape, states, lowering, commute, commuting, value, order):
     """The single-phase closure in place of duality._value_ranks: each span is
     closed under every lowering operator of both actions at once, and every
-    closure pivot goes through insert_ints.  It builds its own operators and
-    ignores lowering, commute, commuting and order."""
+    closure pivot goes through insert_ints.  It builds its own operators,
+    from the matrices (``matrix_ops``), and ignores lowering, commute,
+    commuting and order."""
     n, m = shape
     exprs = ([embeddings.lambda_q(n, m, "F", i) for i in range(1, n)]
              + [embeddings.rho_q(n, m, "F", j) for j in range(1, m)])
-    ops = [expr.specialize_ints(value)[0] for expr in exprs]
+    ops = matrix_ops(exprs, value)
     joint = RationalEchelon()
     dims = []
     for state in states:
@@ -584,9 +595,10 @@ def ref_two_phase_value_ranks(shape, states, lowering, commute, commuting, value
     replay and no ordered-word rule (commuting and order are ignored): each
     span is closed under the larger family, then every pivot of that closure
     under the smaller family (under every operator when the families do not
-    commute), and the closure pivots are inserted into the joint echelon."""
+    commute), and the closure pivots are inserted into the joint echelon.
+    Its operators are lowering's matrices (``matrix_ops``)."""
     n, m = shape
-    ops = duality._integer_ops(lowering, value)
+    ops = matrix_ops(lowering, value)
     rows, cols = ops[:n - 1], ops[n - 1:]
     first, second = (cols, rows) if m >= n else (rows, cols)
     if not commute:
@@ -918,3 +930,30 @@ class TestJointKernel:
     def test_kernel_counts_partitions(self, n, m):
         assert joint_kernel_count(n, m) == comb(n + m, n)
         assert joint_kernel_count(n, m, Fraction(3)) == comb(n + m, n)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+    def test_kernel_reads_the_matrix_columns(self, monkeypatch, n, m):
+        # the raising operators from their matrices (matrix_ops) give the
+        # same kernel; the identity, one move 0, added to them leaves none
+        monkeypatch.setattr(duality, "_integer_ops", matrix_ops)
+        assert joint_kernel_count(n, m, Fraction(3)) == comb(n + m, n)
+        identity = move_form({s: {s: 1} for s in range(1 << n * m)})
+        monkeypatch.setattr(duality, "_integer_ops",
+                            lambda exprs, value: matrix_ops(exprs, value) + [identity])
+        assert joint_kernel_count(n, m) == 0
+
+
+def test_integer_operators_take_few_bytes_per_entry():
+    # the lowering operators at 3x3 hold one flat dict per move: about 51
+    # bytes per nonzero entry, where a dict per column takes about 224
+    exprs = [expr for family in duality._generators(3, 3, "F") for expr in family]
+    duality._integer_ops(exprs, Fraction(2))  # the words are compiled once, here
+    tracemalloc.start()
+    try:
+        ops = duality._integer_ops(exprs, Fraction(2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(weights) for op in ops for _, weights in op)
+    assert entries == 4 * 3 * 2 ** 7  # 4 operators of 3 words, each keeping 2^7 states
+    assert held / entries < 128

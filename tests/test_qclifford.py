@@ -15,6 +15,7 @@ from qhowe.embeddings import (
 )
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import SparseMatrix
+from test_sparsemat import move_form
 
 
 def S(text):
@@ -435,17 +436,57 @@ def test_compiled_words_match_interpreter(op):
     assert_compiled_matches(op)
 
 
-@given(operators(), st.sampled_from([2, 3, Fraction(5, 3), -2]))
+SPEC_VALUES = [2, 3, Fraction(5, 3), -2]
+
+
+def scaled_moves(moves, scale):
+    """An operator in move form as {move: {col: entry}}, each weight times
+    scale."""
+    return {move: {c: w * scale for c, w in weights.items()} for move, weights in moves}
+
+
+def assert_integer_moves(moves):
+    """Move form without an explicit zero, an empty move or a repeated
+    move, and with int weights."""
+    assert len({move for move, _ in moves}) == len(moves)
+    for _, weights in moves:
+        assert weights and all(type(w) is int and w for w in weights.values())
+
+
+@given(operators(), st.sampled_from(SPEC_VALUES))
 def test_word_integer_columns_match_the_matrix(op, value):
-    # the integer columns built from the words are the matrix's at q = value,
-    # column by column, up to one constant: equal once each side is scaled
-    cols, scale = op.specialize_ints(value)
+    # the integer moves built from the words are the matrix's columns at
+    # q = value, in move form, up to one constant: equal once each side is
+    # scaled
+    moves, scale = op.specialize_ints(value)
     want, want_scale = op.to_matrix().specialize_ints(value)
-    assert cols.keys() == want.keys()
-    for c, col in cols.items():
-        assert col.keys() == want[c].keys() and 0 not in col.values()
-        assert ({r: v * scale for r, v in col.items()}
-                == {r: v * want_scale for r, v in want[c].items()})
+    assert_integer_moves(moves)
+    assert scaled_moves(moves, scale) == scaled_moves(move_form(want), want_scale)
+
+
+# the first term's coefficient q - 2 is two words of one move, which cancel
+# at 2: that move must not be left, empty or with zeros
+SPLIT_AT_TWO = OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
+                                (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])])
+
+
+def reference_moves(op, value):
+    """The interpreter's columns (``reference_matrix``) at q = value, in
+    move form: {move: {col: Fraction}} without the entries that vanish."""
+    cols = {c: {r: x for r, v in col.items() if (x := v.specialize(value))}
+            for c, col in reference_matrix(op).items()}
+    return dict(move_form(cols))
+
+
+@given(st.integers(1, 5).flatmap(operators), st.sampled_from(SPEC_VALUES))
+@example(SPLIT_AT_TWO, 2)
+@example(OperatorExpr.zero(4), 3)
+def test_integer_moves_match_the_interpreter(op, value):
+    # specialize_ints against the per-generator interpreter, which never
+    # reads a compiled word: each entry of its columns evaluated at q = value
+    moves, scale = op.specialize_ints(value)
+    assert_integer_moves(moves)
+    assert scaled_moves(moves, scale) == reference_moves(op, value)
 
 
 def ref_fold(pairs):
@@ -469,9 +510,9 @@ def ref_compiled(terms):
 
 
 def ref_assemble(op, tables):
-    """The summing path of ``OperatorExpr._assemble`` for any operator: each
-    word adds its table's entry at every state it keeps, and the entries
-    that cancel or vanish are dropped afterwards."""
+    """The columns {col: {row: entry}} of the sum of the compiled words:
+    each word adds its table's entry at every state it keeps, and the
+    entries that cancel or vanish are dropped afterwards."""
     cols = {}
     for (_, cw), table in zip(op._compiled(), tables):
         move = cw.require_set ^ cw.final_set
@@ -481,34 +522,31 @@ def ref_assemble(op, tables):
     return {c: kept for c, col in cols.items() if (kept := {r: v for r, v in col.items() if v})}
 
 
-@given(operators(), st.sampled_from([2, 3, Fraction(5, 3), -2]))
-# the first term's coefficient q - 2 is two words of one move, which cancel
-# at 2: its columns must not hold that zero
-@example(OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
-                          (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])]), 2)
+@given(operators(), st.sampled_from(SPEC_VALUES))
+@example(SPLIT_AT_TWO, 2)
 def test_assembled_columns_match_the_summing_path(op, value):
-    # words with pairwise distinct moves take the path without the sum
+    # the move builder against a column-by-column sum of the same tables
     value = Fraction(value)
     tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in op._compiled()]
-    cols = op._assemble(tables)
-    assert cols == ref_assemble(op, tables)
-    assert all(col and 0 not in col.values() for col in cols.values())
+    moves = op._moves(tables)
+    assert dict(moves) == dict(move_form(ref_assemble(op, tables)))
+    assert all(weights and 0 not in weights.values() for _, weights in moves)
 
 
 def test_split_coefficient_takes_the_summing_path():
-    # q - 2 is two words of one move, which cancel at q = 2: the summing
-    # path drops their entries, and only the other word's columns are left
-    op = OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
-                          (QLaurent({0: 1}), [(PSI_DAG, 2), (OMEGA, 3)])])
-    moves = [cw.require_set ^ cw.final_set for _, cw in op._compiled()]
-    assert moves == [0b1, 0b1, 0b10]
-    cols, scale = op.specialize_ints(2)
+    # q - 2 is two words of one move, which cancel at q = 2: their sum is
+    # dropped with its move, and only the other word's move is left
+    op = SPLIT_AT_TWO
+    assert [cw.require_set ^ cw.final_set for _, cw in op._compiled()] == [0b1, 0b1, 0b10]
+    moves, scale = op.specialize_ints(2)
     tables = [_table(cw, lambda e, c=c: c * Fraction(2)**e) for c, cw in op._compiled()]
-    assert op._assemble(tables) == ref_assemble(op, tables) == {
-        c: {r: v * scale for r, v in col.items()} for c, col in cols.items()}
-    assert cols == {s: {s | 0b10: (-1) ** (s & 1) * (1 if s & 0b100 else 2)}
-                    for s in range(8) if not s & 0b10}
+    assert (dict(op._moves(tables)) == scaled_moves(moves, scale)
+            == dict(move_form(ref_assemble(op, tables))))
+    assert moves == [(0b10, {s: (-1) ** (s & 1) * (1 if s & 0b100 else 2)
+                             for s in range(8) if not s & 0b10})]
     assert scale == Fraction(1, 2)
+    # at q = 3 the sum is nonzero, and its move comes first
+    assert [move for move, _ in op.specialize_ints(3)[0]] == [0b1, 0b10]
 
 
 def test_split_terms_that_cancel_are_zero():

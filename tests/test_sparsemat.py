@@ -15,7 +15,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
-from qhowe.sparsemat import RationalEchelon, SparseMatrix, _reduce_ints, primitive_int_vector
+from qhowe.sparsemat import (
+    RationalEchelon, SparseMatrix, _apply, _reduce_ints, primitive_int_vector,
+)
 
 # -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
 
@@ -513,7 +515,19 @@ def test_echelon_ignores_explicit_zeros():
 # -- RationalEchelon.close against a breadth-first Fraction closure ---------------
 
 
+def move_form(cols):
+    """An integer operator given by columns {col: {row: int}} in the move
+    form that close, replay and OperatorExpr.specialize_ints use: entry
+    (r, c) goes to the weights of move r ^ c, at c."""
+    moves = {}
+    for c, col in cols.items():
+        for r, v in col.items():
+            moves.setdefault(r ^ c, {})[c] = v
+    return list(moves.items())
+
+
 def ref_apply_ints(op, vec):
+    """An integer operator in column form applied to an integer vector."""
     out = {}
     for c, x in vec.items():
         for r, v in op.get(c, {}).items():
@@ -560,7 +574,7 @@ def test_close_matches_breadth_first_fraction_closure(seeds, ops):
     echelon = RationalEchelon()
     frontier = [p for p in map(echelon.insert, seeds) if p is not None]
     # every round but the last adds a pivot, so rank + 1 rounds always do
-    echelon.close(frontier, ops, CLOSE_DIM + 1)
+    echelon.close(frontier, list(map(move_form, ops)), CLOSE_DIM + 1)
     basis = ref_closure(seeds, ops)
     assert echelon.rank == len(basis)
     pivots = list(echelon.pivots.values())
@@ -576,11 +590,11 @@ def test_close_round_cap(length):
     # takes length rounds, the last of which adds nothing
     shift = {k: {k + 1: 2} for k in range(length - 1)}
     echelon = RationalEchelon()
-    echelon.close([echelon.insert({0: 1})], [shift], length)
+    echelon.close([echelon.insert({0: 1})], [move_form(shift)], length)
     assert echelon.pivots == {k: {k: 1} for k in range(length)}
     echelon = RationalEchelon()
     with pytest.raises(RuntimeError, match="round cap"):
-        echelon.close([echelon.insert({0: 1})], [shift], length - 1)
+        echelon.close([echelon.insert({0: 1})], [move_form(shift)], length - 1)
 
 
 # -- RationalEchelon.close against the general reducer on every image -----------
@@ -637,6 +651,13 @@ close_operators = st.dictionaries(
     max_size=CLOSE_DIM)
 
 
+@given(close_vectors, close_operators)
+# two entries whose images cancel at row 2, which then drops out
+@example({0: 1, 1: 1}, {0: {2: 1, 3: 1}, 1: {2: -1}})
+def test_apply_in_move_form_matches_the_columns(vec, op):
+    assert _apply(move_form(op), vec) == ref_apply_ints(op, vec)
+
+
 def pivot_items(echelon):
     """The pivots in lead order, each as a dict: the order of entries inside
     a pivot is not compared, since every reader takes a max or a sum."""
@@ -675,10 +696,11 @@ def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds, commuti
     ref = RationalEchelon()
     ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
     outcomes = []
-    for close, target, vectors in ((RationalEchelon.close, echelon, frontier),
-                                   (ref_close, ref, [dict(p) for p in frontier])):
+    for close, target, vectors, form in (
+            (RationalEchelon.close, echelon, frontier, list(map(move_form, ops))),
+            (ref_close, ref, [dict(p) for p in frontier], ops)):
         try:
-            outcomes.append(close(target, vectors, ops, max_rounds, commuting))
+            outcomes.append(close(target, vectors, form, max_rounds, commuting))
         except RuntimeError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
@@ -712,7 +734,7 @@ def assert_record_spans(echelon, frontier, ops, record):
 def test_close_records_words_that_span_the_closure(seeds, ops):
     echelon = RationalEchelon()
     frontier = [p for p in map(echelon.insert, seeds) if p is not None]
-    record = echelon.close(frontier, ops, CLOSE_DIM + 1)
+    record = echelon.close(frontier, list(map(move_form, ops)), CLOSE_DIM + 1)
     assert len(record) == echelon.rank - len(frontier)
     assert_record_spans(echelon, frontier, ops, record)
 
@@ -725,7 +747,7 @@ def test_close_records_the_shortcut_pivots():
     ops = [{0: {2: 2}, 2: {1: 2, 3: 4}}, {0: {2: -3}}]
     echelon = RationalEchelon()
     frontier = [echelon.insert({0: 1})]
-    record = echelon.close(frontier, ops, 4)
+    record = echelon.close(frontier, list(map(move_form, ops)), 4)
     assert record == [(0, 0), (1, 0)]
     assert echelon.pivots == {0: {0: 1}, 2: {2: 1}, 3: {1: 1, 3: 2}}
     assert_record_spans(echelon, frontier, ops, record)
@@ -737,7 +759,7 @@ def test_close_records_parents_past_the_frontier():
     ops = [{0: {1: 1}, 1: {2: 1}, 5: {6: 1}}]
     echelon = RationalEchelon()
     frontier = [echelon.insert({0: 1}), echelon.insert({5: 1})]
-    record = echelon.close(frontier, ops, 4)
+    record = echelon.close(frontier, list(map(move_form, ops)), 4)
     assert record == [(0, 0), (1, 0), (2, 0)]
     assert echelon.pivots == {0: {0: 1}, 5: {5: 1}, 1: {1: 1}, 6: {6: 1}, 2: {2: 1}}
     assert_record_spans(echelon, frontier, ops, record)
@@ -802,7 +824,7 @@ def test_ordered_word_rule_keeps_the_closure(seeds, ops):
     for table in (commuting_pairs(ops), ()):
         echelon = RationalEchelon()
         frontier = [p for p in map(echelon.insert, seeds) if p is not None]
-        record = echelon.close(frontier, ops, GRID * GRID + 1, table)
+        record = echelon.close(frontier, list(map(move_form, ops)), GRID * GRID + 1, table)
         assert_record_spans(echelon, frontier, ops, record)
         echelons.append(echelon)
     ruled, full = echelons
@@ -833,13 +855,14 @@ def test_close_on_a_held_closed_span(held, seeds, ops):
     held = ref_closure(held, ops)
     closure = ref_closure(seeds, ops)
     assume(ref_rank(held + closure) == len(held) + len(closure))
+    moves = list(map(move_form, ops))
     for table in (commuting_pairs(ops), ()):
         echelon = RationalEchelon()
         for vec in held:
             echelon.insert(vec)
         assert echelon.rank == len(held)
         kept = [(seed, pivot) for seed in seeds if (pivot := echelon.insert(seed)) is not None]
-        record = echelon.close([pivot for _, pivot in kept], ops, CLOSE_DIM + 1, table)
+        record = echelon.close([pivot for _, pivot in kept], moves, CLOSE_DIM + 1, table)
         assert echelon.rank == len(held) + len(closure)
         words = record_words([seed for seed, _ in kept], ops, record)
         assert len(words) == ref_rank(words) == len(closure)
@@ -852,10 +875,10 @@ def test_close_meeting_the_held_span_grows_by_less():
     # and the raw words {0: 1}, {1: 1} are no basis of C
     shift = {k: {k + 1: 1} for k in range(3)}
     echelon = RationalEchelon()
-    echelon.close([echelon.insert({2: 1})], [shift], 4)
+    echelon.close([echelon.insert({2: 1})], [move_form(shift)], 4)
     assert sorted(echelon.pivots) == [2, 3]
     seeds = [{0: 1}]
-    record = echelon.close([echelon.insert(seeds[0])], [shift], 4)
+    record = echelon.close([echelon.insert(seeds[0])], [move_form(shift)], 4)
     closure = ref_closure(seeds, [shift])
     assert len(closure) == 4
     assert echelon.rank - 2 == 1 + len(record) == 2 < len(closure)
@@ -884,8 +907,9 @@ def ref_replay(echelon, vectors, tree, ops):
 @example([], [{0: 1, 1: 1}], {0: 1},
          [{0: {5: 1}, 1: {2: 1, 1: 1}, 3: {}, 2: {1: -2}, 4: {0: 1}, 5: {1: 2}}])
 def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
+    moves = list(map(move_form, ops))
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert(seed)], ops, CLOSE_DIM + 1)
+    tree = scratch.close([scratch.insert(seed)], moves, CLOSE_DIM + 1)
     echelon = RationalEchelon()
     for vec in held:
         echelon.insert(vec)
@@ -893,7 +917,7 @@ def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
     ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
     vectors = [primitive_int_vector(v) for v in vectors]
     copies = [dict(v) for v in vectors]
-    assert echelon.replay(vectors, tree, ops) == ref_replay(ref, vectors, tree, ops)
+    assert echelon.replay(vectors, tree, moves) == ref_replay(ref, vectors, tree, ops)
     assert pivot_items(echelon) == pivot_items(ref)
     assert vectors == copies  # left unchanged
     assert_echelon_form(echelon)
@@ -904,10 +928,10 @@ def test_replay_counts_a_full_product():
     # two nodes, and replayed from {0: 1} and {4: 1} it adds 2 * 3 pivots
     chains = [{k: {k + 1: 1} for k in (0, 1, 4, 5)}]
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert({0: 1})], chains, 4)
+    tree = scratch.close([scratch.insert({0: 1})], list(map(move_form, chains)), 4)
     assert tree == [(0, 0), (1, 0)]
     echelon = RationalEchelon()
-    assert echelon.replay([{0: 1}, {4: 1}], tree, chains) == 6
+    assert echelon.replay([{0: 1}, {4: 1}], tree, list(map(move_form, chains))) == 6
     assert sorted(echelon.pivots) == [0, 1, 2, 4, 5, 6]
 
 
@@ -917,9 +941,9 @@ def test_replay_of_a_tree_inside_the_span_adds_fewer_pivots():
     # whole tree is skipped
     shift = {k: {k + 1: 1} for k in range(7)}
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert({0: 1})], [shift], 10)
+    tree = scratch.close([scratch.insert({0: 1})], [move_form(shift)], 10)
     assert tree == [(k, 0) for k in range(7)]
     echelon = RationalEchelon()
     echelon.insert({3: 1})
-    assert echelon.replay([{0: 1}, {1: 1}], tree, [shift]) == 3 < 2 * (len(tree) + 1)
+    assert echelon.replay([{0: 1}, {1: 1}], tree, [move_form(shift)]) == 3 < 2 * (len(tree) + 1)
     assert sorted(echelon.pivots) == [0, 1, 2, 3]

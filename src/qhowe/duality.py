@@ -22,7 +22,7 @@ from .embeddings import (
     _block_polynomial, _expand, _weight_polynomial, classical_lambda, classical_rho, lambda_q, rho_q,
 )
 from .fockspace import GridShape, check_enumerable, grid_to_linear, row_col_weights, state_to_string
-from .sparsemat import RationalEchelon
+from .sparsemat import RationalEchelon, _apply
 
 __all__ = [
     "Partition",
@@ -366,36 +366,32 @@ def _value_ranks(shape, states, lowering, commute, commuting, value, order):
     ops = _integer_ops(lowering, value)
     families = [(ops[:n - 1], commuting[0]), (ops[n - 1:], commuting[1])]
     (smaller, smaller_pairs), (larger, larger_pairs) = families if m >= n else families[::-1]
-    # every round but the last adds a pivot and no span exceeds the whole
-    # space, so only a closure that never stops reaches this cap; a span
-    # larger than its Weyl product stops below it and is reported as a fail
-    cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
     dims = [None] * len(states)
     for index in range(len(states)) if order is None else order:
         seed = {states[index]: 1}
         closure = RationalEchelon()
-        closure.close([closure.insert(seed)], smaller, cap, smaller_pairs)
+        closure.close([closure.insert(seed)], smaller, smaller_pairs)
         # None when v already lies in J, which the premises rule out for the
         # operators of the words they were decided on
-        pivot = None if order is None else joint.insert_ints(seed)
+        pivot = None if order is None else joint.insert(seed)
         if pivot is not None:
-            tree = joint.close([pivot], larger, cap, larger_pairs)
+            tree = joint.close([pivot], larger, larger_pairs)
             closed = len(tree) + 1  # v's pivot and one per record entry
             others = list(closure.pivots.values())[1:]
             if closed + joint.replay(others, tree, larger) == closed * closure.rank:
                 dims[index] = closed * closure.rank
                 continue
-        dims[index] = _second_phase(joint, closure, larger if commute else ops, cap)
+        dims[index] = _second_phase(joint, closure, larger if commute else ops)
     return dims, joint.rank
 
 
-def _second_phase(joint, closure, ops, cap):
+def _second_phase(joint, closure, ops):
     """Close every pivot of closure under ops, insert the closure's pivots
-    into joint (``insert_ints``) and return its rank."""
-    closure.close(list(closure.pivots.values()), ops, cap)
+    into joint and return its rank."""
+    closure.close(list(closure.pivots.values()), ops)
     for vec in closure.pivots.values():
-        joint.insert_ints(vec)
+        joint.insert(vec)
     return closure.rank
 
 
@@ -636,14 +632,8 @@ def joint_kernel_count(n, m, value=Fraction(2)):
     total = 0
     for states in buckets.values():
         echelon = RationalEchelon()
-        rank = 0
         for s in states:
-            image = {}
-            for t, op in enumerate(ops):
-                for move, weights in op:
-                    if v := weights.get(s):
-                        image[(t, s ^ move)] = v
-            if echelon.insert(image) is not None:
-                rank += 1
-        total += len(states) - rank
+            echelon.insert({(t, r): v for t, op in enumerate(ops)
+                            for r, v in _apply(op, {s: 1}).items()})
+        total += len(states) - echelon.rank
     return total

@@ -14,12 +14,12 @@ The module also hosts ``RationalEchelon``, the incremental row reduction
 behind every span dimension and rank at specialized q, and behind the span
 sweep that ``wordzero`` runs over Clifford words.  Its pivots are
 primitive integer vectors keyed by their largest key, and one
-reduce-and-keep step, ``_keep``, adds every pivot: for ``insert`` (any
-exact vector, made a primitive integer vector first), ``insert_ints`` (an
-integer vector), ``close``, which closes a span under the integer operators
-``OperatorExpr.specialize_ints`` returns: it applies the operators to every
-new pivot and keeps each image as it arises, round by round, until a round
-adds no pivot or a round cap is passed, and ``replay``, which applies the
+reduce-and-keep step, ``_keep``, adds every pivot: for ``insert``, the one
+way in for a vector from outside the echelon (any exact vector, its
+denominators cleared first), ``close``, which closes a span under the
+integer operators ``OperatorExpr.specialize_ints`` returns: it applies the
+operators to every new pivot and keeps each image as it arises, round by
+round, until a round adds no pivot, and ``replay``, which applies the
 words that one closure recorded to other vectors.  Those operators are in
 move form, [(move, weights)], each weights a flat ``{col: int}`` holding
 the operator's entry at (col ^ move, col).  ``close`` skips the images
@@ -37,7 +37,7 @@ from math import gcd, lcm
 
 from .qscalar import QLaurent, _is_rational
 
-__all__ = ["SparseMatrix", "RationalEchelon", "primitive_int_vector"]
+__all__ = ["SparseMatrix", "RationalEchelon"]
 
 _UNIT = QLaurent.one().terms
 
@@ -222,24 +222,18 @@ class SparseMatrix:
         return cols, Fraction(1, den)
 
 
-def primitive_int_vector(vec):
-    """Rescale a sparse rational vector to a primitive integer vector,
-    dropping zero entries.
-
-    Scaling does not change the span; primitive entries keep elimination in
-    fast native-int arithmetic.
-    """
-    denom = 1
+def _cleared(vec):
+    """An exact vector (int and Fraction entries) times the lcm of its
+    denominators: a fresh integer vector without zero entries, in the same
+    direction.  It need not be primitive: ``_keep`` and ``_reduce_ints``
+    divide what they keep by its gcd."""
+    den = 1
     for v in vec.values():
         # an exact type test first: isinstance against Fraction's ABC is slow
         if type(v) is not int:
-            denom = lcm(denom, v.denominator)
-    ints = {k: v * denom if type(v) is int else v.numerator * (denom // v.denominator)
+            den = lcm(den, v.denominator)
+    return {k: v * den if type(v) is int else v.numerator * (den // v.denominator)
             for k, v in vec.items() if v}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {k: n // g for k, n in ints.items()}
-    return ints
 
 
 def _reduce_ints(pivots, vec):
@@ -333,10 +327,10 @@ class RationalEchelon:
 
     Keys must be totally ordered (ints or tuples).  ``pivots`` maps each
     pivot's lead (its largest key) to the pivot, a primitive integer vector.
-    ``insert`` rescales a vector to a primitive integer one and reduces it
-    against the pivots; a nonzero remainder becomes a new pivot.  ``close``
-    inserts the images of integer vectors under integer operators until the
-    span is closed under them.  Every pivot is added by ``_keep``.
+    ``insert`` clears a vector's denominators and reduces it against the
+    pivots; a nonzero remainder becomes a new pivot.  ``close`` inserts the
+    images of integer vectors under integer operators until the span is
+    closed under them.  Every pivot is added by ``_keep``.
     """
 
     __slots__ = ("pivots",)
@@ -349,22 +343,17 @@ class RationalEchelon:
         return len(self.pivots)
 
     def reduce(self, vec):
-        """Fully reduce a vector; returns a primitive integer remainder."""
-        return _reduce_ints(self.pivots, primitive_int_vector(vec))
+        """Fully reduce an exact vector; returns a primitive integer remainder."""
+        return _reduce_ints(self.pivots, _cleared(vec))
 
     def insert(self, vec):
-        """Reduce and insert (``_keep``) the primitive integer vector of vec;
-        returns the new pivot vector, or None."""
-        ints = primitive_int_vector(vec)
+        """Reduce and insert (``_keep``) an exact vector, int or Fraction
+        entries, zeros allowed, such as another echelon's pivot; returns the
+        new pivot vector, or None.  vec itself is left unchanged."""
+        ints = _cleared(vec)
         return _keep(self.pivots, ints) if ints else None
 
-    def insert_ints(self, vec):
-        """insert for an integer vector without zero entries, such as another
-        echelon's pivot: kept without the rescaling; vec itself is left
-        unchanged."""
-        return _keep(self.pivots, dict(vec)) if vec else None
-
-    def close(self, frontier, ops, max_rounds, commuting=()):
+    def close(self, frontier, ops, commuting=()):
         """Close the span under integer operators; returns the creation record.
 
         frontier: integer vectors of the span whose images are still to be
@@ -377,8 +366,10 @@ class RationalEchelon:
         Each round applies operators to the vectors of the frontier and
         inserts each nonzero image (``_apply`` and ``_keep``, with their
         shortcuts); the pivots it adds are the next round's frontier, and the
-        span is closed after a round that adds none.  Raises RuntimeError
-        when that takes more than max_rounds rounds.
+        span is closed after a round that adds none.  That round always
+        comes: every round before it adds a pivot, and the pivots are
+        independent vectors on the keys that the frontier's keys reach by
+        the operators' moves, finitely many as the moves are XORs.
 
         commuting: pairs (j, c), j < c, of operators with F_j F_c = F_c F_j,
         the ordered-word rule: a pivot made by operator c does not take the
@@ -423,11 +414,7 @@ class RationalEchelon:
         menus = [[(j, op) for j, op in every if (j, c) not in commuting] for c in range(len(ops))]
         frontier = [(vec, every) for vec in frontier]
         base = 0
-        rounds = 0
         while frontier:
-            rounds += 1
-            if rounds > max_rounds:
-                raise RuntimeError("lowering closure failed to stabilize within the round cap")
             fresh = []
             for parent, (vec, menu) in enumerate(frontier, base):
                 # most frontier vectors have one entry: _apply's monomial
@@ -461,13 +448,13 @@ class RationalEchelon:
         and ops the operators, in move form, it was recorded with;
         ``duality._value_ranks`` records it in this echelon itself, and
         replays it from every vector but that frontier's.  Each vector is
-        inserted by ``insert_ints``; then the tree is walked from it: a
+        inserted by ``insert``; then the tree is walked from it: a
         node's image is its operator applied (``_apply``, one lookup per
         move and entry) to the pivot that this echelon kept for the node's
         parent (index 0 the vector, index k the tree's k-th node), reduced
         and kept by ``_keep``.  A node whose parent was kept no pivot is
-        skipped.  The pivots are those that ``insert_ints`` of each
-        image, in the same order, gives.
+        skipped.  The pivots are those that ``insert`` of each image, in
+        the same order, gives.
 
         Let S be the span of the words w b, for b a vector and w one of the
         tree's words, the empty word included.  When ops keep both S and the
@@ -479,7 +466,7 @@ class RationalEchelon:
         pivots = self.pivots
         before = len(pivots)
         for vec in vectors:
-            kept = [self.insert_ints(vec)]
+            kept = [self.insert(vec)]
             for parent, k in tree:
                 source = kept[parent]
                 image = None if source is None else _apply(ops[k], source)

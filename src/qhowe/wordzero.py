@@ -110,9 +110,7 @@ def _group_first(words):
         echelon = RationalEchelon()
         for u in bases[-1]:
             for b in (0, 1):
-                image = {w: x * f for w, x in u.items() if (f := values[w][b])}
-                if image:
-                    echelon.insert_ints(image)
+                echelon.insert({w: x * f for w, x in u.items() if (f := values[w][b])})
         bases.append(list(echelon.pivots.values()))
     if not any(sum(u.values()) for u in bases[-1]):
         return None

@@ -426,7 +426,7 @@ def test_every_section_is_one_flat_list_of_records(capsys, args):
                           f"({len(checks) - failed} checks pass, {failed} fail)")
 
 
-# sha256 of three canonical reports.  A change to report building must keep
+# sha256 of five canonical reports.  A change to report building must keep
 # these bytes; an intended output change updates the digests and says why in
 # CHANGES.md.
 _PINNED_REPORTS = [
@@ -436,6 +436,13 @@ _PINNED_REPORTS = [
                  "55afdcebb8aa4a895ba1abc939ffeb7e50affe455064adbd9df1ca732494d003", id="all-text"),
     pytest.param(["--n", "2", "--m", "3", "--json", "hwv", "--partition", "2,1"],
                  "7db078e8afe7912d6c5307cc5e74b85596e87884475eff29864f3a87d6d00c05", id="hwv-json"),
+    pytest.param(["--n", "3", "--m", "3", "--spec-q", "5/3", "--spec-q", "-2", "--json",
+                  "decompose"],
+                 "3e72a7da691b6300d111c59125b0cf501b9ab53c30dfbaff78cacc0454855623",
+                 id="decompose-spec-q-json"),
+    pytest.param(["--n", "3", "--m", "4", "--json", "decompose"],
+                 "8c9a33db9a2dd31b3c4e1a1d232a2fbd5a084e35ec872b22001842a9fde3b195",
+                 id="decompose-json"),
 ]
 
 

@@ -482,7 +482,7 @@ class TestCyclicSpanControls:
     def test_enlarged_span_fails(self, monkeypatch, capsys):
         # a shift s -> s + 1 among the lowering operators takes the empty
         # diagram's span from 1 to all 64 states in 64 rounds: the span is
-        # reported against its Weyl product, not stopped by the round cap
+        # reported against its Weyl product
         shift = move_form({s: {s + 1: 1} for s in range(63)})
         self.patch_ops(monkeypatch, lambda ops, value: ops + [shift])
         report = cyclic_span_dims(2, 3)
@@ -571,7 +571,7 @@ def matrix_ops(exprs, value):
 def ref_value_ranks(shape, states, lowering, commute, commuting, value, order):
     """The single-phase closure in place of duality._value_ranks: each span is
     closed under every lowering operator of both actions at once, and every
-    closure pivot goes through insert_ints.  It builds its own operators,
+    closure pivot goes through insert.  It builds its own operators,
     from the matrices (``matrix_ops``), and ignores lowering, commute,
     commuting and order."""
     n, m = shape
@@ -583,10 +583,10 @@ def ref_value_ranks(shape, states, lowering, commute, commuting, value, order):
     for state in states:
         closure = RationalEchelon()
         seed = closure.insert({state: 1})
-        closure.close([seed], ops, (1 << shape.positions) + 1)
+        closure.close([seed], ops)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
-            joint.insert_ints(vec)
+            joint.insert(vec)
     return dims, joint.rank
 
 
@@ -603,17 +603,16 @@ def ref_two_phase_value_ranks(shape, states, lowering, commute, commuting, value
     first, second = (cols, rows) if m >= n else (rows, cols)
     if not commute:
         second = ops
-    cap = (1 << shape.positions) + 1
     joint = RationalEchelon()
     dims = []
     for state in states:
         closure = RationalEchelon()
         seed = closure.insert({state: 1})
-        closure.close([seed], first, cap)
-        closure.close(list(closure.pivots.values()), second, cap)
+        closure.close([seed], first)
+        closure.close(list(closure.pivots.values()), second)
         dims.append(closure.rank)
         for vec in closure.pivots.values():
-            joint.insert_ints(vec)
+            joint.insert(vec)
     return dims, joint.rank
 
 

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qhowe.qclifford import OperatorExpr
 from qhowe.qscalar import QLaurent
 from qhowe.sparsemat import (
-    RationalEchelon, SparseMatrix, _apply, _reduce_ints, primitive_int_vector,
+    RationalEchelon, SparseMatrix, _apply, _keep, _reduce_ints,
 )
 
 # -- the reference: {col: {row: QLaurent}} with no zeros kept ------------------
@@ -462,25 +462,30 @@ entry_kinds["mixed"] = st.one_of(*entry_kinds.values())
 
 
 @given(st.sampled_from(sorted(entry_kinds)).flatmap(lambda kind: st.lists(
-    st.dictionaries(st.integers(0, 5), entry_kinds[kind], max_size=5), max_size=8)))
-def test_echelon_rank_matches_fraction_elimination(vectors):
+    st.dictionaries(st.integers(0, 5), entry_kinds[kind], max_size=5), max_size=8)),
+       st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+def test_echelon_rank_matches_fraction_elimination(vectors, factor):
     echelon = RationalEchelon()
-    # the same vectors made primitive integer vectors first, through insert_ints
-    ints = RationalEchelon()
+    # the same vectors as primitive integer vectors, times a positive factor,
+    # and kept through their primitive vectors (ref_insert): every echelon
+    # must hold the same pivots, in the same order
+    primitive, scaled, ref = RationalEchelon(), RationalEchelon(), RationalEchelon()
     for k, v in enumerate(vectors):
         before = echelon.rank
         rem = echelon.reduce(v)
+        p = ref_primitive(v)
+        v_scaled = {key: x * factor for key, x in v.items()}
+        assert primitive.reduce(p) == scaled.reduce(v_scaled) == ref_reduce(ref, v) == rem
         added = echelon.insert(v)
         assert echelon.rank == ref_rank(vectors[:k + 1])
         assert (added is None) == (echelon.rank == before)
         assert (added or {}) == rem
-        primitive = ref_primitive(v)
-        assert ints.insert_ints(primitive) == added
-        assert primitive == ref_primitive(v)  # left unchanged
-        assert ints.pivots == echelon.pivots
-        assert list(ints.pivots) == list(echelon.pivots)
+        assert primitive.insert(p) == scaled.insert(v_scaled) == ref_insert(ref, v) == added
+        assert p == ref_primitive(v)  # left unchanged
+        for other in (primitive, scaled, ref):
+            assert other.pivots == echelon.pivots
+            assert list(other.pivots) == list(echelon.pivots)
     assert_echelon_form(echelon)
-    assert_echelon_form(ints)
 
 
 def ref_primitive(vec):
@@ -492,6 +497,18 @@ def ref_primitive(vec):
     nums = {k: int(x * den) for k, x in entries.items()}
     g = gcd(*nums.values())
     return {k: x // g for k, x in nums.items()}
+
+
+def ref_insert(echelon, vec):
+    """insert through the primitive vector: ``_keep`` of ref_primitive(vec)."""
+    p = ref_primitive(vec)
+    return _keep(echelon.pivots, p) if p else None
+
+
+def ref_reduce(echelon, vec):
+    """reduce through the primitive vector: ``_reduce_ints`` of
+    ref_primitive(vec)."""
+    return _reduce_ints(echelon.pivots, ref_primitive(vec))
 
 
 def assert_echelon_form(echelon):
@@ -573,8 +590,7 @@ def operator_lists(draw, operators=int_operators):
 def test_close_matches_breadth_first_fraction_closure(seeds, ops):
     echelon = RationalEchelon()
     frontier = [p for p in map(echelon.insert, seeds) if p is not None]
-    # every round but the last adds a pivot, so rank + 1 rounds always do
-    echelon.close(frontier, list(map(move_form, ops)), CLOSE_DIM + 1)
+    echelon.close(frontier, list(map(move_form, ops)))
     basis = ref_closure(seeds, ops)
     assert echelon.rank == len(basis)
     pivots = list(echelon.pivots.values())
@@ -587,20 +603,30 @@ def test_close_matches_breadth_first_fraction_closure(seeds, ops):
 @pytest.mark.parametrize("length", [1, 2, 5])
 def test_close_round_cap(length):
     # a shift along a chain of length basis vectors: the closure of the first
-    # takes length rounds, the last of which adds nothing
+    # takes length rounds, the last of which adds nothing; each round's
+    # pivot is made from the one before it
     shift = {k: {k + 1: 2} for k in range(length - 1)}
     echelon = RationalEchelon()
-    echelon.close([echelon.insert({0: 1})], [move_form(shift)], length)
+    record = echelon.close([echelon.insert({0: 1})], [move_form(shift)])
+    assert record == [(k, 0) for k in range(length - 1)]
     assert echelon.pivots == {k: {k: 1} for k in range(length)}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_close_stops_on_a_full_cycle(k):
+    # s -> s + 1 mod 2^k visits every state of k bits once before it comes
+    # back to 0: the longest closure k bits allow, 2^k + 1 rounds, stops
+    cycle = {s: {(s + 1) % (1 << k): 1} for s in range(1 << k)}
     echelon = RationalEchelon()
-    with pytest.raises(RuntimeError, match="round cap"):
-        echelon.close([echelon.insert({0: 1})], [move_form(shift)], length - 1)
+    record = echelon.close([echelon.insert({0: 1})], [move_form(cycle)])
+    assert echelon.rank == 1 << k
+    assert len(record) == (1 << k) - 1
 
 
 # -- RationalEchelon.close against the general reducer on every image -----------
 
 
-def ref_close(echelon, frontier, ops, max_rounds, commuting=()):
+def ref_close(echelon, frontier, ops, commuting=()):
     """close without its shortcuts: every image is built by the accumulation
     loop and reduced by _reduce_ints, and a pivot made by op c skips each op
     j with (j, c) in commuting; returns the creation record."""
@@ -608,11 +634,7 @@ def ref_close(echelon, frontier, ops, max_rounds, commuting=()):
     record = []
     frontier = [(vec, None) for vec in frontier]
     base = 0
-    rounds = 0
     while frontier:
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("lowering closure failed to stabilize within the round cap")
         fresh = []
         for parent, (vec, made) in enumerate(frontier, base):
             for k, op in enumerate(ops):
@@ -672,21 +694,19 @@ rule_tables = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
 
 @settings(max_examples=300)
 @given(st.lists(close_vectors, max_size=3), st.lists(close_vectors, min_size=1, max_size=3),
-       operator_lists(close_operators), st.integers(0, CLOSE_DIM + 1), rule_tables)
+       operator_lists(close_operators), rule_tables)
 # a negative one-entry image at a fresh lead: the new pivot is {1: -1}
-@example([], [{0: 1}], [{0: {1: -2}}], 3, set())
+@example([], [{0: 1}], [{0: {1: -2}}], set())
 # a one-entry image at a one-entry pivot's lead lies in the span
-@example([{3: -1}], [{0: 1}], [{0: {3: 2}}], 3, set())
+@example([{3: -1}], [{0: 1}], [{0: {3: 2}}], set())
 # a one-entry image at a several-entry pivot's lead leaves the remainder {1: -1}
-@example([{1: 1, 3: 1}], [{0: 1}], [{0: {3: 1}}], 3, set())
+@example([{1: 1, 3: 1}], [{0: 1}], [{0: {3: 1}}], set())
 # an image with a fresh lead and gcd 2 becomes {1: 1, 2: 1}
-@example([], [{0: 1}], [{0: {1: 2, 2: 2}}], 3, set())
-@example([], [{0: 1, 1: 1}], [{0: {2: 3}, 1: {2: 3, 4: -3}}], 3, set())
-# the round cap
-@example([], [{0: 1}], [{0: {1: 1}, 1: {2: 1}}], 1, set())
+@example([], [{0: 1}], [{0: {1: 2, 2: 2}}], set())
+@example([], [{0: 1, 1: 1}], [{0: {2: 3}, 1: {2: 3, 4: -3}}], set())
 # the pivot {2: 1} made by op 1 does not take op 0, so {3: 1} is never made
-@example([], [{0: 1}], [{2: {3: 1}}, {0: {2: 1}}], 3, {(0, 1)})
-def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds, commuting):
+@example([], [{0: 1}], [{2: {3: 1}}, {0: {2: 1}}], {(0, 1)})
+def test_close_matches_the_general_reducer(held, seeds, ops, commuting):
     # held: pivots inserted before the closure that are not on its frontier,
     # so that images meet one-entry and several-entry pivots at their leads
     echelon = RationalEchelon()
@@ -695,15 +715,8 @@ def test_close_matches_the_general_reducer(held, seeds, ops, max_rounds, commuti
     frontier = [p for p in map(echelon.insert, seeds) if p is not None]
     ref = RationalEchelon()
     ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
-    outcomes = []
-    for close, target, vectors, form in (
-            (RationalEchelon.close, echelon, frontier, list(map(move_form, ops))),
-            (ref_close, ref, [dict(p) for p in frontier], ops)):
-        try:
-            outcomes.append(close(target, vectors, form, max_rounds, commuting))
-        except RuntimeError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    record = echelon.close(frontier, list(map(move_form, ops)), commuting)
+    assert record == ref_close(ref, [dict(p) for p in frontier], ops, commuting)
     assert pivot_items(echelon) == pivot_items(ref)
 
 
@@ -734,7 +747,7 @@ def assert_record_spans(echelon, frontier, ops, record):
 def test_close_records_words_that_span_the_closure(seeds, ops):
     echelon = RationalEchelon()
     frontier = [p for p in map(echelon.insert, seeds) if p is not None]
-    record = echelon.close(frontier, list(map(move_form, ops)), CLOSE_DIM + 1)
+    record = echelon.close(frontier, list(map(move_form, ops)))
     assert len(record) == echelon.rank - len(frontier)
     assert_record_spans(echelon, frontier, ops, record)
 
@@ -747,7 +760,7 @@ def test_close_records_the_shortcut_pivots():
     ops = [{0: {2: 2}, 2: {1: 2, 3: 4}}, {0: {2: -3}}]
     echelon = RationalEchelon()
     frontier = [echelon.insert({0: 1})]
-    record = echelon.close(frontier, list(map(move_form, ops)), 4)
+    record = echelon.close(frontier, list(map(move_form, ops)))
     assert record == [(0, 0), (1, 0)]
     assert echelon.pivots == {0: {0: 1}, 2: {2: 1}, 3: {1: 1, 3: 2}}
     assert_record_spans(echelon, frontier, ops, record)
@@ -759,7 +772,7 @@ def test_close_records_parents_past_the_frontier():
     ops = [{0: {1: 1}, 1: {2: 1}, 5: {6: 1}}]
     echelon = RationalEchelon()
     frontier = [echelon.insert({0: 1}), echelon.insert({5: 1})]
-    record = echelon.close(frontier, list(map(move_form, ops)), 4)
+    record = echelon.close(frontier, list(map(move_form, ops)))
     assert record == [(0, 0), (1, 0), (2, 0)]
     assert echelon.pivots == {0: {0: 1}, 5: {5: 1}, 1: {1: 1}, 6: {6: 1}, 2: {2: 1}}
     assert_record_spans(echelon, frontier, ops, record)
@@ -824,7 +837,7 @@ def test_ordered_word_rule_keeps_the_closure(seeds, ops):
     for table in (commuting_pairs(ops), ()):
         echelon = RationalEchelon()
         frontier = [p for p in map(echelon.insert, seeds) if p is not None]
-        record = echelon.close(frontier, list(map(move_form, ops)), GRID * GRID + 1, table)
+        record = echelon.close(frontier, list(map(move_form, ops)), table)
         assert_record_spans(echelon, frontier, ops, record)
         echelons.append(echelon)
     ruled, full = echelons
@@ -862,7 +875,7 @@ def test_close_on_a_held_closed_span(held, seeds, ops):
             echelon.insert(vec)
         assert echelon.rank == len(held)
         kept = [(seed, pivot) for seed in seeds if (pivot := echelon.insert(seed)) is not None]
-        record = echelon.close([pivot for _, pivot in kept], moves, CLOSE_DIM + 1, table)
+        record = echelon.close([pivot for _, pivot in kept], moves, table)
         assert echelon.rank == len(held) + len(closure)
         words = record_words([seed for seed, _ in kept], ops, record)
         assert len(words) == ref_rank(words) == len(closure)
@@ -875,10 +888,10 @@ def test_close_meeting_the_held_span_grows_by_less():
     # and the raw words {0: 1}, {1: 1} are no basis of C
     shift = {k: {k + 1: 1} for k in range(3)}
     echelon = RationalEchelon()
-    echelon.close([echelon.insert({2: 1})], [move_form(shift)], 4)
+    echelon.close([echelon.insert({2: 1})], [move_form(shift)])
     assert sorted(echelon.pivots) == [2, 3]
     seeds = [{0: 1}]
-    record = echelon.close([echelon.insert(seeds[0])], [move_form(shift)], 4)
+    record = echelon.close([echelon.insert(seeds[0])], [move_form(shift)])
     closure = ref_closure(seeds, [shift])
     assert len(closure) == 4
     assert echelon.rank - 2 == 1 + len(record) == 2 < len(closure)
@@ -886,14 +899,14 @@ def test_close_meeting_the_held_span_grows_by_less():
 
 
 def ref_replay(echelon, vectors, tree, ops):
-    """replay by insert_ints of each image in the same order: a node's image
+    """replay by ref_insert of each image in the same order: a node's image
     is its operator applied to the pivot kept for its parent."""
     before = echelon.rank
     for vec in vectors:
-        kept = [echelon.insert_ints(vec)]
+        kept = [ref_insert(echelon, vec)]
         for parent, k in tree:
             image = {} if kept[parent] is None else ref_apply_ints(ops[k], kept[parent])
-            kept.append(echelon.insert_ints(image) if image else None)
+            kept.append(ref_insert(echelon, image))
     return echelon.rank - before
 
 
@@ -909,13 +922,12 @@ def ref_replay(echelon, vectors, tree, ops):
 def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
     moves = list(map(move_form, ops))
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert(seed)], moves, CLOSE_DIM + 1)
+    tree = scratch.close([scratch.insert(seed)], moves)
     echelon = RationalEchelon()
     for vec in held:
         echelon.insert(vec)
     ref = RationalEchelon()
     ref.pivots = {lead: dict(pivot) for lead, pivot in echelon.pivots.items()}
-    vectors = [primitive_int_vector(v) for v in vectors]
     copies = [dict(v) for v in vectors]
     assert echelon.replay(vectors, tree, moves) == ref_replay(ref, vectors, tree, ops)
     assert pivot_items(echelon) == pivot_items(ref)
@@ -928,7 +940,7 @@ def test_replay_counts_a_full_product():
     # two nodes, and replayed from {0: 1} and {4: 1} it adds 2 * 3 pivots
     chains = [{k: {k + 1: 1} for k in (0, 1, 4, 5)}]
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert({0: 1})], list(map(move_form, chains)), 4)
+    tree = scratch.close([scratch.insert({0: 1})], list(map(move_form, chains)))
     assert tree == [(0, 0), (1, 0)]
     echelon = RationalEchelon()
     assert echelon.replay([{0: 1}, {4: 1}], tree, list(map(move_form, chains))) == 6
@@ -941,7 +953,7 @@ def test_replay_of_a_tree_inside_the_span_adds_fewer_pivots():
     # whole tree is skipped
     shift = {k: {k + 1: 1} for k in range(7)}
     scratch = RationalEchelon()
-    tree = scratch.close([scratch.insert({0: 1})], [move_form(shift)], 10)
+    tree = scratch.close([scratch.insert({0: 1})], [move_form(shift)])
     assert tree == [(k, 0) for k in range(7)]
     echelon = RationalEchelon()
     echelon.insert({3: 1})

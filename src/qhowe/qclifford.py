@@ -289,6 +289,23 @@ def _composed(left, right):
             if (cw := a.compose(b)) is not None]
 
 
+def _commutation(u, v):
+    """(p, e) with u∘v = (-1)^p q^e v∘u, or None when the positions the
+    two words touch meet (see ``OperatorExpr.first_noncommuting``)."""
+    u_set, u_clear, u_final, u_sign, _, _, u_masks = u
+    v_set, v_clear, v_final, v_sign, _, _, v_masks = v
+    if (u_set | u_clear) & (v_set | v_clear):
+        return None
+    p = ((u_sign & (v_set ^ v_final)).bit_count()
+         + (v_sign & (u_set ^ u_final)).bit_count()) & 1
+    e = 0
+    for c, mask in u_masks:
+        e += c * ((mask & v_final).bit_count() - (mask & v_set).bit_count())
+    for c, mask in v_masks:
+        e -= c * ((mask & u_final).bit_count() - (mask & u_set).bit_count())
+    return p, e
+
+
 def _table(cw, entry):
     """The entry of each key of ``cw.columns``, key 2 * (e - emin) +
     negative: entry(e) and -entry(e), e from the low end emin of
@@ -549,11 +566,36 @@ class OperatorExpr:
         """The first column where self * other and q^shift other * self
         differ, or None; as ``SparseMatrix.first_noncommuting``.  The words
         of ``q_commutator(self, other, shift)`` are composed straight from
-        the operands' words, with no operator built."""
+        the operands' words, with no operator built.
+
+        A pair of words u of self and v of other whose touched positions
+        (``require_set | require_clear``) do not meet q-commutes exactly,
+        u∘v = (-1)^p q^e v∘u with (p, e) = ``_commutation(u, v)``, so the
+        pair is skipped, not composed, when p = 0 and e = shift: its two
+        words cancel in self * other - q^shift other * self.  Proof from
+        ``compose``'s formulas with the touched sets disjoint (a final_set
+        lies inside its word's touched set): the kill test is vacuous, so
+        neither product is None; both products have the same require and
+        final masks, and the same exponent masks, each bit carrying the sum
+        of its weights in u and v; their sign masks are both u.sign_mask ^
+        v.sign_mask off both touched sets; u∘v's parity is u.sign_odd +
+        v.sign_odd + |u.sign_mask & v.final_set| + |v.sign_mask &
+        u.require_set|, and v∘u's swaps u and v, so they differ by p =
+        |u.sign_mask & move(v)| + |v.sign_mask & move(u)| mod 2 (move =
+        ``require_set ^ final_set``); and u∘v's exp0 is u.exp0 + v.exp0 +
+        the sum of c|m & v.final_set| over u's masks (c, m) and of
+        c|m & u.require_set| over v's, so it exceeds v∘u's by e.  Every
+        other pair is composed both ways, in the order of ``_composed``, and
+        the surviving words decide the same operator."""
         self._check_space(other)
         a, b = self._compiled(), other._compiled()
-        return first_nonzero_state(
-            _composed(a, b) + [(-c, cw.shifted(shift)) for c, cw in _composed(b, a)])
+        live = [[_commutation(u, v) != (0, shift) for _, v in b] for _, u in a]
+        words = [(ca * cb, cw) for (ca, u), row in zip(a, live) for (cb, v), keep in zip(b, row)
+                 if keep and (cw := u.compose(v)) is not None]
+        words += [(-cb * ca, cw.shifted(shift)) for j, (cb, v) in enumerate(b)
+                  for (ca, u), row in zip(a, live)
+                  if row[j] and (cw := v.compose(u)) is not None]
+        return first_nonzero_state(words)
 
     def first_difference_at_one(self, other):
         """first_difference at q = 1: each word's coefficient is taken at 1

@@ -180,7 +180,10 @@ def check_relations(rep):
     generators.  Given L L^{-1} = 1 and the commuting L's, K_i K_i^{-1} = 1,
     so a conjugation D X D^{-1} = q^a X is decided as the shifted
     commutation D X = q^a X D, and [E_i, F_i] as the multiplied-out identity
-    (q - q^{-1}) [E_i, F_i] = K_i - K_i^{-1}; nothing is divided.
+    (q - q^{-1}) [E_i, F_i] = K_i - K_i^{-1}; nothing is divided.  On
+    Clifford words a torus word touches no position, so every conjugation
+    and torus commutation, and most [E_i, F_j] = 0, are settled without
+    composing a product (``OperatorExpr.first_noncommuting``).
     """
     p = rep.rank
     checks = []

@@ -39,7 +39,8 @@ def match(relation, lhs, rhs, label, **fields):
 def commute(relation, x, y, label, shift=0, **fields):
     """The record of x * y == q^shift y * x, the same as match(relation,
     x * y, (y * x).scale(q^shift), label, **fields), decided by the
-    operators' first_noncommuting."""
+    operators' first_noncommuting: on Clifford words it composes no pair
+    of words on disjoint positions that cancels between the two products."""
     return column(relation, x.first_noncommuting(y, shift), label, **fields)
 
 

@@ -343,9 +343,10 @@ def test_pretty_printer():
 
 
 def reference_apply(op, vec):
-    """Apply op generator by generator, right to left, one state at a time."""
+    """Apply op (an operator or a term list) generator by generator, right
+    to left, one state at a time."""
     out = {}
-    for coeff, word in op.terms:
+    for coeff, word in op if isinstance(op, list) else op.terms:
         for state, value in vec.items():
             bits = state
             sign = 1
@@ -817,6 +818,106 @@ def test_compose_cases(wa, wb):
     assert (a * b)._compiled() == compiled_product(a, b) == (
         [] if want is None else ref_fold([(QLaurent({-1: 2, 0: -1}), want)]))
     assert_compiled_matches(a * b)
+
+
+# -- disjoint words q-commute, decided from their masks ---------------------------
+
+# per-position blocks of psi and psid that keep some state
+LIVE_BLOCKS = [(PSI,), (PSI_DAG,), (PSI_DAG, PSI), (PSI, PSI_DAG), (PSI_DAG, PSI, PSI_DAG)]
+
+
+@st.composite
+def live_words(draw, n, own):
+    """A word that keeps some state: one live block of psi and psid on each
+    position of own, in a drawn order, with w and winv on any of the n
+    positions inserted anywhere (a word over no own position is a torus
+    word)."""
+    word = [(kind, k) for k in draw(st.permutations(own))
+            for kind in draw(st.sampled_from(LIVE_BLOCKS))]
+    torus = st.tuples(st.sampled_from([OMEGA, OMEGA_INV]), st.integers(1, n))
+    for gen in draw(st.lists(torus, max_size=4)):
+        word.insert(draw(st.integers(0, len(word))), gen)
+    return word
+
+
+@st.composite
+def disjoint_words(draw):
+    """(n, u, v): two live words on n <= 8 positions whose psi and psid
+    positions do not meet."""
+    n = draw(st.integers(1, 8))
+    side = draw(st.lists(st.sampled_from("uv-"), min_size=n, max_size=n))
+    u, v = (draw(live_words(n, [k + 1 for k, s in enumerate(side) if s == name]))
+            for name in "uv")
+    return n, u, v
+
+
+@given(disjoint_words())
+@example((3, [(PSI, 2)], [(PSI_DAG, 1)]))        # psi_2 counts position 1: odd parity
+@example((3, [(PSI, 3)], [(PSI_DAG, 1), (PSI, 2)]))  # v moves two bits below 3: even
+@example((2, [(OMEGA, 1), (OMEGA_INV, 2)], [(PSI_DAG, 1)]))  # a torus word: q^-1
+@example((2, [(OMEGA, 1)], [(OMEGA_INV, 1), (OMEGA, 2)]))  # two torus words commute
+def test_disjoint_words_q_commute(words):
+    # u∘v = (-1)^p q^e v∘u, against compiling both concatenations
+    n, wu, wv = words
+    compile_word = qclifford._CompiledWord.compile
+    u, v = compile_word(wu), compile_word(wv)
+    p, e = qclifford._commutation(u, v)
+    uv, vu = compile_word(wu + wv), compile_word(wv + wu)
+    assert uv is not None and vu is not None
+    assert u.compose(v) == uv and v.compose(u) == vu
+    assert uv == vu._replace(sign_odd=vu.sign_odd ^ p, exp0=vu.exp0 + e)
+    assert qclifford._commutation(v, u) == (p, -e)
+    # and on the states, by the interpreter of the concatenated words
+    uv_op, vu_op = OperatorExpr.word(n, wu + wv), OperatorExpr.word(n, wv + wu)
+    for state in range(1 << n):
+        vec = {state: QLaurent.one()}
+        assert reference_apply(uv_op, vec) == {
+            s: c.scale(-1 if p else 1).shift(e) for s, c in reference_apply(vu_op, vec).items()}
+
+
+def test_commutation_of_words_that_meet_is_undecided():
+    compile_word = qclifford._CompiledWord.compile
+    u = compile_word([(PSI, 2), (OMEGA, 1)])
+    assert qclifford._commutation(u, compile_word([(PSI_DAG, 2)])) is None
+    assert qclifford._commutation(u, compile_word([(PSI_DAG, 1), (PSI, 1)])) == (0, 0)
+    assert qclifford._commutation(u, compile_word([(PSI, 1)])) == (1, 1)
+
+
+@st.composite
+def overlapping_operator_pairs(draw):
+    """(x, y) on n <= 6 positions: each term's psi and psid stay on its
+    operator's own positions or on the shared ones, w and winv anywhere, so
+    most word pairs are disjoint and some meet.  The two operators may share
+    a term, and coefficients carry several q-powers."""
+    n = draw(st.integers(1, 6))
+    side = draw(st.lists(st.sampled_from("xys-"), min_size=n, max_size=n))
+    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(QLaurent)
+
+    def terms(name):
+        own = [k + 1 for k, s in enumerate(side) if s in (name, "s")]
+        return [(draw(coeffs), draw(live_words(n, draw(st.lists(st.sampled_from(own), unique=True))
+                                                    if own else [])))
+                for _ in range(draw(st.integers(1, 3)))]
+
+    tx, ty = terms("x"), terms("y")
+    if tx and ty and draw(st.booleans()):
+        ty.append(tx[0])
+    return OperatorExpr(n, tx), OperatorExpr(n, ty)
+
+
+@given(overlapping_operator_pairs(), st.integers(-3, 3))
+@example((OperatorExpr.psi(2, 3), OperatorExpr.psi_dag(1, 3)), 0)  # they anticommute
+def test_noncommuting_words_with_disjoint_pairs_match_the_matrices(pair, shift):
+    # first_noncommuting skips the disjoint pairs that cancel; the matrices
+    # compose every pair, witnesses included.  Besides the drawn shift, each
+    # shift at which a disjoint pair cancels, or would with the other parity
+    x, y = pair
+    mx, my = x.to_matrix(), y.to_matrix()
+    shifts = {shift} | {pe[1] for _, u in x._compiled() for _, v in y._compiled()
+                        if (pe := qclifford._commutation(u, v))}
+    for s in sorted(shifts):
+        assert x.first_noncommuting(y, s) == mx.first_noncommuting(my, s)
+        assert y.first_noncommuting(x, -s) == my.first_noncommuting(mx, -s)
 
 
 def eager(kind, *args):

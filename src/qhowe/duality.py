@@ -280,7 +280,7 @@ def _generators(n, m, kind):
 
 
 def _integer_ops(exprs, value):
-    """Word expressions at q = value as integer operators in move form
+    """Word expressions at q = value as integer operators in dense move form
     (``OperatorExpr.specialize_ints``).  Each is the specialized operator
     times its own nonzero constant, which changes no span or rank."""
     return [expr.specialize_ints(value)[0] for expr in exprs]
@@ -565,11 +565,14 @@ def _state_weights(n, m):
 
 
 def _schur_sum(n, m):
-    """sum over the box of s_mu(a_1..a_n) s_mu'(b_1..b_m), as a Counter."""
+    """sum over the box of s_mu(a_1..a_n) s_mu'(b_1..b_m), as a Counter.
+    One ``_branch`` memo serves the whole box, so each (nu, number of
+    variables) is expanded once per call, not once per mu."""
     out = Counter()
+    memo = {}
     for mu in partitions_in_box(n, m):
-        right = schur_poly(mu.conjugate(), m)
-        for e, c in schur_poly(mu, n).items():
+        right = _branch(tuple(mu.conjugate()), m, memo)
+        for e, c in _branch(tuple(mu), n, memo).items():
             for f, d in right.items():
                 out[e + f] += c * d
     return out

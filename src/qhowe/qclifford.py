@@ -20,8 +20,9 @@ native numbers, never walks a concatenated word, and lists its word tuples
 (``terms``, with their Laurent coefficients) only when something reads
 them, such as ``str``.
 ``apply`` evaluates the compiled form state by state, and
-``_CompiledWord.columns`` lists the states a word keeps and a sign and
-q-exponent key for each by doubling over the word's free bits.  Identities
+``_CompiledWord.table_indices`` gives every state an index into a table of
+the word's entries, by sign and q-exponent, or the table's zero where the
+word kills it, by doubling over the positions.  Identities
 between operators are identities of their action on the module, not in the
 abstract algebra (the module is not a faithful representation of it).
 ``first_difference``, ``first_noncommuting`` and ``first_difference_at_one``
@@ -29,11 +30,12 @@ decide them on the compiled words (``wordzero``), naming the witness state
 the matrices would, at up to 64 positions; so is the classical sign rule,
 against one reference Jordan-Wigner word per generator.  ``specialize_ints``
 and ``to_matrix`` (the tests' oracle) differ only in each word's table of
-entries per key (``_table``: exact integers over one denominator, or
-Laurent polynomials).  One builder (``OperatorExpr._moves``) reads them
-along the lists of 2^N states into move form, one flat ``{col: entry}`` per
-move ``require_set ^ final_set`` (row = col ^ move), which ``to_matrix``
-files by column; both stop at ``fockspace.check_enumerable``'s wall.
+entries (``_table``: exact integers over one denominator, or Laurent
+polynomials, each with its zero).  One builder (``OperatorExpr._moves``)
+reads them along the index lists into dense move form, one list of 2^N
+entries per move ``require_set ^ final_set`` (row = col ^ move, the
+entry at col), which ``to_matrix`` files by column; both stop at
+``fockspace.check_enumerable``'s wall.
 """
 
 from __future__ import annotations
@@ -225,35 +227,43 @@ class _CompiledWord(NamedTuple):
                 high += c * mask.bit_count()
         return low, high
 
-    def columns(self, length):
-        """(states, keys) for the states of the given length that survive,
-        in increasing order: ``keys[i]`` is ``2 * (e - emin) + negative`` for
-        ``states[i]``, e its q-exponent and emin the low end of
-        ``exponent_range``.
+    def table_indices(self, length):
+        """The index into the word's ``_table`` of every state of the given
+        length, in state order: ``2 * (e - emin) + negative`` for a state the
+        word keeps, e its q-exponent and emin the low end of
+        ``exponent_range``, and one past the table's entries, where the
+        table holds its zero, for a state the word kills.
 
-        The survivors are ``require_set | sub`` for every subset ``sub`` of
-        the free bits.  Each free bit adds its weight to e and, in
-        ``sign_mask``, flips the sign, whatever the other bits; so both lists
-        double once per free bit, in increasing bit order, by C-level
-        ``map`` calls over what is built so far."""
+        The list doubles once per position, in increasing bit order, by
+        C-level operations over what is built so far.  A required bit puts
+        the killed index in the half that lacks it (``require_set``) or has
+        it (``require_clear``).  A free bit adds its weight to e and, in
+        ``sign_mask``, flips the sign, whatever the other bits; a lookup
+        list that does both and keeps the killed index maps the new half."""
         require_set, require_clear, _, sign_mask, sign_odd, exp0, exp_masks = self
+        low, high = self.exponent_range()
+        dead = 2 * (high - low + 1)
         weights = {}
         for c, mask in exp_masks:
             while mask:
                 bit = mask & -mask
                 weights[bit] = c
                 mask ^= bit
-        states = [require_set]
-        keys = [2 * (exp0 - self.exponent_range()[0]) + sign_odd]
-        free = ((1 << length) - 1) & ~(require_set | require_clear)
-        while free:
-            bit = free & -free
-            free ^= bit
-            states += list(map(bit.__or__, states))
-            step = 2 * weights.get(bit, 0)
-            moved = map(step.__add__, keys) if step else keys
-            keys += list(map((1).__xor__, moved) if sign_mask & bit else moved)
-        return states, keys
+        keys = [2 * (exp0 - low) + sign_odd]
+        for k in range(length):
+            bit = 1 << k
+            if require_set & bit:
+                keys = [dead] * len(keys) + keys
+            elif require_clear & bit:
+                keys += [dead] * len(keys)
+            else:
+                step, flip = 2 * weights.get(bit, 0), 1 if sign_mask & bit else 0
+                if step or flip:
+                    lookup = [(key + step) ^ flip for key in range(dead)] + [dead]
+                    keys += list(map(lookup.__getitem__, keys))
+                else:
+                    keys += keys
+        return keys
 
 
 def _new_word(fields):
@@ -306,12 +316,12 @@ def _commutation(u, v):
     return p, e
 
 
-def _table(cw, entry):
-    """The entry of each key of ``cw.columns``, key 2 * (e - emin) +
-    negative: entry(e) and -entry(e), e from the low end emin of
-    ``exponent_range`` up."""
+def _table(cw, entry, zero):
+    """The entry at each index of ``cw.table_indices``, index 2 * (e - emin)
+    + negative: entry(e) and -entry(e), e from the low end emin of
+    ``exponent_range`` up, then zero at the index of the killed states."""
     low, high = cw.exponent_range()
-    return [x for e in range(low, high + 1) for v in (entry(e),) for x in (v, -v)]
+    return [x for e in range(low, high + 1) for v in (entry(e),) for x in (v, -v)] + [zero]
 
 
 def _listed(terms):
@@ -516,11 +526,13 @@ class OperatorExpr:
         """Realize as a 2^N x 2^N ``SparseMatrix`` (column per basis state),
         the oracle the tests hold the word decisions to: ``_moves`` with
         Laurent tables, filed by column in ascending order."""
-        tables = [_table(cw, partial(QLaurent.q_power, coeff=c)) for c, cw in self._compiled()]
+        tables = [_table(cw, partial(QLaurent.q_power, coeff=c), QLaurent.zero())
+                  for c, cw in self._compiled()]
         cols = {}
         for move, weights in self._moves(tables):
-            for c, v in weights.items():
-                cols.setdefault(c, {})[c ^ move] = v
+            for c, v in enumerate(weights):
+                if v:
+                    cols.setdefault(c, {})[c ^ move] = v
         return SparseMatrix._raw(1 << self.length, {c: cols[c] for c in sorted(cols)})
 
     def specialize_ints(self, value):
@@ -528,30 +540,27 @@ class OperatorExpr:
         over one common denominator, so that scale times a move's weight at
         col is the entry at (col ^ move, col)."""
         value = Fraction(value)
-        tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in self._compiled()]
+        tables = [_table(cw, lambda e, c=c: c * value**e, 0) for c, cw in self._compiled()]
         den = lcm(*(x.denominator for table in tables for x in table))
         tables = [[int(x * den) for x in table] for table in tables]
         return self._moves(tables), Fraction(1, den)
 
     def _moves(self, tables):
-        """The sum of the compiled words in move form, [(move, weights)],
-        tables[k] holding the entry of each key of word k (``_table``): a
-        word sends each state s it keeps (``_CompiledWord.columns``) to s ^
-        move, move = require_set ^ final_set, so ``weights[s]`` is the entry
-        at (s ^ move, s).  The words of one move sum into one weights dict;
-        zero entries and empty moves are dropped."""
+        """The sum of the compiled words as dense moves, [(move, weights)],
+        tables[k] holding the entry at each index of word k (``_table``): a
+        word sends each state s it keeps to s ^ move, move = require_set ^
+        final_set, so ``weights[s]``, one of 2^N entries, is the entry at
+        (s ^ move, s), and the table's zero where the word kills s
+        (``_CompiledWord.table_indices``).  The words of one move sum
+        elementwise into one list; moves whose entries are all zero are
+        dropped."""
         check_enumerable(self.length)
         summed = {}
         for (_, cw), table in zip(self._compiled(), tables):
-            states, keys = cw.columns(self.length)
-            weights = summed.setdefault(cw.require_set ^ cw.final_set, {})
-            if not weights:
-                weights.update(zip(states, map(table.__getitem__, keys)))
-                continue
-            for s, key in zip(states, keys):
-                weights[s] = weights[s] + table[key] if s in weights else table[key]
-        return [(move, w if all(w.values()) else {s: v for s, v in w.items() if v})
-                for move, w in summed.items() if any(w.values())]
+            weights = list(map(table.__getitem__, cw.table_indices(self.length)))
+            move = cw.require_set ^ cw.final_set
+            summed[move] = list(map(add, summed[move], weights)) if move in summed else weights
+        return [(move, weights) for move, weights in summed.items() if any(weights)]
 
     # -- identities -----------------------------------------------------------
 

@@ -275,11 +275,16 @@ def q_factorial(k):
 
 
 def q_binomial(a, b):
-    """The q-binomial [a]_q! / ([b]_q! [a-b]_q!), computed by exact division."""
+    """The q-binomial [a]_q! / ([b]_q! [a-b]_q!), by the product formula
+    prod_{i=1..b} [a-b+i]_q / [i]_q with b the smaller of b and a - b, the
+    two products divided once, exactly."""
     if not (isinstance(a, int) and isinstance(b, int) and 0 <= b <= a):
         raise ValueError(f"q_binomial requires 0 <= b <= a, got a={a}, b={b}")
-    num = q_factorial(a)
-    den = q_factorial(b) * q_factorial(a - b)
+    b = min(b, a - b)
+    num = den = _ONE
+    for i in range(1, b + 1):
+        num = num * q_int(a - b + i)
+        den = den * q_int(i)
     try:
         return exact_div(num, den)
     except NonExactDivision as exc:  # mathematically impossible

@@ -21,13 +21,14 @@ integer operators ``OperatorExpr.specialize_ints`` returns: it applies the
 operators to every new pivot and keeps each image as it arises, round by
 round, until a round adds no pivot, and ``replay``, which applies the
 words that one closure recorded to other vectors.  Those operators are in
-move form, [(move, weights)], each weights a flat ``{col: int}`` holding
-the operator's entry at (col ^ move, col).  ``close`` skips the images
-that an operator commuting with the one that made a pivot would repeat
-(its ordered-word rule), and may run in an echelon that already holds a
-span the operators keep closed: its rule and its record then work modulo
-that span, and its words are a basis of the new closure when the two
-meet only in 0.
+dense move form, [(move, weights)], each weights a list of one int per
+state, ``weights[col]`` the operator's entry at (col ^ move, col) and 0
+where the operator kills col, so an image reads its weights by index.
+``close`` skips the images that an operator commuting with the one that
+made a pivot would repeat (its ordered-word rule), and may run in an
+echelon that already holds a span the operators keep closed: its rule and
+its record then work modulo that span, and its words are a basis of the
+new closure when the two meet only in 0.
 """
 
 from __future__ import annotations
@@ -265,16 +266,16 @@ def _reduce_ints(pivots, vec):
 
 
 def _apply(op, vec):
-    """An integer operator in move form applied to an integer vector,
+    """An integer operator in dense move form applied to an integer vector,
     without zero entries: {} when the image is zero.  A one-entry vector's
     image has one row per move, so it skips the accumulation loop."""
     if len(vec) == 1:
         (c, x), = vec.items()
-        return {c ^ move: w * x for move, weights in op if (w := weights.get(c))}
+        return {c ^ move: w * x for move, weights in op if (w := weights[c])}
     image = {}
     for move, weights in op:
         for c, x in vec.items():
-            if w := weights.get(c):
+            if w := weights[c]:
                 r = c ^ move
                 s = image.get(r, 0) + w * x
                 if s:
@@ -359,9 +360,10 @@ class RationalEchelon:
         frontier: integer vectors of the span whose images are still to be
         taken: typically the pivots just inserted, or every pivot of an
         earlier closure under other operators, to close that span under
-        these ones too.  ops: integer operators in move form (the module
-        docstring), as ``OperatorExpr.specialize_ints`` returns them.
-        Neither may hold an explicit zero entry.
+        these ones too.  ops: integer operators in dense move form (the
+        module docstring), as ``OperatorExpr.specialize_ints`` returns
+        them, each list long enough to index every key the closure
+        reaches.  The frontier may hold no explicit zero entry.
 
         Each round applies operators to the vectors of the frontier and
         inserts each nonzero image (``_apply`` and ``_keep``, with their
@@ -426,7 +428,7 @@ class RationalEchelon:
                     if monomial:
                         image = {}
                         for move, weights in op:
-                            if w := weights.get(c):
+                            if w := weights[c]:
                                 image[c ^ move] = w * x
                     else:
                         image = _apply(op, vec)
@@ -445,11 +447,11 @@ class RationalEchelon:
         from it; returns the number of pivots added.
 
         tree: the record that ``close`` returned for a one-vector frontier,
-        and ops the operators, in move form, it was recorded with;
+        and ops the operators, in dense move form, it was recorded with;
         ``duality._value_ranks`` records it in this echelon itself, and
         replays it from every vector but that frontier's.  Each vector is
         inserted by ``insert``; then the tree is walked from it: a
-        node's image is its operator applied (``_apply``, one lookup per
+        node's image is its operator applied (``_apply``, one list index per
         move and entry) to the pivot that this echelon kept for the node's
         parent (index 0 the vector, index k the tree's k-th node), reduced
         and kept by ``_keep``.  A node whose parent was kept no pivot is

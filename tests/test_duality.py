@@ -471,8 +471,7 @@ class TestCyclicSpanControls:
 
     def test_scaled_operators_still_pass(self, monkeypatch):
         def scale(ops, value):
-            return [[(move, {c: 5 * w for c, w in weights.items()}) for move, weights in op]
-                    for op in ops]
+            return [[(move, [5 * w for w in weights]) for move, weights in op] for op in ops]
 
         self.patch_ops(monkeypatch, scale)
         report = cyclic_span_dims(2, 3)
@@ -565,7 +564,8 @@ def matrix_ops(exprs, value):
     """The word expressions' matrices (``to_matrix``) at q = value as integer
     columns (``SparseMatrix.specialize_ints``), each turned into move form:
     the reference for duality._integer_ops."""
-    return [move_form(expr.to_matrix().specialize_ints(value)[0]) for expr in exprs]
+    return [move_form(expr.to_matrix().specialize_ints(value)[0], 1 << expr.length)
+            for expr in exprs]
 
 
 def ref_value_ranks(shape, states, lowering, commute, commuting, value, order):
@@ -799,6 +799,18 @@ class TestSchur:
     def test_too_long_shape_is_zero(self):
         assert schur_poly((1, 1, 1), 2) == Counter()
 
+    @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12)
+    def test_schur_sum_shares_one_memo_across_the_box(self, n, m):
+        # the box's Schur sum, its branches expanded once, against the sum
+        # of the per-mu schur_poly products, each built with a memo of its own
+        want = Counter()
+        for mu in partitions_in_box(n, m):
+            right = schur_poly(mu.conjugate(), m)
+            for e, c in schur_poly(mu, n).items():
+                for f, d in right.items():
+                    want[e + f] += c * d
+        assert duality._schur_sum(n, m) == want
+
     @pytest.mark.parametrize("n,m", SHAPES_UP_TO_12 + [(4, 4), (2, 8), (8, 2)])
     def test_branching_rule_matches_the_tableau_listing(self, n, m):
         # every Schur polynomial of the dual Cauchy sum, at both ranks
@@ -827,16 +839,18 @@ class TestDualCauchy:
             dual_cauchy_check(4, 5)
 
     def test_perturbed_schur_sum_fails(self, monkeypatch):
-        # negative control: s_(1) with one monomial dropped
-        schur = duality.schur_poly
+        # negative control: s_(1) with one monomial dropped, wherever the
+        # box's one memo of Schur polynomials reads it
+        branch = duality._branch
 
-        def perturbed(mu, p):
-            poly = schur(mu, p)
-            if tuple(mu) == (1,):
+        def perturbed(mu, p, memo):
+            poly = branch(mu, p, memo)
+            if mu == (1,) and poly:
+                poly = Counter(poly)
                 del poly[min(poly)]
             return poly
 
-        monkeypatch.setattr(duality, "schur_poly", perturbed)
+        monkeypatch.setattr(duality, "_branch", perturbed)
         assert cauchy_outcome(dual_cauchy_check(2, 3)) == ("fail", [
             (SCHUR, "exponents [0, 1, 0, 0, 1]: product 1, Schur sum 0"), (STATES, None)])
 
@@ -936,15 +950,17 @@ class TestJointKernel:
         # same kernel; the identity, one move 0, added to them leaves none
         monkeypatch.setattr(duality, "_integer_ops", matrix_ops)
         assert joint_kernel_count(n, m, Fraction(3)) == comb(n + m, n)
-        identity = move_form({s: {s: 1} for s in range(1 << n * m)})
+        identity = move_form({s: {s: 1} for s in range(1 << n * m)}, 1 << n * m)
         monkeypatch.setattr(duality, "_integer_ops",
                             lambda exprs, value: matrix_ops(exprs, value) + [identity])
         assert joint_kernel_count(n, m) == 0
 
 
 def test_integer_operators_take_few_bytes_per_entry():
-    # the lowering operators at 3x3 hold one flat dict per move: about 51
-    # bytes per nonzero entry, where a dict per column takes about 224
+    # the lowering operators at 3x3 hold one list of 2^9 weights per move:
+    # about 8.4 bytes per state, one pointer to an entry of the words'
+    # tables, where a flat dict per move took about 51 bytes per nonzero
+    # entry and a dict per column about 224
     exprs = [expr for family in duality._generators(3, 3, "F") for expr in family]
     duality._integer_ops(exprs, Fraction(2))  # the words are compiled once, here
     tracemalloc.start()
@@ -953,6 +969,8 @@ def test_integer_operators_take_few_bytes_per_entry():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    entries = sum(len(weights) for op in ops for _, weights in op)
-    assert entries == 4 * 3 * 2 ** 7  # 4 operators of 3 words, each keeping 2^7 states
-    assert held / entries < 128
+    slots = sum(len(weights) for op in ops for _, weights in op)
+    entries = sum(map(bool, (w for op in ops for _, weights in op for w in weights)))
+    assert slots == 4 * 3 * 2 ** 9  # 4 operators of 3 words, each of its own move
+    assert entries == 4 * 3 * 2 ** 7  # each word keeping 2^7 states
+    assert held / slots < 10

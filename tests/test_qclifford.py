@@ -441,17 +441,18 @@ SPEC_VALUES = [2, 3, Fraction(5, 3), -2]
 
 
 def scaled_moves(moves, scale):
-    """An operator in move form as {move: {col: entry}}, each weight times
-    scale."""
-    return {move: {c: w * scale for c, w in weights.items()} for move, weights in moves}
+    """An operator in move form as {move: [entry per state]}, each weight
+    times scale."""
+    return {move: [w * scale for w in weights] for move, weights in moves}
 
 
-def assert_integer_moves(moves):
-    """Move form without an explicit zero, an empty move or a repeated
-    move, and with int weights."""
+def assert_integer_moves(moves, length):
+    """Dense move form: one list of 2^length int weights per move, without
+    a repeated move or a move whose weights are all zero."""
     assert len({move for move, _ in moves}) == len(moves)
     for _, weights in moves:
-        assert weights and all(type(w) is int and w for w in weights.values())
+        assert len(weights) == 1 << length
+        assert any(weights) and all(type(w) is int for w in weights)
 
 
 @given(operators(), st.sampled_from(SPEC_VALUES))
@@ -461,8 +462,9 @@ def test_word_integer_columns_match_the_matrix(op, value):
     # scaled
     moves, scale = op.specialize_ints(value)
     want, want_scale = op.to_matrix().specialize_ints(value)
-    assert_integer_moves(moves)
-    assert scaled_moves(moves, scale) == scaled_moves(move_form(want), want_scale)
+    assert_integer_moves(moves, op.length)
+    assert (scaled_moves(moves, scale)
+            == scaled_moves(move_form(want, 1 << op.length), want_scale))
 
 
 # the first term's coefficient q - 2 is two words of one move, which cancel
@@ -473,10 +475,11 @@ SPLIT_AT_TWO = OperatorExpr(3, [(QLaurent({1: 1, 0: -2}), [(PSI, 1)]),
 
 def reference_moves(op, value):
     """The interpreter's columns (``reference_matrix``) at q = value, in
-    move form: {move: {col: Fraction}} without the entries that vanish."""
+    move form: {move: [Fraction per state]}, without the moves whose
+    entries all vanish."""
     cols = {c: {r: x for r, v in col.items() if (x := v.specialize(value))}
             for c, col in reference_matrix(op).items()}
-    return dict(move_form(cols))
+    return dict(move_form(cols, 1 << op.length))
 
 
 @given(st.integers(1, 5).flatmap(operators), st.sampled_from(SPEC_VALUES))
@@ -486,7 +489,7 @@ def test_integer_moves_match_the_interpreter(op, value):
     # specialize_ints against the per-generator interpreter, which never
     # reads a compiled word: each entry of its columns evaluated at q = value
     moves, scale = op.specialize_ints(value)
-    assert_integer_moves(moves)
+    assert_integer_moves(moves, op.length)
     assert scaled_moves(moves, scale) == reference_moves(op, value)
 
 
@@ -512,14 +515,17 @@ def ref_compiled(terms):
 
 def ref_assemble(op, tables):
     """The columns {col: {row: entry}} of the sum of the compiled words:
-    each word adds its table's entry at every state it keeps, and the
-    entries that cancel or vanish are dropped afterwards."""
+    each word adds its table's entry at every state it keeps, read off the
+    word's image of that state (``_CompiledWord.image``), and the entries
+    that cancel or vanish are dropped afterwards."""
     cols = {}
     for (_, cw), table in zip(op._compiled(), tables):
-        move = cw.require_set ^ cw.final_set
-        for s, key in zip(*cw.columns(op.length)):
-            col = cols.setdefault(s, {})
-            col[s ^ move] = col.get(s ^ move, 0) + table[key]
+        low = cw.exponent_range()[0]
+        for s in range(1 << op.length):
+            if (image := cw.image(s)) is not None:
+                row, negative, qexp = image
+                col = cols.setdefault(s, {})
+                col[row] = col.get(row, 0) + table[2 * (qexp - low) + negative]
     return {c: kept for c, col in cols.items() if (kept := {r: v for r, v in col.items() if v})}
 
 
@@ -528,10 +534,23 @@ def ref_assemble(op, tables):
 def test_assembled_columns_match_the_summing_path(op, value):
     # the move builder against a column-by-column sum of the same tables
     value = Fraction(value)
-    tables = [_table(cw, lambda e, c=c: c * value**e) for c, cw in op._compiled()]
+    tables = [_table(cw, lambda e, c=c: c * value**e, 0) for c, cw in op._compiled()]
     moves = op._moves(tables)
-    assert dict(moves) == dict(move_form(ref_assemble(op, tables)))
-    assert all(weights and 0 not in weights.values() for _, weights in moves)
+    assert dict(moves) == dict(move_form(ref_assemble(op, tables), 1 << op.length))
+    assert all(len(weights) == 1 << op.length and any(weights) for _, weights in moves)
+
+
+@given(operators())
+def test_table_indices_match_the_images(op):
+    # every state's index into the word's table: the image's sign and
+    # q-exponent where the word keeps the state, one past the entries where
+    # it kills it
+    for _, cw in op._compiled():
+        low, high = cw.exponent_range()
+        dead = 2 * (high - low + 1)
+        want = [dead if (image := cw.image(s)) is None else 2 * (image[2] - low) + image[1]
+                for s in range(1 << op.length)]
+        assert cw.table_indices(op.length) == want
 
 
 def test_split_coefficient_takes_the_summing_path():
@@ -540,14 +559,57 @@ def test_split_coefficient_takes_the_summing_path():
     op = SPLIT_AT_TWO
     assert [cw.require_set ^ cw.final_set for _, cw in op._compiled()] == [0b1, 0b1, 0b10]
     moves, scale = op.specialize_ints(2)
-    tables = [_table(cw, lambda e, c=c: c * Fraction(2)**e) for c, cw in op._compiled()]
+    tables = [_table(cw, lambda e, c=c: c * Fraction(2)**e, 0) for c, cw in op._compiled()]
     assert (dict(op._moves(tables)) == scaled_moves(moves, scale)
-            == dict(move_form(ref_assemble(op, tables))))
-    assert moves == [(0b10, {s: (-1) ** (s & 1) * (1 if s & 0b100 else 2)
-                             for s in range(8) if not s & 0b10})]
+            == dict(move_form(ref_assemble(op, tables), 8)))
+    assert moves == [(0b10, [0 if s & 0b10 else (-1) ** (s & 1) * (1 if s & 0b100 else 2)
+                             for s in range(8)])]
     assert scale == Fraction(1, 2)
     # at q = 3 the sum is nonzero, and its move comes first
     assert [move for move, _ in op.specialize_ints(3)[0]] == [0b1, 0b10]
+
+
+def dense_columns(moves, scale):
+    """Dense moves as columns {col: {row: entry}}, each weight times scale,
+    without the zero weights."""
+    cols = {}
+    for move, weights in moves:
+        for c, w in enumerate(weights):
+            if w:
+                cols.setdefault(c, {})[c ^ move] = w * scale
+    return cols
+
+
+GRID_SHAPES_UP_TO_10 = [(n, m) for n in range(1, 11) for m in range(1, 11) if n * m <= 10]
+GRID_SPEC_VALUES = [Fraction(2), Fraction(3), Fraction(5, 3), Fraction(-2), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("n,m", GRID_SHAPES_UP_TO_10)
+def test_grid_integer_moves_match_the_matrix_columns(n, m):
+    # every lambda_q and rho_q E and F generator: its dense integer moves,
+    # scaled, are the columns of its matrix at q = value, at positive,
+    # negative and non-integer values
+    exprs = [action(n, m, kind, i) for kind in ("E", "F")
+             for action, count in ((lambda_q, n), (rho_q, m)) for i in range(1, count)]
+    for expr in exprs:
+        mat = expr.to_matrix()
+        for value in GRID_SPEC_VALUES:
+            moves, scale = expr.specialize_ints(value)
+            assert_integer_moves(moves, n * m)
+            assert dense_columns(moves, scale) == mat.specialize(value)
+
+
+def test_grid_integer_moves_differential_catches_a_changed_entry():
+    # negative control: one weight of rho_q F_1 at 2x3 changed by one, at a
+    # kept state and at a killed one, and the columns no longer match
+    expr = rho_q(2, 3, "F", 1)
+    want = expr.to_matrix().specialize(2)
+    for kept in (True, False):
+        moves, scale = expr.specialize_ints(2)
+        weights = moves[0][1]
+        c = next(c for c, w in enumerate(weights) if bool(w) == kept)
+        weights[c] += 1
+        assert dense_columns(moves, scale) != want
 
 
 def test_split_terms_that_cancel_are_zero():

@@ -71,6 +71,14 @@ class TestQBinomial:
                 rhs = rhs + q_binomial(a - 1, b) * QLaurent.q_power(-b)
             assert q_binomial(a, b) == rhs
 
+    @pytest.mark.parametrize("a", range(15))
+    def test_product_formula_matches_the_factorial_quotient(self, a):
+        # the product formula against [a]! / ([b]! [a-b]!), whole factorials
+        # divided at once
+        for b in range(a + 1):
+            want = exact_div(q_factorial(a), q_factorial(b) * q_factorial(a - b))
+            assert q_binomial(a, b) == want
+
     @pytest.mark.parametrize("a,b", [(4, 2), (6, 3), (7, 2)])
     def test_specialization_oracle(self, a, b):
         # independent route: evaluate the factorial quotient at rational points

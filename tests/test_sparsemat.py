@@ -532,14 +532,18 @@ def test_echelon_ignores_explicit_zeros():
 # -- RationalEchelon.close against a breadth-first Fraction closure ---------------
 
 
-def move_form(cols):
-    """An integer operator given by columns {col: {row: int}} in the move
-    form that close, replay and OperatorExpr.specialize_ints use: entry
-    (r, c) goes to the weights of move r ^ c, at c."""
+KEYS = 64  # every key of the operators and vectors below is less
+
+
+def move_form(cols, dim=KEYS):
+    """An integer operator given by columns {col: {row: int}} in the dense
+    move form that close, replay and OperatorExpr.specialize_ints use: entry
+    (r, c) goes to the weights of move r ^ c, a list of dim entries, at
+    index c; 0 where the column holds no entry of that move."""
     moves = {}
     for c, col in cols.items():
         for r, v in col.items():
-            moves.setdefault(r ^ c, {})[c] = v
+            moves.setdefault(r ^ c, [0] * dim)[c] = v
     return list(moves.items())
 
 
@@ -933,6 +937,33 @@ def test_replay_matches_inserting_each_image(held, vectors, seed, ops):
     assert pivot_items(echelon) == pivot_items(ref)
     assert vectors == copies  # left unchanged
     assert_echelon_form(echelon)
+
+
+# 0 -> 1 + 2, 1 -> 3, 2 -> 3: dense moves 1 = [1, 0, 1, 0, ...] (0 -> 1 and
+# 2 -> 3) and 2 = [1, 1, 0, 0, ...] (0 -> 2 and 1 -> 3)
+BRANCH = {0: {1: 1, 2: 1}, 1: {3: 1}, 2: {3: 1}}
+
+
+@pytest.mark.parametrize("move, col, value", [
+    (1, 0, 0),   # 0 -> 1 dropped: the first pivot is {2: 1}
+    (2, 2, 1),   # 2 -> 0 added: the image of {1: 1, 2: 1} gains state 0
+    (1, 2, -1),  # 2 -> 3 negated: the image of {1: 1, 2: 1} cancels
+])
+def test_a_changed_dense_entry_fails_the_differentials(move, col, value):
+    # negative control for the closure and replay differentials: one weight
+    # of a dense list changed, the reference still reading the columns
+    moves = move_form(BRANCH)
+    dict(moves)[move][col] = value
+    start = [{0: 1}]
+    echelon, ref = RationalEchelon(), RationalEchelon()
+    record = echelon.close([echelon.insert(start[0])], [moves])
+    assert (record, pivot_items(echelon)) != (
+        ref_close(ref, [ref.insert(start[0])], [BRANCH]), pivot_items(ref))
+    scratch = RationalEchelon()
+    tree = scratch.close([scratch.insert(start[0])], [move_form(BRANCH)])
+    echelon, ref = RationalEchelon(), RationalEchelon()
+    assert ((echelon.replay(start, tree, [moves]), pivot_items(echelon))
+            != (ref_replay(ref, start, tree, [BRANCH]), pivot_items(ref)))
 
 
 def test_replay_counts_a_full_product():

@@ -162,10 +162,17 @@ def wedge_span_vectors(n):
     ]
 
 
-def _is_eigenvector(mat, vec, eig):
-    image = mat.apply(vec)
-    scaled = {k: v * eig for k, v in vec.items() if v * eig}
-    return image == scaled
+def _first_eigen_difference(mat, vecs, eig):
+    """The first basis index where the image under mat of a vector of vecs,
+    taken in order, differs from eig times that vector; None when each is an
+    eigenvector with eigenvalue eig."""
+    for vec in vecs:
+        image = mat.apply(vec)
+        scaled = {k: v * eig for k, v in vec.items() if v * eig}
+        differ = [k for k in image.keys() | scaled.keys() if image.get(k) != scaled.get(k)]
+        if differ:
+            return min(differ)
+    return None
 
 
 def _tensor_label(n, factors, c):
@@ -222,29 +229,26 @@ def check_classical_limit(n, rhat=None):
 
 
 def sym2q_dims(n, rhat=None):
-    """Dimensions (sym, wedge) of the braiding eigenspaces, verified.
+    """The braiding's eigenspaces as a report headed by their dimensions,
+    ``sym2q_dim`` = n(n+1)/2 and ``degree2_quotient_dim`` = n(n-1)/2, the
+    sizes of the displayed spanning families.
 
-    Confirms each displayed spanning vector is an exact eigenvector with the
-    right eigenvalue, that the combined family is linearly independent (rank
-    n^2 at q = 2), and returns (n(n+1)/2, n(n-1)/2).
+    Its records: every +q vector and every -q^{-1} vector is an exact
+    eigenvector with that eigenvalue (witness: the first tensor basis vector
+    where one vector's image differs), and the two families together have
+    rank n^2 at q = 2 (witness: the rank reached).
     """
     rhat = build_rhat(n) if rhat is None else rhat
-    q = QLaurent.q_power(1)
-    neg_qinv = QLaurent.q_power(-1, -1)
-    sym = sym_span_vectors(n)
-    wedge = wedge_span_vectors(n)
-    for vec in sym:
-        if not _is_eigenvector(rhat, vec, q):
-            raise AssertionError("claimed +q eigenvector fails")
-    for vec in wedge:
-        if not _is_eigenvector(rhat, vec, neg_qinv):
-            raise AssertionError("claimed -q^-1 eigenvector fails")
+    label = partial(_tensor_label, n, 2)
+    sym, wedge = sym_span_vectors(n), wedge_span_vectors(n)
+    families = (("R v = q v on the symmetric vectors", sym, QLaurent.q_power(1)),
+                ("R v = -q^-1 v on the wedge vectors", wedge, QLaurent.q_power(-1, -1)))
+    checks = [report.column(relation, _first_eigen_difference(rhat, vecs, eig), label, n=n)
+              for relation, vecs, eig in families]
     echelon = RationalEchelon()
     two = Fraction(2)
     for vec in sym + wedge:
         echelon.insert({k: v.specialize(two) for k, v in vec.items()})
-    if echelon.rank != n * n:
-        raise AssertionError("eigenvector family is not a basis")
-    sym_dim, wedge_dim = len(sym), len(wedge)
-    assert sym_dim == n * (n + 1) // 2 and wedge_dim == n * (n - 1) // 2
-    return sym_dim, wedge_dim
+    checks.append(report.check("the eigenvectors have rank n^2 at q = 2",
+                               echelon.rank == n * n, f"rank {echelon.rank}", n=n))
+    return report.finish(checks, sym2q_dim=len(sym), degree2_quotient_dim=len(wedge))

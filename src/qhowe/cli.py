@@ -246,12 +246,12 @@ def _commutant_section(cfg):
 def _braiding_section(cfg):
     p = max(2, cfg["n"])
     rhat = braiding.build_rhat(p)
-    sym_dim, wedge_dim = braiding.sym2q_dims(p, rhat)
-    checks = [braiding.check_hecke(p, rhat), braiding.check_yang_baxter(p, rhat),
+    dims = braiding.sym2q_dims(p, rhat)
+    checks = [*dims["checks"], braiding.check_hecke(p, rhat), braiding.check_yang_baxter(p, rhat),
               *braiding.check_intertwiner(p, rhat)["checks"],
               braiding.check_classical_limit(p, rhat)]
-    return report.finish(checks, section="braiding", rank=p, sym2q_dim=sym_dim,
-                         degree2_quotient_dim=wedge_dim)
+    return report.finish(checks, section="braiding", rank=p, sym2q_dim=dims["sym2q_dim"],
+                         degree2_quotient_dim=dims["degree2_quotient_dim"])
 
 
 def _module_algebra_section(cfg):

@@ -13,18 +13,18 @@ The diagonal correction factors (kappa for Clifford words, Lambda for formal
 rank-nm words) are products over grid segments; :class:`KappaFactor` holds
 one such segment and expands it on demand.
 
-The row and column actions are one construction along the two axes of the
-grid.  ``_grid_action`` walks the cells of one line and their root pairs
-a -> b (b = a + 1 for a row pair, b = a + n for a column pair) and reads
-each E/F image from a line-pair table keyed by (axis, kind): the q-exponent
-of the coefficient, the generators before the kappa segment, the segment's
-orientation and the generators after it.  The torus generators share one
-path for both axes, and the q = 1 images come from their own classical
-table.  ``phi_q`` and the classical table stay independent formulas: the
-composition check compares ``lambda_q`` with ``phi_q o theta`` and the
-dequantization check compares the quantum table with the classical one, so
-deriving either side from the other would make that check compare a
-formula with itself.
+All six maps are one builder, ``_walk``, reading each map's own tables.  It
+walks the cells of one line of the grid and their root pairs a -> b (b =
+a + 1 along a row, b = a + n along a column; phi_q's line is p x 1).  A
+summed row, keyed by (axis, kind), holds the q-exponent of the coefficient,
+the generators before the kappa segment, the segment's orientation and the
+generators after it; a torus row, keyed by kind, holds the word multiplied
+along the line.  theta reads rank-nm letters and K segments, the others
+Clifford letters and w segments.  phi_q's, theta's and the classical rows stay
+apart from the grid's rows, even where they are equal: the composition check
+compares ``lambda_q`` with ``phi_q o theta`` and the dequantization check
+compares the quantum rows with the classical ones, so a shared row would make
+that check compare a formula with itself.
 
 ``lambda_rep``, ``rho_rep`` and ``phi_rep`` hold their generators as Clifford
 words.  ``qgroup``'s relation and Serre suites and the composition, commutant
@@ -143,14 +143,92 @@ class KappaFactor:
         return tuple(QGroupGen(kind, a) for a, _ in self._pairs())
 
 
-def _check_root_index(index, rank):
-    if not 1 <= index <= rank - 1:
-        raise ValueError(f"root index {index} outside 1..{rank - 1}")
+# -- the generator tables --------------------------------------------------------
+#
+# Summed rows (q-exponent, generators before the kappa segment, its
+# orientation or None, generators after it; F reads its segment inverted) and
+# torus rows, as the module docstring describes.  "a" and "b" are the two ends
+# of a cell's root pair.
+
+# phi_q, on its own p x 1 line.
+_PHI_IMAGES = {
+    (ROW, "E"): (-1, ((OMEGA_INV, "a"), (PSI_DAG, "a"), (PSI, "b")), None, ()),
+    (ROW, "F"): (0, ((OMEGA, "a"), (PSI_DAG, "b"), (PSI, "a")), None, ()),
+}
+_PHI_TORUS = {
+    "L": ((OMEGA_INV, "a"),),
+    "Linv": ((OMEGA, "a"),),
+    "K": ((OMEGA_INV, "a"), (OMEGA, "b")),
+    "Kinv": ((OMEGA, "a"), (OMEGA_INV, "b")),
+}
+
+# theta, in rank-nm generators along a grid row; its segments are K words.
+_THETA_IMAGES = {
+    (ROW, "E"): (0, (("E", "a"),), ROW_RIGHT, ()),
+    (ROW, "F"): (0, (), ROW_LEFT, (("F", "a"),)),
+}
+_THETA_TORUS = {kind: ((kind, "a"),) for kind in ("L", "Linv", "K", "Kinv")}
+
+# lambda_q (the ROW rows) and rho_q (the COL rows); both read the torus rows.
+_QUANTUM_IMAGES = {
+    (ROW, "E"): (-1, ((OMEGA_INV, "a"), (PSI_DAG, "a"), (PSI, "b")), ROW_RIGHT, ()),
+    (ROW, "F"): (0, ((OMEGA, "a"),), ROW_LEFT, ((PSI_DAG, "b"), (PSI, "a"))),
+    (COL, "E"): (0, (), COL_ABOVE, ((PSI_DAG, "a"), (PSI, "b"))),
+    (COL, "F"): (0, ((PSI_DAG, "b"), (PSI, "a")), COL_BELOW, ()),
+}
+_TORUS_IMAGES = {
+    "L": ((OMEGA_INV, "a"),),
+    "Linv": ((OMEGA, "a"),),
+    "K": ((OMEGA_INV, "a"), (OMEGA, "b")),
+    "Kinv": ((OMEGA, "a"), (OMEGA_INV, "b")),
+}
+
+# classical_lambda and classical_rho, alike on both axes; Lbar is the line's
+# degree operator.
+_CLASSICAL_IMAGES = {
+    (axis, kind): (0, word, None, ())
+    for axis in (ROW, COL)
+    for kind, word in (("E", ((PSI_DAG, "a"), (PSI, "b"))),
+                       ("F", ((PSI_DAG, "b"), (PSI, "a"))),
+                       ("L", ((PSI_DAG, "a"), (PSI, "a"))))
+}
 
 
-def _check_torus_index(index, rank):
-    if not 1 <= index <= rank:
-        raise ValueError(f"torus index {index} outside 1..{rank}")
+def _walk(shape, axis, kind, index, sums, products, letter=CliffordGen, segment="omega_gens",
+          flavor=""):
+    """One generator image as a list of (coefficient, word), read from a
+    map's summed rows ``sums`` and product rows ``products``.
+
+    Walks the cells (i, j) of line ``index`` with their root pairs a -> b:
+    b = a + 1 on the row axis, b = a + n on the column axis.  A letter is
+    ``letter(kind, position)``, and a kappa segment expands through the
+    KappaFactor method named ``segment``.
+    """
+    n, m = shape
+    if axis == ROW:
+        rank, step, cells = n, 1, [(index, j) for j in range(1, m + 1)]
+    else:
+        rank, step, cells = m, n, [(i, index) for i in range(1, n + 1)]
+    if kind not in products and (axis, kind) not in sums:
+        raise ValueError(f"unknown {flavor}generator kind {kind!r}")
+    top = rank if kind in ("L", "Linv") else rank - 1
+    if not 1 <= index <= top:
+        raise ValueError(f"{'torus' if top == rank else 'root'} index {index} outside 1..{top}")
+    ends = [{"a": a, "b": a + step} for a in (grid_to_linear(shape, i, j) for i, j in cells)]
+
+    def words(spec):
+        return [tuple(letter(g, end[e]) for g, e in spec) for end in ends]
+
+    if kind in products:
+        return [(QLaurent.one(), sum(words(products[kind]), ()))]
+    exp, before, orientation, after = sums[axis, kind]
+    coeff = QLaurent.q_power(exp)
+    terms = []
+    for (i, j), head, tail in zip(cells, words(before), words(after)):
+        kappa = () if orientation is None else getattr(
+            KappaFactor(shape, orientation, i, j), segment)(invert=kind == "F")
+        terms.append((coeff, head + kappa + tail))
+    return terms
 
 
 def phi_q(p, kind, index):
@@ -159,28 +237,7 @@ def phi_q(p, kind, index):
     E_i -> q^{-1} w_i^{-1} psid_i psi_{i+1}, F_i -> w_i psid_{i+1} psi_i,
     L_i -> w_i^{-1} (inverses accordingly, K via L L^{-1}).
     """
-    i = index
-    if kind == "E":
-        _check_root_index(i, p)
-        word = (CliffordGen(OMEGA_INV, i), CliffordGen(PSI_DAG, i), CliffordGen(PSI, i + 1))
-        return OperatorExpr.word(p, word, coeff=QLaurent.q_power(-1))
-    if kind == "F":
-        _check_root_index(i, p)
-        word = (CliffordGen(OMEGA, i), CliffordGen(PSI_DAG, i + 1), CliffordGen(PSI, i))
-        return OperatorExpr.word(p, word)
-    if kind == "L":
-        _check_torus_index(i, p)
-        return OperatorExpr.word(p, (CliffordGen(OMEGA_INV, i),))
-    if kind == "Linv":
-        _check_torus_index(i, p)
-        return OperatorExpr.word(p, (CliffordGen(OMEGA, i),))
-    if kind == "K":
-        _check_root_index(i, p)
-        return OperatorExpr.word(p, (CliffordGen(OMEGA_INV, i), CliffordGen(OMEGA, i + 1)))
-    if kind == "Kinv":
-        _check_root_index(i, p)
-        return OperatorExpr.word(p, (CliffordGen(OMEGA, i), CliffordGen(OMEGA_INV, i + 1)))
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return OperatorExpr(p, _walk(GridShape(p, 1), ROW, kind, index, _PHI_IMAGES, _PHI_TORUS))
 
 
 def theta(n, m, kind, index):
@@ -190,30 +247,8 @@ def theta(n, m, kind, index):
     F_{i+(j-1)n};  L_i -> prod_j L_{i+(j-1)n}.  Returns a list of
     (coefficient, word of rank-nm generators).
     """
-    shape = GridShape(n, m).check()
-    one = QLaurent.one()
-    i = index
-    if kind == "E":
-        _check_root_index(i, n)
-        terms = []
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            right = KappaFactor(shape, ROW_RIGHT, i, j).k_gens()
-            terms.append((one, (QGroupGen("E", a),) + right))
-        return terms
-    if kind == "F":
-        _check_root_index(i, n)
-        terms = []
-        for j in range(1, m + 1):
-            a = grid_to_linear(shape, i, j)
-            left_inv = KappaFactor(shape, ROW_LEFT, i, j).k_gens(invert=True)
-            terms.append((one, left_inv + (QGroupGen("F", a),)))
-        return terms
-    if kind in ("L", "Linv", "K", "Kinv"):
-        (_check_torus_index if kind in ("L", "Linv") else _check_root_index)(i, n)
-        word = tuple(QGroupGen(kind, grid_to_linear(shape, i, j)) for j in range(1, m + 1))
-        return [(one, word)]
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return _walk(GridShape(n, m).check(), ROW, kind, index, _THETA_IMAGES, _THETA_TORUS,
+                 letter=QGroupGen, segment="k_gens")
 
 
 def phi_word(p, gens):
@@ -233,71 +268,12 @@ def compose_phi_theta(n, m, kind, index):
     return total
 
 
-# Quantum E/F images, keyed by (axis, kind): the q-exponent of the
-# coefficient, the generators before the kappa segment, the segment's
-# orientation (read inverted for F), and the generators after it, in the
-# paper's display order.  "a" and "b" are the two ends of the root pair.
-_QUANTUM_IMAGES = {
-    (ROW, "E"): (-1, ((OMEGA_INV, "a"), (PSI_DAG, "a"), (PSI, "b")), ROW_RIGHT, ()),
-    (ROW, "F"): (0, ((OMEGA, "a"),), ROW_LEFT, ((PSI_DAG, "b"), (PSI, "a"))),
-    (COL, "E"): (0, (), COL_ABOVE, ((PSI_DAG, "a"), (PSI, "b"))),
-    (COL, "F"): (0, ((PSI_DAG, "b"), (PSI, "a")), COL_BELOW, ()),
-}
-
-# Torus images: one word per cell, multiplied along the line.
-_TORUS_IMAGES = {
-    "L": ((OMEGA_INV, "a"),),
-    "Linv": ((OMEGA, "a"),),
-    "K": ((OMEGA_INV, "a"), (OMEGA, "b")),
-    "Kinv": ((OMEGA, "a"), (OMEGA_INV, "b")),
-}
-
-# Classical (q = 1) images: one word per cell, summed along the line; Lbar
-# is the line's degree operator.  Kept apart from the quantum table so that
-# check_dequantization compares two independent formulas.
-_CLASSICAL_IMAGES = {
-    "E": ((PSI_DAG, "a"), (PSI, "b")),
-    "F": ((PSI_DAG, "b"), (PSI, "a")),
-    "L": ((PSI_DAG, "a"), (PSI, "a")),
-}
-
-
-def _grid_action(n, m, axis, kind, index, classical):
-    """One generator image of the row (ROW) or column (COL) action.
-
-    Walks the cells (i, j) of line ``index`` with their root pairs a -> b:
-    b = a + 1 on the row axis, b = a + n on the column axis.
-    """
+def _grid_action(n, m, axis, kind, index, sums, products, classical=False):
+    """One generator image of the row (ROW) or column (COL) action."""
     shape = GridShape(n, m).check()
-    N = shape.positions
-    if axis == ROW:
-        rank, step, cells = n, 1, [(index, j) for j in range(1, m + 1)]
-    else:
-        rank, step, cells = m, n, [(i, index) for i in range(1, n + 1)]
-    known = _CLASSICAL_IMAGES if classical else ("E", "F", *_TORUS_IMAGES)
-    if kind not in known:
-        raise ValueError(f"unknown {'classical ' if classical else ''}generator kind {kind!r}")
-    (_check_torus_index if kind in ("L", "Linv") else _check_root_index)(index, rank)
-
-    def words(spec):
-        out = []
-        for i, j in cells:
-            a = grid_to_linear(shape, i, j)
-            ends = {"a": a, "b": a + step}
-            out.append(tuple(CliffordGen(g, ends[end]) for g, end in spec))
-        return out
-
-    if classical:
-        return OperatorExpr(N, [(1, w) for w in words(_CLASSICAL_IMAGES[kind])], classical=True)
-    if kind in _TORUS_IMAGES:
-        return OperatorExpr.word(N, [g for w in words(_TORUS_IMAGES[kind]) for g in w])
-    exp, before, orientation, after = _QUANTUM_IMAGES[(axis, kind)]
-    coeff = QLaurent.q_power(exp)
-    terms = []
-    for (i, j), head, tail in zip(cells, words(before), words(after)):
-        kappa = KappaFactor(shape, orientation, i, j).omega_gens(invert=kind == "F")
-        terms.append((coeff, head + kappa + tail))
-    return OperatorExpr(N, terms)
+    terms = _walk(shape, axis, kind, index, sums, products,
+                  flavor="classical " if classical else "")
+    return OperatorExpr(shape.positions, terms, classical)
 
 
 def lambda_q(n, m, kind, index):
@@ -307,7 +283,7 @@ def lambda_q(n, m, kind, index):
     F_i -> sum_j w_a kappa_{i,<j}^{-1} psid_{a+1} psi_a,
     L_i -> prod_j w_{i+(j-1)n}^{-1}.
     """
-    return _grid_action(n, m, ROW, kind, index, classical=False)
+    return _grid_action(n, m, ROW, kind, index, _QUANTUM_IMAGES, _TORUS_IMAGES)
 
 
 def rho_q(n, m, kind, index):
@@ -317,7 +293,7 @@ def rho_q(n, m, kind, index):
     F_j -> sum_i psid_{i+jn} psi_{i+(j-1)n} kappa_{>i,j}^{-1},
     L_j -> prod_i w_{i+(j-1)n}^{-1}.
     """
-    return _grid_action(n, m, COL, kind, index, classical=False)
+    return _grid_action(n, m, COL, kind, index, _QUANTUM_IMAGES, _TORUS_IMAGES)
 
 
 def classical_lambda(n, m, kind, index):
@@ -325,12 +301,12 @@ def classical_lambda(n, m, kind, index):
 
     Lbar_i is the i-th row degree operator sum_j psid_a psi_a.
     """
-    return _grid_action(n, m, ROW, kind, index, classical=True)
+    return _grid_action(n, m, ROW, kind, index, _CLASSICAL_IMAGES, {}, classical=True)
 
 
 def classical_rho(n, m, kind, index):
     """The classical (q = 1) column action; Lbar_j is the j-th column degree."""
-    return _grid_action(n, m, COL, kind, index, classical=True)
+    return _grid_action(n, m, COL, kind, index, _CLASSICAL_IMAGES, {}, classical=True)
 
 
 # -- representation bundles ----------------------------------------------------
@@ -426,8 +402,7 @@ def check_dequantization(n, m):
         ("lambda", lambda_q, classical_lambda, n),
         ("rho", rho_q, classical_rho, m),
     ):
-        gens = [(kind, i) for i in range(1, rank) for kind in ("E", "F")]
-        for kind, i in gens + [("L", i) for i in range(1, rank + 1)]:
+        for kind, i in _gen_list(rank, classical=True):
             qop, cop = qmap(n, m, kind, i), cmap(n, m, kind, i)
             if kind == "L":
                 relation = f"{flavor}_q(L) = q^(classical degree)"

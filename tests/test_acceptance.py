@@ -119,7 +119,10 @@ def test_criterion_09_braiding():
         ok = ok and braiding.check_hecke(n, rhat)["status"] == "pass"
         ok = ok and braiding.check_intertwiner(n, rhat)["status"] == "pass"
         ok = ok and braiding.check_classical_limit(n, rhat)["status"] == "pass"
-        ok = ok and braiding.sym2q_dims(n, rhat) == (n * (n + 1) // 2, n * (n - 1) // 2)
+        dims = braiding.sym2q_dims(n, rhat)
+        ok = ok and dims["status"] == "pass"
+        ok = ok and (dims["sym2q_dim"], dims["degree2_quotient_dim"]) == (
+            n * (n + 1) // 2, n * (n - 1) // 2)
         # eigenvalues match the Casimir-exponent formula with limit-fixed signs
         eps1 = tuple(1 if k == 0 else 0 for k in range(n))
         two_eps1 = tuple(2 if k == 0 else 0 for k in range(n))

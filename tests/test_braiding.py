@@ -146,7 +146,38 @@ class TestRhat:
 
     @pytest.mark.parametrize("n,dims", [(2, (3, 1)), (3, (6, 3)), (4, (10, 6))])
     def test_sym2q_dims(self, n, dims):
-        assert sym2q_dims(n) == dims
+        got = sym2q_dims(n)
+        assert (got["sym2q_dim"], got["degree2_quotient_dim"]) == dims
+        assert got["status"] == "pass" and len(got["checks"]) == 3
+
+    @pytest.mark.parametrize("row,col,failing", [
+        ((1, 1), (1, 1), ["R v = q v on the symmetric vectors"]),
+        ((2, 1), (1, 2), ["R v = q v on the symmetric vectors",
+                          "R v = -q^-1 v on the wedge vectors"]),
+    ])
+    def test_entry_times_q_fails_an_eigenvector_record(self, row, col, failing):
+        # negative control: one entry of R times q.  The diagonal v1(x)v1 is
+        # its own symmetric vector; the entry at (v2(x)v1, v1(x)v2) moves one
+        # symmetric and one wedge vector, both first differing at v2(x)v1
+        n = 3
+        R = build_rhat(n)
+        r, c = tensor_index(*row, n), tensor_index(*col, n)
+        cols = R.cols
+        cols[c][r] = cols[c][r] * QLaurent.q_power(1)
+        got = sym2q_dims(n, SparseMatrix(R.dim, cols))
+        failed = [(x["relation"], x["witness"]) for x in got["checks"] if x["status"] == "fail"]
+        assert failed == [(relation, "v{}(x)v{}".format(*row)) for relation in failing]
+        assert (got["sym2q_dim"], got["degree2_quotient_dim"]) == (6, 3)
+
+    def test_dependent_family_fails_the_rank_record(self, monkeypatch):
+        # negative control: the wedge family replaced by copies of the first
+        # symmetric vector spans only the symmetric square
+        monkeypatch.setattr(braiding, "wedge_span_vectors",
+                            lambda n: sym_span_vectors(n)[:1] * (n * (n - 1) // 2))
+        got = sym2q_dims(3)
+        failed = [(r["relation"], r["witness"]) for r in got["checks"] if r["status"] == "fail"]
+        assert failed == [("R v = -q^-1 v on the wedge vectors", "v1(x)v1"),
+                          ("the eigenvectors have rank n^2 at q = 2", "rank 6")]
 
     def test_swapped_eigenvalues_pass_hecke_but_fail_limit(self):
         # sanity case pinning the sign convention: swapping the eigenvalues

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from qhowe import cli, duality
+from qhowe import braiding, cli, duality
 from qhowe.cli import UsageError, _config, build_parser, main, render_text
+from qhowe.qscalar import QLaurent
+from qhowe.sparsemat import SparseMatrix
 
 
 def run_cli(*args):
@@ -96,6 +98,27 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: ValueError: section blew up\n"
+
+
+def test_wrong_braiding_fails_as_records(monkeypatch, capsys):
+    # negative control: the entry of the assembled braiding at v1(x)v1 times
+    # q.  The eigenvector conditions are records of the braiding section, so
+    # a wrong braiding is a verdict (exit 1), not an internal error (exit 3)
+    assemble = braiding._assemble_rhat
+
+    def mutant(n, sym_eig, wedge_eig):
+        cols = assemble(n, sym_eig, wedge_eig).cols
+        cols[0][0] = cols[0][0] * QLaurent.q_power(1)
+        return SparseMatrix(n * n, cols)
+
+    monkeypatch.setattr(braiding, "_assemble_rhat", mutant)
+    assert main(["--n", "2", "--m", "2", "verify", "braiding"]) == cli.CHECK_FAILURE == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "  FAIL R v = q v on the symmetric vectors v1(x)v1" in lines
+    assert "  FAIL R v = -q^-1 v on the wedge vectors v1(x)v1" not in lines
+    assert lines[-1] == "overall: fail"
 
 
 def test_cap_violation_is_usage_error(capsys):
@@ -431,9 +454,9 @@ def test_every_section_is_one_flat_list_of_records(capsys, args):
 # CHANGES.md.
 _PINNED_REPORTS = [
     pytest.param(["--n", "2", "--m", "3", "--json", "all"],
-                 "a94ee34024abd3e3dc1cc56dc7fdce1e58437828c4ab8e77fd4c7ef20a9faea2", id="all-json"),
+                 "678a170ea88c54d0720754a40cb89cced203f535fe77090eb7c0c6fed8d86f8b", id="all-json"),
     pytest.param(["--n", "2", "--m", "3", "all"],
-                 "55afdcebb8aa4a895ba1abc939ffeb7e50affe455064adbd9df1ca732494d003", id="all-text"),
+                 "3d6302d17074c6c5231a3c70e988b36fb943fc1edcffd57159cbd6528f7845f5", id="all-text"),
     pytest.param(["--n", "2", "--m", "3", "--json", "hwv", "--partition", "2,1"],
                  "7db078e8afe7912d6c5307cc5e74b85596e87884475eff29864f3a87d6d00c05", id="hwv-json"),
     pytest.param(["--n", "3", "--m", "3", "--spec-q", "5/3", "--spec-q", "-2", "--json",

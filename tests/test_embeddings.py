@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -317,6 +319,50 @@ def test_explain_pins_display_order(map_name, gen):
     assert explain(map_name, 2, 3, kind, index) == expected
 
 
+SHAPES_UP_TO_12 = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+
+# The six maps as (name, builder (n, m, kind, index), rank (n, m)); phi_q
+# runs at p = n on the p x 1 shapes.
+IMAGE_MAPS = [
+    ("phi_q", lambda n, m, kind, i: phi_q(n, kind, i), lambda n, m: n if m == 1 else None),
+    ("theta", theta, lambda n, m: n),
+    ("lambda_q", lambda_q, lambda n, m: n),
+    ("rho_q", rho_q, lambda n, m: m),
+    ("classical_lambda", classical_lambda, lambda n, m: n),
+    ("classical_rho", classical_rho, lambda n, m: m),
+]
+
+
+def image_lines():
+    """One line per call of each map at every shape with nm <= 12, kind and
+    index 0 .. rank + 1: its terms as coefficient and word strings, or the
+    message of the ValueError it raises."""
+    for name, build, rank_of in IMAGE_MAPS:
+        for n, m in SHAPES_UP_TO_12:
+            rank = rank_of(n, m)
+            if rank is None:
+                continue
+            for kind in ("E", "F", "L", "Linv", "K", "Kinv", "X"):
+                for i in range(rank + 2):
+                    try:
+                        image = build(n, m, kind, i)
+                    except ValueError as exc:
+                        text = f"ValueError: {exc}"
+                    else:
+                        terms = image if name == "theta" else image.terms
+                        text = " + ".join(f"{c} * {' '.join(map(str, w))}" for c, w in terms)
+                    yield f"{name} {n}x{m} {kind}{i}: {text}"
+
+
+def test_every_generator_image_is_pinned():
+    # sha256 of the 7,609 lines of image_lines(): every word of every image
+    # and every kind and index error of the six maps
+    lines = list(image_lines())
+    assert len(lines) == 7609
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "57043e355495cb99713d88201211028a8a509cb6ff3424a311d2a61e84650eb4", digest
+
+
 # One corrupted line-pair table entry each: (key, field, new value, suites
 # that must report fail).  Fields: 0 q-exponent, 1 generators before the
 # kappa segment, 2 segment orientation, 3 generators after it.  One measured
@@ -391,6 +437,39 @@ def test_kappa_less_mutant_fails_composition_and_relations(monkeypatch, n, m):
     for check in (check_commutant, check_dequantization, check_tensor_character,
                   cyclic_span_dims):
         assert check(n, m)["status"] == "pass", check.__name__
+
+
+def failed_records(capsys, n, m):
+    """(section, suite, relation, generator) of each failed record of
+    ``qhowe --json all`` at n x m."""
+    cli.main(["--n", str(n), "--m", str(m), "--json", "all"])
+    sections = json.loads(capsys.readouterr().out)["sections"]
+    return [(s["section"], c.get("suite"), c["relation"], c.get("generator"))
+            for s in sections for c in s["checks"] if c["status"] == "fail"]
+
+
+@pytest.mark.parametrize("n,m,generators", [(2, 3, ["L1", "L2"]), (3, 2, ["L1", "L2", "L3"])])
+def test_torus_L_row_mutant_fails_composition(monkeypatch, capsys, n, m, generators):
+    # negative control: the grid's L row as w_a in place of w_a^-1.  phi_q
+    # reads its own torus rows, so composition sees every L; with phi_q's L
+    # row corrupted alike, the two sides would agree again
+    monkeypatch.setitem(embeddings._TORUS_IMAGES, "L", ((OMEGA, "a"),))
+    failed = failed_records(capsys, n, m)
+    composition = [g for _, suite, _, g in failed if suite == "composition"]
+    assert composition == generators
+    monkeypatch.setitem(embeddings._PHI_TORUS, "L", ((OMEGA, "a"),))
+    assert check_composition(n, m)["status"] == "pass"
+
+
+@pytest.mark.parametrize("n,m,count", [(2, 3, 8), (3, 2, 8), (3, 3, 18)])
+def test_torus_K_row_mutant_fails_only_hwv(monkeypatch, capsys, n, m, count):
+    # negative control: the grid's K row as w_a^-1 w_b^-1 in place of
+    # w_a^-1 w_b.  Only decompose's highest-weight records see it: no
+    # embeddings suite reads the K rows, since Representation.K is built
+    # from the L's, and composition runs over generator_keys, which has no K
+    monkeypatch.setitem(embeddings._TORUS_IMAGES, "K", ((OMEGA_INV, "a"), (OMEGA_INV, "b")))
+    failed = failed_records(capsys, n, m)
+    assert failed == [("decompose", None, "hwv", None)] * count
 
 
 def test_kappa_less_mutant_fails_qhowe_all(monkeypatch, capsys):
